@@ -19,6 +19,7 @@ only, to minimize that disagreement.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .evaluation import confusion_from_predictions, report_from_counts
-from .nn import ClassifierHead, ModelBundle
+from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
+from .nn import ModelBundle
 from .optim import make_optimizer
 from .tensor import Tensor
 
@@ -83,13 +84,6 @@ class DomainDataset:
         return DomainDataset(self.domain_id, self.features, None, self.split)
 
 
-@dataclass(frozen=True)
-class DomainBatch:
-    features: Tensor
-    labels: Optional[np.ndarray]
-    domain_id: str
-
-
 @dataclass
 class AdaptationConfig:
     strategy: str = "vanilla"
@@ -117,22 +111,6 @@ class AdaptationConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.lr < 0:
             raise ConfigError("learning rate must be non-negative")
-
-
-class ClassifierPairSet:
-    """The (C_i, C'_i) pairs of a multi-source bundle, one per source."""
-
-    def __init__(self, pairs: Sequence[tuple[ClassifierHead, ClassifierHead]]):
-        if not pairs:
-            raise ConfigError("classifier pair set is empty")
-        self.pairs = list(pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    @classmethod
-    def from_bundle(cls, bundle: ModelBundle) -> "ClassifierPairSet":
-        return cls(bundle.pairs())
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +216,8 @@ class TrainingHistory:
     strategy: str
     trainable_count: int
     records: list[EpochRecord] = field(default_factory=list)
-    snapshots: list[dict[str, np.ndarray]] = field(default_factory=list)
+    # parameters after the epoch ``select_model_epoch`` picks from ``records``
+    selected_snapshot: Optional[dict[str, np.ndarray]] = None
 
     def val_f1_series(self) -> list[float]:
         return [r.source_val_f1 if r.source_val_f1 is not None else 0.0 for r in self.records]
@@ -351,58 +330,90 @@ def _epoch_eval(bundle: ModelBundle, val: Optional[DomainDataset],
     return val_f1, target_f1, median
 
 
-def _finish_epoch(history: TrainingHistory, bundle: ModelBundle, epoch: int,
-                  losses: dict[str, float], val, eval_targets, keep_snapshots: bool) -> None:
-    val_f1, target_f1, median = _epoch_eval(bundle, val, eval_targets)
-    history.records.append(EpochRecord(epoch, losses, val_f1, target_f1, median))
-    if keep_snapshots:
-        history.snapshots.append(bundle.snapshot())
+def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
+                config: AdaptationConfig, steps: int, iterate: Callable[[], dict[str, float]],
+                val: Optional[DomainDataset],
+                eval_targets: Sequence[DomainDataset]) -> TrainingHistory:
+    """The epoch loop every trainer shares.
+
+    ``iterate`` performs one optimizer iteration and returns its losses,
+    keyed by a subset of ``loss_names``; each epoch records their mean over
+    ``steps`` iterations plus the per-epoch evaluation. Once the history
+    extends past the warm-up, the parameters of the epoch
+    ``select_model_epoch`` picks so far are kept in ``selected_snapshot``,
+    so one copy is held however many epochs run.
+    """
+    history = TrainingHistory(strategy, sum(p.size for _, p in bundle.trainable_parameters()))
+    for epoch in range(1, config.epochs + 1):
+        sums = dict.fromkeys(loss_names, 0.0)
+        for _ in range(steps):
+            for name, value in iterate().items():
+                sums[name] += value
+        val_f1, target_f1, median = _epoch_eval(bundle, val, eval_targets)
+        losses = {name: total / steps for name, total in sums.items()}
+        history.records.append(EpochRecord(epoch, losses, val_f1, target_f1, median))
+        if epoch > config.warmup:  # select_model_epoch rejects shorter histories
+            if select_model_epoch(history.val_f1_series(), config.warmup) == epoch:
+                history.selected_snapshot = bundle.snapshot()
+    return history
 
 
 # ----------------------------------------------------------------------
-# vanilla
+# vanilla and single-source moment matching
+
+
+def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
+                       source: DomainDataset, target: Optional[DomainDataset],
+                       config: AdaptationConfig, val: Optional[DomainDataset],
+                       eval_targets: Sequence[DomainDataset]) -> TrainingHistory:
+    """Cross entropy on labeled source batches, plus lambda times the
+    moment distance to an unlabeled target batch when ``target`` is given."""
+    drop_rng, source_ss, target_ss = _spawn_rngs(config.seed)
+    src_stream = _MinibatchStream(source.features, source.labels, config.batch_size,
+                                  np.random.default_rng(source_ss))
+    tgt_stream = None
+    if target is not None:
+        tgt_stream = _MinibatchStream(target.features, None, config.batch_size,
+                                      np.random.default_rng(target_ss))
+    opt = make_optimizer(config.optimizer, [p for _, p in bundle.trainable_parameters()],
+                         config.lr)
+
+    def iterate() -> dict[str, float]:
+        x, y = src_stream.next()
+        z_s = bundle.extract(Tensor(x))
+        logits = bundle.head.forward(z_s, training=True, rng=drop_rng)
+        loss = T.softmax_cross_entropy(logits, y, config.class_weights)
+        losses = {"ce": loss.item()}
+        if tgt_stream is not None:
+            xt, _ = tgt_stream.next()
+            md2 = moment_distance_single(z_s, bundle.extract(Tensor(xt)))
+            losses["md2"] = md2.item()
+            loss = T.add(loss, T.mul(md2, config.lam))
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        return losses
+
+    steps = max(1, math.ceil(source.n / config.batch_size))
+    return _run_epochs(strategy, loss_names, bundle, config, steps, iterate, val, eval_targets)
 
 
 def train_vanilla(bundle: ModelBundle, train: DomainDataset, config: AdaptationConfig,
                   val: Optional[DomainDataset] = None,
-                  eval_targets: Sequence[DomainDataset] = (),
-                  keep_snapshots: bool = True) -> TrainingHistory:
+                  eval_targets: Sequence[DomainDataset] = ()) -> TrainingHistory:
     """Standard supervised training on the pooled labeled source."""
     config.validate()
     if train.labels is None:
         raise DegenerateInputError("vanilla training needs labeled source data")
     _warn_if_one_class(train)
-    drop_rng, source_ss, _ = _spawn_rngs(config.seed)
-    stream = _MinibatchStream(train.features, train.labels, config.batch_size,
-                              np.random.default_rng(source_ss))
-    params = [p for _, p in bundle.trainable_parameters()]
-    opt = make_optimizer(config.optimizer, params, config.lr)
-    history = TrainingHistory("vanilla", sum(p.size for p in params))
-    steps = max(1, math.ceil(train.n / config.batch_size))
-    for epoch in range(1, config.epochs + 1):
-        ce_sum = 0.0
-        for _ in range(steps):
-            x, y = stream.next()
-            logits = bundle.forward(Tensor(x), training=True, rng=drop_rng)
-            loss = T.softmax_cross_entropy(logits, y, config.class_weights)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            ce_sum += loss.item()
-        _finish_epoch(history, bundle, epoch, {"ce": ce_sum / steps}, val, eval_targets,
-                      keep_snapshots)
-    return history
-
-
-# ----------------------------------------------------------------------
-# single-source moment matching
+    return _train_single_head("vanilla", ("ce",), bundle, train, None, config, val,
+                              eval_targets)
 
 
 def train_m2s2da(bundle: ModelBundle, source: DomainDataset, target: DomainDataset,
                  config: AdaptationConfig,
                  val: Optional[DomainDataset] = None,
-                 eval_targets: Sequence[DomainDataset] = (),
-                 keep_snapshots: bool = True) -> TrainingHistory:
+                 eval_targets: Sequence[DomainDataset] = ()) -> TrainingHistory:
     """Cross entropy on the labeled source plus lambda times the moment
     distance between source and (unlabeled) target feature batches.
 
@@ -416,37 +427,8 @@ def train_m2s2da(bundle: ModelBundle, source: DomainDataset, target: DomainDatas
     if target.n == 0:
         raise ConfigError("m2s2da needs a non-empty unlabeled target stream")
     _warn_if_one_class(source)
-    drop_rng, source_ss, target_ss = _spawn_rngs(config.seed)
-    src_stream = _MinibatchStream(source.features, source.labels, config.batch_size,
-                                  np.random.default_rng(source_ss))
-    tgt_stream = None
-    if config.lam > 0:
-        tgt_stream = _MinibatchStream(target.features, None, config.batch_size,
-                                      np.random.default_rng(target_ss))
-    params = [p for _, p in bundle.trainable_parameters()]
-    opt = make_optimizer(config.optimizer, params, config.lr)
-    history = TrainingHistory("m2s2da", sum(p.size for p in params))
-    steps = max(1, math.ceil(source.n / config.batch_size))
-    for epoch in range(1, config.epochs + 1):
-        ce_sum = md2_sum = 0.0
-        for _ in range(steps):
-            x, y = src_stream.next()
-            z_s = bundle.extract(Tensor(x))
-            logits = bundle.head.forward(z_s, training=True, rng=drop_rng)
-            loss = T.softmax_cross_entropy(logits, y, config.class_weights)
-            ce_sum += loss.item()
-            if tgt_stream is not None:
-                xt, _ = tgt_stream.next()
-                z_t = bundle.extract(Tensor(xt))
-                md2 = moment_distance_single(z_s, z_t)
-                md2_sum += md2.item()
-                loss = T.add(loss, T.mul(md2, config.lam))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        _finish_epoch(history, bundle, epoch, {"ce": ce_sum / steps, "md2": md2_sum / steps},
-                      val, eval_targets, keep_snapshots)
-    return history
+    return _train_single_head("m2s2da", ("ce", "md2"), bundle, source,
+                              target if config.lam > 0 else None, config, val, eval_targets)
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +446,7 @@ class M3sdaStepper:
     def __init__(self, bundle: ModelBundle, config: AdaptationConfig,
                  drop_rng: np.random.Generator):
         self.bundle = bundle
-        self.pairs = ClassifierPairSet.from_bundle(bundle).pairs
+        self.pairs = bundle.pairs()
         self.config = config
         self.drop_rng = drop_rng
         self.opt_g = make_optimizer(
@@ -550,7 +532,6 @@ def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],
                      target: DomainDataset, config: AdaptationConfig,
                      val: Optional[DomainDataset] = None,
                      eval_targets: Sequence[DomainDataset] = (),
-                     keep_snapshots: bool = True,
                      step_observer: Optional[Callable[[str, int, ModelBundle], None]] = None
                      ) -> TrainingHistory:
     """The full three-step alternation over epochs of per-domain batches.
@@ -585,31 +566,22 @@ def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],
     tgt_stream = _MinibatchStream(target.features, None, config.batch_size,
                                   np.random.default_rng(target_ss))
     stepper = M3sdaStepper(bundle, config, drop_rng)
-    history = TrainingHistory(
-        "m3sda_beta", sum(p.size for _, p in bundle.trainable_parameters())
-    )
+    iterations = itertools.count(1)
+    observe = step_observer or (lambda *_: None)
+
+    def iterate() -> dict[str, float]:
+        iteration = next(iterations)
+        batches = [stream.next() for stream in src_streams]
+        x_t, _ = tgt_stream.next()
+        ce, md2 = stepper.step_classify(batches, x_t)
+        observe("step2_pre", iteration, bundle)
+        disc_max = stepper.step_max_discrepancy(batches, x_t)
+        observe("step2_post", iteration, bundle)
+        observe("step3_pre", iteration, bundle)
+        disc_min = stepper.step_min_discrepancy(x_t)
+        observe("step3_post", iteration, bundle)
+        return {"ce": ce, "md2": md2, "disc_max": disc_max, "disc_min": disc_min}
+
     steps = max(1, math.ceil(max(ds.n for ds in sources) / config.batch_size))
-    iteration = 0
-    for epoch in range(1, config.epochs + 1):
-        sums = {"ce": 0.0, "md2": 0.0, "disc_max": 0.0, "disc_min": 0.0}
-        for _ in range(steps):
-            iteration += 1
-            batches = [stream.next() for stream in src_streams]
-            x_t, _ = tgt_stream.next()
-            ce, md2 = stepper.step_classify(batches, x_t)
-            if step_observer:
-                step_observer("step2_pre", iteration, bundle)
-            disc_max = stepper.step_max_discrepancy(batches, x_t)
-            if step_observer:
-                step_observer("step2_post", iteration, bundle)
-                step_observer("step3_pre", iteration, bundle)
-            disc_min = stepper.step_min_discrepancy(x_t)
-            if step_observer:
-                step_observer("step3_post", iteration, bundle)
-            sums["ce"] += ce
-            sums["md2"] += md2
-            sums["disc_max"] += disc_max
-            sums["disc_min"] += disc_min
-        losses = {k: v / steps for k, v in sums.items()}
-        _finish_epoch(history, bundle, epoch, losses, val, eval_targets, keep_snapshots)
-    return history
+    return _run_epochs("m3sda_beta", ("ce", "md2", "disc_max", "disc_min"), bundle, config,
+                       steps, iterate, val, eval_targets)

@@ -310,11 +310,9 @@ def cmd_train(args) -> int:
         config.model.input_dim = dim  # resolved config records the actual dim
     model_cfg = _model_config_from(config, seed=train_cfg.seed)
 
-    bundle, history = run_strategy(
-        sources, target, model_cfg, train_cfg, eval_targets=[target], keep_snapshots=True
-    )
+    bundle, history = run_strategy(sources, target, model_cfg, train_cfg, eval_targets=[target])
     selected = select_model_epoch(history.val_f1_series(), train_cfg.warmup)
-    bundle.restore(history.snapshots[selected - 1])
+    bundle.restore(history.selected_snapshot)
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ are kept in the table but excluded from the aggregate statistics.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -89,10 +89,6 @@ class MetricsReport:
     mean_f1: Optional[float]
     median_f1: Optional[float]
     sigma_f1: Optional[float]
-    selected_epoch: Optional[int] = None
-    sigma_epochs: Optional[float] = None
-    sigma_window: Optional[int] = None
-    metadata: dict = field(default_factory=dict)
 
 
 def report_from_counts(counts_by_domain: Mapping[str, ConfusionCounts]) -> MetricsReport:
@@ -115,19 +111,6 @@ def report_from_counts(counts_by_domain: Mapping[str, ConfusionCounts]) -> Metri
     else:
         report = MetricsReport(flights, None, None, None)
     return report
-
-
-def evaluate_per_subdomain(predict_fn, datasets: Sequence) -> MetricsReport:
-    """One confusion tally per flight dataset; aggregates skip flights with
-    zero positive tiles (the skip-empty rule)."""
-    counts: dict[str, ConfusionCounts] = {}
-    for ds in datasets:
-        if ds.labels is None:
-            raise DegenerateInputError(f"domain {ds.domain_id!r} has no evaluation labels")
-        if ds.domain_id in counts:
-            raise DegenerateInputError(f"duplicate evaluation domain {ds.domain_id!r}")
-        counts[ds.domain_id] = confusion_from_predictions(ds.labels, predict_fn(ds.features))
-    return report_from_counts(counts)
 
 
 def select_model_epoch(val_f1_by_epoch: Sequence[float], warmup: int = WARMUP_EPOCHS) -> int:
@@ -225,8 +208,4 @@ def format_report_table(report: MetricsReport) -> str:
     lines.append(f"{'median':<24}{'':>8}{'':>8}{fmt(report.median_f1):>8}")
     lines.append(f"{'mean':<24}{'':>8}{'':>8}{fmt(report.mean_f1):>8}")
     lines.append(f"{'sigma_flights':<24}{'':>8}{'':>8}{fmt(report.sigma_f1):>8}")
-    if report.selected_epoch is not None:
-        lines.append(f"selected_epoch = {report.selected_epoch}")
-    if report.sigma_epochs is not None:
-        lines.append(f"sigma_epochs = {report.sigma_epochs:.6f} (window={report.sigma_window})")
     return "\n".join(lines) + "\n"

@@ -56,7 +56,6 @@ def run_strategy(
     model_config: ModelConfig,
     config: AdaptationConfig,
     eval_targets: Sequence[DomainDataset] = (),
-    keep_snapshots: bool = True,
     step_observer=None,
 ) -> tuple[ModelBundle, TrainingHistory]:
     """Train one strategy end to end and return the bundle plus history."""
@@ -77,22 +76,21 @@ def run_strategy(
         bundle = build_model(model_config)
         history = train_vanilla(
             bundle, pool_domains(train_sources, "pooled"), config,
-            val=pooled_val, eval_targets=eval_targets, keep_snapshots=keep_snapshots,
+            val=pooled_val, eval_targets=eval_targets,
         )
     elif config.strategy == "m2s2da":
         model_config = replace(model_config, classifier_pairs=0)
         bundle = build_model(model_config)
         history = train_m2s2da(
             bundle, pool_domains(train_sources, "pooled"), unlabeled_target, config,
-            val=pooled_val, eval_targets=eval_targets, keep_snapshots=keep_snapshots,
+            val=pooled_val, eval_targets=eval_targets,
         )
     elif config.strategy == "m3sda_beta":
         model_config = replace(model_config, classifier_pairs=len(train_sources))
         bundle = build_model(model_config)
         history = train_m3sda_beta(
             bundle, train_sources, unlabeled_target, config,
-            val=pooled_val, eval_targets=eval_targets, keep_snapshots=keep_snapshots,
-            step_observer=step_observer,
+            val=pooled_val, eval_targets=eval_targets, step_observer=step_observer,
         )
     else:
         raise ConfigError(f"unknown strategy {config.strategy!r}")

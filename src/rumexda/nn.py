@@ -62,7 +62,7 @@ class ModelConfig:
 
 def _he_uniform(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / d_in)
-    return rng.uniform(-limit, limit, size=(d_out, d_in)).astype(T.get_default_dtype())
+    return rng.uniform(-limit, limit, size=(d_out, d_in))
 
 
 class LinearLayer:
@@ -76,7 +76,7 @@ class LinearLayer:
     @classmethod
     def initialize(cls, d_in: int, d_out: int, rng: np.random.Generator, trainable=True):
         w = Tensor(_he_uniform(rng, d_out, d_in))
-        b = Tensor(np.zeros(d_out, dtype=T.get_default_dtype()))
+        b = Tensor(np.zeros(d_out))
         return cls(w, b, trainable)
 
     @property
@@ -111,7 +111,7 @@ class LoraLinear:
         self.alpha = float(alpha)
         d_out, d_in = base.weight.shape
         self.down = Tensor(_he_uniform(rng, rank, d_in), requires_grad=True)
-        self.up = Tensor(np.zeros((d_out, rank), dtype=T.get_default_dtype()), requires_grad=True)
+        self.up = Tensor(np.zeros((d_out, rank)), requires_grad=True)
 
     @property
     def scaling(self) -> float:
@@ -273,10 +273,6 @@ def build_model(config: ModelConfig) -> ModelBundle:
             blocks.append(base)
     extractor = FeatureExtractor(blocks, config.feature_dim, config.unfreeze)
     return ModelBundle(config, extractor, heads)
-
-
-def trainable_parameters(bundle: ModelBundle):
-    return bundle.trainable_parameters()
 
 
 def trainable_parameter_count(bundle: ModelBundle) -> int:

@@ -347,8 +347,11 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
             if bucket["role"] != role:
                 raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
             bucket["split"].append(split)
-            bucket["label"].append(int(label))
-            bucket["x"].append([float(v) for v in parts[4:]])
+            try:
+                bucket["label"].append(int(label))
+                bucket["x"].append([float(v) for v in parts[4:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from exc
 
     sources, targets = [], []
     for domain_id in order:

@@ -1,11 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: float64 numpy storage (float32 behind
-``set_default_dtype``), eager graph construction, and a backward pass that
-replays the recorded operations in reverse topological order. Broadcasting
-is restricted to scalar-vs-tensor; every other elementwise operation
-requires equal shapes. That is all the losses and networks in this package
-need.
+The engine is deliberately small: float64 numpy storage, eager graph
+construction, and a backward pass that replays the recorded operations in
+reverse topological order. Broadcasting is restricted to scalar-vs-tensor;
+every other elementwise operation requires equal shapes. That is all the
+losses and networks in this package need.
 """
 
 from __future__ import annotations
@@ -22,25 +21,6 @@ from .errors import (
     ShapeError,
 )
 
-_DTYPES = {"float64": np.float64, "f64": np.float64, "float32": np.float32, "f32": np.float32}
-_default_dtype = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Switch the storage precision for newly created tensors.
-
-    float64 is the default and the precision every gradient-check tolerance
-    assumes; float32 exists for speed experiments only.
-    """
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ConfigError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
-def get_default_dtype():
-    return _default_dtype
-
 
 class Tensor:
     """A dense n-D array that can participate in gradient tracking.
@@ -51,10 +31,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
+        self.data = np.asarray(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -479,7 +459,6 @@ __all__ = [
     "add_bias",
     "dropout",
     "exp",
-    "get_default_dtype",
     "l2_norm",
     "log",
     "matmul",
@@ -488,7 +467,6 @@ __all__ = [
     "reduce_mean",
     "reduce_sum",
     "relu",
-    "set_default_dtype",
     "softmax",
     "softmax_cross_entropy",
     "sub",

@@ -385,7 +385,10 @@ def read_manifest(path) -> SplitManifest:
             if len(row) != len(MANIFEST_HEADER):
                 raise DataError(f"{path}:{line_no}: expected {len(MANIFEST_HEADER)} fields")
             image_id, x, y, side, label, r, split, domain_id, corner = row
-            rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner)
+            try:
+                rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner)
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from exc
             entries.append(ManifestEntry(rec, split, domain_id))
     return SplitManifest(entries)
 
@@ -444,9 +447,9 @@ def read_pnm(path) -> np.ndarray:
     channels = _PNM_MAGIC[magic]
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height * channels
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-    if data.size != count:
+    if len(raw) - pos < count * dtype.itemsize:
         raise DataError(f"{path}: payload shorter than {width}x{height}x{channels}")
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     shape = (height, width) if channels == 1 else (height, width, 3)
     out = data.reshape(shape)
     return out.astype(np.uint16) if maxval > 255 else out.copy()

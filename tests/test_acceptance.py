@@ -295,8 +295,7 @@ def test_criterion_5_m3sda_alternation_contracts():
             if now != stash["heads"]:
                 violations[0] += 1
 
-    run_strategy(corpus.sources, corpus.target, model_cfg, train_cfg,
-                 keep_snapshots=False, step_observer=observer)
+    run_strategy(corpus.sources, corpus.target, model_cfg, train_cfg, step_observer=observer)
     freeze_ok = violations[0] == 0
 
     # one-step monotonicity at the alternation's operating point: each trial
@@ -360,7 +359,7 @@ def test_criterion_6_da_benefit():
             train_cfg = AdaptationConfig(strategy=strategy, lam=0.5, epochs=20, seed=seed)
             _, history = run_strategy(
                 corpus.sources, corpus.target, model_cfg, train_cfg,
-                eval_targets=[corpus.target], keep_snapshots=False,
+                eval_targets=[corpus.target],
             )
             selected = select_model_epoch(history.val_f1_series(), train_cfg.warmup)
             results[strategy].append(history.records[selected - 1].median_target_f1)
@@ -404,8 +403,7 @@ def test_criterion_7_lora_contracts():
     from rumexda.experiment import pool_domains, split_sources
 
     train_sources, val = split_sources(corpus.sources)
-    train_vanilla(bundle, pool_domains(train_sources, "pooled"), train_cfg, val=val,
-                  keep_snapshots=False)
+    train_vanilla(bundle, pool_domains(train_sources, "pooled"), train_cfg, val=val)
     after = {n: p.data.tobytes() for n, p in bundle.extractor.parameters()}
     base_names = [n for n in before if "lora" not in n]
     adapter_names = [n for n in before if "lora" in n]

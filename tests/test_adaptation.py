@@ -6,7 +6,6 @@ import pytest
 from rumexda import tensor as T
 from rumexda.adaptation import (
     AdaptationConfig,
-    ClassifierPairSet,
     DomainDataset,
     M3sdaStepper,
     classifier_discrepancy,
@@ -19,6 +18,7 @@ from rumexda.adaptation import (
     train_vanilla,
 )
 from rumexda.errors import ConfigError, DegenerateInputError, ShapeError
+from rumexda.evaluation import select_model_epoch
 from rumexda.nn import ModelConfig, build_model
 from rumexda.tensor import Tensor
 
@@ -158,7 +158,7 @@ def test_vanilla_learns_separable_blobs():
     train, val = _blobs(seed=1), _blobs(seed=2)
     bundle = build_model(_model_cfg(seed=1))
     cfg = AdaptationConfig(strategy="vanilla", epochs=50, batch_size=32, seed=0)
-    history = train_vanilla(bundle, train, cfg, val=val, keep_snapshots=False)
+    history = train_vanilla(bundle, train, cfg, val=val)
     assert history.records[-1].source_val_f1 >= 0.99
 
 
@@ -167,7 +167,7 @@ def test_vanilla_lr_zero_keeps_parameters():
     bundle = build_model(_model_cfg(seed=2))
     before = bundle.snapshot()
     cfg = AdaptationConfig(strategy="vanilla", epochs=2, lr=0.0, optimizer="sgd", seed=0)
-    train_vanilla(bundle, train, cfg, keep_snapshots=False)
+    train_vanilla(bundle, train, cfg)
     for name, arr in bundle.snapshot().items():
         assert arr.tobytes() == before[name].tobytes(), name
 
@@ -178,7 +178,7 @@ def test_vanilla_history_bitwise_deterministic(tmp_path):
 
     def run(path):
         bundle = build_model(_model_cfg(seed=3))
-        history = train_vanilla(bundle, train, cfg, val=val, keep_snapshots=False)
+        history = train_vanilla(bundle, train, cfg, val=val)
         history.to_jsonl(path)
         return path.read_bytes()
 
@@ -190,15 +190,14 @@ def test_vanilla_warns_on_single_class_data():
     bundle = build_model(_model_cfg(seed=4))
     cfg = AdaptationConfig(strategy="vanilla", epochs=1, seed=0)
     with pytest.warns(UserWarning, match="single class"):
-        train_vanilla(bundle, ds, cfg, keep_snapshots=False)
+        train_vanilla(bundle, ds, cfg)
 
 
 def test_history_jsonl_roundtrip(tmp_path):
     train = _blobs(seed=6)
     bundle = build_model(_model_cfg(seed=5))
     cfg = AdaptationConfig(strategy="vanilla", epochs=3, seed=1)
-    history = train_vanilla(bundle, train, cfg, val=_blobs(seed=7), eval_targets=[_blobs(seed=8)],
-                            keep_snapshots=False)
+    history = train_vanilla(bundle, train, cfg, val=_blobs(seed=7), eval_targets=[_blobs(seed=8)])
     path = tmp_path / "history.jsonl"
     history.to_jsonl(path)
     loaded = read_history_jsonl(path)
@@ -224,8 +223,8 @@ def test_lambda_zero_reduces_to_vanilla():
     b_0 = build_model(_model_cfg(seed=6))
     cfg_v = AdaptationConfig(strategy="vanilla", epochs=3, seed=21)
     cfg_0 = AdaptationConfig(strategy="m2s2da", lam=0.0, epochs=3, seed=21)
-    h_v = train_vanilla(b_v, train, cfg_v, keep_snapshots=False)
-    h_0 = train_m2s2da(b_0, train, target.unlabeled(), cfg_0, keep_snapshots=False)
+    h_v = train_vanilla(b_v, train, cfg_v)
+    h_0 = train_m2s2da(b_0, train, target.unlabeled(), cfg_0)
     assert [r.losses["ce"] for r in h_v.records] == [r.losses["ce"] for r in h_0.records]
     for (n1, p1), (n2, p2) in zip(b_v.parameters(), b_0.parameters()):
         assert p1.data.tobytes() == p2.data.tobytes(), (n1, n2)
@@ -237,8 +236,8 @@ def test_identical_domains_keep_md2_small_and_source_f1():
     cfg_v = AdaptationConfig(strategy="vanilla", epochs=8, seed=2)
     cfg_m = AdaptationConfig(strategy="m2s2da", lam=0.5, epochs=8, seed=2)
     b_v, b_m = build_model(_model_cfg(seed=7)), build_model(_model_cfg(seed=7))
-    h_v = train_vanilla(b_v, source, cfg_v, val=val, keep_snapshots=False)
-    h_m = train_m2s2da(b_m, source, target.unlabeled(), cfg_m, val=val, keep_snapshots=False)
+    h_v = train_vanilla(b_v, source, cfg_v, val=val)
+    h_m = train_m2s2da(b_m, source, target.unlabeled(), cfg_m, val=val)
     f1_gap = abs(h_v.records[-1].source_val_f1 - h_m.records[-1].source_val_f1)
     assert f1_gap < 0.05
     z_s = b_m.extract(Tensor(source.features))
@@ -258,7 +257,7 @@ def test_shifted_target_md2_decreases():
 
     before = full_md2()
     cfg = AdaptationConfig(strategy="m2s2da", lam=0.5, epochs=8, seed=3)
-    train_m2s2da(bundle, source, target.unlabeled(), cfg, keep_snapshots=False)
+    train_m2s2da(bundle, source, target.unlabeled(), cfg)
     assert full_md2() < before
 
 
@@ -309,8 +308,7 @@ def test_m3sda_freeze_contracts_during_training():
                 if params[n].data.tobytes() != stash["heads"][n].tobytes():
                     violations.append((iteration, "head moved in step 3", n))
 
-    train_m3sda_beta(bundle, sources, target.unlabeled(), cfg, keep_snapshots=False,
-                     step_observer=observer)
+    train_m3sda_beta(bundle, sources, target.unlabeled(), cfg, step_observer=observer)
     assert violations == []
 
 
@@ -367,7 +365,7 @@ def test_m3sda_single_source_degrades_to_pairworthy_m2s2da():
     target = _shifted_target(n=200, seed=71)
     bundle = build_model(_model_cfg(seed=12, pairs=1))
     cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=40, seed=5)
-    history = train_m3sda_beta(bundle, source, target.unlabeled(), cfg, keep_snapshots=False)
+    history = train_m3sda_beta(bundle, source, target.unlabeled(), cfg)
     assert len(history.records) == 2
 
 
@@ -378,12 +376,43 @@ def test_m3sda_determinism():
 
     def run():
         bundle = build_model(_model_cfg(seed=13, pairs=3))
-        train_m3sda_beta(bundle, sources, target.unlabeled(), cfg, keep_snapshots=False)
+        train_m3sda_beta(bundle, sources, target.unlabeled(), cfg)
         return bundle.snapshot()
 
     a, b = run(), run()
     for name in a:
         assert a[name].tobytes() == b[name].tobytes(), name
+
+
+# ----------------------------------------------------------------------
+# online model selection
+
+
+def _train_vanilla_blobs(epochs):
+    train, val = _blobs(n=200, seed=90, gap=0.5), _blobs(n=100, seed=91, gap=0.5)
+    bundle = build_model(_model_cfg(seed=20))
+    cfg = AdaptationConfig(strategy="vanilla", epochs=epochs, warmup=2, batch_size=32, lr=1e-2,
+                           seed=4)
+    return bundle, train_vanilla(bundle, train, cfg, val=val)
+
+
+def _train_m3sda_blobs(epochs):
+    sources = [_blobs(n=120, seed=92 + i, gap=0.5) for i in range(2)]
+    target, val = _shifted_target(n=120, seed=95), _blobs(n=100, seed=91, gap=0.5)
+    bundle = build_model(_model_cfg(seed=21, pairs=2))
+    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=epochs, warmup=2, batch_size=40,
+                           lr=3e-3, seed=4)
+    return bundle, train_m3sda_beta(bundle, sources, target.unlabeled(), cfg, val=val)
+
+
+@pytest.mark.parametrize("train", [_train_vanilla_blobs, _train_m3sda_blobs])
+def test_kept_snapshot_is_the_selected_epoch(train):
+    _, history = train(10)
+    selected = select_model_epoch(history.val_f1_series(), warmup=2)
+    assert selected < 10  # the snapshot must not simply be the final state
+    retrained, _ = train(selected)
+    for name, p in retrained.parameters():
+        assert history.selected_snapshot[name].tobytes() == p.data.tobytes(), name
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +458,7 @@ def test_ensemble_rows_sum_to_one():
 def test_pair_set_from_bundle_validates():
     single = build_model(ModelConfig(input_dim=2, hidden_dims=(), feature_dim=2, seed=0))
     with pytest.raises(ConfigError):
-        ClassifierPairSet.from_bundle(single)
+        single.pairs()
 
 
 # ----------------------------------------------------------------------

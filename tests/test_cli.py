@@ -142,6 +142,20 @@ def test_split_determinism_and_leakage(tmp_path, image_fixture):
     assert {e.domain_id for e in loaded.entries} == {"siteA", "siteB"}
 
 
+def test_split_of_non_numeric_manifest_field_is_a_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
+        "a.ppm,abc,0,518,0,0.000000,train,d,TL\n"
+    )
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n")
+    rc = main(["split", "--manifest", str(manifest), "--annotations", str(boxes),
+               "--out", str(tmp_path / "split.csv")])
+    assert rc == 1
+    assert f"error: {manifest}:2:" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # synth / train / eval / report
 
@@ -215,6 +229,18 @@ def test_train_m3sda_needs_two_sources(tmp_path):
     rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
                "--strategy", "m3sda_beta", "--epochs", "6"])
     assert rc == 1
+
+
+def test_train_on_non_numeric_feature_is_a_data_error(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    path = corpus / "corpus.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+               "--strategy", "vanilla", "--epochs", "6"])
+    assert rc == 1
+    assert f"error: {path}:4:" in capsys.readouterr().err
 
 
 def test_train_epochs_must_exceed_warmup(tmp_path):

@@ -14,7 +14,7 @@ def _vanilla_run(corpus, seed, epochs=10):
                             unfreeze=2, seed=seed)
     train_cfg = AdaptationConfig(strategy="vanilla", epochs=epochs, seed=seed)
     return run_strategy(corpus.sources, corpus.target, model_cfg, train_cfg,
-                        eval_targets=[corpus.target], keep_snapshots=False)
+                        eval_targets=[corpus.target])
 
 
 def test_shifted_target_hurts_vanilla_and_bayes_dominates():

@@ -335,21 +335,6 @@ def test_frozen_leaf_gets_no_grad():
 
 
 # ----------------------------------------------------------------------
-# float32 switch
-
-
-def test_float32_mode():
-    T.set_default_dtype("float32")
-    try:
-        t = Tensor([1.0, 2.0])
-        assert t.dtype == np.float32
-        assert T.relu(t).dtype == np.float32
-    finally:
-        T.set_default_dtype("float64")
-    assert Tensor([1.0]).dtype == np.float64
-
-
-# ----------------------------------------------------------------------
 # optimizers
 
 

@@ -366,6 +366,14 @@ def test_pnm_roundtrip_16bit(tmp_path):
     assert np.array_equal(back, img)
 
 
+def test_pnm_truncated_payload_is_a_data_error(tmp_path):
+    path = tmp_path / "t.ppm"
+    write_pnm(path, np.zeros((10, 12, 3), dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DataError, match="payload shorter"):
+        read_pnm(path)
+
+
 def test_pnm_matches_independent_decoder(tmp_path):
     PIL = pytest.importorskip("PIL.Image")
     rng = np.random.default_rng(2)
