@@ -15,6 +15,15 @@ labeled source batches plus the weighted moment distance, (2) the
 classifiers only, to stay correct on the sources while maximizing each
 pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
+
+Each step records graph only where its optimizer consumes a gradient. The
+2N heads run as one stack (``nn.forward_heads``), so a step's head part is
+a handful of nodes however many pairs there are; per-head losses are added
+in head order. Step 2 extracts features under ``T.no_grad()``, since G is
+fixed there, and step 3 turns the heads' ``requires_grad`` off around its
+forward and backward passes, so neither fills gradients that nothing
+steps. Evaluation (``predict_labels``, ``discrepancy_eval``) records no
+graph at all. A non-finite loss stops training with ``TrainingStateError``.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, ShapeError, TrainingStateError
 from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
-from .nn import ModelBundle
+from .nn import ModelBundle, forward_heads
 from .optim import make_optimizer
 from .tensor import Tensor
 
@@ -284,12 +293,13 @@ def predict_ensemble(bundle: ModelBundle, x) -> Tensor:
 
 def predict_labels(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
     """Hard 0/1 predictions; single-head bundles use their head, pair
-    bundles use the uniform softmax ensemble."""
-    if len(bundle.heads) == 1:
-        logits = bundle.forward(Tensor(np.asarray(features, dtype=np.float64)), training=False)
-        return np.argmax(logits.data, axis=1)
-    probs = predict_ensemble(bundle, features)
-    return np.argmax(probs.data, axis=1)
+    bundles use the uniform softmax ensemble. Records no graph."""
+    with T.no_grad():
+        if len(bundle.heads) == 1:
+            out = bundle.forward(Tensor(np.asarray(features, dtype=np.float64)), training=False)
+        else:
+            out = predict_ensemble(bundle, features)
+    return np.argmax(out.data, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +340,11 @@ def _epoch_eval(bundle: ModelBundle, val: Optional[DomainDataset],
     return val_f1, target_f1, median
 
 
+# the step of an iteration that computes each loss
+_LOSS_PHASE = {"ce": "classify", "md2": "classify", "disc_max": "max_discrepancy",
+               "disc_min": "min_discrepancy"}
+
+
 def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
                 config: AdaptationConfig, steps: int, iterate: Callable[[], dict[str, float]],
                 val: Optional[DomainDataset],
@@ -341,13 +356,19 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     ``steps`` iterations plus the per-epoch evaluation. Once the history
     extends past the warm-up, the parameters of the epoch
     ``select_model_epoch`` picks so far are kept in ``selected_snapshot``,
-    so one copy is held however many epochs run.
+    so one copy is held however many epochs run. A loss that is not finite
+    raises ``TrainingStateError`` naming the epoch, iteration and step.
     """
     history = TrainingHistory(strategy, sum(p.size for _, p in bundle.trainable_parameters()))
     for epoch in range(1, config.epochs + 1):
         sums = dict.fromkeys(loss_names, 0.0)
-        for _ in range(steps):
+        for step in range(1, steps + 1):
             for name, value in iterate().items():
+                if not math.isfinite(value):
+                    raise TrainingStateError(
+                        f"training diverged: {name} loss is {value} at epoch {epoch}, "
+                        f"iteration {step} of {steps}, in the {_LOSS_PHASE[name]} step"
+                    )
                 sums[name] += value
         val_f1, target_f1, median = _epoch_eval(bundle, val, eval_targets)
         losses = {name: total / steps for name, total in sums.items()}
@@ -445,8 +466,8 @@ class M3sdaStepper:
 
     def __init__(self, bundle: ModelBundle, config: AdaptationConfig,
                  drop_rng: np.random.Generator):
+        bundle.pairs()  # a bundle without classifier pairs is a ConfigError
         self.bundle = bundle
-        self.pairs = bundle.pairs()
         self.config = config
         self.drop_rng = drop_rng
         self.opt_g = make_optimizer(
@@ -457,22 +478,17 @@ class M3sdaStepper:
         )
 
     def _pair_ce(self, z_list: list[Tensor], batches: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-        total = None
-        for (c, c_prime), z, (_, y) in zip(self.pairs, z_list, batches):
-            for head in (c, c_prime):
-                logits = head.forward(z, training=True, rng=self.drop_rng)
-                ce = T.softmax_cross_entropy(logits, y, self.config.class_weights)
-                total = ce if total is None else T.add(total, ce)
-        return total
+        """Summed CE of every head on its pair's source batch."""
+        logits = forward_heads(self.bundle.heads, [z for z in z_list for _ in range(2)],
+                               training=True, rng=self.drop_rng)
+        labels = np.stack([y for _, y in batches for _ in range(2)])
+        return T.softmax_cross_entropy_stack(logits, labels, self.config.class_weights)
 
-    def _pair_discrepancy(self, z_t: Tensor) -> Tensor:
-        total = None
-        for c, c_prime in self.pairs:
-            p1 = T.softmax(c.forward(z_t, training=True, rng=self.drop_rng))
-            p2 = T.softmax(c_prime.forward(z_t, training=True, rng=self.drop_rng))
-            term = classifier_discrepancy(p1, p2)
-            total = term if total is None else T.add(total, term)
-        return total
+    def _pair_discrepancy(self, z_t: Tensor, training: bool = True) -> Tensor:
+        """Summed discrepancy of every pair on the target batch."""
+        logits = forward_heads(self.bundle.heads, [z_t] * len(self.bundle.heads),
+                               training=training, rng=self.drop_rng)
+        return T.pair_discrepancy(T.softmax(logits))
 
     def step_classify(self, batches, x_t: np.ndarray) -> tuple[float, float]:
         """Step 1: update G and all heads on source CE + lambda * MD2."""
@@ -495,8 +511,9 @@ class M3sdaStepper:
     def step_max_discrepancy(self, batches, x_t: np.ndarray) -> float:
         """Step 2: with G fixed, push classifier pairs apart on the target
         while keeping them correct on the sources."""
-        z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
-        z_t = self.bundle.extract(Tensor(x_t))
+        with T.no_grad():
+            z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
+            z_t = self.bundle.extract(Tensor(x_t))
         disc = self._pair_discrepancy(z_t)
         disc_value = disc.item()
         loss = T.sub(self._pair_ce(z_list, batches), disc)
@@ -508,24 +525,26 @@ class M3sdaStepper:
 
     def step_min_discrepancy(self, x_t: np.ndarray) -> float:
         """Step 3: with the heads fixed, pull the pairs together through G."""
-        z_t = self.bundle.extract(Tensor(x_t))
-        disc = self._pair_discrepancy(z_t)
-        disc_value = disc.item()
-        self.opt_g.zero_grad()
-        self.opt_heads.zero_grad()
-        disc.backward()
+        for p in self.opt_heads.params:
+            p.requires_grad = False
+        try:
+            z_t = self.bundle.extract(Tensor(x_t))
+            disc = self._pair_discrepancy(z_t)
+            disc_value = disc.item()
+            self.opt_g.zero_grad()
+            self.opt_heads.zero_grad()
+            disc.backward()
+        finally:
+            for p in self.opt_heads.params:
+                p.requires_grad = True
         self.opt_g.step()
         return disc_value
 
     def discrepancy_eval(self, x_t: np.ndarray) -> float:
         """Summed pair discrepancy on a batch with dropout off; no update."""
-        z_t = self.bundle.extract(Tensor(np.asarray(x_t, dtype=np.float64)))
-        total = 0.0
-        for c, c_prime in self.pairs:
-            p1 = T.softmax(c.forward(z_t, training=False))
-            p2 = T.softmax(c_prime.forward(z_t, training=False))
-            total += classifier_discrepancy(p1, p2).item()
-        return total
+        with T.no_grad():
+            z_t = self.bundle.extract(Tensor(np.asarray(x_t, dtype=np.float64)))
+            return self._pair_discrepancy(z_t, training=False).item()
 
 
 def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],

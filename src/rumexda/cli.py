@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .adaptation import AdaptationConfig, read_history_jsonl
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, TrainingStateError
 from .evaluation import (
     confusion_from_predictions,
     format_report_table,
@@ -42,7 +42,7 @@ from .tiling import (
     write_manifest,
 )
 
-ERRORS = (ConfigError, DataError, ShapeError, OSError)
+ERRORS = (ConfigError, DataError, ShapeError, TrainingStateError, OSError)
 
 
 def _out_path(path: str) -> Path:

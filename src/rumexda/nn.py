@@ -3,7 +3,8 @@
 G is a stack of linear+ReLU blocks standing in for an arbitrary backbone;
 the adaptation math only ever touches its output embedding, so the block
 internals are irrelevant to the training strategies. The head is fixed to
-linear -> ReLU -> dropout(0.3) -> linear -> 2 logits.
+linear -> ReLU -> dropout(0.3) -> linear -> 2 logits; ``forward_heads``
+runs several heads as one stack of that same pipeline.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class LinearLayer:
         self.bias.requires_grad = flag
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.matmul(x, T.transpose(self.weight)), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -122,7 +123,7 @@ class LoraLinear:
         return True
 
     def forward(self, x: Tensor) -> Tensor:
-        delta = T.matmul(T.matmul(x, T.transpose(self.down)), T.transpose(self.up))
+        delta = T.linear(T.linear(x, self.down), self.up)
         return T.add(self.base.forward(x), T.mul(delta, self.scaling))
 
     def merged_weight(self) -> np.ndarray:
@@ -181,6 +182,23 @@ class ClassifierHead:
             for name, p in layer.parameters():
                 out.append((f"{prefix}.{lname}.{name}", p))
         return out
+
+
+def forward_heads(heads: Sequence[ClassifierHead], xs: Sequence[Tensor],
+                  training: bool = False, rng=None) -> Tensor:
+    """The logits of every head as one H x n x 2 stack; head h reads xs[h].
+
+    Slice h is bitwise ``heads[h].forward(xs[h], training, rng)`` with the
+    heads run in order on the same rng: one dropout draw of shape
+    (H, n, f) takes the same numbers as H draws of shape (n, f).
+    """
+    if len({head.dropout_p for head in heads}) != 1:
+        raise ConfigError("stacked heads need one dropout probability")
+    h = T.relu(T.linear_stack(xs, [hd.linear1.weight for hd in heads],
+                              [hd.linear1.bias for hd in heads]))
+    h = T.dropout(h, heads[0].dropout_p, training, rng)
+    return T.linear_stack(h, [hd.linear2.weight for hd in heads],
+                          [hd.linear2.bias for hd in heads])
 
 
 class ModelBundle:

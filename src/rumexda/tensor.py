@@ -5,10 +5,26 @@ construction, and a backward pass that replays the recorded operations in
 reverse topological order. Broadcasting is restricted to scalar-vs-tensor;
 every other elementwise operation requires equal shapes. That is all the
 losses and networks in this package need.
+
+A graph node costs far more Python time than the small products it wraps,
+so the engine records as few nodes as it can:
+
+* Inside ``with no_grad():`` an op records no parents, so its result is a
+  constant to any later ``backward``; evaluation and frozen parts of a
+  training step run there. A grad_fn returns ``None`` for a parent that
+  needs no gradient, so frozen weights cost no gradient products either.
+* ``linear(x, W, b)`` is one node for ``x W^T + b``, bitwise equal to
+  ``add_bias(matmul(x, transpose(W)), b)``.
+* ``linear_stack`` runs H such maps (one per classifier head) as one node
+  over (H, n, d) arrays. ``relu``, ``dropout`` and ``softmax`` act on such
+  stacks as they are, and ``softmax_cross_entropy_stack`` and
+  ``pair_discrepancy`` reduce them to the summed per-head or per-pair
+  losses, adding the terms in head order, as a chain of ``add`` would.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,9 +166,28 @@ class Tensor:
         return reduce_mean(self, axis)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; nests, and the previous state comes
+    back on exit, also when the block raises. The switch is process-wide."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._grad_fn is not None
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
     out = Tensor(data, dtype=data.dtype)
-    if any(p.requires_grad or p._grad_fn is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._grad_fn is not None for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
@@ -188,7 +223,8 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def grad_fn(g):
-        return _unscalar(g, a), _unscalar(g, b)
+        return (_unscalar(g, a) if _needs_grad(a) else None,
+                _unscalar(g, b) if _needs_grad(b) else None)
 
     return _result(data, (a, b), grad_fn, "add")
 
@@ -199,7 +235,8 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def grad_fn(g):
-        return _unscalar(g, a), _unscalar(-g, b)
+        return (_unscalar(g, a) if _needs_grad(a) else None,
+                _unscalar(-g, b) if _needs_grad(b) else None)
 
     return _result(data, (a, b), grad_fn, "sub")
 
@@ -210,7 +247,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def grad_fn(g):
-        return _unscalar(g * b.data, a), _unscalar(g * a.data, b)
+        return (_unscalar(g * b.data, a) if _needs_grad(a) else None,
+                _unscalar(g * a.data, b) if _needs_grad(b) else None)
 
     return _result(data, (a, b), grad_fn, "mul")
 
@@ -339,7 +377,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if _needs_grad(a) else None,
+                a.data.T @ g if _needs_grad(b) else None)
 
     return _result(data, (a, b), grad_fn, "matmul")
 
@@ -364,9 +403,89 @@ def add_bias(t: Tensor, bias: Tensor) -> Tensor:
     data = t.data + bias.data[None, :]
 
     def grad_fn(g):
-        return g, g.sum(axis=0)
+        return g if _needs_grad(t) else None, g.sum(axis=0) if _needs_grad(bias) else None
 
     return _result(data, (t, bias), grad_fn, "add_bias")
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Rows of a b x d_in tensor times W^T (W is d_out x d_in), plus an
+    optional length-d_out bias, as one node.
+
+    W^T is first copied to a contiguous array, as ``transpose`` does, so
+    every product is bitwise that of ``add_bias(matmul(x, transpose(W)), b)``.
+    """
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"linear: cannot apply weight {weight.shape} to rows of {x.shape}")
+    wt = np.ascontiguousarray(weight.data.T)
+    data = x.data @ wt
+    parents = (x, weight)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (weight.shape[0],):
+            raise ShapeError(f"linear: bias {bias.shape} does not match weight {weight.shape}")
+        data += bias.data
+        parents = (x, weight, bias)
+
+    def grad_fn(g):
+        grads = (g @ wt.T if _needs_grad(x) else None,
+                 np.ascontiguousarray((x.data.T @ g).T) if _needs_grad(weight) else None)
+        if bias is None:
+            return grads
+        return grads + (g.sum(axis=0) if _needs_grad(bias) else None,)
+
+    return _result(data, parents, grad_fn, "linear")
+
+
+def linear_stack(x, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """H linear maps as one node: slice h of the H x n x d_out result is
+    bitwise ``linear(x_h, weights[h], biases[h])``.
+
+    ``x`` is an H x n x d_in tensor, or a sequence of H tensors of shape
+    n x d_in in which one tensor may feed several heads; its gradient then
+    adds up over those heads in head order. The per-head weights and biases
+    stay separate tensors and are stacked inside the op.
+    """
+    n_heads = len(weights)
+    if n_heads == 0 or len(biases) != n_heads:
+        raise ShapeError(f"linear_stack: {n_heads} weights and {len(biases)} biases")
+    weights = [_as_tensor(w) for w in weights]
+    biases = [_as_tensor(b) for b in biases]
+    stacked = isinstance(x, Tensor)
+    xs = [x] if stacked else [_as_tensor(t) for t in x]
+    if not stacked and (len(xs) != n_heads or len({t.shape for t in xs}) != 1):
+        raise ShapeError(f"linear_stack: {n_heads} heads need {n_heads} inputs of one shape, "
+                         f"got {[t.shape for t in xs]}")
+    if len({w.shape for w in weights}) != 1 or len({b.shape for b in biases}) != 1:
+        raise ShapeError("linear_stack: per-head weights or biases differ in shape")
+    xdata = x.data if stacked else np.stack([t.data for t in xs])
+    d_out, d_in = weights[0].shape
+    if xdata.ndim != 3 or xdata.shape[0] != n_heads or xdata.shape[2] != d_in \
+            or biases[0].shape != (d_out,):
+        raise ShapeError(
+            f"linear_stack: cannot apply {n_heads} weights {weights[0].shape} with biases "
+            f"{biases[0].shape} to inputs of shape {xdata.shape}"
+        )
+    wt = np.stack([w.data for w in weights]).transpose(0, 2, 1).copy()
+    data = np.matmul(xdata, wt)
+    data += np.stack([b.data for b in biases])[:, None, :]
+
+    def grad_fn(g):
+        grads = [None] * len(xs)
+        if any(_needs_grad(t) for t in xs):
+            gx = np.matmul(g, wt.transpose(0, 2, 1))
+            grads = [gx] if stacked else [gx[h] if _needs_grad(t) else None
+                                         for h, t in enumerate(xs)]
+        gw = (np.matmul(xdata.transpose(0, 2, 1), g).transpose(0, 2, 1)
+              if any(_needs_grad(w) for w in weights) else None)
+        grads += [np.ascontiguousarray(gw[h]) if _needs_grad(w) else None
+                  for h, w in enumerate(weights)]
+        gb = g.sum(axis=1) if any(_needs_grad(b) for b in biases) else None
+        grads += [gb[h] if _needs_grad(b) else None for h, b in enumerate(biases)]
+        return grads
+
+    return _result(data, [*xs, *weights, *biases], grad_fn, "linear_stack")
 
 
 # ----------------------------------------------------------------------
@@ -374,19 +493,40 @@ def add_bias(t: Tensor, bias: Tensor) -> Tensor:
 
 
 def softmax(t: Tensor) -> Tensor:
-    """Row softmax of a b x c tensor (computed with the max-shift trick)."""
+    """Softmax over the last axis of a b x c tensor or of a stack of them
+    (computed with the max-shift trick)."""
     t = _as_tensor(t)
-    if t.ndim != 2:
-        raise ShapeError(f"softmax expects a rank-2 tensor, got {t.shape}")
-    shifted = t.data - t.data.max(axis=1, keepdims=True)
+    if t.ndim < 2:
+        raise ShapeError(f"softmax expects a rank-2 tensor or a stack of them, got {t.shape}")
+    shifted = t.data - t.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - dot),)
 
     return _result(p, (t,), grad_fn, "softmax")
+
+
+def _binary_labels(labels, shape: tuple, logits_shape: tuple, class_weights, dtype):
+    """Validated 0/1 integer labels of ``shape`` and the per-sample weights."""
+    y = np.asarray(labels)
+    if y.shape != shape:
+        raise ShapeError(f"labels of shape {y.shape} do not match logits {logits_shape}")
+    if y.size == 0:
+        raise DegenerateInputError("cross entropy over an empty batch")
+    if not np.issubdtype(y.dtype, np.integer):
+        yi = y.astype(np.int64)
+        if np.any(yi != y):
+            raise LabelError("labels must be integers in {0, 1}")
+        y = yi
+    if np.any((y != 0) & (y != 1)):
+        raise LabelError(f"labels outside {{0, 1}}: {sorted(set(y.ravel().tolist()) - {0, 1})}")
+    if class_weights is None:
+        return y, np.ones(shape, dtype=dtype)
+    w0, w1 = float(class_weights[0]), float(class_weights[1])
+    return y, np.where(y == 1, w1, w0).astype(dtype)
 
 
 def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
@@ -399,24 +539,8 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     logits = _as_tensor(logits)
     if logits.ndim != 2 or logits.shape[1] != 2:
         raise ShapeError(f"expected b x 2 logits, got {logits.shape}")
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != logits.shape[0]:
-        raise ShapeError(f"labels of shape {y.shape} do not match logits {logits.shape}")
     b = logits.shape[0]
-    if b == 0:
-        raise DegenerateInputError("cross entropy over an empty batch")
-    if not np.issubdtype(y.dtype, np.integer):
-        yi = y.astype(np.int64)
-        if np.any(yi != y):
-            raise LabelError("labels must be integers in {0, 1}")
-        y = yi
-    if np.any((y != 0) & (y != 1)):
-        raise LabelError(f"labels outside {{0, 1}}: {sorted(set(y.tolist()) - {0, 1})}")
-    if class_weights is None:
-        w = np.ones(b, dtype=logits.dtype)
-    else:
-        w0, w1 = float(class_weights[0]), float(class_weights[1])
-        w = np.where(y == 1, w1, w0).astype(logits.dtype)
+    y, w = _binary_labels(labels, (b,), logits.shape, class_weights, logits.dtype)
 
     z = logits.data
     m = z.max(axis=1, keepdims=True)
@@ -432,6 +556,63 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
         return (g * delta * (w / b)[:, None],)
 
     return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
+
+
+def softmax_cross_entropy_stack(logits: Tensor, labels, class_weights=None) -> Tensor:
+    """Sum over heads h, in head order, of
+    ``softmax_cross_entropy(logits[h], labels[h], class_weights)`` for
+    H x b x 2 logits and H x b labels, as one node."""
+    logits = _as_tensor(logits)
+    if logits.ndim != 3 or logits.shape[2] != 2:
+        raise ShapeError(f"expected H x b x 2 logits, got {logits.shape}")
+    n_heads, b = logits.shape[:2]
+    y, w = _binary_labels(labels, (n_heads, b), logits.shape, class_weights, logits.dtype)
+
+    z = logits.data
+    picked = (np.arange(n_heads)[:, None], np.arange(b), y)
+    m = z.max(axis=2, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=2))
+    nll = lse - z[picked]
+    per_head = (w * nll).sum(axis=1) / b
+    total = per_head[0]
+    for value in per_head[1:]:
+        total = total + value
+
+    def grad_fn(g):
+        delta = np.exp(z - m)
+        delta /= delta.sum(axis=2, keepdims=True)
+        delta[picked] -= 1.0
+        return (g * delta * (w / b)[..., None],)
+
+    return _result(np.asarray(total), (logits,), grad_fn, "softmax_cross_entropy_stack")
+
+
+def pair_discrepancy(p: Tensor) -> Tensor:
+    """Sum over pairs i, in pair order, of mean(|p[2i] - p[2i+1]|) for a
+    2N x b x c stack, as one node; |x| is relu(x) + relu(-x), so the
+    subgradient at zero disagreement is zero."""
+    p = _as_tensor(p)
+    if p.ndim != 3 or p.shape[0] == 0 or p.shape[0] % 2:
+        raise ShapeError(f"pair_discrepancy expects a 2N x b x c stack, got {p.shape}")
+    if p.size == 0:
+        raise DegenerateInputError("pair discrepancy over an empty batch")
+    diff = p.data[0::2] - p.data[1::2]
+    neg = diff * -1.0
+    per_pair = (np.maximum(diff, 0) + np.maximum(neg, 0)).reshape(len(diff), -1).mean(axis=1)
+    total = per_pair[0]
+    for value in per_pair[1:]:
+        total = total + value
+    count = diff[0].size
+
+    def grad_fn(g):
+        scaled = np.broadcast_to(g / count, diff.shape)
+        gdiff = scaled * (diff > 0) + scaled * (neg > 0) * -1.0
+        grad = np.empty_like(p.data)
+        grad[0::2] = gdiff
+        grad[1::2] = -gdiff
+        return (grad,)
+
+    return _result(np.asarray(total), (p,), grad_fn, "pair_discrepancy")
 
 
 def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
@@ -460,15 +641,20 @@ __all__ = [
     "dropout",
     "exp",
     "l2_norm",
+    "linear",
+    "linear_stack",
     "log",
     "matmul",
     "mul",
+    "no_grad",
+    "pair_discrepancy",
     "pow_k",
     "reduce_mean",
     "reduce_sum",
     "relu",
     "softmax",
     "softmax_cross_entropy",
+    "softmax_cross_entropy_stack",
     "sub",
     "transpose",
 ]

@@ -143,6 +143,51 @@ def test_criterion_1_gradient_suite():
 
     cases["loss_discrepancy"] = discrepancy_case
 
+    # fused and stacked ops, added after the cases above so their draws are unchanged
+    cases["linear"] = lambda: (
+        (lambda t, w=weights((3, 4)), b=weights((3,)): T.pow_k(T.linear(t, w, b), 2).sum()),
+        rng.normal(size=(5, 4)))
+    cases["linear_weight"] = lambda: (
+        (lambda t, x=weights((5, 4)), b=weights((3,)): T.pow_k(T.linear(x, t, b), 2).sum()),
+        rng.normal(size=(3, 4)))
+
+    def linear_stack_case():
+        ws = [weights((3, 4)) for _ in range(3)]
+        bs = [weights((3,)) for _ in range(3)]
+        other = weights((5, 4))
+        # one input feeds heads 0 and 2, as a shared feature batch does
+        return (
+            lambda t: T.pow_k(T.linear_stack([t, other, t], ws, bs), 2).sum()
+        ), rng.normal(size=(5, 4))
+
+    cases["linear_stack"] = linear_stack_case
+
+    def linear_stack_weight_case():
+        x, w0, bs = weights((2, 5, 4)), weights((3, 4)), [weights((3,)) for _ in range(2)]
+        return (lambda t: T.pow_k(T.linear_stack(x, [w0, t], bs), 2).sum()), rng.normal(size=(3, 4))
+
+    cases["linear_stack_weight"] = linear_stack_weight_case
+    cases["softmax_stack"] = lambda: (
+        (lambda t, w=rng.normal(size=(3, 5, 2)): T.mul(T.softmax(t), Tensor(w)).sum()),
+        rng.normal(size=(3, 5, 2)) * 3)
+
+    def ce_stack_case():
+        labels = rng.integers(0, 2, size=(4, 6))
+        cw = (0.5, 2.0) if rng.random() < 0.5 else None
+        return (
+            lambda t: T.softmax_cross_entropy_stack(t, labels, cw)
+        ), rng.normal(size=(4, 6, 2)) * 2
+
+    cases["loss_cross_entropy_stack"] = ce_stack_case
+
+    def pair_discrepancy_case():
+        second = rng.random((2, 6, 2)) * 0.4
+        sign = rng.choice([-1.0, 1.0], size=second.shape)
+        first = second + sign * (0.1 + 0.4 * rng.random(second.shape))
+        return T.pair_discrepancy, np.stack([first[0], second[0], first[1], second[1]])
+
+    cases["loss_pair_discrepancy"] = pair_discrepancy_case
+
     for name, make in cases.items():
         for _ in range(n_instances):
             loss_fn, x = make()

@@ -12,6 +12,7 @@ from rumexda.adaptation import (
     moment_distance_multi,
     moment_distance_single,
     predict_ensemble,
+    predict_labels,
     read_history_jsonl,
     train_m2s2da,
     train_m3sda_beta,
@@ -127,6 +128,29 @@ def test_discrepancy_gradient():
     p2 = rng.random((5, 2)) * 0.4
     p1 = p2 + 0.2 + 0.3 * rng.random((5, 2))
     assert_gradients_match(lambda t: classifier_discrepancy(t, Tensor(p2)), p1)
+
+
+def test_pair_discrepancy_is_the_sum_of_classifier_discrepancies():
+    rng = np.random.default_rng(7)
+    probs = rng.random((6, 5, 2))
+    probs /= probs.sum(axis=2, keepdims=True)
+    for upstream in (1.0, -1.0):
+        stacked = Tensor(probs, requires_grad=True)
+        d = T.pair_discrepancy(stacked)
+        T.mul(d, upstream).backward()
+        heads = [Tensor(p, requires_grad=True) for p in probs]
+        total = None
+        for i in range(3):
+            term = classifier_discrepancy(heads[2 * i], heads[2 * i + 1])
+            total = term if total is None else T.add(total, term)
+        T.mul(total, upstream).backward()
+        assert d.data.tobytes() == total.data.tobytes()
+        assert stacked.grad.tobytes() == np.stack([h.grad for h in heads]).tobytes()
+    # away from the kink of |.|
+    second = rng.random((2, 5, 2)) * 0.4
+    first = second + rng.choice([-1.0, 1.0], size=second.shape) * (0.1 + 0.3 * rng.random(second.shape))
+    interleaved = np.stack([first[0], second[0], first[1], second[1]])
+    assert_gradients_match(T.pair_discrepancy, interleaved)
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +336,56 @@ def test_m3sda_freeze_contracts_during_training():
     assert violations == []
 
 
+def _stepper_and_batch(seed=12, pairs=3):
+    sources = _three_sources(seed0=70)[:pairs]
+    target = _shifted_target(n=64, seed=75)
+    bundle = build_model(_model_cfg(seed=seed, pairs=pairs))
+    stepper = M3sdaStepper(bundle, AdaptationConfig(strategy="m3sda_beta", seed=seed),
+                           np.random.default_rng(seed))
+    batches = [(ds.features[:32], ds.labels[:32]) for ds in sources]
+    return bundle, stepper, batches, target.features[:32]
+
+
+def test_m3sda_steps_fill_only_the_gradients_they_step():
+    bundle, stepper, batches, x_t = _stepper_and_batch()
+    extractor = [p for _, p in bundle.extractor_trainable_parameters()]
+    heads = [p for _, p in bundle.head_trainable_parameters()]
+    stepper.step_classify(batches, x_t)
+    assert all(p.grad is not None for p in extractor + heads)
+    stepper.step_max_discrepancy(batches, x_t)
+    assert all(p.grad is None for p in extractor)
+    assert all(p.grad is not None for p in heads)
+    stepper.step_min_discrepancy(x_t)
+    assert all(p.grad is not None for p in extractor)
+    assert all(p.grad is None for p in heads)
+    assert all(p.requires_grad for p in heads)
+
+
+def test_m3sda_step3_restores_head_flags_when_it_raises():
+    bundle, stepper, _, x_t = _stepper_and_batch()
+    with pytest.raises(ShapeError):
+        stepper.step_min_discrepancy(x_t[:, :1])
+    assert len(bundle.head_trainable_parameters()) == 8 * 3
+
+
+def test_m3sda_step3_freeze_audit_sees_every_head_tensor():
+    # the step-3 head toggle must not empty the list the freeze audit reads
+    pairs = 3
+    sources = _three_sources(seed0=80)
+    target = _shifted_target(n=300, seed=85)
+    bundle = build_model(_model_cfg(seed=13, pairs=pairs))
+    seen = {"step3_pre": set(), "step3_post": set()}
+
+    def observer(phase, iteration, b):
+        if phase in seen:
+            seen[phase].add(len(b.head_trainable_parameters()))
+
+    train_m3sda_beta(bundle, sources, target.unlabeled(),
+                     AdaptationConfig(strategy="m3sda_beta", epochs=1, batch_size=50, seed=5),
+                     step_observer=observer)
+    assert seen == {"step3_pre": {8 * pairs}, "step3_post": {8 * pairs}}
+
+
 def test_m3sda_one_step_discrepancy_directions():
     # after the classify step has settled (the regime the alternation runs
     # in), step 2 raises the pair disagreement on a fixed target batch and
@@ -453,6 +527,35 @@ def test_ensemble_rows_sum_to_one():
     x = np.random.default_rng(2).normal(size=(11, 4))
     probs = predict_ensemble(bundle, x).data
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pairs", [0, 3])
+def test_predict_labels_builds_no_graph(pairs, monkeypatch):
+    cfg = ModelConfig(input_dim=4, hidden_dims=(6,), feature_dim=5, unfreeze=2,
+                      classifier_pairs=pairs, seed=17)
+    bundle = build_model(cfg)
+    x = np.random.default_rng(3).normal(size=(20, 4))
+    # the labels as computed with the graph recorded
+    z = bundle.extract(Tensor(x))
+    total = None
+    for head in bundle.heads:
+        p = T.softmax(head.forward(z))
+        total = p if total is None else T.add(total, p)
+    assert total._grad_fn is not None
+    expected = np.argmax(total.data, axis=1)
+
+    recorded = []
+    result = T._result
+
+    def spy(*args):
+        out = result(*args)
+        recorded.append(out._grad_fn is not None)
+        return out
+
+    monkeypatch.setattr(T, "_result", spy)
+    labels = predict_labels(bundle, x)
+    assert recorded and not any(recorded)
+    assert labels.tolist() == expected.tolist()
 
 
 def test_pair_set_from_bundle_validates():

@@ -243,6 +243,21 @@ def test_train_on_non_numeric_feature_is_a_data_error(tmp_path, capsys):
     assert f"error: {path}:4:" in capsys.readouterr().err
 
 
+def test_diverging_train_is_an_error_and_writes_no_checkpoint(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    run = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--corpus", str(corpus), "--out", str(run),
+                   "--strategy", "vanilla", "--optimizer", "sgd", "--lr", "1e6",
+                   "--epochs", "7"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged: ce loss is nan at epoch ")
+    assert "iteration" in err and "classify step" in err
+    assert not (run / "checkpoint.json").exists()
+    assert not (run / "history.jsonl").exists()
+
+
 def test_train_epochs_must_exceed_warmup(tmp_path):
     corpus = _make_corpus(tmp_path)
     rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),

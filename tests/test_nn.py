@@ -6,6 +6,7 @@ from rumexda.errors import ConfigError, ShapeError
 from rumexda.nn import (
     ModelConfig,
     build_model,
+    forward_heads,
     load_checkpoint,
     save_checkpoint,
     trainable_parameter_count,
@@ -194,6 +195,44 @@ def test_pair_bundle_layout():
     assert len(bundle.pairs()) == 3
     with pytest.raises(ConfigError):
         bundle.head  # noqa: B018 - property access raises
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_forward_heads_is_bitwise_a_loop_of_head_forward(training):
+    cfg = ModelConfig(input_dim=4, hidden_dims=(), feature_dim=5, classifier_pairs=3, seed=3)
+    bundle = build_model(cfg)
+    data = np.random.default_rng(4).normal(size=(3, 7, 5))
+    zs = [Tensor(z, requires_grad=True) for z in data]
+    xs = [zs[h // 2] for h in range(6)]  # heads 2i and 2i+1 share an input
+    leaves = zs + [p for name, p in bundle.parameters() if name.startswith("head")]
+    upstream = Tensor(np.random.default_rng(5).normal(size=(6, 7, 2)))
+
+    stacked = forward_heads(bundle.heads, xs, training, np.random.default_rng(6))
+    T.mul(stacked, upstream).sum().backward()
+    stacked_grads = [p.grad.tobytes() for p in leaves]
+
+    for p in leaves:
+        p.grad = None
+    rng = np.random.default_rng(6)
+    total = None
+    for h, head in enumerate(bundle.heads):
+        logits = head.forward(xs[h], training, rng)
+        assert stacked.data[h].tobytes() == logits.data.tobytes()
+        term = T.mul(logits, Tensor(upstream.data[h])).sum()
+        total = term if total is None else T.add(total, term)
+    total.backward()
+    assert stacked_grads == [p.grad.tobytes() for p in leaves]
+
+
+def test_forward_heads_draws_dropout_like_the_loop():
+    cfg = ModelConfig(input_dim=4, hidden_dims=(), feature_dim=5, classifier_pairs=2, seed=3)
+    bundle = build_model(cfg)
+    z = Tensor(np.random.default_rng(4).normal(size=(7, 5)))
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    forward_heads(bundle.heads, [z] * 4, True, a)
+    for head in bundle.heads:
+        head.forward(z, True, b)
+    assert a.random() == b.random()
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -335,6 +335,169 @@ def test_frozen_leaf_gets_no_grad():
 
 
 # ----------------------------------------------------------------------
+# fused linear and head stacks
+
+
+def _three_node_linear(x, w, b):
+    return T.add_bias(T.matmul(x, T.transpose(w)), b)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_linear_is_bitwise_the_three_node_form(seed):
+    rng = np.random.default_rng(seed)
+    n, d_in, d_out = (int(v) for v in rng.integers(1, 40, size=3))
+    x0, w0, b0 = rng.normal(size=(n, d_in)), rng.normal(size=(d_out, d_in)), rng.normal(size=d_out)
+    upstream = Tensor(rng.normal(size=(n, d_out)))
+    results = []
+    for build in (T.linear, _three_node_linear):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        out = build(x, w, b)
+        T.mul(out, upstream).sum().backward()
+        results.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+    assert results[0] == results[1]
+
+
+def test_linear_gradients_and_node_count():
+    rng = np.random.default_rng(7)
+    x, w, b = rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), rng.normal(size=3)
+    assert_gradients_match(lambda t: T.pow_k(T.linear(t, Tensor(w), Tensor(b)), 2).sum(), x)
+    assert_gradients_match(lambda t: T.pow_k(T.linear(Tensor(x), t, Tensor(b)), 2).sum(), w)
+    assert_gradients_match(lambda t: T.pow_k(T.linear(Tensor(x), Tensor(w), t), 2).sum(), b)
+    assert_gradients_match(lambda t: T.pow_k(T.linear(Tensor(x), t), 2).sum(), w)
+    out = T.linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b))
+    assert out._op == "linear" and len(out._parents) == 3
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(x), Tensor(w.T))
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(x), Tensor(w), Tensor(np.zeros(4)))
+
+
+def test_linear_fills_no_gradient_for_a_frozen_weight():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=3))
+    grads = T.linear(x, w, b)._grad_fn(np.ones((5, 3)))
+    assert grads[0] is not None and grads[1] is None and grads[2] is None
+
+
+def test_linear_stack_slices_are_bitwise_per_head_linear():
+    rng = np.random.default_rng(9)
+    shared, other = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    ws = [rng.normal(size=(3, 4)) for _ in range(3)]
+    bs = [rng.normal(size=3) for _ in range(3)]
+    g = rng.normal(size=(3, 6, 3))
+
+    def leaves():
+        return (Tensor(shared, requires_grad=True), Tensor(other, requires_grad=True),
+                [Tensor(w, requires_grad=True) for w in ws],
+                [Tensor(b, requires_grad=True) for b in bs])
+
+    xa, oa, wa, ba = leaves()
+    out = T.linear_stack([xa, oa, xa], wa, ba)
+    T.mul(out, Tensor(g)).sum().backward()
+
+    xb, ob, wb, bb = leaves()
+    total = None
+    for h, x in enumerate((xb, ob, xb)):
+        term = T.mul(T.linear(x, wb[h], bb[h]), Tensor(g[h])).sum()
+        assert out.data[h].tobytes() == T.linear(x, wb[h], bb[h]).data.tobytes()
+        total = term if total is None else T.add(total, term)
+    total.backward()
+    for a, b in zip([xa, oa, *wa, *ba], [xb, ob, *wb, *bb]):
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_linear_stack_gradients_and_shape_errors():
+    rng = np.random.default_rng(10)
+    ws = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
+    bs = [Tensor(rng.normal(size=3)) for _ in range(2)]
+    x3 = rng.normal(size=(2, 5, 4))
+
+    def square_sum(out):
+        return T.pow_k(out, 2).sum()
+
+    assert_gradients_match(lambda t: square_sum(T.linear_stack(t, ws, bs)), x3)
+    assert_gradients_match(lambda t: square_sum(T.linear_stack([t, t], ws, bs)), x3[0])
+    assert_gradients_match(lambda t: square_sum(T.linear_stack(Tensor(x3), [ws[0], t], bs)),
+                           rng.normal(size=(3, 4)))
+    assert_gradients_match(lambda t: square_sum(T.linear_stack(Tensor(x3), ws, [t, bs[1]])),
+                           rng.normal(size=3))
+    with pytest.raises(ShapeError):
+        T.linear_stack([Tensor(x3[0]), Tensor(x3[1][:4])], ws, bs)
+    with pytest.raises(ShapeError):
+        T.linear_stack(Tensor(x3), ws[:1], bs[:1])
+    with pytest.raises(ShapeError):
+        T.linear_stack(Tensor(x3), ws, bs[:1])
+
+
+def test_softmax_of_a_stack_is_per_slice_softmax():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 4, 2)) * 3
+    stacked = T.softmax(Tensor(x)).data
+    for h in range(3):
+        assert stacked[h].tobytes() == T.softmax(Tensor(x[h])).data.tobytes()
+    weights = rng.normal(size=(3, 4, 2))
+    assert_gradients_match(lambda t: T.mul(T.softmax(t), Tensor(weights)).sum(), x)
+    with pytest.raises(ShapeError):
+        T.softmax(Tensor([1.0, 2.0]))
+
+
+def test_cross_entropy_stack_is_the_head_order_sum():
+    rng = np.random.default_rng(12)
+    logits = rng.normal(size=(4, 7, 2)) * 2
+    labels = rng.integers(0, 2, size=(4, 7))
+    for cw in (None, (0.5, 2.0)):
+        total = None
+        for h in range(4):
+            ce = T.softmax_cross_entropy(Tensor(logits[h]), labels[h], cw)
+            total = ce if total is None else T.add(total, ce)
+        stacked = T.softmax_cross_entropy_stack(Tensor(logits), labels, cw)
+        assert stacked.data.tobytes() == total.data.tobytes()
+        assert_gradients_match(lambda t: T.softmax_cross_entropy_stack(t, labels, cw), logits)
+    with pytest.raises(ShapeError):
+        T.softmax_cross_entropy_stack(Tensor(logits), labels[:, :3])
+    with pytest.raises(LabelError):
+        T.softmax_cross_entropy_stack(Tensor(logits), labels + 1)
+
+
+def test_pair_discrepancy_shape_errors():
+    with pytest.raises(ShapeError):
+        T.pair_discrepancy(Tensor(np.zeros((3, 4, 2))))
+    with pytest.raises(ShapeError):
+        T.pair_discrepancy(Tensor(np.zeros((4, 2))))
+    with pytest.raises(DegenerateInputError):
+        T.pair_discrepancy(Tensor(np.zeros((2, 0, 2))))
+
+
+# ----------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_records_nothing():
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    x = Tensor(np.ones((4, 3)))
+    with T.no_grad():
+        out = T.relu(T.linear(x, w))
+        loss = T.mul(out, 2.0).sum()
+    assert out._grad_fn is None and out._parents == () and not out.requires_grad
+    assert loss._grad_fn is None
+    assert T.linear(x, w)._grad_fn is not None
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert T.mul(w, 2.0)._grad_fn is None
+        assert T.mul(w, 2.0)._grad_fn is None
+    assert T.mul(w, 2.0)._grad_fn is not None
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("boom")
+    assert T.mul(w, 2.0)._grad_fn is not None
+
+
+# ----------------------------------------------------------------------
 # optimizers
 
 
