@@ -461,7 +461,10 @@ class M3sdaStepper:
 
     Separate optimizers over the extractor and the classifier parameters
     make the freeze contracts structural: step 2 never steps the extractor
-    optimizer and step 3 never steps the classifier one.
+    optimizer and step 3 never steps the classifier one. Neither step
+    records graph for the frozen side either: step 2 extracts under
+    ``T.no_grad()``, and step 3 sets the heads' ``requires_grad`` off until
+    its backward is done.
     """
 
     def __init__(self, bundle: ModelBundle, config: AdaptationConfig,
@@ -482,7 +485,7 @@ class M3sdaStepper:
         logits = forward_heads(self.bundle.heads, [z for z in z_list for _ in range(2)],
                                training=True, rng=self.drop_rng)
         labels = np.stack([y for _, y in batches for _ in range(2)])
-        return T.softmax_cross_entropy_stack(logits, labels, self.config.class_weights)
+        return T.softmax_cross_entropy(logits, labels, self.config.class_weights)
 
     def _pair_discrepancy(self, z_t: Tensor, training: bool = True) -> Tensor:
         """Summed discrepancy of every pair on the target batch."""

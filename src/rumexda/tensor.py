@@ -16,10 +16,10 @@ so the engine records as few nodes as it can:
 * ``linear(x, W, b)`` is one node for ``x W^T + b``, bitwise equal to
   ``add_bias(matmul(x, transpose(W)), b)``.
 * ``linear_stack`` runs H such maps (one per classifier head) as one node
-  over (H, n, d) arrays. ``relu``, ``dropout`` and ``softmax`` act on such
-  stacks as they are, and ``softmax_cross_entropy_stack`` and
-  ``pair_discrepancy`` reduce them to the summed per-head or per-pair
-  losses, adding the terms in head order, as a chain of ``add`` would.
+  over (H, n, d) arrays. ``relu``, ``dropout``, ``softmax`` and
+  ``softmax_cross_entropy`` act on such stacks as well, and
+  ``pair_discrepancy`` compares the heads pair by pair; per-head and
+  per-pair losses are added in head order, as a chain of ``add`` would.
 """
 
 from __future__ import annotations
@@ -447,29 +447,23 @@ def linear_stack(x, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tens
     adds up over those heads in head order. The per-head weights and biases
     stay separate tensors and are stacked inside the op.
     """
-    n_heads = len(weights)
-    if n_heads == 0 or len(biases) != n_heads:
-        raise ShapeError(f"linear_stack: {n_heads} weights and {len(biases)} biases")
     weights = [_as_tensor(w) for w in weights]
     biases = [_as_tensor(b) for b in biases]
     stacked = isinstance(x, Tensor)
     xs = [x] if stacked else [_as_tensor(t) for t in x]
-    if not stacked and (len(xs) != n_heads or len({t.shape for t in xs}) != 1):
-        raise ShapeError(f"linear_stack: {n_heads} heads need {n_heads} inputs of one shape, "
-                         f"got {[t.shape for t in xs]}")
-    if len({w.shape for w in weights}) != 1 or len({b.shape for b in biases}) != 1:
-        raise ShapeError("linear_stack: per-head weights or biases differ in shape")
-    xdata = x.data if stacked else np.stack([t.data for t in xs])
-    d_out, d_in = weights[0].shape
-    if xdata.ndim != 3 or xdata.shape[0] != n_heads or xdata.shape[2] != d_in \
-            or biases[0].shape != (d_out,):
-        raise ShapeError(
-            f"linear_stack: cannot apply {n_heads} weights {weights[0].shape} with biases "
-            f"{biases[0].shape} to inputs of shape {xdata.shape}"
-        )
-    wt = np.stack([w.data for w in weights]).transpose(0, 2, 1).copy()
+    try:
+        xdata = x.data if stacked else np.stack([t.data for t in xs])
+        wt = np.stack([w.data for w in weights]).transpose(0, 2, 1).copy()
+        bias = np.stack([b.data for b in biases])
+    except ValueError as exc:
+        raise ShapeError(f"linear_stack: per-head operands disagree: {exc}") from exc
+    if xdata.ndim != 3 or bias.ndim != 2 or not (
+            xdata.shape[0] == wt.shape[0] == bias.shape[0]
+            and xdata.shape[2] == wt.shape[1] and bias.shape[1] == wt.shape[2]):
+        raise ShapeError(f"linear_stack: cannot apply weights {weights[0].shape} and biases "
+                         f"{biases[0].shape} x {len(biases)} to inputs of shape {xdata.shape}")
     data = np.matmul(xdata, wt)
-    data += np.stack([b.data for b in biases])[:, None, :]
+    data += bias[:, None, :]
 
     def grad_fn(g):
         grads = [None] * len(xs)
@@ -509,12 +503,23 @@ def softmax(t: Tensor) -> Tensor:
     return _result(p, (t,), grad_fn, "softmax")
 
 
-def _binary_labels(labels, shape: tuple, logits_shape: tuple, class_weights, dtype):
-    """Validated 0/1 integer labels of ``shape`` and the per-sample weights."""
+def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
+    """Mean negative log-likelihood of binary logits against 0/1 labels.
+
+    Uses the log-sum-exp form for stability. When ``class_weights`` is a
+    (w0, w1) pair, each sample's term is rescaled by the weight of its
+    label; the sum is still divided by the batch size. A stack of H heads
+    (H x b x 2 logits, H x b labels) gives the sum of the per-head losses,
+    added in head order, as one node.
+    """
+    logits = _as_tensor(logits)
+    if logits.ndim not in (2, 3) or logits.shape[-1] != 2:
+        raise ShapeError(f"expected b x 2 logits or a stack of them, got {logits.shape}")
     y = np.asarray(labels)
-    if y.shape != shape:
-        raise ShapeError(f"labels of shape {y.shape} do not match logits {logits_shape}")
-    if y.size == 0:
+    if y.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels of shape {y.shape} do not match logits {logits.shape}")
+    b = logits.shape[-2]
+    if b == 0:
         raise DegenerateInputError("cross entropy over an empty batch")
     if not np.issubdtype(y.dtype, np.integer):
         yi = y.astype(np.int64)
@@ -524,67 +529,28 @@ def _binary_labels(labels, shape: tuple, logits_shape: tuple, class_weights, dty
     if np.any((y != 0) & (y != 1)):
         raise LabelError(f"labels outside {{0, 1}}: {sorted(set(y.ravel().tolist()) - {0, 1})}")
     if class_weights is None:
-        return y, np.ones(shape, dtype=dtype)
-    w0, w1 = float(class_weights[0]), float(class_weights[1])
-    return y, np.where(y == 1, w1, w0).astype(dtype)
-
-
-def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
-    """Mean negative log-likelihood of binary logits against 0/1 labels.
-
-    Uses the log-sum-exp form for stability. When ``class_weights`` is a
-    (w0, w1) pair, each sample's term is rescaled by the weight of its
-    label; the sum is still divided by the batch size.
-    """
-    logits = _as_tensor(logits)
-    if logits.ndim != 2 or logits.shape[1] != 2:
-        raise ShapeError(f"expected b x 2 logits, got {logits.shape}")
-    b = logits.shape[0]
-    y, w = _binary_labels(labels, (b,), logits.shape, class_weights, logits.dtype)
+        w = np.ones(y.shape, dtype=logits.dtype)
+    else:
+        w0, w1 = float(class_weights[0]), float(class_weights[1])
+        w = np.where(y == 1, w1, w0).astype(logits.dtype)
 
     z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    nll = lse - z[np.arange(b), y]
-    loss = np.asarray((w * nll).sum() / b)
+    picked = y[..., None]
+    m = z.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    nll = lse - np.take_along_axis(z, picked, axis=-1)[..., 0]
+    per_head = np.atleast_1d((w * nll).sum(axis=-1) / b)
+    loss = per_head[0]
+    for value in per_head[1:]:
+        loss = loss + value
 
     def grad_fn(g):
         p = np.exp(z - m)
-        p /= p.sum(axis=1, keepdims=True)
-        delta = p.copy()
-        delta[np.arange(b), y] -= 1.0
-        return (g * delta * (w / b)[:, None],)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.put_along_axis(p, picked, np.take_along_axis(p, picked, axis=-1) - 1.0, axis=-1)
+        return (g * p * (w / b)[..., None],)
 
-    return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
-
-
-def softmax_cross_entropy_stack(logits: Tensor, labels, class_weights=None) -> Tensor:
-    """Sum over heads h, in head order, of
-    ``softmax_cross_entropy(logits[h], labels[h], class_weights)`` for
-    H x b x 2 logits and H x b labels, as one node."""
-    logits = _as_tensor(logits)
-    if logits.ndim != 3 or logits.shape[2] != 2:
-        raise ShapeError(f"expected H x b x 2 logits, got {logits.shape}")
-    n_heads, b = logits.shape[:2]
-    y, w = _binary_labels(labels, (n_heads, b), logits.shape, class_weights, logits.dtype)
-
-    z = logits.data
-    picked = (np.arange(n_heads)[:, None], np.arange(b), y)
-    m = z.max(axis=2, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=2))
-    nll = lse - z[picked]
-    per_head = (w * nll).sum(axis=1) / b
-    total = per_head[0]
-    for value in per_head[1:]:
-        total = total + value
-
-    def grad_fn(g):
-        delta = np.exp(z - m)
-        delta /= delta.sum(axis=2, keepdims=True)
-        delta[picked] -= 1.0
-        return (g * delta * (w / b)[..., None],)
-
-    return _result(np.asarray(total), (logits,), grad_fn, "softmax_cross_entropy_stack")
+    return _result(np.asarray(loss), (logits,), grad_fn, "softmax_cross_entropy")
 
 
 def pair_discrepancy(p: Tensor) -> Tensor:
@@ -654,7 +620,6 @@ __all__ = [
     "relu",
     "softmax",
     "softmax_cross_entropy",
-    "softmax_cross_entropy_stack",
     "sub",
     "transpose",
 ]

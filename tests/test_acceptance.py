@@ -175,7 +175,7 @@ def test_criterion_1_gradient_suite():
         labels = rng.integers(0, 2, size=(4, 6))
         cw = (0.5, 2.0) if rng.random() < 0.5 else None
         return (
-            lambda t: T.softmax_cross_entropy_stack(t, labels, cw)
+            lambda t: T.softmax_cross_entropy(t, labels, cw)
         ), rng.normal(size=(4, 6, 2)) * 2
 
     cases["loss_cross_entropy_stack"] = ce_stack_case

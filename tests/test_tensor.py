@@ -451,13 +451,13 @@ def test_cross_entropy_stack_is_the_head_order_sum():
         for h in range(4):
             ce = T.softmax_cross_entropy(Tensor(logits[h]), labels[h], cw)
             total = ce if total is None else T.add(total, ce)
-        stacked = T.softmax_cross_entropy_stack(Tensor(logits), labels, cw)
+        stacked = T.softmax_cross_entropy(Tensor(logits), labels, cw)
         assert stacked.data.tobytes() == total.data.tobytes()
-        assert_gradients_match(lambda t: T.softmax_cross_entropy_stack(t, labels, cw), logits)
+        assert_gradients_match(lambda t: T.softmax_cross_entropy(t, labels, cw), logits)
     with pytest.raises(ShapeError):
-        T.softmax_cross_entropy_stack(Tensor(logits), labels[:, :3])
+        T.softmax_cross_entropy(Tensor(logits), labels[:, :3])
     with pytest.raises(LabelError):
-        T.softmax_cross_entropy_stack(Tensor(logits), labels + 1)
+        T.softmax_cross_entropy(Tensor(logits), labels + 1)
 
 
 def test_pair_discrepancy_shape_errors():
