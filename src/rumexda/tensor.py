@@ -503,6 +503,14 @@ def softmax(t: Tensor) -> Tensor:
     return _result(p, (t,), grad_fn, "softmax")
 
 
+def _sum_in_order(values: np.ndarray) -> np.ndarray:
+    # left to right, as a chain of add nodes adds; np.sum groups the terms differently
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return np.asarray(total)
+
+
 def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     """Mean negative log-likelihood of binary logits against 0/1 labels.
 
@@ -539,10 +547,7 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     m = z.max(axis=-1, keepdims=True)
     lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
     nll = lse - np.take_along_axis(z, picked, axis=-1)[..., 0]
-    per_head = np.atleast_1d((w * nll).sum(axis=-1) / b)
-    loss = per_head[0]
-    for value in per_head[1:]:
-        loss = loss + value
+    loss = _sum_in_order(np.atleast_1d((w * nll).sum(axis=-1) / b))
 
     def grad_fn(g):
         p = np.exp(z - m)
@@ -550,7 +555,7 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
         np.put_along_axis(p, picked, np.take_along_axis(p, picked, axis=-1) - 1.0, axis=-1)
         return (g * p * (w / b)[..., None],)
 
-    return _result(np.asarray(loss), (logits,), grad_fn, "softmax_cross_entropy")
+    return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
 
 
 def pair_discrepancy(p: Tensor) -> Tensor:
@@ -565,9 +570,6 @@ def pair_discrepancy(p: Tensor) -> Tensor:
     diff = p.data[0::2] - p.data[1::2]
     neg = diff * -1.0
     per_pair = (np.maximum(diff, 0) + np.maximum(neg, 0)).reshape(len(diff), -1).mean(axis=1)
-    total = per_pair[0]
-    for value in per_pair[1:]:
-        total = total + value
     count = diff[0].size
 
     def grad_fn(g):
@@ -578,7 +580,7 @@ def pair_discrepancy(p: Tensor) -> Tensor:
         grad[1::2] = -gdiff
         return (grad,)
 
-    return _result(np.asarray(total), (p,), grad_fn, "pair_discrepancy")
+    return _result(_sum_in_order(per_pair), (p,), grad_fn, "pair_discrepancy")
 
 
 def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
