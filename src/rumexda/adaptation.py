@@ -360,22 +360,24 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     raises ``TrainingStateError`` naming the epoch, iteration and step.
     """
     history = TrainingHistory(strategy, sum(p.size for _, p in bundle.trainable_parameters()))
-    for epoch in range(1, config.epochs + 1):
-        sums = dict.fromkeys(loss_names, 0.0)
-        for step in range(1, steps + 1):
-            for name, value in iterate().items():
-                if not math.isfinite(value):
-                    raise TrainingStateError(
-                        f"training diverged: {name} loss is {value} at epoch {epoch}, "
-                        f"iteration {step} of {steps}, in the {_LOSS_PHASE[name]} step"
-                    )
-                sums[name] += value
-        val_f1, target_f1, median = _epoch_eval(bundle, val, eval_targets)
-        losses = {name: total / steps for name, total in sums.items()}
-        history.records.append(EpochRecord(epoch, losses, val_f1, target_f1, median))
-        if epoch > config.warmup:  # select_model_epoch rejects shorter histories
-            if select_model_epoch(history.val_f1_series(), config.warmup) == epoch:
-                history.selected_snapshot = bundle.snapshot()
+    # overflow in a diverging run surfaces as the non-finite loss check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            sums = dict.fromkeys(loss_names, 0.0)
+            for step in range(1, steps + 1):
+                for name, value in iterate().items():
+                    if not math.isfinite(value):
+                        raise TrainingStateError(
+                            f"training diverged: {name} loss is {value} at epoch {epoch}, "
+                            f"iteration {step} of {steps}, in the {_LOSS_PHASE[name]} step"
+                        )
+                    sums[name] += value
+            val_f1, target_f1, median = _epoch_eval(bundle, val, eval_targets)
+            losses = {name: total / steps for name, total in sums.items()}
+            history.records.append(EpochRecord(epoch, losses, val_f1, target_f1, median))
+            if epoch > config.warmup:  # select_model_epoch rejects shorter histories
+                if select_model_epoch(history.val_f1_series(), config.warmup) == epoch:
+                    history.selected_snapshot = bundle.snapshot()
     return history
 
 

@@ -39,6 +39,7 @@ from .tiling import (
     read_manifest,
     read_pnm,
     tile_image,
+    with_plant_ids,
     write_manifest,
 )
 
@@ -167,26 +168,8 @@ def cmd_split(args) -> int:
         b for b in read_annotations(args.annotations)
         if b.class_name == config.tiling.positive_class
     ]
-    by_image: dict[str, list] = {}
-    for b in boxes:
-        by_image.setdefault(b.image_id, []).append(b)
-
-    from .tiling import TileRecord, overlap_ratio
-
-    records = []
-    subset_of = {}
-    for e in manifest.entries:
-        r = e.record
-        plants = sorted(
-            {
-                b.plant_id
-                for b in by_image.get(r.image_id, [])
-                if b.plant_id and overlap_ratio(b, r.x, r.y, r.side) > 0.0
-            }
-        )
-        records.append(TileRecord(r.image_id, r.x, r.y, r.side, r.label, r.overlap,
-                                  r.pass_corner, tuple(plants)))
-        subset_of[r.image_id] = e.domain_id
+    records = with_plant_ids([e.record for e in manifest.entries], boxes)
+    subset_of = {e.record.image_id: e.domain_id for e in manifest.entries}
 
     split_manifest = build_splits(records, subset_of, sc.val_fraction, sc.mode, sc.seed)
     out = _out_path(args.out)

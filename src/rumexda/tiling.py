@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -142,13 +143,20 @@ def enumerate_tiles(width: int, height: int, side: int = TILE_SIZE) -> list[tupl
 # overlap and labels
 
 
-def overlap_ratio(box: BBoxAnnotation, tile_x: int, tile_y: int, side: int = TILE_SIZE) -> float:
-    """Fraction of the tile's pixels covered by the box (exact integer area)."""
-    ox = min(box.x_max, tile_x + side) - max(box.x_min, tile_x)
-    oy = min(box.y_max, tile_y + side) - max(box.y_min, tile_y)
-    if ox <= 0 or oy <= 0:
-        return 0.0
-    return (ox * oy) / (side * side)
+def overlap_ratio(
+    box: BBoxAnnotation,
+    tile_x: int | np.ndarray,
+    tile_y: int | np.ndarray,
+    side: int | np.ndarray = TILE_SIZE,
+) -> float | np.ndarray:
+    """Fraction of the tile's pixels covered by the box (exact integer area).
+
+    ``tile_x`` and ``tile_y`` may be integer arrays of tile origins, which
+    gives one ratio per tile, each bitwise the ratio of a scalar call.
+    """
+    ox = np.minimum(box.x_max, tile_x + side) - np.maximum(box.x_min, tile_x)
+    oy = np.minimum(box.y_max, tile_y + side) - np.maximum(box.y_min, tile_y)
+    return np.maximum(ox, 0) * np.maximum(oy, 0) / (side * side)
 
 
 def union_overlap_ratio(
@@ -168,6 +176,22 @@ def union_overlap_ratio(
     return int(mask.sum()) / (side * side)
 
 
+def _check_label_rule(r_th: float, combine: str) -> None:
+    if not 0.0 < r_th < 1.0:
+        raise ConfigError(f"r_th must lie in (0, 1), got {r_th}")
+    if combine not in ("max", "union"):
+        raise ConfigError(f"unknown overlap combination rule {combine!r}")
+
+
+def _label_for(r: float, r_th: float) -> int:
+    """r == 0 -> background, r > r_th -> rumex, 0 < r <= r_th -> unclear."""
+    if r == 0.0:
+        return LABEL_BACKGROUND
+    if r > r_th:
+        return LABEL_RUMEX
+    return LABEL_UNCLEAR
+
+
 def assign_label(
     tile_x: int,
     tile_y: int,
@@ -182,19 +206,31 @@ def assign_label(
     switches to union area). Labels: r == 0 -> background, r > r_th ->
     rumex, 0 < r <= r_th -> unclear (excluded from training downstream).
     """
-    if not 0.0 < r_th < 1.0:
-        raise ConfigError(f"r_th must lie in (0, 1), got {r_th}")
+    _check_label_rule(r_th, combine)
     if combine == "max":
-        r = max((overlap_ratio(b, tile_x, tile_y, side) for b in boxes), default=0.0)
-    elif combine == "union":
-        r = union_overlap_ratio(boxes, tile_x, tile_y, side)
+        r = max((float(overlap_ratio(b, tile_x, tile_y, side)) for b in boxes), default=0.0)
     else:
-        raise ConfigError(f"unknown overlap combination rule {combine!r}")
-    if r == 0.0:
-        return LABEL_BACKGROUND, r
-    if r > r_th:
-        return LABEL_RUMEX, r
-    return LABEL_UNCLEAR, r
+        r = union_overlap_ratio(boxes, tile_x, tile_y, side)
+    return _label_for(r, r_th), r
+
+
+def _overlap_matrix(boxes: Sequence[BBoxAnnotation], xs: np.ndarray, ys: np.ndarray,
+                    side: int | np.ndarray) -> np.ndarray:
+    """boxes x tiles overlap ratios, one ``overlap_ratio`` call per box."""
+    ratios = np.zeros((len(boxes), len(xs)))
+    for i, box in enumerate(boxes):
+        ratios[i] = overlap_ratio(box, xs, ys, side)
+    return ratios
+
+
+def _plant_ids(boxes: Sequence[BBoxAnnotation], ratios: np.ndarray) -> list[tuple[str, ...]]:
+    """Per tile (column of ``ratios``), the sorted ids of the plants whose
+    boxes overlap it."""
+    plants: list[set[str]] = [set() for _ in range(ratios.shape[1])]
+    for i, j in zip(*np.nonzero(ratios)):
+        if boxes[i].plant_id:
+            plants[j].add(boxes[i].plant_id)
+    return [tuple(sorted(p)) for p in plants]
 
 
 def tile_image(
@@ -208,20 +244,39 @@ def tile_image(
 ) -> list[TileRecord]:
     """Tile one image and label each tile against its boxes."""
     clamped = [b.clamped(width, height) for b in boxes if b.image_id == image_id]
-    records = []
-    for x, y, corner in enumerate_tiles(width, height, side):
-        label, r = assign_label(x, y, side, clamped, r_th, combine)
-        plants = sorted(
-            {
-                b.plant_id
-                for b in clamped
-                if b.plant_id and overlap_ratio(b, x, y, side) > 0.0
-            }
-        )
-        records.append(
-            TileRecord(image_id, x, y, side, label, r, corner, tuple(plants))
-        )
-    return records
+    tiles = enumerate_tiles(width, height, side)
+    _check_label_rule(r_th, combine)
+    ratios = _overlap_matrix(clamped, np.array([t[0] for t in tiles]),
+                             np.array([t[1] for t in tiles]), side)
+    if combine == "max":
+        rs = ratios.max(axis=0, initial=0.0).tolist()
+    else:
+        rs = [union_overlap_ratio(clamped, x, y, side) for x, y, _ in tiles]
+    return [
+        TileRecord(image_id, x, y, side, _label_for(r, r_th), r, corner, plants)
+        for (x, y, corner), r, plants in zip(tiles, rs, _plant_ids(clamped, ratios))
+    ]
+
+
+def with_plant_ids(records: Sequence[TileRecord],
+                   boxes: Sequence[BBoxAnnotation]) -> list[TileRecord]:
+    """``records`` with ``plant_ids`` derived again from ``boxes``, the same
+    way ``tile_image`` derives them: one overlap matrix per image."""
+    boxes_of: dict[str, list[BBoxAnnotation]] = {}
+    for b in boxes:
+        boxes_of.setdefault(b.image_id, []).append(b)
+    rows_of: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        rows_of.setdefault(rec.image_id, []).append(i)
+    out = list(records)
+    for image_id, rows in rows_of.items():
+        recs = [records[i] for i in rows]
+        image_boxes = boxes_of.get(image_id, [])
+        ratios = _overlap_matrix(image_boxes, np.array([r.x for r in recs]),
+                                 np.array([r.y for r in recs]), np.array([r.side for r in recs]))
+        for i, plants in zip(rows, _plant_ids(image_boxes, ratios)):
+            out[i] = replace(records[i], plant_ids=plants)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -358,20 +413,32 @@ def build_splits(
 # ----------------------------------------------------------------------
 # manifest and annotation files
 
+# pixel coordinates and tile sides stay below this, so the int64 overlap
+# arithmetic on arrays of them is exact
+_COORD_LIMIT = 2**31
+
 MANIFEST_HEADER = ["image_id", "x", "y", "side", "label", "r", "split", "domain_id", "pass_corner"]
 ANNOTATION_HEADER = ["image_id", "x_min", "y_min", "x_max", "y_max", "class", "plant_id"]
 
 
 def write_manifest(manifest: SplitManifest, path) -> None:
+    """Write the manifest CSV through a temporary file in the same directory
+    and a rename, so a failure part-way leaves any earlier file intact."""
     entries = sorted(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        for e in entries:
-            r = e.record
-            writer.writerow(
-                [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id, r.pass_corner]
-            )
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(MANIFEST_HEADER)
+            for e in entries:
+                r = e.record
+                writer.writerow(
+                    [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id, r.pass_corner]
+                )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_manifest(path) -> SplitManifest:
@@ -389,6 +456,11 @@ def read_manifest(path) -> SplitManifest:
                 rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner)
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from exc
+            if not (0 <= rec.x < _COORD_LIMIT and 0 <= rec.y < _COORD_LIMIT
+                    and 0 < rec.side < _COORD_LIMIT):
+                raise DataError(
+                    f"{path}:{line_no}: tile ({rec.x},{rec.y}) with side {rec.side} is out of range"
+                )
             entries.append(ManifestEntry(rec, split, domain_id))
     return SplitManifest(entries)
 
@@ -411,11 +483,12 @@ def read_annotations(path) -> list[BBoxAnnotation]:
                 raise DataError(f"{path}:{line_no}: expected {len(ANNOTATION_HEADER)} fields")
             image_id, x0, y0, x1, y1, cls, plant = [f.strip() for f in row]
             try:
-                boxes.append(
-                    BBoxAnnotation(image_id, int(x0), int(y0), int(x1), int(y1), cls, plant or None)
-                )
+                box = BBoxAnnotation(image_id, int(x0), int(y0), int(x1), int(y1), cls, plant or None)
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from exc
+            if max(abs(box.x_min), abs(box.y_min), abs(box.x_max), abs(box.y_max)) >= _COORD_LIMIT:
+                raise DataError(f"{path}:{line_no}: box coordinate out of range")
+            boxes.append(box)
     return boxes
 
 
@@ -423,36 +496,57 @@ def read_annotations(path) -> list[BBoxAnnotation]:
 # raster I/O (binary PGM/PPM)
 
 _PNM_MAGIC = {b"P5": 1, b"P6": 3}
+# header tokens may be separated by whitespace and '#' comments
+_PNM_TOKEN = re.compile(rb"(?:\s+|#[^\n]*\n)*(\d+)")
+_PNM_PREFIX_BYTES = 256  # a header without long comments fits in one read
 
 
 def read_pnm(path) -> np.ndarray:
-    """Binary PGM (P5) or PPM (P6); returns uint8/uint16 HxW or HxWx3."""
-    raw = Path(path).read_bytes()
-    magic = raw[:2]
-    if magic not in _PNM_MAGIC:
-        raise DataError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
-    # header tokens may be separated by whitespace and '#' comments
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        m = re.match(rb"(?:\s+|#[^\n]*\n)*(\d+)", raw[pos:])
-        if m is None:
-            raise DataError(f"{path}: truncated PNM header")
-        tokens.append(int(m.group(1)))
-        pos += m.end()
-    width, height, maxval = tokens
-    if maxval <= 0 or maxval > 65535:
-        raise DataError(f"{path}: unsupported maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    channels = _PNM_MAGIC[magic]
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    count = width * height * channels
-    if len(raw) - pos < count * dtype.itemsize:
+    """Binary PGM (P5) or PPM (P6); returns uint8/uint16 HxW or HxWx3.
+
+    The file is read once: the header from a small prefix, grown only while
+    a token runs past it, and the payload straight into the returned array.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_PNM_PREFIX_BYTES)
+        magic = head[:2]
+        if magic not in _PNM_MAGIC:
+            raise DataError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
+        tokens: list[int] = []
+        pos = 2
+        while len(tokens) < 3:
+            m = _PNM_TOKEN.match(head, pos)
+            # a failed match, or digits that reach the end of the prefix, may
+            # only mean the prefix is too short: read on unless at end of file
+            if m is None or m.end() == len(head):
+                more = fh.read(len(head))
+                if more:
+                    head += more
+                    continue
+                if m is None:
+                    raise DataError(f"{path}: truncated PNM header")
+            digits = m.group(1).lstrip(b"0") or b"0"
+            if len(digits) > 18:  # numpy's shape arithmetic would overflow
+                raise DataError(f"{path}: PNM header number with more than 18 digits")
+            tokens.append(int(digits))
+            pos = m.end()
+        width, height, maxval = tokens
+        if maxval <= 0 or maxval > 65535:
+            raise DataError(f"{path}: unsupported maxval {maxval}")
+        pos += 1  # single whitespace byte after maxval
+        channels = _PNM_MAGIC[magic]
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        count = width * height * channels
+        complete = os.fstat(fh.fileno()).st_size - pos >= count * dtype.itemsize
+        if complete:
+            fh.seek(pos)
+            data = np.fromfile(fh, dtype=dtype, count=count)
+            complete = data.size == count  # false only if the file shrank meanwhile
+    if not complete:
         raise DataError(f"{path}: payload shorter than {width}x{height}x{channels}")
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     shape = (height, width) if channels == 1 else (height, width, 3)
     out = data.reshape(shape)
-    return out.astype(np.uint16) if maxval > 255 else out.copy()
+    return out.astype(np.uint16) if maxval > 255 else out
 
 
 def write_pnm(path, image: np.ndarray, maxval: Optional[int] = None) -> None:

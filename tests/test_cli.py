@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -246,12 +247,16 @@ def test_train_on_non_numeric_feature_is_a_data_error(tmp_path, capsys):
 def test_diverging_train_is_an_error_and_writes_no_checkpoint(tmp_path, capsys):
     corpus = _make_corpus(tmp_path)
     run = tmp_path / "run"
-    with np.errstate(all="ignore"):
+    # numpy's overflow warnings would reach stderr outside pytest; record them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["train", "--corpus", str(corpus), "--out", str(run),
                    "--strategy", "vanilla", "--optimizer", "sgd", "--lr", "1e6",
                    "--epochs", "7"])
     assert rc == 1
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: training diverged: ce loss is nan at epoch ")
     assert "iteration" in err and "classify step" in err
     assert not (run / "checkpoint.json").exists()

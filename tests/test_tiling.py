@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from rumexda import tiling
 from rumexda.errors import ConfigError, DataError, DegenerateInputError, ShapeError
 from rumexda.tiling import (
     BBoxAnnotation,
@@ -17,6 +22,7 @@ from rumexda.tiling import (
     read_pnm,
     tile_image,
     union_overlap_ratio,
+    with_plant_ids,
     write_manifest,
     write_pnm,
 )
@@ -91,6 +97,18 @@ def test_coverage_property_random_sizes():
         assert pixel_coverage(w, h, origins, 518).min() >= 1
         for x, y in origins:
             assert 0 <= x <= w - 518 and 0 <= y <= h - 518
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.integers(1, 30), data=st.data())
+def test_tile_origins_cover_every_pixel(side, data):
+    width = data.draw(st.integers(side, 6 * side))
+    height = data.draw(st.integers(side, 6 * side))
+    origins = [(x, y) for x, y, _ in enumerate_tiles(width, height, side)]
+    assert len(set(origins)) == len(origins)
+    for x, y in origins:
+        assert 0 <= x <= width - side and 0 <= y <= height - side
+    assert pixel_coverage(width, height, origins, side).min() >= 1
 
 
 def test_pass_corner_first_wins():
@@ -315,6 +333,25 @@ def test_manifest_roundtrip(tmp_path):
         assert b.record.overlap == pytest.approx(a.record.overlap, abs=5e-7)
 
 
+def test_failed_manifest_write_keeps_the_previous_file(tmp_path):
+    recs, subset_of = _records_for_split()
+    manifest = build_splits(recs, subset_of, 0.3, "per_subset", seed=3)
+    path = tmp_path / "manifest.csv"
+    write_manifest(manifest, path)
+    before = path.read_bytes()
+    # every row differs from the file on disk, and an overlap that cannot be
+    # formatted fails on the last row written
+    moved = [ManifestEntry(e.record, e.split, "elsewhere") for e in manifest.entries]
+    last = max(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
+    bad = ManifestEntry(replace(last.record, x=last.record.x + 1, overlap="n/a"),
+                        last.split, last.domain_id)
+    for target in (path, tmp_path / "fresh.csv"):
+        with pytest.raises(ValueError):
+            write_manifest(SplitManifest(moved + [bad]), target)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]
+
+
 def test_read_annotations(tmp_path):
     path = tmp_path / "boxes.csv"
     path.write_text(
@@ -327,6 +364,24 @@ def test_read_annotations(tmp_path):
     assert boxes[0].plant_id == "p1"
     assert boxes[1].plant_id is None
     assert boxes[1].class_name == "dandelion"
+
+
+@pytest.mark.parametrize("x, y, side", [(0, 0, 0), (-1, 0, 518), (0, 2**31, 518),
+                                         (0, 0, 10**20)])
+def test_manifest_tile_out_of_range_is_a_data_error(tmp_path, x, y, side):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(tiling.MANIFEST_HEADER) + f"\na.ppm,{x},{y},{side},0,0.0,none,d,TL\n")
+    with pytest.raises(DataError, match="m.csv:2: .* out of range"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("coord", [-(2**31), 2**31, 10**20])
+def test_annotation_coordinate_out_of_range_is_a_data_error(tmp_path, coord):
+    path = tmp_path / "boxes.csv"
+    lo, hi = (coord, 10) if coord < 0 else (0, coord)
+    path.write_text(",".join(tiling.ANNOTATION_HEADER) + f"\na.ppm,{lo},0,{hi},10,rumex,p1\n")
+    with pytest.raises(DataError, match="boxes.csv:2: box coordinate out of range"):
+        read_annotations(path)
 
 
 def test_read_annotations_requires_header(tmp_path):
@@ -345,7 +400,9 @@ def test_pnm_roundtrip_gray(tmp_path):
     img = rng.integers(0, 256, size=(40, 60), dtype=np.uint8)
     path = tmp_path / "img.pgm"
     write_pnm(path, img)
-    assert np.array_equal(read_pnm(path), img)
+    back = read_pnm(path)
+    assert np.array_equal(back, img)
+    assert back.dtype == np.uint8 and back.flags.writeable
 
 
 def test_pnm_roundtrip_rgb(tmp_path):
@@ -353,17 +410,21 @@ def test_pnm_roundtrip_rgb(tmp_path):
     img = rng.integers(0, 256, size=(30, 20, 3), dtype=np.uint8)
     path = tmp_path / "img.ppm"
     write_pnm(path, img)
-    assert np.array_equal(read_pnm(path), img)
+    back = read_pnm(path)
+    assert np.array_equal(back, img)
+    assert back.dtype == np.uint8 and back.flags.writeable
 
 
 def test_pnm_roundtrip_16bit(tmp_path):
     rng = np.random.default_rng(4)
-    img = rng.integers(0, 65536, size=(25, 31), dtype=np.uint16)
-    path = tmp_path / "deep.pgm"
-    write_pnm(path, img)
-    back = read_pnm(path)
-    assert back.dtype == np.uint16
-    assert np.array_equal(back, img)
+    for shape, name in (((25, 31), "deep.pgm"), ((9, 7, 3), "deep.ppm")):
+        img = rng.integers(0, 65536, size=shape, dtype=np.uint16)
+        path = tmp_path / name
+        write_pnm(path, img)
+        back = read_pnm(path)
+        assert back.dtype == np.uint16 and back.dtype.isnative
+        assert back.flags.writeable
+        assert np.array_equal(back, img)
 
 
 def test_pnm_truncated_payload_is_a_data_error(tmp_path):
@@ -372,6 +433,109 @@ def test_pnm_truncated_payload_is_a_data_error(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(DataError, match="payload shorter"):
         read_pnm(path)
+
+
+def test_pnm_truncated_header_is_a_data_error(tmp_path):
+    path = tmp_path / "t.ppm"
+    write_pnm(path, np.zeros((10, 12, 3), dtype=np.uint8))
+    raw = path.read_bytes()
+    header_len = len(b"P6\n12 10\n255\n")
+    for cut in range(header_len):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DataError):
+            read_pnm(path)
+
+
+@pytest.mark.parametrize("offset", [*range(-12, 4), 3 * tiling._PNM_PREFIX_BYTES])
+def test_pnm_header_comment_past_the_prefix(tmp_path, offset):
+    """The comment ends ``offset`` bytes from the end of the first header
+    read, so the tokens after it straddle that boundary."""
+    img = np.arange(36, dtype=np.uint8).reshape(3, 12)
+    n = tiling._PNM_PREFIX_BYTES + offset - len(b"P5\n#")
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n#" + b"c" * n + b"\n12 3\n255\n" + img.tobytes())
+    back = read_pnm(path)
+    assert np.array_equal(back, img) and back.flags.writeable
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n0 100000000000000000000\n255\n",  # an empty image numpy cannot shape
+    b"P5\n" + b"9" * 5000 + b" 1\n255\n",  # past int()'s digit limit
+], ids=["empty-but-wide", "5000-digits"])
+def test_pnm_header_number_too_long_is_a_data_error(tmp_path, header):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(header)
+    with pytest.raises(DataError, match="more than 18 digits"):
+        read_pnm(path)
+
+
+def test_pnm_leading_zeros_do_not_count_as_digits(tmp_path):
+    path = tmp_path / "zeros.pgm"
+    path.write_bytes(b"P5\n" + b"0" * 5000 + b"3 2\n255\n" + bytes(range(6)))
+    assert np.array_equal(read_pnm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+
+def _pnm_oracle(raw: bytes):
+    """Decode ``raw`` as read_pnm defines the format, scanning byte by byte;
+    None when the bytes are not a complete binary PGM/PPM."""
+    if raw[:2] not in (b"P5", b"P6"):
+        return None
+    pos, tokens = 2, []
+    while len(tokens) < 3:
+        while True:
+            if raw[pos:pos + 1].isspace():
+                pos += 1
+            elif raw[pos:pos + 1] == b"#":
+                end = raw.find(b"\n", pos)
+                if end < 0:
+                    return None
+                pos = end + 1
+            else:
+                break
+        start = pos
+        while raw[pos:pos + 1].isdigit():
+            pos += 1
+        if pos == start or len(raw[start:pos].lstrip(b"0")) > 18:
+            return None
+        tokens.append(int(raw[start:pos]))
+    width, height, maxval = tokens
+    if not 0 < maxval <= 65535:
+        return None
+    channels = 1 if raw[:2] == b"P5" else 3
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    count = width * height * channels
+    if len(raw) - (pos + 1) < count * dtype.itemsize:
+        return None
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos + 1)
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return data.reshape(shape).astype(np.uint16 if maxval > 255 else np.uint8)
+
+
+def _small_pnms():
+    rng = np.random.default_rng(5)
+    rgb = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+    deep = rng.integers(0, 65536, size=(3, 4), dtype=np.uint16)
+    return [b"P6\n5 4\n255\n" + rgb.tobytes(), b"P5\n4 3\n65535\n" + deep.astype(">u2").tobytes()]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.integers(0, 1), cut=st.integers(0, 200),
+       flips=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3))
+def test_pnm_fuzz_decodes_or_raises_data_error(tmp_path, which, cut, flips):
+    raw = bytearray(_small_pnms()[which][:cut])
+    for at, value in flips:
+        if at < len(raw):
+            raw[at] = value
+    path = tmp_path / "fuzz.pnm"
+    path.write_bytes(bytes(raw))
+    expected = _pnm_oracle(bytes(raw))
+    if expected is None:
+        with pytest.raises(DataError):
+            read_pnm(path)
+    else:
+        back = read_pnm(path)
+        assert back.dtype == expected.dtype and np.array_equal(back, expected)
 
 
 def test_pnm_matches_independent_decoder(tmp_path):
@@ -432,3 +596,71 @@ def test_tile_image_labels_and_plants():
     assert br.plant_ids == ("plantB",)
     assert by_origin[(0, 518)].label == 0
     assert by_origin[(0, 518)].plant_ids == ()
+
+
+
+def _exact_overlap(box, x, y, side):
+    """The overlap ratio in Python integers, one box against one tile."""
+    ox = min(box.x_max, x + side) - max(box.x_min, x)
+    oy = min(box.y_max, y + side) - max(box.y_min, y)
+    return (ox * oy) / (side * side) if ox > 0 and oy > 0 else 0.0
+
+
+def _tile_image_oracle(image_id, width, height, boxes, side, r_th, combine):
+    """tile_image one tile at a time: assign_label and a scalar plant set."""
+    clamped = [b.clamped(width, height) for b in boxes if b.image_id == image_id]
+    records = []
+    for x, y, corner in enumerate_tiles(width, height, side):
+        label, r = assign_label(x, y, side, clamped, r_th, combine)
+        plants = {b.plant_id for b in clamped
+                  if b.plant_id and overlap_ratio(b, x, y, side) > 0.0}
+        records.append(TileRecord(image_id, x, y, side, label, r, corner, tuple(sorted(plants))))
+    return records
+
+
+@st.composite
+def _tiling_cases(draw):
+    side = draw(st.integers(4, 40))
+    width = draw(st.integers(side, 5 * side))
+    height = draw(st.integers(side, 5 * side))
+    boxes = []
+    for _ in range(draw(st.integers(0, 12))):
+        x0 = draw(st.integers(-side, width - 1))
+        y0 = draw(st.integers(-side, height - 1))
+        x1 = draw(st.integers(max(x0, 0) + 1, width + side))
+        y1 = draw(st.integers(max(y0, 0) + 1, height + side))
+        boxes.append(BBoxAnnotation(draw(st.sampled_from(["im", "other"])), x0, y0, x1, y1,
+                                    "rumex", draw(st.sampled_from([None, "p0", "p1", "p2"]))))
+    r_th = draw(st.floats(0.001, 0.999))
+    return side, width, height, boxes, r_th, draw(st.sampled_from(["max", "union"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tiling_cases())
+def test_tile_image_matches_per_tile_oracle(case):
+    side, width, height, boxes, r_th, combine = case
+    records = tile_image("im", width, height, boxes, side, r_th, combine)
+    oracle = _tile_image_oracle("im", width, height, boxes, side, r_th, combine)
+    assert [(r.x, r.y, r.label, r.pass_corner, r.plant_ids) for r in records] == \
+        [(r.x, r.y, r.label, r.pass_corner, r.plant_ids) for r in oracle]
+    assert [r.overlap.hex() for r in records] == [r.overlap.hex() for r in oracle]
+    assert all(type(r.overlap) is float for r in records)
+    # the array overlap is bitwise the scalar one, and both the integer ratio
+    xs, ys = np.array([r.x for r in records]), np.array([r.y for r in records])
+    for box in boxes:
+        clamped = box.clamped(width, height)
+        ratios = overlap_ratio(clamped, xs, ys, side)
+        for r, rec in zip(ratios.tolist(), records):
+            exact = _exact_overlap(clamped, rec.x, rec.y, side)
+            assert r.hex() == float(overlap_ratio(clamped, rec.x, rec.y, side)).hex() == exact.hex()
+    # split derives the same plants from the unclamped boxes of every image
+    stripped = [replace(r, plant_ids=()) for r in records]
+    assert with_plant_ids(stripped, boxes) == records
+
+
+
+def test_with_plant_ids_uses_each_records_side():
+    boxes = [BBoxAnnotation("im", 30, 0, 40, 10, "rumex", "p")]
+    recs = [TileRecord("im", 0, 0, 20, 0, 0.0, "TL"), TileRecord("im", 0, 20, 50, 0, 0.0, "TL"),
+            TileRecord("im", 0, 0, 50, 0, 0.0, "TL")]
+    assert [r.plant_ids for r in with_plant_ids(recs, boxes)] == [(), (), ("p",)]
