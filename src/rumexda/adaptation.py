@@ -39,13 +39,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .config import AdaptationConfig
 from .errors import ConfigError, DegenerateInputError, ShapeError, TrainingStateError
 from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
-from .nn import ModelBundle, forward_heads
+from .files import write_text_atomic
+from .nn import ModelBundle, forward_heads, trainable_parameter_count
 from .optim import make_optimizer
 from .tensor import Tensor
-
-STRATEGIES = ("vanilla", "m2s2da", "m3sda_beta")
 
 
 @dataclass
@@ -93,35 +93,6 @@ class DomainDataset:
         return DomainDataset(self.domain_id, self.features, None, self.split)
 
 
-@dataclass
-class AdaptationConfig:
-    strategy: str = "vanilla"
-    lam: float = 0.5  # weight of the moment-distance term
-    epochs: int = 30
-    warmup: int = 5
-    batch_size: int = 64
-    lr: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    class_weights: Optional[tuple[float, float]] = None
-
-    def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.strategy != "vanilla" and self.batch_size < 2:
-            raise ConfigError("moment terms need batches of at least 2 samples")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr < 0:
-            raise ConfigError("learning rate must be non-negative")
-
-
 # ----------------------------------------------------------------------
 # losses
 
@@ -132,23 +103,18 @@ def _batch_moment(z: Tensor, k: int) -> Tensor:
 
 def moment_distance_single(z_s: Tensor, z_t: Tensor) -> Tensor:
     """First- plus second-moment distance between two feature batches."""
-    if z_s.ndim != 2 or z_t.ndim != 2 or z_s.shape[1] != z_t.shape[1]:
-        raise ShapeError(f"feature dims disagree: {z_s.shape} vs {z_t.shape}")
-    total = None
-    for k in (1, 2):
-        term = T.l2_norm(T.sub(_batch_moment(z_s, k), _batch_moment(z_t, k)))
-        total = term if total is None else T.add(total, term)
-    return total
+    return moment_distance_multi([z_s], z_t)
 
 
 def moment_distance_multi(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
     """Multi-source moment distance: mean source-target alignment plus the
-    pairwise source-source terms, each summed over moments k in {1, 2}."""
+    pairwise source-source terms, each summed over moments k in {1, 2}.
+    With one source it is that source's distance to the target alone."""
     n = len(z_sources)
     if n == 0:
         raise ConfigError("moment_distance_multi needs at least one source batch")
     for z in z_sources:
-        if z.ndim != 2 or z.shape[1] != z_t.shape[1]:
+        if z.ndim != 2 or z_t.ndim != 2 or z.shape[1] != z_t.shape[1]:
             raise ShapeError(f"feature dims disagree: {z.shape} vs {z_t.shape}")
     total = None
     for k in (1, 2):
@@ -158,7 +124,7 @@ def moment_distance_multi(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
         for m in moments:
             term = T.l2_norm(T.sub(m, target_moment))
             st = term if st is None else T.add(st, term)
-        part = T.mul(st, 1.0 / n)
+        part = st if n == 1 else T.mul(st, 1.0 / n)
         if n >= 2:
             pw = None
             for i in range(n - 1):
@@ -253,7 +219,7 @@ class TrainingHistory:
                     sort_keys=True,
                 )
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_history_jsonl(path) -> TrainingHistory:
@@ -359,7 +325,7 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     so one copy is held however many epochs run. A loss that is not finite
     raises ``TrainingStateError`` naming the epoch, iteration and step.
     """
-    history = TrainingHistory(strategy, sum(p.size for _, p in bundle.trainable_parameters()))
+    history = TrainingHistory(strategy, trainable_parameter_count(bundle))
     # overflow in a diverging run surfaces as the non-finite loss check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, config.epochs + 1):

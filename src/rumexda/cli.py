@@ -14,10 +14,11 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import config as cfgmod
-from .adaptation import AdaptationConfig, read_history_jsonl
+from .adaptation import read_history_jsonl
 from .errors import ConfigError, DataError, ShapeError, TrainingStateError
 from .evaluation import (
     confusion_from_predictions,
@@ -27,7 +28,7 @@ from .evaluation import (
     sigma_epochs,
 )
 from .experiment import run_strategy
-from .nn import ModelConfig, load_checkpoint, save_checkpoint
+from .nn import ModelConfig, load_checkpoint, save_checkpoint, trainable_parameter_count
 from .synthdata import default_benchmark, generate, read_corpus_domains, write_corpus
 from .tiling import (
     ManifestEntry,
@@ -54,16 +55,23 @@ def _out_path(path: str) -> Path:
     return p
 
 
+def comma_ints(text: str) -> tuple[int, ...]:
+    """``--hidden-dims 64,32`` -> (64, 32); argparse reports a ValueError."""
+    return tuple(int(v) for v in text.split(","))
+
+
 def _load_config(args) -> cfgmod.RunConfig:
-    if getattr(args, "config", None):
-        return cfgmod.read_config(args.config)
-    return cfgmod.RunConfig()
+    """The ``--config`` file (or the defaults) with the given flags applied."""
+    config = cfgmod.read_config(args.config) if args.config else cfgmod.RunConfig()
+    _apply_overrides(config, args)
+    return config
 
 
-def _apply_overrides(config: cfgmod.RunConfig, args, mapping: dict[str, tuple[str, str]]) -> None:
-    for arg_name, (section, attr) in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
+def _apply_overrides(config: cfgmod.RunConfig, args) -> None:
+    """A flag whose dest is ``section.field`` sets that config field."""
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, attr = dest.split(".")
             setattr(getattr(config, section), attr, value)
 
 
@@ -85,12 +93,6 @@ def _domain_lookup(args) -> dict[str, str]:
 
 def cmd_tile(args) -> int:
     config = _load_config(args)
-    _apply_overrides(config, args, {
-        "tile_size": ("tiling", "tile_size"),
-        "r_threshold": ("tiling", "r_threshold"),
-        "positive_class": ("tiling", "positive_class"),
-        "combine": ("tiling", "combine"),
-    })
     tc = config.tiling
     boxes = read_annotations(args.annotations)
     positives = [b for b in boxes if b.class_name == tc.positive_class]
@@ -156,12 +158,6 @@ def cmd_tile(args) -> int:
 
 def cmd_split(args) -> int:
     config = _load_config(args)
-    _apply_overrides(config, args, {
-        "mode": ("split", "mode"),
-        "val_fraction": ("split", "val_fraction"),
-        "seed": ("split", "seed"),
-        "positive_class": ("tiling", "positive_class"),
-    })
     sc = config.split
     manifest = read_manifest(args.manifest)
     boxes = [
@@ -187,16 +183,6 @@ def cmd_split(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
-    _apply_overrides(config, args, {
-        "sources": ("synth", "sources"),
-        "dim": ("synth", "dim"),
-        "samples": ("synth", "samples"),
-        "positive_fraction": ("synth", "positive_fraction"),
-        "target_shift": ("synth", "target_shift"),
-        "noise_sigma": ("synth", "noise_sigma"),
-        "val_fraction": ("synth", "val_fraction"),
-        "seed": ("synth", "seed"),
-    })
     sc = config.synth
     source_specs, target_spec = default_benchmark(
         n_sources=sc.sources,
@@ -221,63 +207,16 @@ def cmd_synth(args) -> int:
 # train
 
 
-def _model_config_from(config: cfgmod.RunConfig, seed: int) -> ModelConfig:
-    m = config.model
-    return ModelConfig(
-        input_dim=m.input_dim,
-        hidden_dims=tuple(m.hidden_dims),
-        feature_dim=m.feature_dim,
-        unfreeze=m.unfreeze,
-        adaptation=m.adaptation,
-        lora_rank=m.lora_rank,
-        lora_alpha=m.lora_alpha,
-        dropout=m.dropout,
-        seed=seed,
-    )
-
-
-def _training_config_from(config: cfgmod.RunConfig) -> AdaptationConfig:
-    t = config.training
-    return AdaptationConfig(
-        strategy=t.strategy,
-        lam=t.lam,
-        epochs=t.epochs,
-        warmup=t.warmup,
-        batch_size=t.batch_size,
-        lr=t.lr,
-        optimizer=t.optimizer,
-        seed=t.seed,
-        class_weights=t.class_weights,
-    )
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
-    _apply_overrides(config, args, {
-        "strategy": ("training", "strategy"),
-        "lam": ("training", "lam"),
-        "epochs": ("training", "epochs"),
-        "warmup": ("training", "warmup"),
-        "batch_size": ("training", "batch_size"),
-        "lr": ("training", "lr"),
-        "optimizer": ("training", "optimizer"),
-        "seed": ("training", "seed"),
-        "input_dim": ("model", "input_dim"),
-        "feature_dim": ("model", "feature_dim"),
-        "unfreeze": ("model", "unfreeze"),
-        "adaptation": ("model", "adaptation"),
-        "lora_rank": ("model", "lora_rank"),
-    })
-    if args.hidden_dims is not None:
-        config.model.hidden_dims = tuple(int(v) for v in args.hidden_dims.split(","))
-    if config.model.adaptation == "lora" and args.unfreeze is None:
+    if config.model.adaptation == "lora" and getattr(args, "model.unfreeze") is None:
         config.model.unfreeze = 0  # LoRA freezes the base; only an explicit flag conflicts
 
     sources, targets = read_corpus_domains(args.corpus)
     if len(targets) != 1:
         raise ConfigError(f"training expects exactly one target domain, found {len(targets)}")
     target = targets[0]
-    train_cfg = _training_config_from(config)
+    train_cfg = config.training
     train_cfg.validate()
     if train_cfg.strategy == "m3sda_beta" and len(sources) < 2:
         raise ConfigError(
@@ -288,10 +227,8 @@ def cmd_train(args) -> int:
             f"epochs={train_cfg.epochs} must exceed the warmup of {train_cfg.warmup} "
             "for model selection"
         )
-    dim = target.dim
-    if config.model.input_dim != dim:
-        config.model.input_dim = dim  # resolved config records the actual dim
-    model_cfg = _model_config_from(config, seed=train_cfg.seed)
+    config.model.input_dim = target.dim  # resolved config records the actual dim
+    model_cfg = ModelConfig(**asdict(config.model), seed=train_cfg.seed)
 
     bundle, history = run_strategy(sources, target, model_cfg, train_cfg, eval_targets=[target])
     selected = select_model_epoch(history.val_f1_series(), train_cfg.warmup)
@@ -347,8 +284,6 @@ def cmd_eval(args) -> int:
                 fl.domain_id, c.tp, c.fp, c.fn, c.tn,
                 repr(fl.precision), repr(fl.recall), repr(fl.f1), int(fl.included),
             ])
-    from .nn import trainable_parameter_count
-
     summary = {
         "median_f1": report.median_f1,
         "mean_f1": report.mean_f1,
@@ -367,10 +302,6 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     config = _load_config(args)
-    if args.window is not None:
-        config.evaluation.window = args.window
-    if args.warmup is not None:
-        config.training.warmup = args.warmup
     history = read_history_jsonl(args.history)
     if not history.records:
         raise DataError(f"{args.history}: empty history")
@@ -419,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-dir", required=True)
     p.add_argument("--out", required=True, help="manifest file to write")
     p.add_argument("--config")
-    p.add_argument("--tile-size", dest="tile_size", type=int)
-    p.add_argument("--r-threshold", dest="r_threshold", type=float)
-    p.add_argument("--positive-class", dest="positive_class")
-    p.add_argument("--combine", choices=["max", "union"])
+    p.add_argument("--tile-size", dest="tiling.tile_size", type=int)
+    p.add_argument("--r-threshold", dest="tiling.r_threshold", type=float)
+    p.add_argument("--positive-class", dest="tiling.positive_class")
+    p.add_argument("--combine", dest="tiling.combine", choices=["max", "union"])
     p.add_argument("--domain", default="d0", help="domain id for images not in --domain-map")
     p.add_argument("--domain-map", help="csv of image_id,domain_id pairs")
     p.add_argument("--jobs", type=int, default=1)
@@ -433,43 +364,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--mode", choices=["pooled", "per_subset"])
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--positive-class", dest="positive_class")
+    p.add_argument("--mode", dest="split.mode", choices=["pooled", "per_subset"])
+    p.add_argument("--val-fraction", dest="split.val_fraction", type=float)
+    p.add_argument("--seed", dest="split.seed", type=int)
+    p.add_argument("--positive-class", dest="tiling.positive_class")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("synth", help="generate a synthetic covariate-shift corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--sources", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--positive-fraction", dest="positive_fraction", type=float)
-    p.add_argument("--target-shift", dest="target_shift", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--sources", dest="synth.sources", type=int)
+    p.add_argument("--dim", dest="synth.dim", type=int)
+    p.add_argument("--samples", dest="synth.samples", type=int)
+    p.add_argument("--positive-fraction", dest="synth.positive_fraction", type=float)
+    p.add_argument("--target-shift", dest="synth.target_shift", type=float)
+    p.add_argument("--noise-sigma", dest="synth.noise_sigma", type=float)
+    p.add_argument("--val-fraction", dest="synth.val_fraction", type=float)
+    p.add_argument("--seed", dest="synth.seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one strategy on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--strategy", choices=["vanilla", "m2s2da", "m3sda_beta"])
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-dims", dest="hidden_dims")
-    p.add_argument("--input-dim", dest="input_dim", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--unfreeze", type=int)
-    p.add_argument("--adaptation", choices=["none", "lora"])
-    p.add_argument("--lora-rank", dest="lora_rank", type=int)
+    p.add_argument("--strategy", dest="training.strategy", choices=cfgmod.STRATEGIES)
+    p.add_argument("--lambda", dest="training.lam", type=float, metavar="TRAINING.LAMBDA")
+    p.add_argument("--epochs", dest="training.epochs", type=int)
+    p.add_argument("--warmup", dest="training.warmup", type=int)
+    p.add_argument("--batch-size", dest="training.batch_size", type=int)
+    p.add_argument("--lr", dest="training.lr", type=float)
+    p.add_argument("--optimizer", dest="training.optimizer", choices=["sgd", "adam"])
+    p.add_argument("--seed", dest="training.seed", type=int)
+    p.add_argument("--hidden-dims", dest="model.hidden_dims", type=comma_ints)
+    p.add_argument("--input-dim", dest="model.input_dim", type=int)
+    p.add_argument("--feature-dim", dest="model.feature_dim", type=int)
+    p.add_argument("--unfreeze", dest="model.unfreeze", type=int)
+    p.add_argument("--adaptation", dest="model.adaptation", choices=["none", "lora"])
+    p.add_argument("--lora-rank", dest="model.lora_rank", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint per target flight")
@@ -484,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--window", type=int)
-    p.add_argument("--warmup", type=int)
+    p.add_argument("--window", dest="evaluation.window", type=int)
+    p.add_argument("--warmup", dest="training.warmup", type=int)
     p.set_defaults(func=cmd_report)
     return parser
 

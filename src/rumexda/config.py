@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .files import write_text_atomic
 
 
 @dataclass
@@ -41,10 +42,15 @@ class ModelSection:
     dropout: float = 0.3
 
 
+STRATEGIES = ("vanilla", "m2s2da", "m3sda_beta")
+
+
 @dataclass
-class TrainingSection:
+class AdaptationConfig:
+    """The ``training`` section, passed to the trainers as it is."""
+
     strategy: str = "vanilla"
-    lam: float = 0.5
+    lam: float = 0.5  # weight of the moment-distance term
     epochs: int = 20
     warmup: int = 5
     batch_size: int = 64
@@ -52,6 +58,22 @@ class TrainingSection:
     optimizer: str = "adam"
     seed: int = 0
     class_weights: Optional[tuple[float, float]] = None
+
+    def validate(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+        if self.lam < 0:
+            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be positive")
+        if self.strategy != "vanilla" and self.batch_size < 2:
+            raise ConfigError("moment terms need batches of at least 2 samples")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.lr < 0:
+            raise ConfigError("learning rate must be non-negative")
 
 
 @dataclass
@@ -76,7 +98,7 @@ class RunConfig:
     tiling: TilingSection = field(default_factory=TilingSection)
     split: SplitSection = field(default_factory=SplitSection)
     model: ModelSection = field(default_factory=ModelSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
+    training: AdaptationConfig = field(default_factory=AdaptationConfig)
     synth: SynthSection = field(default_factory=SynthSection)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
@@ -154,7 +176,7 @@ def from_text(text: str) -> RunConfig:
 
 
 def write_config(config: RunConfig, path) -> None:
-    Path(path).write_text(to_text(config))
+    write_text_atomic(path, to_text(config))
 
 
 def read_config(path) -> RunConfig:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .files import write_text_atomic
 from . import tensor as T
 from .tensor import Tensor
 
@@ -222,12 +223,7 @@ class ModelBundle:
         return [(self.heads[2 * i], self.heads[2 * i + 1]) for i in range(self.config.classifier_pairs)]
 
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ShapeError(
-                f"input of shape {x.shape} does not match input_dim={self.config.input_dim}"
-            )
-        return self.head.forward(self.extractor.forward(x), training, rng)
+        return self.head.forward(self.extract(x), training, rng)
 
     def extract(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -303,21 +299,6 @@ def trainable_parameter_count(bundle: ModelBundle) -> int:
 CHECKPOINT_VERSION = 1
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "hidden_dims": list(config.hidden_dims),
-        "feature_dim": config.feature_dim,
-        "unfreeze": config.unfreeze,
-        "adaptation": config.adaptation,
-        "lora_rank": config.lora_rank,
-        "lora_alpha": config.lora_alpha,
-        "dropout": config.dropout,
-        "classifier_pairs": config.classifier_pairs,
-        "seed": config.seed,
-    }
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
     return ModelConfig(
         input_dim=int(d["input_dim"]),
@@ -347,10 +328,10 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         }
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(bundle.config),
+        "config": asdict(bundle.config),
         "parameters": params,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path) -> ModelBundle:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .adaptation import DomainDataset
 from .errors import ConfigError, DataError
+from .files import write_text_atomic
 
 DEFAULT_MARGIN = 0.4
 DEFAULT_SEPARATION = 3.0
@@ -301,7 +302,7 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
                 row = [ds.domain_id, role, str(split[i]), str(int(labels[i]))]
                 row += [repr(float(v)) for v in ds.features[i]]
                 lines.append(",".join(row))
-    (out / CORPUS_FILE).write_text("\n".join(lines) + "\n")
+    write_text_atomic(out / CORPUS_FILE, "\n".join(lines) + "\n")
 
     payload = {
         "format_version": 1,
@@ -314,7 +315,7 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
         "domains": [_spec_to_dict(s, "source") for s in corpus.source_specs]
         + [_spec_to_dict(corpus.target_spec, "target")],
     }
-    (out / SPECS_FILE).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_text_atomic(out / SPECS_FILE, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDataset]]:

@@ -10,6 +10,7 @@ is what produces the partially overlapping tiles near edges.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
@@ -21,6 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
+from .files import write_text_atomic
 
 TILE_SIZE = 518
 R_THRESHOLD = 0.1
@@ -251,7 +253,9 @@ def tile_image(
     if combine == "max":
         rs = ratios.max(axis=0, initial=0.0).tolist()
     else:
-        rs = [union_overlap_ratio(clamped, x, y, side) for x, y, _ in tiles]
+        # a box that misses a tile adds nothing to its union
+        rs = [union_overlap_ratio([clamped[i] for i in np.flatnonzero(hits)], x, y, side)
+              for (x, y, _), hits in zip(tiles, ratios.T)]
     return [
         TileRecord(image_id, x, y, side, _label_for(r, r_th), r, corner, plants)
         for (x, y, corner), r, plants in zip(tiles, rs, _plant_ids(clamped, ratios))
@@ -422,23 +426,17 @@ ANNOTATION_HEADER = ["image_id", "x_min", "y_min", "x_max", "y_max", "class", "p
 
 
 def write_manifest(manifest: SplitManifest, path) -> None:
-    """Write the manifest CSV through a temporary file in the same directory
-    and a rename, so a failure part-way leaves any earlier file intact."""
+    """Write the manifest CSV atomically, rows sorted by image and origin."""
     entries = sorted(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(MANIFEST_HEADER)
-            for e in entries:
-                r = e.record
-                writer.writerow(
-                    [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id, r.pass_corner]
-                )
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(MANIFEST_HEADER)
+    for e in entries:
+        r = e.record
+        writer.writerow(
+            [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id, r.pass_corner]
+        )
+    write_text_atomic(path, buf.getvalue())
 
 
 def read_manifest(path) -> SplitManifest:
@@ -533,7 +531,9 @@ def read_pnm(path) -> np.ndarray:
         width, height, maxval = tokens
         if maxval <= 0 or maxval > 65535:
             raise DataError(f"{path}: unsupported maxval {maxval}")
-        pos += 1  # single whitespace byte after maxval
+        if not head[pos:pos + 1].isspace():  # the bytes \s matches in _PNM_TOKEN
+            raise DataError(f"{path}: expected one whitespace byte after maxval")
+        pos += 1
         channels = _PNM_MAGIC[magic]
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         count = width * height * channels

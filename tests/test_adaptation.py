@@ -68,6 +68,32 @@ def test_md2_multi_reduces_to_single_for_one_source():
         assert abs(single - multi) <= 1e-12
 
 
+def _graph_ops(loss):
+    ops, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._grad_fn is not None:
+                ops.append(node._op)
+                stack.extend(node._parents)
+    return sorted(ops)
+
+
+def test_md2_single_source_graph_is_the_plain_two_moment_sum():
+    # one source needs no 1/n scale node: the graph is node for node the
+    # sum over k of || mean(z_s^k) - mean(z_t^k) ||
+    rng = np.random.default_rng(4)
+    zs = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    zt = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    terms = [T.l2_norm(T.sub(T.reduce_mean(T.pow_k(zs, k), axis=0),
+                             T.reduce_mean(T.pow_k(zt, k), axis=0))) for k in (1, 2)]
+    plain = T.add(terms[0], terms[1])
+    single = moment_distance_single(zs, zt)
+    assert _graph_ops(single) == _graph_ops(plain)
+    assert single.item() == plain.item()
+
+
 def test_md2_multi_zero_when_everything_identical():
     z = np.random.default_rng(3).normal(size=(5, 4))
     md = moment_distance_multi([Tensor(z), Tensor(z), Tensor(z)], Tensor(z))
@@ -93,6 +119,9 @@ def test_md2_gradients():
 def test_md2_shape_errors():
     with pytest.raises(ShapeError):
         moment_distance_single(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))))
+    for md2 in (moment_distance_single, lambda z_s, z_t: moment_distance_multi([z_s], z_t)):
+        with pytest.raises(ShapeError):
+            md2(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))  # a 1-D target
     with pytest.raises(ConfigError):
         moment_distance_multi([], Tensor(np.zeros((3, 4))))
 

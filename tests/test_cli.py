@@ -1,11 +1,20 @@
+import argparse
 import json
+import os
+import string
+import subprocess
+import sys
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rumexda.cli import main
-from rumexda.config import RunConfig, read_config, to_text, write_config
+from rumexda.cli import build_parser, main
+from rumexda.config import RunConfig, from_text, read_config, to_text, write_config
 from rumexda.tiling import (
     BBoxAnnotation,
     enumerate_tiles,
@@ -357,3 +366,84 @@ def test_config_text_is_stable(tmp_path):
     path = tmp_path / "config.txt"
     write_config(cfg, path)
     assert to_text(read_config(path)) == to_text(cfg)
+
+
+# ----------------------------------------------------------------------
+# config and flags
+
+_VALUES = {
+    "int": st.integers(-10**9, 10**9),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(alphabet=string.ascii_letters + string.digits + "_.-=#", max_size=12),
+    "tuple[int, ...]": st.lists(st.integers(-10**6, 10**6), max_size=4).map(tuple),
+    "Optional[float]": st.none() | st.floats(allow_nan=False),
+    "Optional[tuple[float, float]]": st.none() | st.tuples(st.floats(allow_nan=False),
+                                                           st.floats(allow_nan=False)),
+}
+
+
+@st.composite
+def _run_configs(draw):
+    config = RunConfig()
+    for section_field in fields(config):
+        section = getattr(config, section_field.name)
+        for f in fields(section):
+            setattr(section, f.name, draw(_VALUES[f.type]))
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_run_configs())
+def test_config_text_roundtrip_property(config):
+    assert from_text(to_text(config)) == config
+
+
+# options that name an input, an output or a run mode rather than a config field
+_NON_CONFIG_DESTS = {"help", "annotations", "images_dir", "out", "config", "domain",
+                     "domain_map", "jobs", "manifest", "corpus", "checkpoint",
+                     "include_sources", "history"}
+
+
+def test_every_flag_is_a_config_field_or_an_io_option():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    config = RunConfig()
+    dotted = 0
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if "." not in action.dest:
+                assert action.dest in _NON_CONFIG_DESTS, (command, action.dest)
+                continue
+            section, attr = action.dest.split(".")
+            assert attr in {f.name for f in fields(getattr(config, section))}, (command, action.dest)
+            dotted += 1
+    assert dotted == 32
+
+
+def test_flag_overrides_its_config_field(tmp_path):
+    corpus = _make_corpus(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "6",
+                 "--lambda", "0.25", "--hidden-dims", "7,5", "--seed", "4"]) == 0
+    resolved = read_config(run / "config.txt")
+    assert resolved.training.lam == 0.25 and resolved.training.epochs == 6
+    assert resolved.training.seed == 4 and resolved.model.hidden_dims == (7, 5)
+    assert resolved.split.seed == 0 and resolved.synth.seed == 0
+
+
+def test_bad_hidden_dims_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "run"),
+              "--hidden-dims", "32,x"])
+    assert exc.value.code == 2
+    assert "--hidden-dims" in capsys.readouterr().err
+
+
+def test_bench_tracer_finds_every_traced_name():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rumexda import tensor as T
 from rumexda.errors import ConfigError, ShapeError
@@ -259,3 +263,54 @@ def test_checkpoint_rewrite_is_byte_identical(tmp_path):
     save_checkpoint(bundle, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    input_dim=st.integers(1, 5),
+    hidden_dims=st.lists(st.integers(1, 5), max_size=2).map(tuple),
+    feature_dim=st.integers(1, 5),
+    lora=st.booleans(),
+    lora_rank=st.integers(1, 3),
+    lora_alpha=st.none() | st.floats(0.5, 4.0),
+    dropout=st.floats(0.0, 0.9),
+    classifier_pairs=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_roundtrip_property(tmp_path, input_dim, hidden_dims, feature_dim, lora,
+                                       lora_rank, lora_alpha, dropout, classifier_pairs, seed):
+    n_blocks = len(hidden_dims) + 1
+    cfg = ModelConfig(
+        input_dim=input_dim, hidden_dims=hidden_dims, feature_dim=feature_dim,
+        unfreeze=0 if lora else seed % (n_blocks + 1), adaptation="lora" if lora else "none",
+        lora_rank=lora_rank, lora_alpha=lora_alpha, dropout=dropout,
+        classifier_pairs=classifier_pairs, seed=seed,
+    )
+    bundle = build_model(cfg)
+    rng = np.random.default_rng(seed)
+    for _, p in bundle.parameters():
+        p.data = p.data + rng.normal(size=p.shape)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(bundle, path)
+    loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    assert [n for n, _ in loaded.parameters()] == [n for n, _ in bundle.parameters()]
+    for (name, p1), (_, p2) in zip(bundle.parameters(), loaded.parameters()):
+        assert p1.data.tobytes() == p2.data.tobytes(), name
+        assert p1.requires_grad == p2.requires_grad, name
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(build_model(ModelConfig(input_dim=3, seed=0)), path)
+    before = path.read_bytes()
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError):
+        save_checkpoint(build_model(ModelConfig(input_dim=3, seed=1)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]

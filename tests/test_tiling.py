@@ -499,7 +499,7 @@ def _pnm_oracle(raw: bytes):
             return None
         tokens.append(int(raw[start:pos]))
     width, height, maxval = tokens
-    if not 0 < maxval <= 65535:
+    if not 0 < maxval <= 65535 or not raw[pos:pos + 1].isspace():
         return None
     channels = 1 if raw[:2] == b"P5" else 3
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -536,6 +536,15 @@ def test_pnm_fuzz_decodes_or_raises_data_error(tmp_path, which, cut, flips):
     else:
         back = read_pnm(path)
         assert back.dtype == expected.dtype and np.array_equal(back, expected)
+
+
+def test_pnm_non_whitespace_after_maxval_is_a_data_error(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 2\n255X" + bytes(4))
+    with pytest.raises(DataError, match="whitespace"):
+        read_pnm(path)
+    path.write_bytes(b"P5\n2 2\n255\t" + bytes(4))  # any one whitespace byte will do
+    assert read_pnm(path).shape == (2, 2)
 
 
 def test_pnm_matches_independent_decoder(tmp_path):
