@@ -33,16 +33,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
 from .config import AdaptationConfig
-from .errors import ConfigError, DegenerateInputError, ShapeError, TrainingStateError
+from .errors import ConfigError, DataError, DegenerateInputError, ShapeError, TrainingStateError
 from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 from .nn import ModelBundle, forward_heads, trainable_parameter_count
 from .optim import make_optimizer
 from .tensor import Tensor
@@ -161,13 +160,12 @@ class _MinibatchStream:
         self.labels = labels
         self.batch_size = batch_size
         self.rng = rng
-        self._queue: list[int] = []
+        self._queue = np.empty(0, dtype=np.int64)
 
     def next(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
         while len(self._queue) < self.batch_size:
-            self._queue.extend(self.rng.permutation(len(self.features)).tolist())
-        idx = self._queue[: self.batch_size]
-        del self._queue[: self.batch_size]
+            self._queue = np.concatenate([self._queue, self.rng.permutation(len(self.features))])
+        idx, self._queue = self._queue[: self.batch_size], self._queue[self.batch_size:]
         x = self.features[idx]
         y = None if self.labels is None else self.labels[idx]
         return x, y
@@ -222,24 +220,35 @@ class TrainingHistory:
         write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _optional_float(value) -> Optional[float]:
+    return None if value is None else float(value)
+
+
 def read_history_jsonl(path) -> TrainingHistory:
+    """Parse ``to_jsonl`` output; a malformed line raises ``DataError``
+    naming the path and line."""
     records = []
     strategy, count = "", 0
-    for line in Path(path).read_text().splitlines():
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        strategy = d.get("strategy", strategy)
-        count = d.get("trainable_parameters", count)
-        records.append(
-            EpochRecord(
-                epoch=int(d["epoch"]),
-                losses={k: float(v) for k, v in d["losses"].items()},
-                source_val_f1=d["source_val_f1"],
-                target_f1={k: float(v) for k, v in d["target_f1"].items()},
-                median_target_f1=d["median_target_f1"],
+        try:
+            d = json.loads(line)
+            strategy = d.get("strategy", strategy)
+            count = d.get("trainable_parameters", count)
+            records.append(
+                EpochRecord(
+                    epoch=int(d["epoch"]),
+                    losses={k: float(v) for k, v in d["losses"].items()},
+                    source_val_f1=_optional_float(d["source_val_f1"]),
+                    target_f1={k: float(v) for k, v in d["target_f1"].items()},
+                    median_target_f1=_optional_float(d["median_target_f1"]),
+                )
             )
-        )
+        except KeyError as exc:
+            raise DataError(f"{path}:{line_no}: history record has no {exc} field") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}:{line_no}: malformed history record: {exc}") from exc
     return TrainingHistory(strategy, count, records)
 
 

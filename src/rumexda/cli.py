@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .evaluation import (
     sigma_epochs,
 )
 from .experiment import run_strategy
+from .files import open_text, write_text_atomic
 from .nn import ModelConfig, load_checkpoint, save_checkpoint, trainable_parameter_count
 from .synthdata import default_benchmark, generate, read_corpus_domains, write_corpus
 from .tiling import (
@@ -45,6 +47,14 @@ from .tiling import (
 )
 
 ERRORS = (ConfigError, DataError, ShapeError, TrainingStateError, OSError)
+
+
+def _csv_text(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _out_path(path: str) -> Path:
@@ -82,7 +92,7 @@ def _apply_overrides(config: cfgmod.RunConfig, args) -> None:
 def _domain_lookup(args) -> dict[str, str]:
     if args.domain_map:
         table = {}
-        with open(args.domain_map, newline="") as fh:
+        with open_text(args.domain_map, newline="") as fh:
             for row in csv.reader(fh):
                 if len(row) != 2:
                     raise DataError(f"{args.domain_map}: expected image_id,domain_id rows")
@@ -274,16 +284,13 @@ def cmd_eval(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_config(config, out / "config.txt")
-    (out / "report.txt").write_text(format_report_table(report))
-    with open(out / "flights.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "included"])
-        for fl in report.flights:
-            c = fl.counts
-            writer.writerow([
-                fl.domain_id, c.tp, c.fp, c.fn, c.tn,
-                repr(fl.precision), repr(fl.recall), repr(fl.f1), int(fl.included),
-            ])
+    write_text_atomic(out / "report.txt", format_report_table(report))
+    write_text_atomic(out / "flights.csv", _csv_text(
+        ["domain_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "included"],
+        ([fl.domain_id, fl.counts.tp, fl.counts.fp, fl.counts.fn, fl.counts.tn,
+          repr(fl.precision), repr(fl.recall), repr(fl.f1), int(fl.included)]
+         for fl in report.flights),
+    ))
     summary = {
         "median_f1": report.median_f1,
         "mean_f1": report.mean_f1,
@@ -291,7 +298,7 @@ def cmd_eval(args) -> int:
         "trainable_parameters": trainable_parameter_count(bundle),
         "strategy_pairs": bundle.config.classifier_pairs,
     }
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
+    write_text_atomic(out / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
     print(format_report_table(report), end="")
     return 0
 
@@ -312,27 +319,24 @@ def cmd_report(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_config(config, out / "config.txt")
-    with open(out / "f1_vs_epoch.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "domain_id", "f1"])
-        for r in history.records:
-            for domain_id in sorted(r.target_f1):
-                writer.writerow([r.epoch, domain_id, repr(r.target_f1[domain_id])])
-    with open(out / "f1_vs_params.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trainable_parameters", "strategy", "median_f1", "sigma_epochs"])
-        writer.writerow([
-            history.trainable_count, history.strategy,
-            repr(rec.median_target_f1) if rec.median_target_f1 is not None else "none",
-            repr(sigma),
-        ])
+    write_text_atomic(out / "f1_vs_epoch.csv", _csv_text(
+        ["epoch", "domain_id", "f1"],
+        ([r.epoch, domain_id, repr(r.target_f1[domain_id])]
+         for r in history.records for domain_id in sorted(r.target_f1)),
+    ))
+    write_text_atomic(out / "f1_vs_params.csv", _csv_text(
+        ["trainable_parameters", "strategy", "median_f1", "sigma_epochs"],
+        [[history.trainable_count, history.strategy,
+          repr(rec.median_target_f1) if rec.median_target_f1 is not None else "none",
+          repr(sigma)]],
+    ))
     lines = [
         f"selected_epoch = {selected}",
         f"source_val_f1 = {rec.source_val_f1}",
         f"median_target_f1 = {rec.median_target_f1}",
         f"sigma_epochs = {sigma} (window={config.evaluation.window})",
     ]
-    (out / "selection.txt").write_text("\n".join(lines) + "\n")
+    write_text_atomic(out / "selection.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

@@ -8,11 +8,10 @@ byte for byte. Floats are serialized with repr so they round-trip exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 
 
 @dataclass
@@ -180,4 +179,4 @@ def write_config(config: RunConfig, path) -> None:
 
 
 def read_config(path) -> RunConfig:
-    return from_text(Path(path).read_text())
+    return from_text(read_text(path))

@@ -1,9 +1,12 @@
-"""Atomic file output shared by every writer."""
+"""Text file input and atomic output shared by every reader and writer."""
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import DataError
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -13,8 +16,31 @@ def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """Open ``path`` for reading UTF-8 text. A byte sequence that does not
+    decode raises ``DataError`` naming the path and the line it is on."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = raw.count(b"\n", 0, whole.start) + 1
+            raise DataError(f"{path}:{line}: not UTF-8 text: {whole.reason}") from exc
+        raise
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, read through ``open_text``."""
+    with open_text(path) as fh:
+        return fh.read()

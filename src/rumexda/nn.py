@@ -12,13 +12,12 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .files import write_text_atomic
+from .errors import ConfigError, DataError, ShapeError
+from .files import read_text, write_text_atomic
 from . import tensor as T
 from .tensor import Tensor
 
@@ -255,8 +254,9 @@ class ModelBundle:
         return {name: p.data.copy() for name, p in self.parameters()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
+        # in place: a parameter's data may be a view into an optimizer's buffer
         for name, p in self.parameters():
-            p.data = snapshot[name].copy()
+            p.data[...] = snapshot[name]
 
 
 def build_model(config: ModelConfig) -> ModelBundle:
@@ -335,15 +335,30 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    bundle = build_model(_config_from_dict(payload["config"]))
-    stored = payload["parameters"]
-    for name, p in bundle.parameters():
-        if name not in stored:
-            raise ConfigError(f"checkpoint is missing parameter {name!r}")
-        entry = stored[name]
-        arr = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"])
-        p.data = arr.reshape(entry["shape"]).astype(p.data.dtype, copy=True)
+    """Rebuild a bundle from ``save_checkpoint`` output. Malformed JSON or a
+    missing or ill-typed entry raises ``DataError`` naming the path."""
+    try:
+        payload = json.loads(read_text(path))
+        if payload.get("format_version") != CHECKPOINT_VERSION:
+            raise ConfigError(f"unsupported checkpoint version {payload.get('format_version')!r}")
+        bundle = build_model(_config_from_dict(payload["config"]))
+        stored = payload["parameters"]
+        for name, p in bundle.parameters():
+            if name not in stored:
+                raise ConfigError(f"checkpoint is missing parameter {name!r}")
+            entry = stored[name]
+            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"])
+            arr = arr.reshape(entry["shape"])
+            if arr.shape != p.shape:
+                raise DataError(f"{path}: parameter {name!r} has shape {arr.shape}, "
+                                f"the model needs {p.shape}")
+            p.data = arr.astype(p.data.dtype, copy=True)
+    except (ConfigError, DataError):
+        raise
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from exc
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint has no {exc} entry") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return bundle

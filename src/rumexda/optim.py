@@ -1,4 +1,12 @@
-"""Plain SGD and Adam parameter updates.
+"""Plain SGD and Adam parameter updates over one flat buffer per group.
+
+Each optimizer copies its group's parameter values into one contiguous
+float64 buffer and rebinds every ``p.data`` to a view of its slice, so a
+step is a few whole-buffer array operations instead of a loop over
+tensors. Every operation is elementwise, so each parameter ends up bitwise
+equal to what a per-tensor update gives. A second optimizer built over the
+same tensors starts a new buffer from their current values; the earlier
+one then no longer moves them.
 
 Both update in place and are deterministic given their state; the choice
 between them is a config field because the training recipe leaves the
@@ -17,15 +25,26 @@ class _Optimizer:
     def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = float(lr)
+        self._buf = np.empty(sum(p.size for p in self.params))
+        offset = 0
+        for p in self.params:
+            view = self._buf[offset:offset + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            offset += p.size
+        self._grad = np.empty_like(self._buf)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
-    def _grad(self, p: Tensor) -> np.ndarray:
-        if p.grad is None:
+    def _gathered_grad(self) -> np.ndarray:
+        """Every parameter's gradient, in group order, as one flat array."""
+        if any(p.grad is None for p in self.params):
             raise TrainingStateError("trainable parameter has no gradient; run backward() first")
-        return p.grad
+        if self.params:
+            np.concatenate([p.grad.reshape(-1) for p in self.params], out=self._grad)
+        return self._grad
 
     def step(self) -> None:
         raise NotImplementedError
@@ -33,8 +52,7 @@ class _Optimizer:
 
 class SGD(_Optimizer):
     def step(self) -> None:
-        for p in self.params:
-            p.data -= self.lr * self._grad(p)
+        self._buf -= self.lr * self._gathered_grad()
 
 
 class Adam(_Optimizer):
@@ -43,21 +61,20 @@ class Adam(_Optimizer):
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = np.zeros_like(self._buf)
+        self._v = np.zeros_like(self._buf)
 
     def step(self) -> None:
+        g = self._gathered_grad()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = self._grad(p)
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        self._buf -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def make_optimizer(name: str, params: list[Tensor], lr: float) -> _Optimizer:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .adaptation import DomainDataset
 from .errors import ConfigError, DataError
-from .files import write_text_atomic
+from .files import open_text, read_text, write_text_atomic
 
 DEFAULT_MARGIN = 0.4
 DEFAULT_SEPARATION = 3.0
@@ -326,7 +326,7 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
         raise DataError(f"{path} not found")
     rows_by_domain: dict[str, dict] = {}
     order: list[str] = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:4] != ["domain_id", "role", "split", "label"]:
             raise DataError(f"{path}: unexpected corpus header {header[:4]}")
@@ -350,7 +350,7 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
             bucket["split"].append(split)
             try:
                 bucket["label"].append(int(label))
-                bucket["x"].append([float(v) for v in parts[4:]])
+                bucket["x"].extend(map(float, parts[4:]))
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from exc
 
@@ -360,7 +360,7 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
         labels = np.asarray(bucket["label"], dtype=np.int64)
         ds = DomainDataset(
             domain_id,
-            np.asarray(bucket["x"], dtype=np.float64),
+            np.asarray(bucket["x"], dtype=np.float64).reshape(len(labels), dim),
             labels if np.all(labels >= 0) else None,
             np.asarray(bucket["split"]) if bucket["split"][0] != "none" else None,
         )
@@ -382,7 +382,7 @@ def read_corpus(corpus_dir) -> SyntheticCorpus:
     seed = -1
     specs_path = root / SPECS_FILE
     if specs_path.exists():
-        payload = json.loads(specs_path.read_text())
+        payload = json.loads(read_text(specs_path))
         rule = LabelRule(
             tuple(float(v) for v in payload["rule"]["direction"]),
             float(payload["rule"]["margin"]),

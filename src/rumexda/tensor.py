@@ -543,16 +543,16 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
         w = np.where(y == 1, w1, w0).astype(logits.dtype)
 
     z = logits.data
-    picked = y[..., None]
     m = z.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
-    nll = lse - np.take_along_axis(z, picked, axis=-1)[..., 0]
+    e = np.exp(z - m)
+    total = e.sum(axis=-1)
+    nll = m[..., 0] + np.log(total) - np.where(y == 1, z[..., 1], z[..., 0])
     loss = _sum_in_order(np.atleast_1d((w * nll).sum(axis=-1) / b))
 
     def grad_fn(g):
-        p = np.exp(z - m)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.put_along_axis(p, picked, np.take_along_axis(p, picked, axis=-1) - 1.0, axis=-1)
+        p = e / total[..., None]
+        p[..., 0] -= y == 0
+        p[..., 1] -= y == 1
         return (g * p * (w / b)[..., None],)
 
     return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
-from .files import write_text_atomic
+from .files import open_text, write_text_atomic
 
 TILE_SIZE = 518
 R_THRESHOLD = 0.1
@@ -441,7 +441,7 @@ def write_manifest(manifest: SplitManifest, path) -> None:
 
 def read_manifest(path) -> SplitManifest:
     entries = []
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != MANIFEST_HEADER:
@@ -465,7 +465,7 @@ def read_manifest(path) -> SplitManifest:
 
 def read_annotations(path) -> list[BBoxAnnotation]:
     boxes = []
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

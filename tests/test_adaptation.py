@@ -8,6 +8,7 @@ from rumexda.adaptation import (
     AdaptationConfig,
     DomainDataset,
     M3sdaStepper,
+    _MinibatchStream,
     classifier_discrepancy,
     moment_distance_multi,
     moment_distance_single,
@@ -614,3 +615,24 @@ def test_domain_dataset_validation():
         DomainDataset("d", np.zeros(5))
     with pytest.raises(ShapeError):
         DomainDataset("d", np.zeros((5, 2)), np.zeros(4))
+
+
+# ----------------------------------------------------------------------
+# minibatch streams
+
+
+@pytest.mark.parametrize("n,batch_size", [(10, 3), (10, 10), (7, 4), (3, 8), (1, 5), (64, 64)])
+def test_minibatch_stream_matches_a_list_queue(n, batch_size):
+    features = np.arange(n * 2, dtype=np.float64).reshape(n, 2)
+    labels = np.arange(n) % 2
+    stream = _MinibatchStream(features, labels, batch_size, np.random.default_rng(n))
+    rng, queue = np.random.default_rng(n), []
+    for _ in range(25):
+        while len(queue) < batch_size:
+            queue.extend(rng.permutation(n).tolist())
+        idx, queue = queue[:batch_size], queue[batch_size:]
+        x, y = stream.next()
+        assert x.tobytes() == features[idx].tobytes()
+        assert y.tolist() == labels[idx].tolist()
+    unlabeled = _MinibatchStream(features, None, batch_size, np.random.default_rng(0))
+    assert unlabeled.next()[1] is None

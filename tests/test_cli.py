@@ -447,3 +447,98 @@ def test_bench_tracer_finds_every_traced_name():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ----------------------------------------------------------------------
+# malformed inputs end in one error line, exit 1 and no files
+
+
+def _assert_single_data_error(rc, capsys, path, out):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {path}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,where", [
+    ("{not json", ":1: not JSON"),
+    ('{"format_version": 1}', ": checkpoint has no 'config' entry"),
+    ('[1, 2]', ": malformed checkpoint"),
+])
+def test_eval_of_malformed_checkpoint_is_a_data_error(tmp_path, capsys, text, where):
+    corpus = _make_corpus(tmp_path, samples=40)
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(text)
+    out = tmp_path / "e"
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+               "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{checkpoint}{where}", out)
+
+
+@pytest.mark.parametrize("line,where", [
+    ('{"epoch": 1, "losses": ', ":2: malformed history record"),
+    ('{"epoch": 2, "source_val_f1": 0.5}', ":2: history record has no 'losses' field"),
+    ('[2]', ":2: malformed history record"),
+    ('{"epoch": 2, "losses": {}, "source_val_f1": "high", "target_f1": {}, '
+     '"median_target_f1": null}', ":2: malformed history record"),
+])
+def test_report_of_malformed_history_is_a_data_error(tmp_path, capsys, line, where):
+    good = {"epoch": 1, "losses": {"ce": 0.5}, "source_val_f1": 0.5, "target_f1": {"t": 0.5},
+            "median_target_f1": 0.5, "strategy": "vanilla", "trainable_parameters": 10}
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(good) + "\n" + line + "\n")
+    out = tmp_path / "rep"
+    rc = main(["report", "--history", str(history), "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{history}{where}", out)
+
+
+def test_split_of_non_utf8_manifest_is_a_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(
+        b"image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
+        b"a\xff.ppm,0,0,518,0,0.000000,train,d,TL\n"
+    )
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n")
+    out = tmp_path / "split.csv"
+    rc = main(["split", "--manifest", str(manifest), "--annotations", str(boxes),
+               "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{manifest}:2: not UTF-8 text", out)
+    assert not (tmp_path / "split.csv.config.txt").exists()
+
+
+def test_train_on_non_utf8_corpus_is_a_data_error(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, samples=40)
+    path = corpus / "corpus.csv"
+    path.write_bytes(path.read_bytes().replace(b"source", b"sour\xe9e", 1))
+    out = tmp_path / "run"
+    rc = main(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "6"])
+    _assert_single_data_error(rc, capsys, f"{path}:2: not UTF-8 text", out)
+
+
+@pytest.mark.parametrize("name", ["report.txt", "flights.csv", "summary.json",
+                                  "f1_vs_epoch.csv", "f1_vs_params.csv", "selection.txt"])
+def test_failed_eval_or_report_write_keeps_the_earlier_file(tmp_path, monkeypatch, name):
+    corpus = _make_corpus(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                 "--strategy", "vanilla", "--epochs", "6", "--seed", "0"]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("earlier\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    if name in ("report.txt", "flights.csv", "summary.json"):
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.json"), "--corpus", str(corpus)]
+    else:
+        argv = ["report", "--history", str(run / "history.jsonl"), "--window", "4"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert (out / name).read_text() == "earlier\n"
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

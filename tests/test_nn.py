@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rumexda import tensor as T
-from rumexda.errors import ConfigError, ShapeError
+from rumexda.errors import ConfigError, DataError, ShapeError
 from rumexda.nn import (
     ModelConfig,
     build_model,
@@ -314,3 +315,43 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
         save_checkpoint(build_model(ModelConfig(input_dim=3, seed=1)), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def test_step_after_restore_moves_the_restored_parameters():
+    bundle = build_model(ModelConfig(input_dim=5, hidden_dims=(6,), feature_dim=4, unfreeze=2,
+                                     seed=2))
+    saved = bundle.snapshot()
+    _train_steps(bundle, 3)
+    bundle.restore(saved)
+    for name, p in bundle.parameters():
+        assert p.data.tobytes() == saved[name].tobytes(), name
+    # an optimizer built before a restore still steps the restored values
+    params = [p for _, p in bundle.trainable_parameters()]
+    opt = SGD(params, lr=0.1)
+    bundle.restore(saved)
+    for p in params:
+        p.grad = np.ones(p.shape)
+    opt.step()
+    for name, p in bundle.trainable_parameters():
+        assert np.shares_memory(p.data, opt._buf)
+        assert p.data.tolist() == (saved[name] - 0.1).tolist(), name
+
+
+def test_snapshot_is_a_copy_of_the_buffer_views():
+    bundle = build_model(ModelConfig(input_dim=3, seed=0))
+    _train_steps(bundle, 1)
+    snap = bundle.snapshot()
+    _train_steps(bundle, 1)
+    moved = [name for name, p in bundle.parameters() if p.data.tobytes() != snap[name].tobytes()]
+    assert moved == [name for name, _ in bundle.trainable_parameters()]
+
+
+def test_checkpoint_with_a_wrong_parameter_shape_is_a_data_error(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(build_model(ModelConfig(input_dim=3, seed=0)), path)
+    payload = json.loads(path.read_text())
+    entry = payload["parameters"]["head0.linear2.bias"]
+    entry["shape"] = [1, 2]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="head0.linear2.bias"):
+        load_checkpoint(path)

@@ -1,5 +1,11 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rumexda.errors import ConfigError, DataError
 from rumexda.synthdata import (
@@ -10,6 +16,7 @@ from rumexda.synthdata import (
     generate,
     identity_spec,
     read_corpus,
+    read_corpus_domains,
     write_corpus,
 )
 
@@ -169,3 +176,70 @@ def test_identity_spec_helper():
 def test_rule_direction_must_be_nonzero():
     with pytest.raises(ConfigError):
         LabelRule((0.0, 0.0)).unit_direction()
+
+
+# ----------------------------------------------------------------------
+# corpus reader fuzzing
+
+
+def _small_corpus_bytes() -> bytes:
+    sources, target = default_benchmark(n_sources=2, dim=3, n_samples=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_corpus(generate(sources, target, seed=1), tmp)
+        return (Path(tmp) / "corpus.csv").read_bytes()
+
+
+def _float_per_value(text: str) -> dict:
+    """Feature rows per domain with one float() per value, no validation."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    dim = len(lines[0].split(",")) - 4
+    rows: dict = {}
+    for line in lines[1:]:
+        if line:
+            parts = line.split(",")
+            rows.setdefault(parts[0], []).append([float(v) for v in parts[4:]])
+    return {domain: np.asarray(x, dtype=np.float64).reshape(len(x), dim)
+            for domain, x in rows.items()}
+
+
+_CORPUS = _small_corpus_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.integers(0, len(_CORPUS)),
+       flips=st.lists(st.tuples(st.integers(0, len(_CORPUS) - 1), st.integers(1, 255)),
+                      max_size=3))
+def test_corpus_reader_fuzz_raises_only_data_errors(tmp_path, cut, flips):
+    data = bytearray(_CORPUS)
+    for index, mask in flips:
+        data[index] ^= mask
+    (tmp_path / "corpus.csv").write_bytes(bytes(data[:cut]))
+    try:
+        sources, targets = read_corpus_domains(tmp_path)
+    except DataError:
+        return
+    reference = _float_per_value(bytes(data[:cut]).decode("utf-8"))
+    assert sorted(reference) == sorted(ds.domain_id for ds in sources + targets)
+    for ds in sources + targets:
+        assert ds.features.shape == reference[ds.domain_id].shape
+        assert ds.features.tobytes() == reference[ds.domain_id].tobytes()
+
+
+def test_corpus_without_features_reads_as_zero_width_rows(tmp_path):
+    (tmp_path / "corpus.csv").write_text(
+        "domain_id,role,split,label\ns0,source,train,1\ns0,source,val,0\nt,target,none,-1\n"
+    )
+    sources, targets = read_corpus_domains(tmp_path)
+    assert sources[0].features.shape == (2, 0)
+    assert sources[0].labels.tolist() == [1, 0]
+    assert targets[0].features.shape == (1, 0) and targets[0].labels is None
+
+
+def test_corpus_with_a_non_utf8_byte_is_a_data_error(tmp_path):
+    lines = _CORPUS.split(b"\n")
+    lines[3] = lines[3][:-1] + b"\xff"
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: not UTF-8")):
+        read_corpus_domains(tmp_path)

@@ -542,3 +542,150 @@ def test_adam_deterministic_given_state():
         return w.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+# ----------------------------------------------------------------------
+# one flat buffer per optimizer group
+
+
+def _reference_sgd(params, grads, lr):
+    for p, g in zip(params, grads):
+        p -= lr * g
+
+
+class _ReferenceAdam:
+    """The per-tensor Adam loop the flat-buffer step must reproduce bitwise."""
+
+    def __init__(self, params, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.params, self.lr, self.b1, self.b2, self.eps, self.t = params, lr, b1, b2, eps, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _random_group(rng):
+    shapes = [tuple(rng.integers(1, 6, size=rng.integers(0, 3))) for _ in range(rng.integers(1, 7))]
+    return [Tensor(rng.normal(size=s) * 10.0 ** rng.integers(-3, 3), requires_grad=True)
+            for s in shapes]
+
+
+@pytest.mark.parametrize("opt_name", ["sgd", "adam"])
+def test_flat_buffer_step_is_bitwise_the_per_tensor_loop(opt_name):
+    for trial in range(20):
+        rng = np.random.default_rng(trial)
+        params = _random_group(rng)
+        reference = [p.data.copy() for p in params]
+        lr = float(10.0 ** rng.uniform(-4, 0))
+        opt = SGD(params, lr) if opt_name == "sgd" else Adam(params, lr)
+        ref_adam = _ReferenceAdam(reference, lr)
+        for _ in range(30):
+            grads = [np.asarray(rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 4))
+                     for p in params]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            if opt_name == "sgd":
+                _reference_sgd(reference, grads, lr)
+            else:
+                ref_adam.step(grads)
+            for p, r in zip(params, reference):
+                assert p.data.shape == r.shape
+                assert p.data.tobytes() == r.tobytes()
+
+
+def test_every_parameter_is_a_view_into_the_group_buffer():
+    rng = np.random.default_rng(0)
+    params = _random_group(rng)
+    values = [p.data.copy() for p in params]
+    for opt_cls in (SGD, Adam):
+        opt = opt_cls(params, lr=0.1)
+        for p, v in zip(params, values):
+            assert np.shares_memory(p.data, opt._buf)
+            assert p.data.tobytes() == v.tobytes()
+    assert sum(p.size for p in params) == opt._buf.size
+
+
+def test_second_optimizer_continues_from_current_values():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    first = Adam([w], lr=0.1)
+    w.grad = np.array([1.0, -1.0])
+    first.step()
+    moved = w.data.copy()
+    second = SGD([w], lr=0.5)
+    assert w.data.tobytes() == moved.tobytes()
+    second.step()
+    assert w.data.tolist() == (moved - 0.5 * np.array([1.0, -1.0])).tolist()
+    assert np.shares_memory(w.data, second._buf)
+    assert not np.shares_memory(w.data, first._buf)
+
+
+def test_empty_group_steps():
+    for opt_cls in (SGD, Adam):
+        opt = opt_cls([], lr=0.1)
+        opt.zero_grad()
+        opt.step()
+        assert opt._buf.size == 0
+
+
+def test_missing_grad_raises_before_any_parameter_moves():
+    for opt_cls in (SGD, Adam):
+        a = Tensor([1.0], requires_grad=True)
+        b = Tensor([2.0], requires_grad=True)
+        a.grad = np.array([1.0])
+        opt = opt_cls([a, b], lr=0.1)
+        with pytest.raises(TrainingStateError):
+            opt.step()
+        assert (a.data.tolist(), b.data.tolist()) == ([1.0], [2.0])
+
+
+# ----------------------------------------------------------------------
+# cross entropy against the take/put formula
+
+
+def _reference_cross_entropy(z, y, class_weights):
+    b = z.shape[-2]
+    y = y.astype(np.int64)
+    if class_weights is None:
+        w = np.ones(y.shape)
+    else:
+        w = np.where(y == 1, float(class_weights[1]), float(class_weights[0]))
+    picked = y[..., None]
+    m = z.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    nll = lse - np.take_along_axis(z, picked, axis=-1)[..., 0]
+    per_head = np.atleast_1d((w * nll).sum(axis=-1) / b)
+    loss = per_head[0]
+    for value in per_head[1:]:
+        loss = loss + value
+    p = np.exp(z - m)
+    p /= p.sum(axis=-1, keepdims=True)
+    np.put_along_axis(p, picked, np.take_along_axis(p, picked, axis=-1) - 1.0, axis=-1)
+    return np.asarray(loss), p * (w / b)[..., None]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("label_dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("class_weights", [None, (0.3, 2.5)])
+def test_cross_entropy_is_bitwise_the_take_put_formula(stacked, label_dtype, class_weights):
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        shape = (int(rng.integers(1, 5)),) * stacked + (int(rng.integers(1, 40)), 2)
+        z = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3)
+        y = rng.integers(0, 2, size=shape[:-1]).astype(label_dtype)
+        logits = Tensor(z.copy(), requires_grad=True)
+        loss = T.softmax_cross_entropy(logits, y, class_weights)
+        loss.backward()
+        ref_loss, ref_grad = _reference_cross_entropy(z, y, class_weights)
+        assert loss.data.tobytes() == ref_loss.tobytes()
+        assert logits.grad.tobytes() == ref_grad.tobytes()
