@@ -17,17 +17,22 @@ pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
 
 Each step records graph only where its optimizer consumes a gradient. The
-2N heads run as one stack (``nn.forward_heads``), so a step's head part is
-a handful of nodes however many pairs there are; per-head losses are added
-in head order. Step 2 extracts features under ``T.no_grad()``, since G is
-fixed there, and step 3 turns the heads' ``requires_grad`` off around its
-forward and backward passes, so neither fills gradients that nothing
-steps. Evaluation (``predict_labels``, ``discrepancy_eval``) records no
-graph at all. A non-finite loss stops training with ``TrainingStateError``.
+2N heads are one stack (``nn.ClassifierHead``) that runs in one forward
+pass, so a step's head part is a handful of nodes however many pairs there
+are; per-head losses are added in head order. Step 2 extracts features
+under ``T.no_grad()``, since G is fixed there, and step 3 turns the four
+head tensors' ``requires_grad`` off around its forward and backward passes,
+so neither fills gradients that nothing steps. Evaluation
+(``predict_labels``, ``discrepancy_eval``) records no graph at all.
+
+A loss that is not finite stops training with ``TrainingStateError`` before
+any optimizer steps on it, and so does an optimizer step that leaves a
+parameter that is not finite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -42,7 +47,7 @@ from .config import AdaptationConfig
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError, TrainingStateError
 from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
 from .files import read_text, write_text_atomic
-from .nn import ModelBundle, forward_heads, trainable_parameter_count
+from .nn import ModelBundle, trainable_parameter_count
 from .optim import make_optimizer
 from .tensor import Tensor
 
@@ -257,24 +262,21 @@ def read_history_jsonl(path) -> TrainingHistory:
 
 
 def predict_ensemble(bundle: ModelBundle, x) -> Tensor:
-    """Uniform average of the softmax outputs of every classifier head."""
-    z = bundle.extract(x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64)))
-    total = None
-    for head in bundle.heads:
-        p = T.softmax(head.forward(z, training=False))
-        total = p if total is None else T.add(total, p)
-    return T.mul(total, 1.0 / len(bundle.heads))
+    """Uniform average of the softmax outputs of every classifier head: the
+    softmax of the head stack, summed in head order, times 1/H. Records no
+    graph."""
+    with T.no_grad():
+        probs = T.softmax(bundle.forward(x)).data
+    return Tensor(functools.reduce(np.add, probs) * (1.0 / len(probs)))
 
 
 def predict_labels(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
-    """Hard 0/1 predictions; single-head bundles use their head, pair
-    bundles use the uniform softmax ensemble. Records no graph."""
+    """Hard 0/1 predictions: the argmax of a single head's logits, or of
+    the uniform softmax ensemble of 2N heads. Records no graph."""
+    if bundle.head.n_heads > 1:
+        return np.argmax(predict_ensemble(bundle, features).data, axis=1)
     with T.no_grad():
-        if len(bundle.heads) == 1:
-            out = bundle.forward(Tensor(np.asarray(features, dtype=np.float64)), training=False)
-        else:
-            out = predict_ensemble(bundle, features)
-    return np.argmax(out.data, axis=1)
+        return np.argmax(bundle.forward(features).data[0], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +317,21 @@ def _epoch_eval(bundle: ModelBundle, val: Optional[DomainDataset],
     return val_f1, target_f1, median
 
 
-# the step of an iteration that computes each loss
-_LOSS_PHASE = {"ce": "classify", "md2": "classify", "disc_max": "max_discrepancy",
-               "disc_min": "min_discrepancy"}
+class _LossNotFinite(TrainingStateError):
+    """A loss that is not finite; raised before any optimizer steps on it."""
+
+    def __init__(self, name: str, value: float, phase: str):
+        super().__init__(f"training diverged: {name} loss is {value}")
+        self.phase = phase
+
+
+def _finite(name: str, loss: Tensor, phase: str) -> float:
+    """The value of a scalar loss computed in the ``phase`` step of an
+    iteration; ``_LossNotFinite`` if it is not finite."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise _LossNotFinite(name, value, phase)
+    return value
 
 
 def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
@@ -331,21 +345,25 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     ``steps`` iterations plus the per-epoch evaluation. Once the history
     extends past the warm-up, the parameters of the epoch
     ``select_model_epoch`` picks so far are kept in ``selected_snapshot``,
-    so one copy is held however many epochs run. A loss that is not finite
-    raises ``TrainingStateError`` naming the epoch, iteration and step.
+    so one copy is held however many epochs run. A loss or a stepped
+    parameter that is not finite raises ``TrainingStateError`` naming the
+    epoch and iteration, and for a loss the step that computed it.
     """
     history = TrainingHistory(strategy, trainable_parameter_count(bundle))
-    # overflow in a diverging run surfaces as the non-finite loss check below
+    # overflow in a diverging run surfaces as a non-finite loss or parameter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, config.epochs + 1):
             sums = dict.fromkeys(loss_names, 0.0)
             for step in range(1, steps + 1):
-                for name, value in iterate().items():
-                    if not math.isfinite(value):
-                        raise TrainingStateError(
-                            f"training diverged: {name} loss is {value} at epoch {epoch}, "
-                            f"iteration {step} of {steps}, in the {_LOSS_PHASE[name]} step"
-                        )
+                where = f"at epoch {epoch}, iteration {step} of {steps}"
+                try:
+                    losses = iterate()
+                except _LossNotFinite as exc:
+                    raise TrainingStateError(
+                        f"{exc} {where}, in the {exc.phase} step") from exc
+                except TrainingStateError as exc:
+                    raise TrainingStateError(f"{exc} {where}") from exc
+                for name, value in losses.items():
                     sums[name] += value
             val_f1, target_f1, median = _epoch_eval(bundle, val, eval_targets)
             losses = {name: total / steps for name, total in sums.items()}
@@ -380,12 +398,12 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
         x, y = src_stream.next()
         z_s = bundle.extract(Tensor(x))
         logits = bundle.head.forward(z_s, training=True, rng=drop_rng)
-        loss = T.softmax_cross_entropy(logits, y, config.class_weights)
-        losses = {"ce": loss.item()}
+        loss = T.softmax_cross_entropy(logits, y[None], config.class_weights)
+        losses = {"ce": _finite("ce", loss, "classify")}
         if tgt_stream is not None:
             xt, _ = tgt_stream.next()
             md2 = moment_distance_single(z_s, bundle.extract(Tensor(xt)))
-            losses["md2"] = md2.item()
+            losses["md2"] = _finite("md2", md2, "classify")
             loss = T.add(loss, T.mul(md2, config.lam))
         opt.zero_grad()
         loss.backward()
@@ -440,13 +458,15 @@ class M3sdaStepper:
     make the freeze contracts structural: step 2 never steps the extractor
     optimizer and step 3 never steps the classifier one. Neither step
     records graph for the frozen side either: step 2 extracts under
-    ``T.no_grad()``, and step 3 sets the heads' ``requires_grad`` off until
-    its backward is done.
+    ``T.no_grad()``, and step 3 sets the head tensors' ``requires_grad`` off
+    until its backward is done. A loss that is not finite raises
+    ``TrainingStateError`` before its step updates anything.
     """
 
     def __init__(self, bundle: ModelBundle, config: AdaptationConfig,
                  drop_rng: np.random.Generator):
-        bundle.pairs()  # a bundle without classifier pairs is a ConfigError
+        if bundle.config.classifier_pairs == 0:
+            raise ConfigError("bundle was not built with classifier pairs")
         self.bundle = bundle
         self.config = config
         self.drop_rng = drop_rng
@@ -459,27 +479,26 @@ class M3sdaStepper:
 
     def _pair_ce(self, z_list: list[Tensor], batches: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
         """Summed CE of every head on its pair's source batch."""
-        logits = forward_heads(self.bundle.heads, [z for z in z_list for _ in range(2)],
-                               training=True, rng=self.drop_rng)
+        logits = self.bundle.head.forward([z for z in z_list for _ in range(2)],
+                                          training=True, rng=self.drop_rng)
         labels = np.stack([y for _, y in batches for _ in range(2)])
         return T.softmax_cross_entropy(logits, labels, self.config.class_weights)
 
     def _pair_discrepancy(self, z_t: Tensor, training: bool = True) -> Tensor:
         """Summed discrepancy of every pair on the target batch."""
-        logits = forward_heads(self.bundle.heads, [z_t] * len(self.bundle.heads),
-                               training=training, rng=self.drop_rng)
+        logits = self.bundle.head.forward(z_t, training=training, rng=self.drop_rng)
         return T.pair_discrepancy(T.softmax(logits))
 
     def step_classify(self, batches, x_t: np.ndarray) -> tuple[float, float]:
         """Step 1: update G and all heads on source CE + lambda * MD2."""
         z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
         loss = self._pair_ce(z_list, batches)
-        ce_value = loss.item()
+        ce_value = _finite("ce", loss, "classify")
         md2_value = 0.0
         if self.config.lam > 0:
             z_t = self.bundle.extract(Tensor(x_t))
             md2 = moment_distance_multi(z_list, z_t)
-            md2_value = md2.item()
+            md2_value = _finite("md2", md2, "classify")
             loss = T.add(loss, T.mul(md2, self.config.lam))
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
@@ -495,7 +514,7 @@ class M3sdaStepper:
             z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
             z_t = self.bundle.extract(Tensor(x_t))
         disc = self._pair_discrepancy(z_t)
-        disc_value = disc.item()
+        disc_value = _finite("disc_max", disc, "max_discrepancy")
         loss = T.sub(self._pair_ce(z_list, batches), disc)
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
@@ -510,7 +529,7 @@ class M3sdaStepper:
         try:
             z_t = self.bundle.extract(Tensor(x_t))
             disc = self._pair_discrepancy(z_t)
-            disc_value = disc.item()
+            disc_value = _finite("disc_min", disc, "min_discrepancy")
             self.opt_g.zero_grad()
             self.opt_heads.zero_grad()
             disc.backward()

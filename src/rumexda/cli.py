@@ -29,7 +29,7 @@ from .evaluation import (
     sigma_epochs,
 )
 from .experiment import run_strategy
-from .files import open_text, write_text_atomic
+from .files import csv_rows, write_text_atomic
 from .nn import ModelConfig, load_checkpoint, save_checkpoint, trainable_parameter_count
 from .synthdata import default_benchmark, generate, read_corpus_domains, write_corpus
 from .tiling import (
@@ -92,11 +92,10 @@ def _apply_overrides(config: cfgmod.RunConfig, args) -> None:
 def _domain_lookup(args) -> dict[str, str]:
     if args.domain_map:
         table = {}
-        with open_text(args.domain_map, newline="") as fh:
-            for row in csv.reader(fh):
-                if len(row) != 2:
-                    raise DataError(f"{args.domain_map}: expected image_id,domain_id rows")
-                table[row[0].strip()] = row[1].strip()
+        for _, row in csv_rows(args.domain_map):
+            if len(row) != 2:
+                raise DataError(f"{args.domain_map}: expected image_id,domain_id rows")
+            table[row[0].strip()] = row[1].strip()
         return table
     return {}
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,3 +45,17 @@ def read_text(path) -> str:
     """The whole of a UTF-8 text file, read through ``open_text``."""
     with open_text(path) as fh:
         return fh.read()
+
+
+def csv_rows(path):
+    """(line, row) for each row of a UTF-8 CSV file read through
+    ``open_text``, where ``line`` is the line the row ends on. A row the csv
+    module rejects, such as one with a field over its size limit, raises
+    ``DataError`` naming the path and line."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc

@@ -1,10 +1,14 @@
-"""Feature extractor G, classifier head C, freeze policy and LoRA adapters.
+"""Feature extractor G, classifier heads C, freeze policy and LoRA adapters.
 
 G is a stack of linear+ReLU blocks standing in for an arbitrary backbone;
 the adaptation math only ever touches its output embedding, so the block
-internals are irrelevant to the training strategies. The head is fixed to
-linear -> ReLU -> dropout(0.3) -> linear -> 2 logits; ``forward_heads``
-runs several heads as one stack of that same pipeline.
+internals are irrelevant to the training strategies. Each classifier is
+fixed to linear -> ReLU -> dropout(0.3) -> linear -> 2 logits. A bundle's
+H classifiers (one, or the 2N of the pair strategies) live in one
+``ClassifierHead`` that keeps each layer's weights and biases as one
+(H, ...) stack and runs every head in one forward pass. Checkpoints still
+store each head's slab as its own ``head{j}.linear{1,2}.{weight,bias}``
+entry.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -67,22 +71,12 @@ def _he_uniform(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
 
 
 class LinearLayer:
-    """weight is d_out x d_in; forward(x) computes x W^T + b row-wise."""
+    """weight is d_out x d_in, He-uniform at init; forward(x) computes
+    x W^T + b row-wise. ``build_model`` sets whether it trains."""
 
-    def __init__(self, weight: Tensor, bias: Tensor, trainable: bool = True):
-        self.weight = weight
-        self.bias = bias
-        self.set_trainable(trainable)
-
-    @classmethod
-    def initialize(cls, d_in: int, d_out: int, rng: np.random.Generator, trainable=True):
-        w = Tensor(_he_uniform(rng, d_out, d_in))
-        b = Tensor(np.zeros(d_out))
-        return cls(w, b, trainable)
-
-    @property
-    def trainable(self) -> bool:
-        return self.weight.requires_grad
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.weight = Tensor(_he_uniform(rng, d_out, d_in))
+        self.bias = Tensor(np.zeros(d_out))
 
     def set_trainable(self, flag: bool) -> None:
         self.weight.requires_grad = flag
@@ -118,10 +112,6 @@ class LoraLinear:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    @property
-    def trainable(self) -> bool:
-        return True
-
     def forward(self, x: Tensor) -> Tensor:
         delta = T.linear(T.linear(x, self.down), self.up)
         return T.add(self.base.forward(x), T.mul(delta, self.scaling))
@@ -137,10 +127,8 @@ class FeatureExtractor:
     """Ordered linear+ReLU blocks; exactly the trailing ``unfreeze`` blocks
     are trainable (all base weights frozen under LoRA)."""
 
-    def __init__(self, blocks: list, feature_dim: int, unfreeze: int):
+    def __init__(self, blocks: list):
         self.blocks = blocks
-        self.feature_dim = feature_dim
-        self.unfreeze = unfreeze
 
     def forward(self, x: Tensor) -> Tensor:
         for block in self.blocks:
@@ -156,72 +144,51 @@ class FeatureExtractor:
 
 
 class ClassifierHead:
-    """linear(f->f) -> ReLU -> dropout -> linear(f->2)."""
+    """H classifiers linear(f->f) -> ReLU -> dropout -> linear(f->2), held
+    as one stack per layer tensor: ``weight1`` H x f x f, ``bias1`` H x f,
+    ``weight2`` H x 2 x f and ``bias2`` H x 2."""
 
-    def __init__(self, linear1: LinearLayer, linear2: LinearLayer, dropout_p: float = 0.3):
-        self.linear1 = linear1
-        self.linear2 = linear2
+    def __init__(self, feature_dim: int, n_heads: int, rng: np.random.Generator,
+                 dropout_p: float = 0.3):
+        # He-uniform weights drawn head by head, linear1's before linear2's
+        w1 = np.empty((n_heads, feature_dim, feature_dim))
+        w2 = np.empty((n_heads, 2, feature_dim))
+        for h in range(n_heads):
+            w1[h] = _he_uniform(rng, feature_dim, feature_dim)
+            w2[h] = _he_uniform(rng, 2, feature_dim)
+        self.weight1 = Tensor(w1, requires_grad=True)
+        self.bias1 = Tensor(np.zeros((n_heads, feature_dim)), requires_grad=True)
+        self.weight2 = Tensor(w2, requires_grad=True)
+        self.bias2 = Tensor(np.zeros((n_heads, 2)), requires_grad=True)
+        self.n_heads = n_heads
         self.dropout_p = dropout_p
 
-    @classmethod
-    def initialize(cls, feature_dim: int, rng: np.random.Generator, dropout_p: float = 0.3):
-        return cls(
-            LinearLayer.initialize(feature_dim, feature_dim, rng),
-            LinearLayer.initialize(feature_dim, 2, rng),
-            dropout_p,
-        )
-
-    def forward(self, z: Tensor, training: bool = False, rng=None) -> Tensor:
-        h = T.relu(self.linear1.forward(z))
+    def forward(self, z, training: bool = False, rng=None) -> Tensor:
+        """The logits of every head as one H x n x 2 stack. ``z`` is an
+        n x f tensor that every head reads, or a sequence of H of them, one
+        per head. One dropout draw of shape (H, n, f) takes the numbers H
+        draws of shape (n, f) would, head by head."""
+        h = T.relu(T.linear_stack(z, self.weight1, self.bias1))
         h = T.dropout(h, self.dropout_p, training, rng)
-        return self.linear2.forward(h)
+        return T.linear_stack(h, self.weight2, self.bias2)
 
-    def parameters(self, prefix: str = "head"):
-        out = []
-        for lname, layer in (("linear1", self.linear1), ("linear2", self.linear2)):
-            for name, p in layer.parameters():
-                out.append((f"{prefix}.{lname}.{name}", p))
-        return out
-
-
-def forward_heads(heads: Sequence[ClassifierHead], xs: Sequence[Tensor],
-                  training: bool = False, rng=None) -> Tensor:
-    """The logits of every head as one H x n x 2 stack; head h reads xs[h].
-
-    Slice h is bitwise ``heads[h].forward(xs[h], training, rng)`` with the
-    heads run in order on the same rng: one dropout draw of shape
-    (H, n, f) takes the same numbers as H draws of shape (n, f).
-    """
-    if len({head.dropout_p for head in heads}) != 1:
-        raise ConfigError("stacked heads need one dropout probability")
-    h = T.relu(T.linear_stack(xs, [hd.linear1.weight for hd in heads],
-                              [hd.linear1.bias for hd in heads]))
-    h = T.dropout(h, heads[0].dropout_p, training, rng)
-    return T.linear_stack(h, [hd.linear2.weight for hd in heads],
-                          [hd.linear2.bias for hd in heads])
+    def parameters(self):
+        return [("head.linear1.weight", self.weight1), ("head.linear1.bias", self.bias1),
+                ("head.linear2.weight", self.weight2), ("head.linear2.bias", self.bias2)]
 
 
 class ModelBundle:
-    """A feature extractor plus one classifier, or 2N classifiers arranged
-    as (C_i, C'_i) pairs when built with ``classifier_pairs=N``."""
+    """A feature extractor plus a stack of classifier heads: one head, or
+    2N heads when built with ``classifier_pairs=N``, where heads 2i and
+    2i+1 form the pair (C_i, C'_i)."""
 
-    def __init__(self, config: ModelConfig, extractor: FeatureExtractor, heads: list[ClassifierHead]):
+    def __init__(self, config: ModelConfig, extractor: FeatureExtractor, head: ClassifierHead):
         self.config = config
         self.extractor = extractor
-        self.heads = heads
-
-    @property
-    def head(self) -> ClassifierHead:
-        if len(self.heads) != 1:
-            raise ConfigError("bundle holds classifier pairs; use the ensemble prediction path")
-        return self.heads[0]
-
-    def pairs(self) -> list[tuple[ClassifierHead, ClassifierHead]]:
-        if self.config.classifier_pairs == 0:
-            raise ConfigError("bundle was not built with classifier pairs")
-        return [(self.heads[2 * i], self.heads[2 * i + 1]) for i in range(self.config.classifier_pairs)]
+        self.head = head
 
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
+        """Logits of every head, H x n x 2."""
         return self.head.forward(self.extract(x), training, rng)
 
     def extract(self, x: Tensor) -> Tensor:
@@ -233,10 +200,7 @@ class ModelBundle:
         return self.extractor.forward(x)
 
     def parameters(self):
-        out = list(self.extractor.parameters())
-        for j, head in enumerate(self.heads):
-            out.extend(head.parameters(prefix=f"head{j}"))
-        return out
+        return self.extractor.parameters() + self.head.parameters()
 
     def trainable_parameters(self):
         return [(name, p) for name, p in self.parameters() if p.requires_grad]
@@ -245,10 +209,7 @@ class ModelBundle:
         return [(name, p) for name, p in self.extractor.parameters() if p.requires_grad]
 
     def head_trainable_parameters(self):
-        out = []
-        for j, head in enumerate(self.heads):
-            out.extend((name, p) for name, p in head.parameters(prefix=f"head{j}") if p.requires_grad)
-        return out
+        return [(name, p) for name, p in self.head.parameters() if p.requires_grad]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters()}
@@ -271,9 +232,9 @@ def build_model(config: ModelConfig) -> ModelBundle:
     n_blocks = len(dims) - 1
     alpha = config.lora_alpha if config.lora_alpha is not None else float(config.lora_rank)
 
-    bases = [LinearLayer.initialize(dims[i], dims[i + 1], rng) for i in range(n_blocks)]
+    bases = [LinearLayer(dims[i], dims[i + 1], rng) for i in range(n_blocks)]
     n_heads = 1 if config.classifier_pairs == 0 else 2 * config.classifier_pairs
-    heads = [ClassifierHead.initialize(config.feature_dim, rng, config.dropout) for _ in range(n_heads)]
+    head = ClassifierHead(config.feature_dim, n_heads, rng, config.dropout)
 
     # adapter factors are drawn last so the base+head draw sequence matches
     # a plain build of the same seed; a fresh LoRA model therefore computes
@@ -285,8 +246,7 @@ def build_model(config: ModelConfig) -> ModelBundle:
         else:
             base.set_trainable(i >= n_blocks - config.unfreeze)
             blocks.append(base)
-    extractor = FeatureExtractor(blocks, config.feature_dim, config.unfreeze)
-    return ModelBundle(config, extractor, heads)
+    return ModelBundle(config, FeatureExtractor(blocks), head)
 
 
 def trainable_parameter_count(bundle: ModelBundle) -> int:
@@ -314,12 +274,23 @@ def _config_from_dict(d: dict) -> ModelConfig:
     )
 
 
+def _checkpoint_entries(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
+    """Each checkpoint entry's name and the array it holds: the extractor's
+    parameters, then head by head each head's slab of the stacked head
+    tensors as ``head{j}.linear{1,2}.{weight,bias}``."""
+    entries = [(name, p.data) for name, p in bundle.extractor.parameters()]
+    for j in range(bundle.head.n_heads):
+        entries.extend((name.replace("head", f"head{j}", 1), p.data[j])
+                       for name, p in bundle.head.parameters())
+    return entries
+
+
 def save_checkpoint(bundle: ModelBundle, path) -> None:
     """Write config plus all named parameters; the float payload is raw
     little-endian bytes so a reload is bit-exact."""
     params = {}
-    for name, p in bundle.parameters():
-        arr = np.ascontiguousarray(p.data)
+    for name, arr in _checkpoint_entries(bundle):
+        arr = np.ascontiguousarray(arr)
         dtype = "<f8" if arr.dtype == np.float64 else "<f4"
         params[name] = {
             "shape": list(arr.shape),
@@ -343,16 +314,16 @@ def load_checkpoint(path) -> ModelBundle:
             raise ConfigError(f"unsupported checkpoint version {payload.get('format_version')!r}")
         bundle = build_model(_config_from_dict(payload["config"]))
         stored = payload["parameters"]
-        for name, p in bundle.parameters():
+        for name, target in _checkpoint_entries(bundle):
             if name not in stored:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
             entry = stored[name]
             arr = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"])
             arr = arr.reshape(entry["shape"])
-            if arr.shape != p.shape:
+            if arr.shape != target.shape:
                 raise DataError(f"{path}: parameter {name!r} has shape {arr.shape}, "
-                                f"the model needs {p.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+                                f"the model needs {target.shape}")
+            target[...] = arr
     except (ConfigError, DataError):
         raise
     except json.JSONDecodeError as exc:

@@ -6,7 +6,8 @@ step is a few whole-buffer array operations instead of a loop over
 tensors. Every operation is elementwise, so each parameter ends up bitwise
 equal to what a per-tensor update gives. A second optimizer built over the
 same tensors starts a new buffer from their current values; the earlier
-one then no longer moves them.
+one then no longer moves them. After each step one pass over the buffer
+checks that every parameter is still finite.
 
 Both update in place and are deterministic given their state; the choice
 between them is a config field because the training recipe leaves the
@@ -47,12 +48,19 @@ class _Optimizer:
         return self._grad
 
     def step(self) -> None:
+        """Update every parameter; ``TrainingStateError`` if one ends up not finite."""
+        self._update(self._gathered_grad())
+        if not np.isfinite(self._buf).all():
+            raise TrainingStateError("training diverged: a parameter is not finite after "
+                                     f"the {type(self).__name__} step")
+
+    def _update(self, g: np.ndarray) -> None:
         raise NotImplementedError
 
 
 class SGD(_Optimizer):
-    def step(self) -> None:
-        self._buf -= self.lr * self._gathered_grad()
+    def _update(self, g: np.ndarray) -> None:
+        self._buf -= self.lr * g
 
 
 class Adam(_Optimizer):
@@ -64,8 +72,7 @@ class Adam(_Optimizer):
         self._m = np.zeros_like(self._buf)
         self._v = np.zeros_like(self._buf)
 
-    def step(self) -> None:
-        g = self._gathered_grad()
+    def _update(self, g: np.ndarray) -> None:
         self.t += 1
         b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
         m *= b1

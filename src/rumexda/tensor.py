@@ -16,9 +16,10 @@ so the engine records as few nodes as it can:
 * ``linear(x, W, b)`` is one node for ``x W^T + b``, bitwise equal to
   ``add_bias(matmul(x, transpose(W)), b)``.
 * ``linear_stack`` runs H such maps (one per classifier head) as one node
-  over (H, n, d) arrays. ``relu``, ``dropout``, ``softmax`` and
-  ``softmax_cross_entropy`` act on such stacks as well, and
-  ``pair_discrepancy`` compares the heads pair by pair; per-head and
+  over (H, n, d) arrays, reading the H weights and biases from one stacked
+  tensor each, as the classifier heads store them. ``relu``, ``dropout``,
+  ``softmax`` and ``softmax_cross_entropy`` act on such stacks as well,
+  and ``pair_discrepancy`` compares the heads pair by pair; per-head and
   per-pair losses are added in head order, as a chain of ``add`` would.
 """
 
@@ -78,9 +79,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -438,48 +436,44 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _result(data, parents, grad_fn, "linear")
 
 
-def linear_stack(x, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
     """H linear maps as one node: slice h of the H x n x d_out result is
-    bitwise ``linear(x_h, weights[h], biases[h])``.
+    bitwise ``linear(x_h, weight[h], bias[h])``.
 
-    ``x`` is an H x n x d_in tensor, or a sequence of H tensors of shape
-    n x d_in in which one tensor may feed several heads; its gradient then
-    adds up over those heads in head order. The per-head weights and biases
-    stay separate tensors and are stacked inside the op.
+    ``weight`` is an H x d_out x d_in stack and ``bias`` an H x d_out one.
+    ``x`` is an H x n x d_in tensor, an n x d_in tensor that every head
+    reads, or a sequence of H tensors of shape n x d_in in which one tensor
+    may feed several heads. An input's gradient adds up over the heads
+    that read it, in head order.
     """
-    weights = [_as_tensor(w) for w in weights]
-    biases = [_as_tensor(b) for b in biases]
-    stacked = isinstance(x, Tensor)
-    xs = [x] if stacked else [_as_tensor(t) for t in x]
+    weight, bias = _as_tensor(weight), _as_tensor(bias)
+    single = isinstance(x, Tensor)
+    xs = [x] if single else [_as_tensor(t) for t in x]
     try:
-        xdata = x.data if stacked else np.stack([t.data for t in xs])
-        wt = np.stack([w.data for w in weights]).transpose(0, 2, 1).copy()
-        bias = np.stack([b.data for b in biases])
+        xdata = x.data if single else np.stack([t.data for t in xs])
     except ValueError as exc:
-        raise ShapeError(f"linear_stack: per-head operands disagree: {exc}") from exc
-    if xdata.ndim != 3 or bias.ndim != 2 or not (
-            xdata.shape[0] == wt.shape[0] == bias.shape[0]
-            and xdata.shape[2] == wt.shape[1] and bias.shape[1] == wt.shape[2]):
-        raise ShapeError(f"linear_stack: cannot apply weights {weights[0].shape} and biases "
-                         f"{biases[0].shape} x {len(biases)} to inputs of shape {xdata.shape}")
-    data = np.matmul(xdata, wt)
-    data += bias[:, None, :]
+        raise ShapeError(f"linear_stack: per-head inputs disagree: {exc}") from exc
+    shared = xdata.ndim == 2
+    if xdata.ndim not in (2, 3) or weight.ndim != 3 or bias.shape != weight.shape[:2] or not (
+            (shared or xdata.shape[0] == weight.shape[0]) and xdata.shape[-1] == weight.shape[2]):
+        raise ShapeError(f"linear_stack: cannot apply weights {weight.shape} and biases "
+                         f"{bias.shape} to inputs of shape {xdata.shape}")
+    wt = np.ascontiguousarray(weight.data.transpose(0, 2, 1))
+    data = np.matmul(xdata, wt)  # a shared input broadcasts over the heads
+    data += bias.data[:, None, :]
 
     def grad_fn(g):
         grads = [None] * len(xs)
         if any(_needs_grad(t) for t in xs):
-            gx = np.matmul(g, wt.transpose(0, 2, 1))
-            grads = [gx] if stacked else [gx[h] if _needs_grad(t) else None
-                                         for h, t in enumerate(xs)]
-        gw = (np.matmul(xdata.transpose(0, 2, 1), g).transpose(0, 2, 1)
-              if any(_needs_grad(w) for w in weights) else None)
-        grads += [np.ascontiguousarray(gw[h]) if _needs_grad(w) else None
-                  for h, w in enumerate(weights)]
-        gb = g.sum(axis=1) if any(_needs_grad(b) for b in biases) else None
-        grads += [gb[h] if _needs_grad(b) else None for h, b in enumerate(biases)]
-        return grads
+            gx = np.matmul(g, wt.swapaxes(1, 2))
+            if single:
+                grads = [_sum_in_order(gx) if shared else gx]
+            else:
+                grads = [gx[h] if _needs_grad(t) else None for h, t in enumerate(xs)]
+        gw = np.matmul(xdata.swapaxes(-1, -2), g).swapaxes(1, 2) if _needs_grad(weight) else None
+        return (*grads, gw, g.sum(axis=1) if _needs_grad(bias) else None)
 
-    return _result(data, [*xs, *weights, *biases], grad_fn, "linear_stack")
+    return _result(data, [*xs, weight, bias], grad_fn, "linear_stack")
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
-from .files import open_text, write_text_atomic
+from .files import csv_rows, write_text_atomic
 
 TILE_SIZE = 518
 R_THRESHOLD = 0.1
@@ -77,10 +77,6 @@ class TileRecord:
     @property
     def origin(self) -> tuple[int, int]:
         return (self.x, self.y)
-
-    @property
-    def trainable(self) -> bool:
-        return self.label != LABEL_UNCLEAR
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,6 @@ def build_splits(
     val_fraction: float,
     mode: str,
     seed: int,
-    plant_control: bool = True,
 ) -> SplitManifest:
     """Assign train/val splits without splitting any plant across them.
 
@@ -328,7 +323,7 @@ def build_splits(
     for rec in records:
         if rec.image_id not in subset_of:
             raise DataError(f"no subset assignment for image {rec.image_id!r}")
-        if plant_control and rec.label == LABEL_RUMEX and not rec.plant_ids:
+        if rec.label == LABEL_RUMEX and not rec.plant_ids:
             raise DataError(
                 f"rumex tile {rec.image_id}@{rec.origin} has no plant_id; "
                 "plant-level leakage control needs one"
@@ -441,52 +436,50 @@ def write_manifest(manifest: SplitManifest, path) -> None:
 
 def read_manifest(path) -> SplitManifest:
     entries = []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise DataError(f"unexpected manifest header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(MANIFEST_HEADER):
-                raise DataError(f"{path}:{line_no}: expected {len(MANIFEST_HEADER)} fields")
-            image_id, x, y, side, label, r, split, domain_id, corner = row
-            try:
-                rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-            if not (0 <= rec.x < _COORD_LIMIT and 0 <= rec.y < _COORD_LIMIT
-                    and 0 < rec.side < _COORD_LIMIT):
-                raise DataError(
-                    f"{path}:{line_no}: tile ({rec.x},{rec.y}) with side {rec.side} is out of range"
-                )
-            entries.append(ManifestEntry(rec, split, domain_id))
+    rows = csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header != MANIFEST_HEADER:
+        raise DataError(f"unexpected manifest header {header!r}")
+    for line_no, row in rows:
+        if len(row) != len(MANIFEST_HEADER):
+            raise DataError(f"{path}:{line_no}: expected {len(MANIFEST_HEADER)} fields")
+        image_id, x, y, side, label, r, split, domain_id, corner = row
+        try:
+            rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner)
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+        if not (0 <= rec.x < _COORD_LIMIT and 0 <= rec.y < _COORD_LIMIT
+                and 0 < rec.side < _COORD_LIMIT):
+            raise DataError(
+                f"{path}:{line_no}: tile ({rec.x},{rec.y}) with side {rec.side} is out of range"
+            )
+        entries.append(ManifestEntry(rec, split, domain_id))
     return SplitManifest(entries)
 
 
 def read_annotations(path) -> list[BBoxAnnotation]:
     boxes = []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: missing header row")
-        if [h.strip() for h in header] != ANNOTATION_HEADER:
-            raise DataError(
-                f"{path}: header must be {','.join(ANNOTATION_HEADER)}, got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ANNOTATION_HEADER):
-                raise DataError(f"{path}:{line_no}: expected {len(ANNOTATION_HEADER)} fields")
-            image_id, x0, y0, x1, y1, cls, plant = [f.strip() for f in row]
-            try:
-                box = BBoxAnnotation(image_id, int(x0), int(y0), int(x1), int(y1), cls, plant or None)
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-            if max(abs(box.x_min), abs(box.y_min), abs(box.x_max), abs(box.y_max)) >= _COORD_LIMIT:
-                raise DataError(f"{path}:{line_no}: box coordinate out of range")
-            boxes.append(box)
+    rows = csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataError(f"{path}: missing header row")
+    if [h.strip() for h in header] != ANNOTATION_HEADER:
+        raise DataError(
+            f"{path}: header must be {','.join(ANNOTATION_HEADER)}, got {','.join(header)}"
+        )
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != len(ANNOTATION_HEADER):
+            raise DataError(f"{path}:{line_no}: expected {len(ANNOTATION_HEADER)} fields")
+        image_id, x0, y0, x1, y1, cls, plant = [f.strip() for f in row]
+        try:
+            box = BBoxAnnotation(image_id, int(x0), int(y0), int(x1), int(y1), cls, plant or None)
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+        if max(abs(box.x_min), abs(box.y_min), abs(box.x_max), abs(box.y_max)) >= _COORD_LIMIT:
+            raise DataError(f"{path}:{line_no}: box coordinate out of range")
+        boxes.append(box)
     return boxes
 
 

@@ -152,8 +152,8 @@ def test_criterion_1_gradient_suite():
         rng.normal(size=(3, 4)))
 
     def linear_stack_case():
-        ws = [weights((3, 4)) for _ in range(3)]
-        bs = [weights((3,)) for _ in range(3)]
+        ws = Tensor(np.stack([rng.normal(size=(3, 4)) for _ in range(3)]))
+        bs = Tensor(np.stack([rng.normal(size=(3,)) for _ in range(3)]))
         other = weights((5, 4))
         # one input feeds heads 0 and 2, as a shared feature batch does
         return (
@@ -163,8 +163,11 @@ def test_criterion_1_gradient_suite():
     cases["linear_stack"] = linear_stack_case
 
     def linear_stack_weight_case():
-        x, w0, bs = weights((2, 5, 4)), weights((3, 4)), [weights((3,)) for _ in range(2)]
-        return (lambda t: T.pow_k(T.linear_stack(x, [w0, t], bs), 2).sum()), rng.normal(size=(3, 4))
+        x, w0 = weights((2, 5, 4)), rng.normal(size=(3, 4))
+        bs = Tensor(np.stack([rng.normal(size=(3,)) for _ in range(2)]))
+        # the point spans both slabs, so the gradient is checked over the stack
+        return (lambda t: T.pow_k(T.linear_stack(x, t, bs), 2).sum()), np.stack(
+            [w0, rng.normal(size=(3, 4))])
 
     cases["linear_stack_weight"] = linear_stack_weight_case
     cases["softmax_stack"] = lambda: (

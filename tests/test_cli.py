@@ -272,6 +272,20 @@ def test_diverging_train_is_an_error_and_writes_no_checkpoint(tmp_path, capsys):
     assert not (run / "history.jsonl").exists()
 
 
+@pytest.mark.parametrize("strategy", ["vanilla", "m3sda_beta"])
+def test_step_that_leaves_a_parameter_not_finite_is_an_error(tmp_path, capsys, strategy):
+    corpus = _make_corpus(tmp_path, samples=100)
+    run = tmp_path / "run"
+    rc = main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy", strategy,
+               "--optimizer", "sgd", "--lr", "1e308", "--epochs", "1", "--warmup", "0",
+               "--batch-size", "512"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("error: training diverged: a parameter is not finite after the SGD step "
+                   "at epoch 1, iteration 1 of 1\n")
+    assert not run.exists()
+
+
 def test_train_epochs_must_exceed_warmup(tmp_path):
     corpus = _make_corpus(tmp_path)
     rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
@@ -491,6 +505,34 @@ def test_report_of_malformed_history_is_a_data_error(tmp_path, capsys, line, whe
     out = tmp_path / "rep"
     rc = main(["report", "--history", str(history), "--out", str(out)])
     _assert_single_data_error(rc, capsys, f"{history}{where}", out)
+
+
+@pytest.mark.parametrize("which", ["annotations", "domain_map"])
+def test_tile_with_a_field_over_the_csv_limit_is_a_data_error(tmp_path, image_fixture, capsys,
+                                                               which):
+    _, _, annotations, domains = image_fixture
+    if which == "annotations":
+        path, line = annotations, 2
+        path.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n"
+                        f"{'a' * 200_000},0,0,10,10,rumex,p1\n")
+    else:
+        path, line = domains, 1
+        path.write_text(f"{'a' * 200_000},siteA\n")
+    out = tmp_path / "tiles.csv"
+    rc = main(_tile_args(image_fixture, out))
+    _assert_single_data_error(rc, capsys, f"{path}:{line}: field larger than field limit", out)
+
+
+def test_split_of_manifest_with_a_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
+                        f"{'a' * 200_000},0,0,518,0,0.000000,train,d,TL\n")
+    boxes = tmp_path / "boxes.csv"
+    boxes.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n")
+    out = tmp_path / "split.csv"
+    rc = main(["split", "--manifest", str(manifest), "--annotations", str(boxes),
+               "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{manifest}:2: field larger than field limit", out)
 
 
 def test_split_of_non_utf8_manifest_is_a_data_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -11,7 +12,6 @@ from rumexda.errors import ConfigError, DataError, ShapeError
 from rumexda.nn import (
     ModelConfig,
     build_model,
-    forward_heads,
     load_checkpoint,
     save_checkpoint,
     trainable_parameter_count,
@@ -29,7 +29,7 @@ def _train_steps(bundle, n_steps, seed=0, lr=0.05):
         x = Tensor(rng.normal(size=(8, d)))
         labels = rng.integers(0, 2, size=8)
         logits = bundle.forward(x, training=True, rng=rng)
-        loss = T.softmax_cross_entropy(logits, labels)
+        loss = T.softmax_cross_entropy(logits, labels[None])
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -147,7 +147,7 @@ def test_forward_shape_contract_and_determinism():
         x = Tensor(np.random.default_rng(b).normal(size=(b, 4)))
         out1 = bundle.forward(x, training=False)
         out2 = bundle.forward(x, training=False)
-        assert out1.shape == (b, 2)
+        assert out1.shape == (1, b, 2)
         assert np.array_equal(out1.data, out2.data)
 
 
@@ -155,19 +155,19 @@ def test_zero_weight_head_outputs_bias():
     cfg = ModelConfig(input_dim=3, hidden_dims=(), feature_dim=4, seed=1)
     bundle = build_model(cfg)
     head = bundle.head
-    head.linear1.weight.data[:] = 0.0
-    head.linear2.weight.data[:] = 0.0
-    head.linear2.bias.data[:] = [0.25, -0.5]
+    head.weight1.data[:] = 0.0
+    head.weight2.data[:] = 0.0
+    head.bias2.data[:] = [0.25, -0.5]
     x = Tensor(np.random.default_rng(2).normal(size=(7, 3)))
     out = bundle.forward(x)
-    assert np.allclose(out.data, np.tile([0.25, -0.5], (7, 1)))
+    assert np.allclose(out.data, np.tile([0.25, -0.5], (1, 7, 1)))
 
 
 def test_frozen_layer_receives_no_grad():
     cfg = ModelConfig(input_dim=4, hidden_dims=(5,), feature_dim=4, unfreeze=0, seed=1)
     bundle = build_model(cfg)
     x = Tensor(np.random.default_rng(0).normal(size=(6, 4)))
-    loss = T.softmax_cross_entropy(bundle.forward(x), [0, 1, 0, 1, 0, 1])
+    loss = T.softmax_cross_entropy(bundle.forward(x), [[0, 1, 0, 1, 0, 1]])
     loss.backward()
     for _, p in bundle.extractor.parameters():
         assert p.grad is None
@@ -196,47 +196,66 @@ def test_forward_dim_mismatch():
 def test_pair_bundle_layout():
     cfg = ModelConfig(input_dim=4, hidden_dims=(), feature_dim=4, classifier_pairs=3, seed=0)
     bundle = build_model(cfg)
-    assert len(bundle.heads) == 6
-    assert len(bundle.pairs()) == 3
-    with pytest.raises(ConfigError):
-        bundle.head  # noqa: B018 - property access raises
+    assert bundle.head.n_heads == 6
+    assert [(name, p.shape) for name, p in bundle.head_trainable_parameters()] == [
+        ("head.linear1.weight", (6, 4, 4)), ("head.linear1.bias", (6, 4)),
+        ("head.linear2.weight", (6, 2, 4)), ("head.linear2.bias", (6, 2))]
+    assert bundle.forward(Tensor(np.zeros((5, 4)))).shape == (6, 5, 2)
+
+
+def test_head_stack_draws_like_separate_heads():
+    # head by head, linear1's weight then linear2's, as separate heads drew them
+    cfg = ModelConfig(input_dim=4, hidden_dims=(3,), feature_dim=5, classifier_pairs=2, seed=3)
+    bundle = build_model(cfg)
+    rng = np.random.default_rng(3)
+    for shape in ((3, 4), (5, 3)):
+        rng.uniform(size=shape)
+    for h in range(4):
+        for layer, d_out in ((bundle.head.weight1, 5), (bundle.head.weight2, 2)):
+            limit = np.sqrt(6.0 / 5)
+            assert layer.data[h].tobytes() == rng.uniform(-limit, limit, (d_out, 5)).tobytes()
+    assert not bundle.head.bias1.data.any() and not bundle.head.bias2.data.any()
 
 
 @pytest.mark.parametrize("training", [True, False])
-def test_forward_heads_is_bitwise_a_loop_of_head_forward(training):
+def test_head_stack_is_bitwise_a_loop_of_per_head_layers(training):
     cfg = ModelConfig(input_dim=4, hidden_dims=(), feature_dim=5, classifier_pairs=3, seed=3)
     bundle = build_model(cfg)
     data = np.random.default_rng(4).normal(size=(3, 7, 5))
     zs = [Tensor(z, requires_grad=True) for z in data]
     xs = [zs[h // 2] for h in range(6)]  # heads 2i and 2i+1 share an input
-    leaves = zs + [p for name, p in bundle.parameters() if name.startswith("head")]
+    stacks = [p for _, p in bundle.head.parameters()]
     upstream = Tensor(np.random.default_rng(5).normal(size=(6, 7, 2)))
 
-    stacked = forward_heads(bundle.heads, xs, training, np.random.default_rng(6))
+    stacked = bundle.head.forward(xs, training, np.random.default_rng(6))
     T.mul(stacked, upstream).sum().backward()
-    stacked_grads = [p.grad.tobytes() for p in leaves]
+    stacked_grads = [p.grad.tobytes() for p in zs + stacks]
 
-    for p in leaves:
+    for p in zs:
         p.grad = None
+    # each head on its own, as 2-D layers over copies of its slabs
+    slabs = [[Tensor(p.data[h], requires_grad=True) for p in stacks] for h in range(6)]
     rng = np.random.default_rng(6)
     total = None
-    for h, head in enumerate(bundle.heads):
-        logits = head.forward(xs[h], training, rng)
+    for h, (w1, b1, w2, b2) in enumerate(slabs):
+        hidden = T.dropout(T.relu(T.linear(xs[h], w1, b1)), cfg.dropout, training, rng)
+        logits = T.linear(hidden, w2, b2)
         assert stacked.data[h].tobytes() == logits.data.tobytes()
         term = T.mul(logits, Tensor(upstream.data[h])).sum()
         total = term if total is None else T.add(total, term)
     total.backward()
-    assert stacked_grads == [p.grad.tobytes() for p in leaves]
+    per_head = [np.stack([slab[i].grad for slab in slabs]) for i in range(len(stacks))]
+    assert stacked_grads == [p.grad.tobytes() for p in zs] + [g.tobytes() for g in per_head]
 
 
-def test_forward_heads_draws_dropout_like_the_loop():
+def test_head_stack_draws_dropout_like_the_loop():
     cfg = ModelConfig(input_dim=4, hidden_dims=(), feature_dim=5, classifier_pairs=2, seed=3)
     bundle = build_model(cfg)
     z = Tensor(np.random.default_rng(4).normal(size=(7, 5)))
     a, b = np.random.default_rng(9), np.random.default_rng(9)
-    forward_heads(bundle.heads, [z] * 4, True, a)
-    for head in bundle.heads:
-        head.forward(z, True, b)
+    bundle.head.forward(z, True, a)
+    for _ in range(4):
+        T.dropout(Tensor(np.ones((7, 5))), cfg.dropout, True, b)
     assert a.random() == b.random()
 
 
@@ -256,6 +275,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for (n1, p1), (n2, p2) in zip(bundle.parameters(), loaded.parameters()):
         assert n1 == n2
         assert p1.data.tobytes() == p2.data.tobytes(), n1
+
+
+def test_checkpoint_stores_each_head_slab_as_its_own_entry(tmp_path):
+    bundle = build_model(ModelConfig(input_dim=3, hidden_dims=(), feature_dim=4,
+                                     classifier_pairs=2, seed=4))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(bundle, path)
+    stored = json.loads(path.read_text())["parameters"]
+    head = bundle.head
+    layers = {"linear1.weight": head.weight1, "linear1.bias": head.bias1,
+              "linear2.weight": head.weight2, "linear2.bias": head.bias2}
+    heads = {f"head{j}.{name}": p.data[j] for j in range(4) for name, p in layers.items()}
+    assert set(stored) == {name for name, _ in bundle.extractor.parameters()} | set(heads)
+    for name, slab in heads.items():
+        assert stored[name]["shape"] == list(slab.shape), name
+        assert base64.b64decode(stored[name]["data"]) == slab.tobytes(), name
 
 
 def test_checkpoint_rewrite_is_byte_identical(tmp_path):

@@ -387,30 +387,31 @@ def test_linear_stack_slices_are_bitwise_per_head_linear():
     bs = [rng.normal(size=3) for _ in range(3)]
     g = rng.normal(size=(3, 6, 3))
 
-    def leaves():
-        return (Tensor(shared, requires_grad=True), Tensor(other, requires_grad=True),
-                [Tensor(w, requires_grad=True) for w in ws],
-                [Tensor(b, requires_grad=True) for b in bs])
-
-    xa, oa, wa, ba = leaves()
+    xa, oa = Tensor(shared, requires_grad=True), Tensor(other, requires_grad=True)
+    wa = Tensor(np.stack(ws), requires_grad=True)
+    ba = Tensor(np.stack(bs), requires_grad=True)
     out = T.linear_stack([xa, oa, xa], wa, ba)
     T.mul(out, Tensor(g)).sum().backward()
 
-    xb, ob, wb, bb = leaves()
+    xb, ob = Tensor(shared, requires_grad=True), Tensor(other, requires_grad=True)
+    wb = [Tensor(w, requires_grad=True) for w in ws]
+    bb = [Tensor(b, requires_grad=True) for b in bs]
     total = None
     for h, x in enumerate((xb, ob, xb)):
         term = T.mul(T.linear(x, wb[h], bb[h]), Tensor(g[h])).sum()
         assert out.data[h].tobytes() == T.linear(x, wb[h], bb[h]).data.tobytes()
         total = term if total is None else T.add(total, term)
     total.backward()
-    for a, b in zip([xa, oa, *wa, *ba], [xb, ob, *wb, *bb]):
-        assert a.grad.tobytes() == b.grad.tobytes()
+    assert xa.grad.tobytes() == xb.grad.tobytes()
+    assert oa.grad.tobytes() == ob.grad.tobytes()
+    assert wa.grad.tobytes() == np.stack([w.grad for w in wb]).tobytes()
+    assert ba.grad.tobytes() == np.stack([b.grad for b in bb]).tobytes()
 
 
 def test_linear_stack_gradients_and_shape_errors():
     rng = np.random.default_rng(10)
-    ws = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-    bs = [Tensor(rng.normal(size=3)) for _ in range(2)]
+    ws = Tensor(np.stack([rng.normal(size=(3, 4)) for _ in range(2)]))
+    bs = Tensor(np.stack([rng.normal(size=3) for _ in range(2)]))
     x3 = rng.normal(size=(2, 5, 4))
 
     def square_sum(out):
@@ -418,16 +419,18 @@ def test_linear_stack_gradients_and_shape_errors():
 
     assert_gradients_match(lambda t: square_sum(T.linear_stack(t, ws, bs)), x3)
     assert_gradients_match(lambda t: square_sum(T.linear_stack([t, t], ws, bs)), x3[0])
-    assert_gradients_match(lambda t: square_sum(T.linear_stack(Tensor(x3), [ws[0], t], bs)),
-                           rng.normal(size=(3, 4)))
-    assert_gradients_match(lambda t: square_sum(T.linear_stack(Tensor(x3), ws, [t, bs[1]])),
-                           rng.normal(size=3))
+    assert_gradients_match(lambda t: square_sum(T.linear_stack(Tensor(x3), t, bs)),
+                           np.stack([ws.data[0], rng.normal(size=(3, 4))]))
+    assert_gradients_match(lambda t: square_sum(T.linear_stack(Tensor(x3), ws, t)),
+                           np.stack([rng.normal(size=3), bs.data[1]]))
     with pytest.raises(ShapeError):
         T.linear_stack([Tensor(x3[0]), Tensor(x3[1][:4])], ws, bs)
     with pytest.raises(ShapeError):
-        T.linear_stack(Tensor(x3), ws[:1], bs[:1])
+        T.linear_stack(Tensor(x3), Tensor(ws.data[:1]), Tensor(bs.data[:1]))
     with pytest.raises(ShapeError):
-        T.linear_stack(Tensor(x3), ws, bs[:1])
+        T.linear_stack(Tensor(x3), ws, Tensor(bs.data[:1]))
+    with pytest.raises(ShapeError):
+        T.linear_stack(Tensor(x3), Tensor(ws.data[0]), bs)
 
 
 def test_softmax_of_a_stack_is_per_slice_softmax():
@@ -647,6 +650,14 @@ def test_missing_grad_raises_before_any_parameter_moves():
         with pytest.raises(TrainingStateError):
             opt.step()
         assert (a.data.tolist(), b.data.tolist()) == ([1.0], [2.0])
+
+
+def test_step_that_leaves_a_parameter_not_finite_raises():
+    for opt_cls in (SGD, Adam):
+        w = Tensor([1e308, 0.0], requires_grad=True)
+        w.grad = np.array([-1.0, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(TrainingStateError, match="not finite"):
+            opt_cls([w], lr=1e308).step()
 
 
 # ----------------------------------------------------------------------

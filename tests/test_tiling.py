@@ -1,4 +1,7 @@
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +304,41 @@ def test_plant_spanning_subsets_warns():
         build_splits(recs, subset_of, val_fraction=0.0, mode="pooled", seed=0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_splits_never_put_one_plant_in_train_and_val(data):
+    side = 8
+    plants = [f"p{i}" for i in range(6)]
+    records, subset_of = [], {}
+    for i in range(data.draw(st.integers(1, 6))):
+        image_id = f"img{i}.ppm"
+        subset_of[image_id] = data.draw(st.sampled_from(["A", "B", "C"]))
+        width, height = data.draw(st.integers(side, 30)), data.draw(st.integers(side, 30))
+        boxes = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            x0, y0 = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+            x1, y1 = data.draw(st.integers(x0 + 1, width)), data.draw(st.integers(y0 + 1, height))
+            boxes.append(BBoxAnnotation(image_id, x0, y0, x1, y1, "rumex",
+                                        data.draw(st.sampled_from(plants))))
+        records += tile_image(image_id, width, height, boxes, side=side,
+                              r_th=data.draw(st.floats(0.01, 0.9)))
+    val_fraction = data.draw(st.floats(0.05, 0.9))
+    mode = data.draw(st.sampled_from(["pooled", "per_subset"]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # plants spanning subsets, single-group subsets
+        try:
+            manifest = build_splits(records, subset_of, val_fraction, mode, seed)
+        except ConfigError:
+            return  # too few leakage groups for a val split
+    assert len(manifest) == len(records)
+    splits_of_plant: dict = {}
+    for e in manifest.entries:
+        for pid in e.record.plant_ids:
+            splits_of_plant.setdefault(pid, set()).add(e.split)
+    assert all(len(splits) == 1 for splits in splits_of_plant.values()), splits_of_plant
+
+
 def test_rumex_tile_without_plant_id_errors():
     recs = [TileRecord("a.ppm", 0, 0, 518, 1, 0.5, "TL")]
     with pytest.raises(DataError):
@@ -389,6 +427,74 @@ def test_read_annotations_requires_header(tmp_path):
     path.write_text("img1.ppm,10,20,110,220,rumex,p1\n")
     with pytest.raises(DataError):
         read_annotations(path)
+
+
+# one field longer than the csv module's default limit of 131072 characters
+_OVERSIZED = "a" * 200_000
+
+
+def test_annotation_field_over_the_csv_limit_is_a_data_error(tmp_path):
+    path = tmp_path / "boxes.csv"
+    path.write_text(",".join(tiling.ANNOTATION_HEADER) + f"\n{_OVERSIZED},0,0,10,10,rumex,p1\n")
+    with pytest.raises(DataError, match="boxes.csv:2: field larger than field limit"):
+        read_annotations(path)
+
+
+def test_manifest_field_over_the_csv_limit_is_a_data_error(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(tiling.MANIFEST_HEADER) + f"\na.ppm,0,0,518,0,0.0,none,d,TL\n"
+                    f"{_OVERSIZED},0,0,518,0,0.0,none,d,TL\n")
+    with pytest.raises(DataError, match="m.csv:3: field larger than field limit"):
+        read_manifest(path)
+
+
+def test_reader_errors_name_the_line_a_row_ends_on(tmp_path):
+    # a quoted field may hold a line break, so row 3 ends on line 4
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(tiling.MANIFEST_HEADER) + '\n"a\nb.ppm",0,0,518,0,0.0,none,d,TL\n'
+                    "a.ppm,zz,0,518,0,0.0,none,d,TL\n")
+    with pytest.raises(DataError, match="m.csv:4: invalid literal"):
+        read_manifest(path)
+
+
+def _manifest_bytes() -> bytes:
+    recs, subset_of = _records_for_split()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.csv"
+        write_manifest(build_splits(recs, subset_of, 0.3, "per_subset", seed=3), path)
+        return path.read_bytes()
+
+
+_CSV_READERS = {
+    "manifest": (read_manifest, _manifest_bytes()),
+    "annotations": (read_annotations, b"image_id,x_min,y_min,x_max,y_max,class,plant_id\n"
+                                      b"img1.ppm,10,20,110,220,rumex,p1\n"
+                                      b"img1.ppm,5,5,50,50,dandelion,\n"
+                                      b"siteB/img2.ppm,100,100,500,500,rumex,p3\n"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_CSV_READERS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.floats(0.0, 1.0),
+       flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+                      max_size=3),
+       pad_at=st.none() | st.floats(0.0, 1.0))
+def test_csv_reader_fuzz_raises_only_data_errors(tmp_path, which, cut, flips, pad_at):
+    reader, original = _CSV_READERS[which]
+    data = bytearray(original)
+    if pad_at is not None:
+        at = int(pad_at * len(data))
+        data[at:at] = _OVERSIZED.encode()
+    for where, mask in flips:
+        data[int(where * len(data))] ^= mask
+    path = tmp_path / "input.csv"
+    path.write_bytes(bytes(data[:int(cut * len(data))]))
+    try:
+        reader(path)
+    except DataError:
+        pass
 
 
 # ----------------------------------------------------------------------
