@@ -465,7 +465,7 @@ class M3sdaStepper:
 
     def __init__(self, bundle: ModelBundle, config: AdaptationConfig,
                  drop_rng: np.random.Generator):
-        if bundle.config.classifier_pairs == 0:
+        if bundle.pairs == 0:
             raise ConfigError("bundle was not built with classifier pairs")
         self.bundle = bundle
         self.config = config
@@ -563,10 +563,9 @@ def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],
     n = len(sources)
     if n == 0:
         raise ConfigError("m3sda_beta needs at least one source domain")
-    if bundle.config.classifier_pairs != n:
+    if bundle.pairs != n:
         raise ConfigError(
-            f"bundle has {bundle.config.classifier_pairs} classifier pairs "
-            f"but {n} source domains were provided"
+            f"bundle has {bundle.pairs} classifier pairs but {n} source domains were provided"
         )
     if target.n == 0:
         raise ConfigError("m3sda_beta needs a non-empty unlabeled target stream")

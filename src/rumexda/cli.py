@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 
 from . import config as cfgmod
@@ -30,7 +29,7 @@ from .evaluation import (
 )
 from .experiment import run_strategy
 from .files import csv_rows, write_text_atomic
-from .nn import ModelConfig, load_checkpoint, save_checkpoint, trainable_parameter_count
+from .nn import load_checkpoint, save_checkpoint, trainable_parameter_count
 from .synthdata import default_benchmark, generate, read_corpus_domains, write_corpus
 from .tiling import (
     ManifestEntry,
@@ -237,9 +236,8 @@ def cmd_train(args) -> int:
             "for model selection"
         )
     config.model.input_dim = target.dim  # resolved config records the actual dim
-    model_cfg = ModelConfig(**asdict(config.model), seed=train_cfg.seed)
 
-    bundle, history = run_strategy(sources, target, model_cfg, train_cfg, eval_targets=[target])
+    bundle, history = run_strategy(sources, target, config.model, train_cfg, eval_targets=[target])
     selected = select_model_epoch(history.val_f1_series(), train_cfg.warmup)
     bundle.restore(history.selected_snapshot)
 
@@ -295,7 +293,7 @@ def cmd_eval(args) -> int:
         "mean_f1": report.mean_f1,
         "sigma_flights": report.sigma_f1,
         "trainable_parameters": trainable_parameter_count(bundle),
-        "strategy_pairs": bundle.config.classifier_pairs,
+        "strategy_pairs": bundle.pairs,
     }
     write_text_atomic(out / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
     print(format_report_table(report), end="")
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", dest="training.optimizer", choices=["sgd", "adam"])
     p.add_argument("--seed", dest="training.seed", type=int)
     p.add_argument("--hidden-dims", dest="model.hidden_dims", type=comma_ints)
-    p.add_argument("--input-dim", dest="model.input_dim", type=int)
     p.add_argument("--feature-dim", dest="model.feature_dim", type=int)
     p.add_argument("--unfreeze", dest="model.unfreeze", type=int)
     p.add_argument("--adaptation", dest="model.adaptation", choices=["none", "lora"])

@@ -3,6 +3,9 @@
 Every command writes its fully resolved configuration (defaults included)
 next to its outputs, and rerunning from that file reproduces the outputs
 byte for byte. Floats are serialized with repr so they round-trip exactly.
+
+The ``model`` section is the ``ModelConfig`` that ``nn.build_model`` takes,
+and the ``training`` section the ``AdaptationConfig`` the trainers take.
 """
 
 from __future__ import annotations
@@ -30,15 +33,40 @@ class SplitSection:
 
 
 @dataclass
-class ModelSection:
+class ModelConfig:
+    """The ``model`` section, passed to ``nn.build_model`` as it is."""
+
     input_dim: int = 16
     hidden_dims: tuple[int, ...] = (32,)
     feature_dim: int = 16
-    unfreeze: int = 2
-    adaptation: str = "none"
+    unfreeze: int = 2  # trailing extractor blocks that train
+    adaptation: str = "none"  # "none" | "lora"
     lora_rank: int = 8
-    lora_alpha: Optional[float] = None
+    lora_alpha: Optional[float] = None  # None -> alpha == rank, i.e. scale 1
     dropout: float = 0.3
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.hidden_dims) + 1
+
+    def validate(self) -> None:
+        if self.input_dim < 1 or self.feature_dim < 1:
+            raise ConfigError("input_dim and feature_dim must be positive")
+        if any(h < 1 for h in self.hidden_dims):
+            raise ConfigError(f"hidden widths must be positive, got {self.hidden_dims}")
+        if self.adaptation not in ("none", "lora"):
+            raise ConfigError(f"unknown adaptation {self.adaptation!r}")
+        if not 0 <= self.unfreeze <= self.n_blocks:
+            raise ConfigError(
+                f"unfreeze={self.unfreeze} outside [0, {self.n_blocks}] for {self.n_blocks} blocks"
+            )
+        if self.adaptation == "lora":
+            if self.lora_rank <= 0:
+                raise ConfigError(f"LoRA rank must be positive, got {self.lora_rank}")
+            if self.unfreeze != 0:
+                raise ConfigError("LoRA keeps the whole base extractor frozen; set unfreeze=0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 STRATEGIES = ("vanilla", "m2s2da", "m3sda_beta")
@@ -65,6 +93,8 @@ class AdaptationConfig:
             raise ConfigError(f"lambda must be non-negative, got {self.lam}")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
+        if self.warmup < 0:
+            raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.strategy != "vanilla" and self.batch_size < 2:
@@ -96,7 +126,7 @@ class EvaluationSection:
 class RunConfig:
     tiling: TilingSection = field(default_factory=TilingSection)
     split: SplitSection = field(default_factory=SplitSection)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
     training: AdaptationConfig = field(default_factory=AdaptationConfig)
     synth: SynthSection = field(default_factory=SynthSection)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)

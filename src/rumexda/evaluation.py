@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, LabelError
 
 EXCLUDED_LABEL = 2
-WARMUP_EPOCHS = 5
-SIGMA_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,10 @@ def report_from_counts(counts_by_domain: Mapping[str, ConfusionCounts]) -> Metri
     return report
 
 
-def select_model_epoch(val_f1_by_epoch: Sequence[float], warmup: int = WARMUP_EPOCHS) -> int:
+def select_model_epoch(val_f1_by_epoch: Sequence[float], warmup: int) -> int:
     """Earliest epoch (1-based) maximizing validation F1 after the warm-up."""
+    if warmup < 0:
+        raise ConfigError(f"warmup must be non-negative, got {warmup}")
     n = len(val_f1_by_epoch)
     if n <= warmup:
         raise ConfigError(f"history of {n} epochs does not extend past warmup={warmup}")
@@ -126,9 +126,11 @@ def select_model_epoch(val_f1_by_epoch: Sequence[float], warmup: int = WARMUP_EP
     return best_epoch
 
 
-def sigma_epochs(median_f1_by_epoch: Sequence[float], window: int = SIGMA_WINDOW) -> float:
+def sigma_epochs(median_f1_by_epoch: Sequence[float], window: int) -> float:
     """Population standard deviation of the flight-median F1 over the
     trailing ``window`` epochs."""
+    if window < 1:
+        raise ConfigError(f"window must be at least 1 epoch, got {window}")
     n = len(median_f1_by_epoch)
     if n == 0:
         raise DegenerateInputError("empty history")

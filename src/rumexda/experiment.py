@@ -1,12 +1,12 @@
 """Wiring from a corpus of domain datasets to a trained model.
 
-Builds the pooled or per-domain training views, instantiates the right
-model shape for the chosen strategy, and dispatches to the trainer.
+Builds the pooled or per-domain training views, builds the model from the
+``model`` config with one classifier pair per source for m3sda_beta (one
+head otherwise) and the training seed, and dispatches to the trainer.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -71,27 +71,21 @@ def run_strategy(
     train_sources, pooled_val = split_sources(sources)
     unlabeled_target = target.unlabeled()
 
+    pairs = len(train_sources) if config.strategy == "m3sda_beta" else 0
+    bundle = build_model(model_config, pairs, config.seed)
     if config.strategy == "vanilla":
-        model_config = replace(model_config, classifier_pairs=0)
-        bundle = build_model(model_config)
         history = train_vanilla(
             bundle, pool_domains(train_sources, "pooled"), config,
             val=pooled_val, eval_targets=eval_targets,
         )
     elif config.strategy == "m2s2da":
-        model_config = replace(model_config, classifier_pairs=0)
-        bundle = build_model(model_config)
         history = train_m2s2da(
             bundle, pool_domains(train_sources, "pooled"), unlabeled_target, config,
             val=pooled_val, eval_targets=eval_targets,
         )
-    elif config.strategy == "m3sda_beta":
-        model_config = replace(model_config, classifier_pairs=len(train_sources))
-        bundle = build_model(model_config)
+    else:
         history = train_m3sda_beta(
             bundle, train_sources, unlabeled_target, config,
             val=pooled_val, eval_targets=eval_targets, step_observer=step_observer,
         )
-    else:
-        raise ConfigError(f"unknown strategy {config.strategy!r}")
     return bundle, history

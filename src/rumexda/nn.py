@@ -9,60 +9,24 @@ H classifiers (one, or the 2N of the pair strategies) live in one
 (H, ...) stack and runs every head in one forward pass. Checkpoints still
 store each head's slab as its own ``head{j}.linear{1,2}.{weight,bias}``
 entry.
+
+``build_model`` takes the run config's ``model`` section as it is, plus
+the pair count and seed that callers derive from the training settings.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import ConfigError, DataError, ShapeError
 from .files import read_text, write_text_atomic
 from . import tensor as T
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    input_dim: int
-    hidden_dims: tuple[int, ...] = (32,)
-    feature_dim: int = 16
-    unfreeze: int = 0
-    adaptation: str = "none"  # "none" | "lora"
-    lora_rank: int = 8
-    lora_alpha: Optional[float] = None  # None -> alpha == rank, i.e. scale 1
-    dropout: float = 0.3
-    classifier_pairs: int = 0  # 0 -> single head, N -> N (C_i, C'_i) pairs
-    seed: int = 0
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.hidden_dims) + 1
-
-    def validate(self) -> None:
-        if self.input_dim < 1 or self.feature_dim < 1:
-            raise ConfigError("input_dim and feature_dim must be positive")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ConfigError(f"hidden widths must be positive, got {self.hidden_dims}")
-        if self.adaptation not in ("none", "lora"):
-            raise ConfigError(f"unknown adaptation {self.adaptation!r}")
-        if not 0 <= self.unfreeze <= self.n_blocks:
-            raise ConfigError(
-                f"unfreeze={self.unfreeze} outside [0, {self.n_blocks}] for {self.n_blocks} blocks"
-            )
-        if self.adaptation == "lora":
-            if self.lora_rank <= 0:
-                raise ConfigError(f"LoRA rank must be positive, got {self.lora_rank}")
-            if self.unfreeze != 0:
-                raise ConfigError("LoRA keeps the whole base extractor frozen; set unfreeze=0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.classifier_pairs < 0:
-            raise ConfigError("classifier_pairs must be >= 0")
 
 
 def _he_uniform(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
@@ -179,13 +143,20 @@ class ClassifierHead:
 
 class ModelBundle:
     """A feature extractor plus a stack of classifier heads: one head, or
-    2N heads when built with ``classifier_pairs=N``, where heads 2i and
-    2i+1 form the pair (C_i, C'_i)."""
+    2N heads when built with ``pairs=N``, where heads 2i and 2i+1 form the
+    pair (C_i, C'_i). ``seed`` is the seed its weights were drawn from."""
 
-    def __init__(self, config: ModelConfig, extractor: FeatureExtractor, head: ClassifierHead):
+    def __init__(self, config: ModelConfig, extractor: FeatureExtractor, head: ClassifierHead,
+                 seed: int):
         self.config = config
         self.extractor = extractor
         self.head = head
+        self.seed = seed
+
+    @property
+    def pairs(self) -> int:
+        """N for a bundle of N classifier pairs, 0 for a single head."""
+        return self.head.n_heads // 2
 
     def forward(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         """Logits of every head, H x n x 2."""
@@ -220,20 +191,22 @@ class ModelBundle:
             p.data[...] = snapshot[name]
 
 
-def build_model(config: ModelConfig) -> ModelBundle:
-    """Deterministically initialize a bundle from its config seed.
+def build_model(config: ModelConfig, pairs: int = 0, seed: int = 0) -> ModelBundle:
+    """Deterministically initialize a bundle with one classifier head
+    (``pairs=0``) or ``pairs`` classifier pairs, drawing from ``seed``.
 
     He-uniform weights for all linear layers, zero biases, zero LoRA ``up``
     factors (so a fresh adapter model reproduces the base forward exactly).
     """
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    if pairs < 0:
+        raise ConfigError(f"classifier pairs must be >= 0, got {pairs}")
+    rng = np.random.default_rng(seed)
     dims = (config.input_dim, *config.hidden_dims, config.feature_dim)
-    n_blocks = len(dims) - 1
     alpha = config.lora_alpha if config.lora_alpha is not None else float(config.lora_rank)
 
-    bases = [LinearLayer(dims[i], dims[i + 1], rng) for i in range(n_blocks)]
-    n_heads = 1 if config.classifier_pairs == 0 else 2 * config.classifier_pairs
+    bases = [LinearLayer(dims[i], dims[i + 1], rng) for i in range(config.n_blocks)]
+    n_heads = 1 if pairs == 0 else 2 * pairs
     head = ClassifierHead(config.feature_dim, n_heads, rng, config.dropout)
 
     # adapter factors are drawn last so the base+head draw sequence matches
@@ -244,9 +217,9 @@ def build_model(config: ModelConfig) -> ModelBundle:
         if config.adaptation == "lora":
             blocks.append(LoraLinear(base, config.lora_rank, alpha, rng))
         else:
-            base.set_trainable(i >= n_blocks - config.unfreeze)
+            base.set_trainable(i >= config.n_blocks - config.unfreeze)
             blocks.append(base)
-    return ModelBundle(config, FeatureExtractor(blocks), head)
+    return ModelBundle(config, FeatureExtractor(blocks), head, seed)
 
 
 def trainable_parameter_count(bundle: ModelBundle) -> int:
@@ -269,8 +242,6 @@ def _config_from_dict(d: dict) -> ModelConfig:
         lora_rank=int(d["lora_rank"]),
         lora_alpha=None if d["lora_alpha"] is None else float(d["lora_alpha"]),
         dropout=float(d["dropout"]),
-        classifier_pairs=int(d["classifier_pairs"]),
-        seed=int(d["seed"]),
     )
 
 
@@ -299,7 +270,8 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         }
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": asdict(bundle.config),
+        "config": {**asdict(bundle.config), "classifier_pairs": bundle.pairs,
+                   "seed": bundle.seed},
         "parameters": params,
     }
     write_text_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
@@ -312,7 +284,8 @@ def load_checkpoint(path) -> ModelBundle:
         payload = json.loads(read_text(path))
         if payload.get("format_version") != CHECKPOINT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-        bundle = build_model(_config_from_dict(payload["config"]))
+        d = payload["config"]
+        bundle = build_model(_config_from_dict(d), int(d["classifier_pairs"]), int(d["seed"]))
         stored = payload["parameters"]
         for name, target in _checkpoint_entries(bundle):
             if name not in stored:

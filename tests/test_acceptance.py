@@ -323,7 +323,7 @@ def _benchmark_corpus(seed, n_samples=None):
 
 def test_criterion_5_m3sda_alternation_contracts():
     corpus = _benchmark_corpus(seed=0)
-    model_cfg = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16, unfreeze=2, seed=0)
+    model_cfg = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16, unfreeze=2)
     train_cfg = AdaptationConfig(strategy="m3sda_beta", lam=0.5, epochs=20, seed=0)
 
     stash = {}
@@ -355,8 +355,8 @@ def test_criterion_5_m3sda_alternation_contracts():
     small = _benchmark_corpus(seed=1, n_samples=400)
     for trial in range(trials):
         mc = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16, unfreeze=2,
-                         classifier_pairs=3, dropout=0.0, seed=3000 + trial)
-        bundle = build_model(mc)
+                         dropout=0.0)
+        bundle = build_model(mc, pairs=3, seed=3000 + trial)
         warm = M3sdaStepper(
             bundle,
             AdaptationConfig(strategy="m3sda_beta", optimizer="adam", lr=1e-3, seed=trial),
@@ -403,7 +403,7 @@ def test_criterion_6_da_benefit():
     for seed in seeds:
         corpus = _benchmark_corpus(seed=seed)
         for strategy in results:
-            model_cfg = ModelConfig(seed=seed, **model_kwargs)
+            model_cfg = ModelConfig(**model_kwargs)
             train_cfg = AdaptationConfig(strategy=strategy, lam=0.5, epochs=20, seed=seed)
             _, history = run_strategy(
                 corpus.sources, corpus.target, model_cfg, train_cfg,
@@ -433,19 +433,19 @@ def test_criterion_7_lora_contracts():
     ok = True
 
     # zero-init identity against the same-seed frozen base model
-    base_cfg = ModelConfig(input_dim=12, hidden_dims=(16,), feature_dim=12, unfreeze=0, seed=5)
-    lora_cfg = ModelConfig(input_dim=12, hidden_dims=(16,), feature_dim=12,
-                           adaptation="lora", lora_rank=8, seed=5)
-    base, lora = build_model(base_cfg), build_model(lora_cfg)
+    base_cfg = ModelConfig(input_dim=12, hidden_dims=(16,), feature_dim=12, unfreeze=0)
+    lora_cfg = ModelConfig(input_dim=12, hidden_dims=(16,), feature_dim=12, unfreeze=0,
+                           adaptation="lora", lora_rank=8)
+    base, lora = build_model(base_cfg, seed=5), build_model(lora_cfg, seed=5)
     x = Tensor(rng.normal(size=(32, 12)))
     ok &= float(np.max(np.abs(base.forward(x).data - lora.forward(x).data))) == 0.0
 
     # frozen base is bitwise invariant over a full training run
     corpus = _benchmark_corpus(seed=2, n_samples=300)
-    model_cfg = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16,
-                            adaptation="lora", lora_rank=8, seed=1)
+    model_cfg = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16, unfreeze=0,
+                            adaptation="lora", lora_rank=8)
     train_cfg = AdaptationConfig(strategy="vanilla", epochs=8, seed=1)
-    bundle = build_model(model_cfg)
+    bundle = build_model(model_cfg, seed=1)
     before = {n: p.data.tobytes() for n, p in bundle.extractor.parameters()}
     from rumexda.adaptation import train_vanilla
     from rumexda.experiment import pool_domains, split_sources
@@ -462,9 +462,9 @@ def test_criterion_7_lora_contracts():
     counts_ok = True
     for rank in (8, 16, 32):
         d_in, d_out = 24, 10
-        cfg = ModelConfig(input_dim=d_in, hidden_dims=(), feature_dim=d_out,
-                          adaptation="lora", lora_rank=rank, seed=0)
-        b = build_model(cfg)
+        cfg = ModelConfig(input_dim=d_in, hidden_dims=(), feature_dim=d_out, unfreeze=0,
+                          adaptation="lora", lora_rank=rank)
+        b = build_model(cfg, seed=0)
         lora_count = sum(p.size for n, p in b.trainable_parameters() if "lora" in n)
         counts_ok &= lora_count == rank * (d_in + d_out)
         head_count = d_out * d_out + d_out + 2 * d_out + 2

@@ -197,11 +197,9 @@ def _blobs(n=400, d=2, seed=0, gap=3.0):
     return DomainDataset("blobs", x, labels)
 
 
-def _model_cfg(d=2, seed=0, pairs=0):
-    return ModelConfig(
-        input_dim=d, hidden_dims=(8,), feature_dim=8, unfreeze=2,
-        classifier_pairs=pairs, seed=seed,
-    )
+def _model(d=2, seed=0, pairs=0):
+    return build_model(ModelConfig(input_dim=d, hidden_dims=(8,), feature_dim=8, unfreeze=2),
+                       pairs, seed)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +208,7 @@ def _model_cfg(d=2, seed=0, pairs=0):
 
 def test_vanilla_learns_separable_blobs():
     train, val = _blobs(seed=1), _blobs(seed=2)
-    bundle = build_model(_model_cfg(seed=1))
+    bundle = _model(seed=1)
     cfg = AdaptationConfig(strategy="vanilla", epochs=50, batch_size=32, seed=0)
     history = train_vanilla(bundle, train, cfg, val=val)
     assert history.records[-1].source_val_f1 >= 0.99
@@ -218,7 +216,7 @@ def test_vanilla_learns_separable_blobs():
 
 def test_vanilla_lr_zero_keeps_parameters():
     train = _blobs(seed=3)
-    bundle = build_model(_model_cfg(seed=2))
+    bundle = _model(seed=2)
     before = bundle.snapshot()
     cfg = AdaptationConfig(strategy="vanilla", epochs=2, lr=0.0, optimizer="sgd", seed=0)
     train_vanilla(bundle, train, cfg)
@@ -231,7 +229,7 @@ def test_vanilla_history_bitwise_deterministic(tmp_path):
     cfg = AdaptationConfig(strategy="vanilla", epochs=4, seed=9)
 
     def run(path):
-        bundle = build_model(_model_cfg(seed=3))
+        bundle = _model(seed=3)
         history = train_vanilla(bundle, train, cfg, val=val)
         history.to_jsonl(path)
         return path.read_bytes()
@@ -241,7 +239,7 @@ def test_vanilla_history_bitwise_deterministic(tmp_path):
 
 def test_vanilla_warns_on_single_class_data():
     ds = DomainDataset("one", np.random.default_rng(0).normal(size=(50, 2)), np.zeros(50, dtype=int))
-    bundle = build_model(_model_cfg(seed=4))
+    bundle = _model(seed=4)
     cfg = AdaptationConfig(strategy="vanilla", epochs=1, seed=0)
     with pytest.warns(UserWarning, match="single class"):
         train_vanilla(bundle, ds, cfg)
@@ -249,7 +247,7 @@ def test_vanilla_warns_on_single_class_data():
 
 def test_history_jsonl_roundtrip(tmp_path):
     train = _blobs(seed=6)
-    bundle = build_model(_model_cfg(seed=5))
+    bundle = _model(seed=5)
     cfg = AdaptationConfig(strategy="vanilla", epochs=3, seed=1)
     history = train_vanilla(bundle, train, cfg, val=_blobs(seed=7), eval_targets=[_blobs(seed=8)])
     path = tmp_path / "history.jsonl"
@@ -273,8 +271,8 @@ def _shifted_target(n=400, d=2, seed=10, shift=2.5):
 def test_lambda_zero_reduces_to_vanilla():
     train = _blobs(seed=11)
     target = _shifted_target(seed=12)
-    b_v = build_model(_model_cfg(seed=6))
-    b_0 = build_model(_model_cfg(seed=6))
+    b_v = _model(seed=6)
+    b_0 = _model(seed=6)
     cfg_v = AdaptationConfig(strategy="vanilla", epochs=3, seed=21)
     cfg_0 = AdaptationConfig(strategy="m2s2da", lam=0.0, epochs=3, seed=21)
     h_v = train_vanilla(b_v, train, cfg_v)
@@ -289,7 +287,7 @@ def test_identical_domains_keep_md2_small_and_source_f1():
     target = _blobs(n=600, seed=15)  # same distribution, fresh draw
     cfg_v = AdaptationConfig(strategy="vanilla", epochs=8, seed=2)
     cfg_m = AdaptationConfig(strategy="m2s2da", lam=0.5, epochs=8, seed=2)
-    b_v, b_m = build_model(_model_cfg(seed=7)), build_model(_model_cfg(seed=7))
+    b_v, b_m = _model(seed=7), _model(seed=7)
     h_v = train_vanilla(b_v, source, cfg_v, val=val)
     h_m = train_m2s2da(b_m, source, target.unlabeled(), cfg_m, val=val)
     f1_gap = abs(h_v.records[-1].source_val_f1 - h_m.records[-1].source_val_f1)
@@ -302,7 +300,7 @@ def test_identical_domains_keep_md2_small_and_source_f1():
 def test_shifted_target_md2_decreases():
     source = _blobs(n=500, seed=16)
     target = _shifted_target(n=500, seed=17)
-    bundle = build_model(_model_cfg(seed=8))
+    bundle = _model(seed=8)
 
     def full_md2():
         z_s = bundle.extract(Tensor(source.features))
@@ -316,7 +314,7 @@ def test_shifted_target_md2_decreases():
 
 
 def test_m2s2da_requires_target():
-    bundle = build_model(_model_cfg(seed=9))
+    bundle = _model(seed=9)
     empty = DomainDataset("t", np.zeros((0, 2)))
     with pytest.raises(ConfigError):
         train_m2s2da(bundle, _blobs(seed=18), empty, AdaptationConfig(strategy="m2s2da", epochs=1))
@@ -339,7 +337,7 @@ def _three_sources(seed0=30):
 def test_m3sda_freeze_contracts_during_training():
     sources = _three_sources()
     target = _shifted_target(n=300, seed=40)
-    bundle = build_model(_model_cfg(seed=10, pairs=3))
+    bundle = _model(seed=10, pairs=3)
     cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=50, seed=4)
 
     g_names = {name for name, _ in bundle.extractor_trainable_parameters()}
@@ -369,7 +367,7 @@ def test_m3sda_freeze_contracts_during_training():
 def _stepper_and_batch(seed=12, pairs=3):
     sources = _three_sources(seed0=70)[:pairs]
     target = _shifted_target(n=64, seed=75)
-    bundle = build_model(_model_cfg(seed=seed, pairs=pairs))
+    bundle = _model(seed=seed, pairs=pairs)
     stepper = M3sdaStepper(bundle, AdaptationConfig(strategy="m3sda_beta", seed=seed),
                            np.random.default_rng(seed))
     batches = [(ds.features[:32], ds.labels[:32]) for ds in sources]
@@ -414,7 +412,7 @@ def test_m3sda_step3_freeze_audit_sees_every_head_tensor():
     pairs = 3
     sources = _three_sources(seed0=80)
     target = _shifted_target(n=300, seed=85)
-    bundle = build_model(_model_cfg(seed=13, pairs=pairs))
+    bundle = _model(seed=13, pairs=pairs)
     seen = {"step3_pre": set(), "step3_post": set()}
 
     def observer(phase, iteration, b):
@@ -440,8 +438,8 @@ def test_m3sda_one_step_discrepancy_directions():
     trials = 6
     for trial in range(trials):
         mc = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16, unfreeze=2,
-                         classifier_pairs=3, dropout=0.0, seed=100 + trial)
-        bundle = build_model(mc)
+                         dropout=0.0)
+        bundle = build_model(mc, pairs=3, seed=100 + trial)
         warm = M3sdaStepper(bundle, AdaptationConfig(strategy="m3sda_beta", optimizer="adam",
                                                      lr=1e-3, seed=trial),
                             np.random.default_rng(trial))
@@ -469,7 +467,7 @@ def test_m3sda_one_step_discrepancy_directions():
 def test_m3sda_pair_count_mismatch():
     sources = _three_sources(seed0=60)
     target = _shifted_target(seed=65)
-    bundle = build_model(_model_cfg(seed=11, pairs=2))
+    bundle = _model(seed=11, pairs=2)
     with pytest.raises(ConfigError, match="pairs"):
         train_m3sda_beta(bundle, sources, target.unlabeled(),
                          AdaptationConfig(strategy="m3sda_beta", epochs=1))
@@ -478,7 +476,7 @@ def test_m3sda_pair_count_mismatch():
 def test_m3sda_single_source_degrades_to_pairworthy_m2s2da():
     source = [_blobs(n=200, seed=70)]
     target = _shifted_target(n=200, seed=71)
-    bundle = build_model(_model_cfg(seed=12, pairs=1))
+    bundle = _model(seed=12, pairs=1)
     cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=40, seed=5)
     history = train_m3sda_beta(bundle, source, target.unlabeled(), cfg)
     assert len(history.records) == 2
@@ -490,7 +488,7 @@ def test_m3sda_determinism():
     cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=60, seed=6)
 
     def run():
-        bundle = build_model(_model_cfg(seed=13, pairs=3))
+        bundle = _model(seed=13, pairs=3)
         train_m3sda_beta(bundle, sources, target.unlabeled(), cfg)
         return bundle.snapshot()
 
@@ -505,7 +503,7 @@ def test_m3sda_determinism():
 
 def _train_vanilla_blobs(epochs):
     train, val = _blobs(n=200, seed=90, gap=0.5), _blobs(n=100, seed=91, gap=0.5)
-    bundle = build_model(_model_cfg(seed=20))
+    bundle = _model(seed=20)
     cfg = AdaptationConfig(strategy="vanilla", epochs=epochs, warmup=2, batch_size=32, lr=1e-2,
                            seed=4)
     return bundle, train_vanilla(bundle, train, cfg, val=val)
@@ -514,7 +512,7 @@ def _train_vanilla_blobs(epochs):
 def _train_m3sda_blobs(epochs):
     sources = [_blobs(n=120, seed=92 + i, gap=0.5) for i in range(2)]
     target, val = _shifted_target(n=120, seed=95), _blobs(n=100, seed=91, gap=0.5)
-    bundle = build_model(_model_cfg(seed=21, pairs=2))
+    bundle = _model(seed=21, pairs=2)
     cfg = AdaptationConfig(strategy="m3sda_beta", epochs=epochs, warmup=2, batch_size=40,
                            lr=3e-3, seed=4)
     return bundle, train_m3sda_beta(bundle, sources, target.unlabeled(), cfg, val=val)
@@ -535,8 +533,8 @@ def test_kept_snapshot_is_the_selected_epoch(train):
 
 
 def test_ensemble_of_identical_heads_equals_single():
-    cfg = ModelConfig(input_dim=3, hidden_dims=(), feature_dim=4, classifier_pairs=2, seed=14)
-    bundle = build_model(cfg)
+    cfg = ModelConfig(input_dim=3, hidden_dims=(), feature_dim=4, unfreeze=0)
+    bundle = build_model(cfg, pairs=2, seed=14)
     for _, p in bundle.head.parameters():
         p.data[1:] = p.data[0]  # every head a copy of head 0
     x = np.random.default_rng(1).normal(size=(6, 3))
@@ -546,8 +544,8 @@ def test_ensemble_of_identical_heads_equals_single():
 
 
 def test_ensemble_averages_opposite_heads():
-    cfg = ModelConfig(input_dim=2, hidden_dims=(), feature_dim=2, classifier_pairs=1, seed=15)
-    bundle = build_model(cfg)
+    cfg = ModelConfig(input_dim=2, hidden_dims=(), feature_dim=2, unfreeze=0)
+    bundle = build_model(cfg, pairs=1, seed=15)
     head = bundle.head
     head.weight1.data[:] = 0.0
     head.bias1.data[:] = 0.0
@@ -558,8 +556,8 @@ def test_ensemble_averages_opposite_heads():
 
 
 def test_ensemble_rows_sum_to_one():
-    cfg = ModelConfig(input_dim=4, hidden_dims=(6,), feature_dim=5, classifier_pairs=3, seed=16)
-    bundle = build_model(cfg)
+    cfg = ModelConfig(input_dim=4, hidden_dims=(6,), feature_dim=5, unfreeze=0)
+    bundle = build_model(cfg, pairs=3, seed=16)
     x = np.random.default_rng(2).normal(size=(11, 4))
     probs = predict_ensemble(bundle, x).data
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -567,9 +565,8 @@ def test_ensemble_rows_sum_to_one():
 
 @pytest.mark.parametrize("pairs", [0, 3])
 def test_predict_labels_builds_no_graph(pairs, monkeypatch):
-    cfg = ModelConfig(input_dim=4, hidden_dims=(6,), feature_dim=5, unfreeze=2,
-                      classifier_pairs=pairs, seed=17)
-    bundle = build_model(cfg)
+    cfg = ModelConfig(input_dim=4, hidden_dims=(6,), feature_dim=5, unfreeze=2)
+    bundle = build_model(cfg, pairs, seed=17)
     x = np.random.default_rng(3).normal(size=(20, 4))
     # the labels as computed with the graph recorded
     probs = T.softmax(bundle.forward(Tensor(x)))
@@ -591,7 +588,8 @@ def test_predict_labels_builds_no_graph(pairs, monkeypatch):
 
 
 def test_pair_set_from_bundle_validates():
-    single = build_model(ModelConfig(input_dim=2, hidden_dims=(), feature_dim=2, seed=0))
+    single = build_model(ModelConfig(input_dim=2, hidden_dims=(), feature_dim=2, unfreeze=0),
+                         seed=0)
     with pytest.raises(ConfigError):
         M3sdaStepper(single, AdaptationConfig(strategy="m3sda_beta"), np.random.default_rng(0))
 

@@ -293,6 +293,63 @@ def test_train_epochs_must_exceed_warmup(tmp_path):
     assert rc == 1
 
 
+def test_train_negative_warmup_is_an_error(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+               "--epochs", "2", "--warmup", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: warmup must be non-negative, got -1\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--warmup", "-1"], "warmup must be non-negative, got -1"),
+    (["--window", "0"], "window must be at least 1 epoch, got 0"),
+    (["--window", "-3"], "window must be at least 1 epoch, got -3"),
+])
+def test_report_rejects_a_negative_warmup_or_an_empty_window(tmp_path, capsys, flags, message):
+    corpus = _make_corpus(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "6"]) == 0
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    rc = main(["report", "--history", str(run / "history.jsonl"), "--out", str(rep), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not rep.exists()
+
+
+def test_input_dim_is_not_a_flag(tmp_path, capsys):
+    # the corpus sets model.input_dim; no flag can disagree with it
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", str(tmp_path), "--out", str(tmp_path / "run"),
+              "--input-dim", "5"])
+    assert exc.value.code == 2
+    assert "--input-dim" in capsys.readouterr().err
+
+
+def test_default_model_section_builds_the_bundle_train_builds(tmp_path, monkeypatch):
+    import rumexda.cli as cli
+    from rumexda.nn import build_model
+
+    trained, run_strategy = [], cli.run_strategy
+
+    def capture(*args, **kwargs):
+        bundle, history = run_strategy(*args, **kwargs)
+        trained.append(bundle)
+        return bundle, history
+
+    monkeypatch.setattr(cli, "run_strategy", capture)
+    corpus = _make_corpus(tmp_path)
+    assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                 "--epochs", "6"]) == 0
+
+    def layout(bundle):
+        return [(name, p.shape, p.requires_grad) for name, p in bundle.parameters()]
+
+    assert layout(build_model(RunConfig().model, seed=0)) == layout(trained[0])
+
+
 def test_eval_reports_and_rerun_identical(tmp_path):
     corpus = _make_corpus(tmp_path)
     run = tmp_path / "run"
@@ -431,7 +488,7 @@ def test_every_flag_is_a_config_field_or_an_io_option():
             section, attr = action.dest.split(".")
             assert attr in {f.name for f in fields(getattr(config, section))}, (command, action.dest)
             dotted += 1
-    assert dotted == 32
+    assert dotted == 31
 
 
 def test_flag_overrides_its_config_field(tmp_path):

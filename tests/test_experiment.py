@@ -10,8 +10,7 @@ from rumexda.synthdata import bayes_reference, default_benchmark, generate
 
 
 def _vanilla_run(corpus, seed, epochs=10):
-    model_cfg = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16,
-                            unfreeze=2, seed=seed)
+    model_cfg = ModelConfig(input_dim=16, hidden_dims=(32,), feature_dim=16, unfreeze=2)
     train_cfg = AdaptationConfig(strategy="vanilla", epochs=epochs, seed=seed)
     return run_strategy(corpus.sources, corpus.target, model_cfg, train_cfg,
                         eval_targets=[corpus.target])
@@ -54,7 +53,7 @@ def test_shift_monotonicity_of_vanilla_target_f1():
 def test_run_strategy_validates_dims():
     sources, target = default_benchmark(n_samples=50)
     corpus = generate(sources, target, seed=0)
-    bad_cfg = ModelConfig(input_dim=8, hidden_dims=(16,), feature_dim=8, unfreeze=2, seed=0)
+    bad_cfg = ModelConfig(input_dim=8, hidden_dims=(16,), feature_dim=8, unfreeze=2)
     with pytest.raises(ShapeError, match="input_dim=8"):
         run_strategy(corpus.sources, corpus.target, bad_cfg,
                      AdaptationConfig(strategy="vanilla", epochs=1))
