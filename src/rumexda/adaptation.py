@@ -7,8 +7,9 @@ The moment distance between two feature batches is
 
 with elementwise powers and batch means; the multi-source form averages the
 source-target terms over the N sources and adds the pairwise source-source
-terms weighted by 1/C(N,2). These losses only ever touch the feature
-extractor's output, so their gradients reach G and nothing else.
+terms weighted by 1/C(N,2). Either form is one ``T.moment_distance``
+graph node. These losses only ever touch the feature extractor's output,
+so their gradients reach G and nothing else.
 
 The three-step alternation trains (1) the extractor and every classifier on
 labeled source batches plus the weighted moment distance, (2) the
@@ -101,43 +102,16 @@ class DomainDataset:
 # losses
 
 
-def _batch_moment(z: Tensor, k: int) -> Tensor:
-    return T.reduce_mean(T.pow_k(z, k), axis=0)
-
-
 def moment_distance_single(z_s: Tensor, z_t: Tensor) -> Tensor:
     """First- plus second-moment distance between two feature batches."""
-    return moment_distance_multi([z_s], z_t)
+    return T.moment_distance([z_s], z_t)
 
 
 def moment_distance_multi(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
     """Multi-source moment distance: mean source-target alignment plus the
     pairwise source-source terms, each summed over moments k in {1, 2}.
     With one source it is that source's distance to the target alone."""
-    n = len(z_sources)
-    if n == 0:
-        raise ConfigError("moment_distance_multi needs at least one source batch")
-    for z in z_sources:
-        if z.ndim != 2 or z_t.ndim != 2 or z.shape[1] != z_t.shape[1]:
-            raise ShapeError(f"feature dims disagree: {z.shape} vs {z_t.shape}")
-    total = None
-    for k in (1, 2):
-        moments = [_batch_moment(z, k) for z in z_sources]
-        target_moment = _batch_moment(z_t, k)
-        st = None
-        for m in moments:
-            term = T.l2_norm(T.sub(m, target_moment))
-            st = term if st is None else T.add(st, term)
-        part = st if n == 1 else T.mul(st, 1.0 / n)
-        if n >= 2:
-            pw = None
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    term = T.l2_norm(T.sub(moments[i], moments[j]))
-                    pw = term if pw is None else T.add(pw, term)
-            part = T.add(part, T.mul(pw, 1.0 / math.comb(n, 2)))
-        total = part if total is None else T.add(total, part)
-    return total
+    return T.moment_distance(z_sources, z_t)
 
 
 def classifier_discrepancy(p1: Tensor, p2: Tensor) -> Tensor:

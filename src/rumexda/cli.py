@@ -230,11 +230,6 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"m3sda_beta needs at least 2 source domains, corpus has {len(sources)}"
         )
-    if train_cfg.epochs <= train_cfg.warmup:
-        raise ConfigError(
-            f"epochs={train_cfg.epochs} must exceed the warmup of {train_cfg.warmup} "
-            "for model selection"
-        )
     config.model.input_dim = target.dim  # resolved config records the actual dim
 
     bundle, history = run_strategy(sources, target, config.model, train_cfg, eval_targets=[target])

@@ -318,49 +318,97 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
     write_text_atomic(out / SPECS_FILE, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+# feature fields a domain holds as text before they are converted; as str
+# objects they take about 8x the memory of the float64 values, so a corpus
+# is never held as text whole
+_PARSE_BLOCK = 1 << 12
+
+
+def _convert_pending(path: Path, buckets, bucket: dict, dim: int) -> None:
+    """Convert a domain's pending feature fields to one float64 block.
+
+    numpy parses each field as ``float()`` does. When one does not parse,
+    the first line with such a field among every domain's pending rows,
+    and so in the file so far, is reported.
+    """
+    try:
+        block = np.array(bucket["x"], dtype=np.float64).reshape(len(bucket["line"]), dim)
+    except ValueError as exc:
+        _raise_first_bad_value(path, buckets, dim)
+        raise DataError(f"{path}: {exc}") from exc
+    bucket["blocks"].append(block)
+    bucket["x"], bucket["line"] = [], []
+
+
+def _raise_first_bad_value(path: Path, buckets, dim: int) -> None:
+    """Raise the DataError of the first pending line with a feature field
+    that ``float()`` rejects, if there is one."""
+    rows = sorted((line_no, bucket["x"][r * dim:(r + 1) * dim])
+                  for bucket in buckets for r, line_no in enumerate(bucket["line"]))
+    for line_no, fields in rows:
+        try:
+            for value in fields:
+                float(value)
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+
+
 def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDataset]]:
-    """(sources, targets) from a corpus directory, one dataset per domain."""
+    """(sources, targets) from a corpus directory, one dataset per domain.
+
+    Feature fields are kept as strings and converted with one numpy call
+    per block of rows of a domain. A field that does not parse is reported
+    at its line, and before any error on a later line, as a line-by-line
+    parse would report it.
+    """
     root = Path(corpus_dir)
     path = root / CORPUS_FILE
     if not path.exists():
         raise DataError(f"{path} not found")
     rows_by_domain: dict[str, dict] = {}
-    order: list[str] = []
+    buckets = rows_by_domain.values()
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:4] != ["domain_id", "role", "split", "label"]:
             raise DataError(f"{path}: unexpected corpus header {header[:4]}")
         dim = len(header) - 4
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4 + dim:
-                raise DataError(f"{path}:{line_no}: expected {4 + dim} fields")
-            domain_id, role, split, label = parts[:4]
-            if role not in ("source", "target"):
-                raise DataError(f"{path}:{line_no}: unknown role {role!r}")
-            if domain_id not in rows_by_domain:
-                rows_by_domain[domain_id] = {"role": role, "split": [], "label": [], "x": []}
-                order.append(domain_id)
-            bucket = rows_by_domain[domain_id]
-            if bucket["role"] != role:
-                raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
-            bucket["split"].append(split)
-            try:
-                bucket["label"].append(int(label))
-                bucket["x"].extend(map(float, parts[4:]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
+        try:
+            for line_no, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 4 + dim:
+                    raise DataError(f"{path}:{line_no}: expected {4 + dim} fields")
+                domain_id, role, split, label = parts[:4]
+                if role not in ("source", "target"):
+                    raise DataError(f"{path}:{line_no}: unknown role {role!r}")
+                bucket = rows_by_domain.get(domain_id)
+                if bucket is None:
+                    bucket = rows_by_domain[domain_id] = {
+                        "role": role, "split": [], "label": [], "x": [], "line": [], "blocks": []}
+                if bucket["role"] != role:
+                    raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
+                bucket["split"].append(split)
+                try:
+                    bucket["label"].append(int(label))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line_no}: {exc}") from exc
+                bucket["x"].extend(parts[4:])
+                bucket["line"].append(line_no)
+                if len(bucket["x"]) >= _PARSE_BLOCK:
+                    _convert_pending(path, buckets, bucket, dim)
+        except (DataError, UnicodeDecodeError):  # open_text turns the latter into a DataError
+            _raise_first_bad_value(path, buckets, dim)
+            raise
 
     sources, targets = [], []
-    for domain_id in order:
-        bucket = rows_by_domain[domain_id]
+    for domain_id, bucket in rows_by_domain.items():
+        _convert_pending(path, buckets, bucket, dim)
         labels = np.asarray(bucket["label"], dtype=np.int64)
         ds = DomainDataset(
             domain_id,
-            np.asarray(bucket["x"], dtype=np.float64).reshape(len(labels), dim),
+            np.concatenate(bucket["blocks"]),
             labels if np.all(labels >= 0) else None,
             np.asarray(bucket["split"]) if bucket["split"][0] != "none" else None,
         )

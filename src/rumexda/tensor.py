@@ -21,10 +21,15 @@ so the engine records as few nodes as it can:
   ``softmax`` and ``softmax_cross_entropy`` act on such stacks as well,
   and ``pair_discrepancy`` compares the heads pair by pair; per-head and
   per-pair losses are added in head order, as a chain of ``add`` would.
+* ``moment_distance`` is the first- plus second-moment distance between
+  feature batches (MD2) as one node, bitwise equal in value and gradient
+  to the ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
+  ``mul`` graph that spells it out.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
@@ -362,6 +367,94 @@ def l2_norm(t: Tensor) -> Tensor:
     return _result(data, (t,), grad_fn, "l2_norm")
 
 
+def _diff_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
+    return d, float(np.sqrt((d ** 2).sum()))
+
+
+def _norm_grad(g, d: np.ndarray, norm: float) -> np.ndarray:
+    # l2_norm's gradient, with the zero subgradient at the origin
+    return np.zeros_like(d) if norm == 0.0 else g * d / norm
+
+
+def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
+    """MD2 between N source feature batches and a target batch, as one node.
+
+    For k in {1, 2}, with m(z) the row mean of ``z ** k``, moment k adds
+    ``||m(z_1) - m(z_t)|| + ... + ||m(z_N) - m(z_t)||``, scaled by 1/N when
+    N >= 2, and then, when N >= 2, the pairwise terms ``||m(z_i) - m(z_j)||``
+    over i < j in lexicographic order, scaled by 1/C(N, 2). Sums run left to
+    right and moment 1 comes first, so the value is bitwise that of the
+    chain of ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
+    ``mul`` nodes that spells this out, and so is every gradient:
+
+    * a moment's gradient adds its terms' ``±(g_c * d / ||d||)`` (zero when
+      ``||d||`` is 0), its source-target term first and then its pairwise
+      terms in order; the target's adds its N source-target terms;
+    * it is spread over the b rows as ``g / b`` and multiplied by
+      ``k * z ** (k - 1)``.
+
+    The parents are the batches twice, the k = 1 block and then the k = 2
+    block, each ``[*z_sources, z_t]`` when N == 1 and ``[z_t, *z_sources]``
+    when N >= 2. That is the order in which ``backward`` reaches the
+    unfused graph's ``pow_k`` nodes, so a batch, and an extractor weight
+    that several batches share, adds up its gradient contributions in the
+    same order as there.
+    """
+    zs = [_as_tensor(z) for z in z_sources]
+    z_t = _as_tensor(z_t)
+    n = len(zs)
+    if n == 0:
+        raise ConfigError("moment_distance needs at least one source batch")
+    for z in zs:
+        if z.ndim != 2 or z_t.ndim != 2 or z.shape[1] != z_t.shape[1]:
+            raise ShapeError(f"feature dims disagree: {z.shape} vs {z_t.shape}")
+    if any(len(z.data) == 0 for z in (*zs, z_t)):
+        raise DegenerateInputError("moment distance over an empty batch")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    st_scale = 1.0 / n
+    pair_scale = 1.0 / math.comb(n, 2) if pairs else 0.0
+    terms = {}  # k -> (source-target (d, ||d||), pairwise (d, ||d||))
+    total = None
+    for k in (1.0, 2.0):
+        moments = [(z.data ** k).mean(axis=0) for z in zs]
+        target_moment = (z_t.data ** k).mean(axis=0)
+        st = [_diff_norm(m - target_moment) for m in moments]
+        pw = [_diff_norm(moments[i] - moments[j]) for i, j in pairs]
+        terms[k] = st, pw
+        part = _sum_in_order([norm for _, norm in st])
+        if pairs:
+            part = part * st_scale + _sum_in_order([norm for _, norm in pw]) * pair_scale
+        total = part if total is None else total + part
+    block = [*zs, z_t] if n == 1 else [z_t, *zs]
+
+    def grad_fn(g):
+        g_st = g if n == 1 else g * st_scale
+        g_pw = g * pair_scale
+        grads = []
+        for k, (st, pw) in terms.items():
+            st_grads = [_norm_grad(g_st, d, norm) for d, norm in st]
+            pw_grads = [_norm_grad(g_pw, d, norm) for d, norm in pw]
+            moment_grads = []
+            for i in range(n):
+                acc = st_grads[i]
+                for (a, b), pg in zip(pairs, pw_grads):
+                    if a == i:
+                        acc = acc + pg
+                    elif b == i:
+                        acc = acc + -pg
+                moment_grads.append(acc)
+            target_grad = -st_grads[0]
+            for sg in st_grads[1:]:
+                target_grad = target_grad + -sg
+            ordered = [*moment_grads, target_grad] if n == 1 else [target_grad, *moment_grads]
+            # (g / b * k) is the same for every row, so it is computed once per column
+            grads += [mg / len(z.data) * k * z.data ** (k - 1) if _needs_grad(z) else None
+                      for z, mg in zip(block, ordered)]
+        return grads
+
+    return _result(np.asarray(total), block + block, grad_fn, "moment_distance")
+
+
 # ----------------------------------------------------------------------
 # linear algebra
 
@@ -607,6 +700,7 @@ __all__ = [
     "linear_stack",
     "log",
     "matmul",
+    "moment_distance",
     "mul",
     "no_grad",
     "pair_discrepancy",

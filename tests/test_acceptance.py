@@ -191,6 +191,20 @@ def test_criterion_1_gradient_suite():
 
     cases["loss_pair_discrepancy"] = pair_discrepancy_case
 
+    def moment_distance_case():
+        # 1 to 3 sources; the point is one of them or the target
+        batches = [Tensor(rng.normal(size=(int(rng.integers(2, 7)), 4)))
+                   for _ in range(int(rng.integers(2, 5)))]
+        slot = int(rng.integers(0, len(batches)))
+
+        def loss(t):
+            zs = batches[:slot] + [t] + batches[slot + 1:]
+            return T.moment_distance(zs[:-1], zs[-1])
+
+        return loss, rng.normal(size=(int(rng.integers(2, 7)), 4))
+
+    cases["loss_moment_distance"] = moment_distance_case
+
     for name, make in cases.items():
         for _ in range(n_instances):
             loss_fn, x = make()

@@ -69,30 +69,23 @@ def test_md2_multi_reduces_to_single_for_one_source():
         assert abs(single - multi) <= 1e-12
 
 
-def _graph_ops(loss):
-    ops, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node._grad_fn is not None:
-                ops.append(node._op)
-                stack.extend(node._parents)
-    return sorted(ops)
-
-
-def test_md2_single_source_graph_is_the_plain_two_moment_sum():
-    # one source needs no 1/n scale node: the graph is node for node the
-    # sum over k of || mean(z_s^k) - mean(z_t^k) ||
+def test_md2_single_source_is_one_node_equal_to_the_plain_two_moment_sum():
+    # one source needs no 1/n scale: MD2 is one node whose value and
+    # gradients are bitwise those of sum over k of || mean(z_s^k) - mean(z_t^k) ||
     rng = np.random.default_rng(4)
-    zs = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    zt = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    zs0, zt0 = rng.normal(size=(6, 3)), rng.normal(size=(8, 3))
+    zs, zt = Tensor(zs0, requires_grad=True), Tensor(zt0, requires_grad=True)
     terms = [T.l2_norm(T.sub(T.reduce_mean(T.pow_k(zs, k), axis=0),
                              T.reduce_mean(T.pow_k(zt, k), axis=0))) for k in (1, 2)]
     plain = T.add(terms[0], terms[1])
-    single = moment_distance_single(zs, zt)
-    assert _graph_ops(single) == _graph_ops(plain)
-    assert single.item() == plain.item()
+    plain.backward()
+    fs, ft = Tensor(zs0, requires_grad=True), Tensor(zt0, requires_grad=True)
+    single = moment_distance_single(fs, ft)
+    single.backward()
+    assert single._op == "moment_distance"
+    assert all(p._grad_fn is None for p in single._parents)
+    assert single.data.tobytes() == plain.data.tobytes()
+    assert fs.grad.tobytes() == zs.grad.tobytes() and ft.grad.tobytes() == zt.grad.tobytes()
 
 
 def test_md2_multi_zero_when_everything_identical():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rumexda.adaptation import AdaptationConfig
-from rumexda.errors import ShapeError
+from rumexda.errors import ConfigError, ShapeError
 from rumexda.evaluation import select_model_epoch
 from rumexda.experiment import pool_domains, run_strategy, split_sources
 from rumexda.nn import ModelConfig
@@ -57,6 +57,16 @@ def test_run_strategy_validates_dims():
     with pytest.raises(ShapeError, match="input_dim=8"):
         run_strategy(corpus.sources, corpus.target, bad_cfg,
                      AdaptationConfig(strategy="vanilla", epochs=1))
+
+
+def test_run_strategy_needs_epochs_past_the_warmup():
+    sources, target = default_benchmark(n_samples=50)
+    corpus = generate(sources, target, seed=0)
+    model = ModelConfig(input_dim=corpus.target.dim, hidden_dims=(8,), feature_dim=4)
+    for strategy in ("vanilla", "m2s2da", "m3sda_beta"):
+        with pytest.raises(ConfigError, match="epochs=5 must exceed the warmup of 5"):
+            run_strategy(corpus.sources, corpus.target, model,
+                         AdaptationConfig(strategy=strategy, epochs=5, warmup=5))
 
 
 def test_split_sources_and_pooling():

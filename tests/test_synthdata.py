@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rumexda import synthdata
 from rumexda.errors import ConfigError, DataError
 from rumexda.synthdata import (
     DomainSpec,
@@ -243,3 +244,36 @@ def test_corpus_with_a_non_utf8_byte_is_a_data_error(tmp_path):
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(DataError, match=re.escape(f"{path}:4: not UTF-8")):
         read_corpus_domains(tmp_path)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # the first bad value is in the second domain, on an earlier line than the first domain's
+    (["a,source,train,1,1.0,2.0", "b,source,train,0,y,2.0", "a,source,val,0,3.0,z"],
+     3, "could not convert string to float: 'y'"),
+    # a bad value is reported before an error on a later line
+    (["a,source,train,1,1.0,x", "a,target,none,-1,1.0,2.0"],
+     2, "could not convert string to float: 'x'"),
+    (["a,source,train,1,1.0,2.0", "a,target,none,-1,1.0,2.0", "a,source,val,0,x,2.0"],
+     3, "domain a has mixed roles"),
+    (["a,source,train,1,1.0,x", "b,source,train,zero,1.0,2.0"],
+     2, "could not convert string to float: 'x'"),
+])
+@pytest.mark.parametrize("block", [2, 4, 1 << 12])
+def test_corpus_reader_reports_the_first_bad_line(tmp_path, monkeypatch, rows, line, message,
+                                                  block):
+    monkeypatch.setattr(synthdata, "_PARSE_BLOCK", block)
+    path = tmp_path / "corpus.csv"
+    path.write_text("domain_id,role,split,label,f0,f1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {message}")):
+        read_corpus_domains(tmp_path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 48, 1 << 12])
+def test_corpus_reader_converts_in_blocks_bitwise(tmp_path, monkeypatch, block):
+    sources, target = default_benchmark(n_sources=2, dim=3, n_samples=30)
+    write_corpus(generate(sources, target, seed=2), tmp_path)
+    monkeypatch.setattr(synthdata, "_PARSE_BLOCK", block)
+    read_sources, read_targets = read_corpus_domains(tmp_path)
+    reference = _float_per_value((tmp_path / "corpus.csv").read_text())
+    for ds in read_sources + read_targets:
+        assert ds.features.tobytes() == reference[ds.domain_id].tobytes()

@@ -473,6 +473,118 @@ def test_pair_discrepancy_shape_errors():
 
 
 # ----------------------------------------------------------------------
+# fused moment distance
+
+
+def _unfused_moment_distance(z_sources, z_t):
+    """MD2 spelled out node by node, as the losses built it before the fused op."""
+    n = len(z_sources)
+    total = None
+    for k in (1, 2):
+        moments = [T.reduce_mean(T.pow_k(z, k), axis=0) for z in z_sources]
+        target_moment = T.reduce_mean(T.pow_k(z_t, k), axis=0)
+        st = None
+        for m in moments:
+            term = T.l2_norm(T.sub(m, target_moment))
+            st = term if st is None else T.add(st, term)
+        part = st if n == 1 else T.mul(st, 1.0 / n)
+        if n >= 2:
+            pw = None
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    term = T.l2_norm(T.sub(moments[i], moments[j]))
+                    pw = term if pw is None else T.add(pw, term)
+            part = T.add(part, T.mul(pw, 1.0 / math.comb(n, 2)))
+        total = part if total is None else T.add(total, part)
+    return total
+
+
+def _md2_loss_and_grads(md2, arrays, lam=0.5):
+    """Loss and leaf-gradient bytes of lam * md2(sources, target) for leaf batches."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    loss = T.mul(md2(leaves[:-1], leaves[-1]), lam)
+    loss.backward()
+    return [loss.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_moment_distance_is_bitwise_the_unfused_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 20))
+    arrays = [rng.normal(size=(int(rng.integers(1, 30)), d)) * rng.uniform(0.1, 3.0)
+              for _ in range(n + 1)]
+    fused = _md2_loss_and_grads(T.moment_distance, arrays)
+    assert fused == _md2_loss_and_grads(_unfused_moment_distance, arrays)
+
+
+def _extractor_step(md2, xs, x_t, w0, b0, heads0):
+    """An m3sda-like step: every batch goes through one shared extractor,
+    the sources also feed a head stack, and the loss is CE + 0.5 * MD2."""
+    w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+    heads = Tensor(heads0, requires_grad=True)
+    zs = [T.relu(T.linear(Tensor(x), w, b)) for x in xs]
+    z_t = T.relu(T.linear(Tensor(x_t), w, b))
+    logits = T.linear_stack(zs, heads, Tensor(np.zeros(heads0.shape[:2])))
+    labels = np.stack([(x[:, 0] > 0).astype(np.int64) for x in xs])
+    loss = T.add(T.softmax_cross_entropy(logits, labels), T.mul(md2(zs, z_t), 0.5))
+    loss.backward()
+    return [a.tobytes() for a in (loss.data, w.grad, b.grad, heads.grad)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moment_distance_through_a_shared_extractor_is_bitwise_the_unfused_graph(n):
+    rng = np.random.default_rng(40 + n)
+    xs = [rng.normal(size=(8, 5)) for _ in range(n)]
+    args = (xs, rng.normal(size=(8, 5)), rng.normal(size=(4, 5)), rng.normal(size=4),
+            rng.normal(size=(n, 2, 4)))
+    assert (_extractor_step(T.moment_distance, *args)
+            == _extractor_step(_unfused_moment_distance, *args))
+
+
+def test_moment_distance_of_identical_batches_has_zero_gradients():
+    z = np.random.default_rng(11).normal(size=(5, 4))
+    for n in (1, 3):
+        fused = _md2_loss_and_grads(T.moment_distance, [z] * (n + 1))
+        assert fused == _md2_loss_and_grads(_unfused_moment_distance, [z] * (n + 1))
+        assert np.frombuffer(fused[0]) == 0.0
+        assert all(not np.frombuffer(g).any() for g in fused[1:])
+
+
+def test_moment_distance_records_nothing_under_no_grad():
+    z = Tensor(np.ones((3, 2)), requires_grad=True)
+    with T.no_grad():
+        out = T.moment_distance([z, z], z)
+    assert out._grad_fn is None and out._parents == () and not out.requires_grad
+
+
+def test_moment_distance_gives_no_gradient_to_constant_batches():
+    rng = np.random.default_rng(12)
+    z0, z1 = Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(rng.normal(size=(5, 3)))
+    z_t = Tensor(rng.normal(size=(6, 3)))
+    out = T.moment_distance([z0, z1], z_t)
+    assert out._op == "moment_distance"
+    assert [id(p) for p in out._parents] == [id(z_t), id(z0), id(z1)] * 2
+    grads = out._grad_fn(np.ones(()))
+    assert [g is None for g in grads] == [True, False, True] * 2
+    out.backward()
+    assert z0.grad is not None and z1.grad is None and z_t.grad is None
+    single = T.moment_distance([z1], Tensor(z_t.data, requires_grad=True))
+    assert [g is None for g in single._grad_fn(np.ones(()))] == [True, False] * 2
+
+
+def test_moment_distance_input_errors():
+    with pytest.raises(ConfigError):
+        T.moment_distance([], Tensor(np.zeros((3, 4))))
+    with pytest.raises(ShapeError):
+        T.moment_distance([Tensor(np.zeros((3, 4)))], Tensor(np.zeros((3, 5))))
+    with pytest.raises(ShapeError):
+        T.moment_distance([Tensor(np.zeros(4))], Tensor(np.zeros((3, 4))))
+    with pytest.raises(DegenerateInputError):
+        T.moment_distance([Tensor(np.zeros((0, 4)))], Tensor(np.zeros((3, 4))))
+
+
+# ----------------------------------------------------------------------
 # no_grad
 
 
