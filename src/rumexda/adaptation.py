@@ -47,7 +47,7 @@ from . import tensor as T
 from .config import AdaptationConfig
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError, TrainingStateError
 from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
-from .files import read_text, write_text_atomic
+from .files import read_text, write_atomic
 from .nn import ModelBundle, trainable_parameter_count
 from .optim import make_optimizer
 from .tensor import Tensor
@@ -196,7 +196,7 @@ class TrainingHistory:
                     sort_keys=True,
                 )
             )
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _optional_float(value) -> Optional[float]:

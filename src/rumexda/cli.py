@@ -28,7 +28,7 @@ from .evaluation import (
     sigma_epochs,
 )
 from .experiment import run_strategy
-from .files import csv_rows, write_text_atomic
+from .files import csv_rows, write_atomic
 from .nn import load_checkpoint, save_checkpoint, trainable_parameter_count
 from .synthdata import default_benchmark, generate, read_corpus_domains, write_corpus
 from .tiling import (
@@ -276,8 +276,8 @@ def cmd_eval(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_config(config, out / "config.txt")
-    write_text_atomic(out / "report.txt", format_report_table(report))
-    write_text_atomic(out / "flights.csv", _csv_text(
+    write_atomic(out / "report.txt", format_report_table(report))
+    write_atomic(out / "flights.csv", _csv_text(
         ["domain_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "included"],
         ([fl.domain_id, fl.counts.tp, fl.counts.fp, fl.counts.fn, fl.counts.tn,
           repr(fl.precision), repr(fl.recall), repr(fl.f1), int(fl.included)]
@@ -290,7 +290,7 @@ def cmd_eval(args) -> int:
         "trainable_parameters": trainable_parameter_count(bundle),
         "strategy_pairs": bundle.pairs,
     }
-    write_text_atomic(out / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
+    write_atomic(out / "summary.json", json.dumps(summary, sort_keys=True) + "\n")
     print(format_report_table(report), end="")
     return 0
 
@@ -311,12 +311,12 @@ def cmd_report(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_config(config, out / "config.txt")
-    write_text_atomic(out / "f1_vs_epoch.csv", _csv_text(
+    write_atomic(out / "f1_vs_epoch.csv", _csv_text(
         ["epoch", "domain_id", "f1"],
         ([r.epoch, domain_id, repr(r.target_f1[domain_id])]
          for r in history.records for domain_id in sorted(r.target_f1)),
     ))
-    write_text_atomic(out / "f1_vs_params.csv", _csv_text(
+    write_atomic(out / "f1_vs_params.csv", _csv_text(
         ["trainable_parameters", "strategy", "median_f1", "sigma_epochs"],
         [[history.trainable_count, history.strategy,
           repr(rec.median_target_f1) if rec.median_target_f1 is not None else "none",
@@ -328,7 +328,7 @@ def cmd_report(args) -> int:
         f"median_target_f1 = {rec.median_target_f1}",
         f"sigma_epochs = {sigma} (window={config.evaluation.window})",
     ]
-    write_text_atomic(out / "selection.txt", "\n".join(lines) + "\n")
+    write_atomic(out / "selection.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

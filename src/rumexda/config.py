@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
-from .files import read_text, write_text_atomic
+from .files import read_text, write_atomic
 
 
 @dataclass
@@ -205,7 +205,7 @@ def from_text(text: str) -> RunConfig:
 
 
 def write_config(config: RunConfig, path) -> None:
-    write_text_atomic(path, to_text(config))
+    write_atomic(path, to_text(config))
 
 
 def read_config(path) -> RunConfig:

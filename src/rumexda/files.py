@@ -10,15 +10,17 @@ from pathlib import Path
 from .errors import DataError
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file in the same directory, then rename
-    it over ``path``, so a failure part-way leaves any earlier file intact
-    and no temporary file behind."""
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data``, as UTF-8 if it is text, to a temporary file in the
+    same directory, then rename it over ``path``, so a failure part-way
+    leaves any earlier file intact and no temporary file behind."""
     path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError, DataError, ShapeError
-from .files import read_text, write_text_atomic
+from .files import read_text, write_atomic
 from . import tensor as T
 from .tensor import Tensor
 
@@ -274,7 +274,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
                    "seed": bundle.seed},
         "parameters": params,
     }
-    write_text_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path) -> ModelBundle:

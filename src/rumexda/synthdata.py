@@ -14,7 +14,9 @@ ceiling reported by ``bayes_reference``.
 
 from __future__ import annotations
 
+import io
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +25,7 @@ import numpy as np
 
 from .adaptation import DomainDataset
 from .errors import ConfigError, DataError
-from .files import open_text, read_text, write_text_atomic
+from .files import open_text, read_text, write_atomic
 
 DEFAULT_MARGIN = 0.4
 DEFAULT_SEPARATION = 3.0
@@ -253,6 +255,7 @@ def default_benchmark(
 # corpus files
 
 CORPUS_FILE = "corpus.csv"
+SIDECAR_FILE = "corpus.npz"
 SPECS_FILE = "specs.json"
 
 
@@ -284,25 +287,41 @@ def _spec_from_dict(d: dict) -> DomainSpec:
 
 
 def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
-    """Line-delimited feature records plus a JSON spec sidecar.
+    """Line-delimited feature records, a binary copy of them and a JSON
+    spec sidecar.
 
     Every float is serialized with repr so the round trip is bit-exact and
-    the emitted bytes are deterministic.
+    the emitted bytes are deterministic. ``corpus.npz`` is a cache for
+    ``read_corpus_domains``: the arrays it parses from ``corpus.csv`` plus
+    the SHA-256 of that file's bytes. It is written only when the records
+    parse back to this corpus exactly, and removed otherwise.
     """
+    import hashlib
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = corpus.target_spec.dim
     header = ["domain_id", "role", "split", "label"] + [f"f{i}" for i in range(dim)]
-    lines = [",".join(header)]
-    for role, datasets in (("source", corpus.sources), ("target", [corpus.target])):
-        for ds in datasets:
-            split = ds.split if ds.split is not None else np.full(len(ds.features), "none")
-            labels = ds.labels if ds.labels is not None else np.full(len(ds.features), -1)
-            for i in range(len(ds.features)):
-                row = [ds.domain_id, role, str(split[i]), str(int(labels[i]))]
-                row += [repr(float(v)) for v in ds.features[i]]
-                lines.append(",".join(row))
-    write_text_atomic(out / CORPUS_FILE, "\n".join(lines) + "\n")
+    # encoded one domain at a time, so that the rows are never held as text whole
+    data = bytearray((",".join(header) + "\n").encode("utf-8"))
+    # (role, domain id, features, labels, split tags) as the parse returns them
+    domains = []
+    for role, ds in [("source", ds) for ds in corpus.sources] + [("target", corpus.target)]:
+        features = np.ascontiguousarray(ds.features, dtype=np.float64)
+        n = len(features)
+        splits = [str(s) for s in ds.split.tolist()] if ds.split is not None else ["none"] * n
+        labels = [int(v) for v in ds.labels.tolist()] if ds.labels is not None else [-1] * n
+        # floats made one row at a time: a whole domain's at once raised peak memory
+        rows = [",".join((ds.domain_id, role, split, str(label), *map(repr, x.tolist())))
+                for split, label, x in zip(splits, labels, features)]
+        rows.append("")  # every row ends with a newline
+        data += "\n".join(rows).encode("utf-8")
+        domains.append((role, ds.domain_id, features, labels, splits))
+    write_atomic(out / CORPUS_FILE, data)
+    if _parses_back(domains, dim):
+        write_atomic(out / SIDECAR_FILE, _sidecar_bytes(domains, hashlib.sha256(data).hexdigest()))
+    else:
+        (out / SIDECAR_FILE).unlink(missing_ok=True)
 
     payload = {
         "format_version": 1,
@@ -315,7 +334,42 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
         "domains": [_spec_to_dict(s, "source") for s in corpus.source_specs]
         + [_spec_to_dict(corpus.target_spec, "target")],
     }
-    write_text_atomic(out / SPECS_FILE, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_atomic(out / SPECS_FILE, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _parses_back(domains, dim: int) -> bool:
+    """Whether the records of ``domains`` parse back to exactly these
+    arrays: distinct domain ids, no field separator, line break or NUL (which
+    numpy strings drop at the end) in an id or split tag, and finite
+    features of the header's width in at least one row per domain."""
+    ids = [domain_id for _, domain_id, _, _, _ in domains]
+    texts = ids + [s for _, _, _, _, splits in domains for s in set(splits)]
+    return (len(set(ids)) == len(ids)
+            and not any(c in text for text in texts for c in ",\r\n\0")
+            and all(len(x) > 0 and x.shape[1] == dim and np.isfinite(x).all()
+                    for _, _, x, _, _ in domains))
+
+
+# every entry's timestamp, fixed so that reruns write the same archive bytes
+_ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _sidecar_bytes(domains, digest: str) -> bytes:
+    """A zip of ``.npy`` entries, none pickled: the CSV digest, the domain
+    ids and roles in file order, and per domain ``i`` its features, labels
+    (-1 for none) and split tags ("none" for none)."""
+    entries = [("digest", np.array(digest)),
+               ("domains", np.array([domain_id for _, domain_id, _, _, _ in domains])),
+               ("roles", np.array([role for role, _, _, _, _ in domains]))]
+    for i, (_, _, x, labels, splits) in enumerate(domains):
+        entries += [(f"features{i}", x), (f"labels{i}", np.array(labels, dtype=np.int64)),
+                    (f"splits{i}", np.array(splits))]
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, array in entries:
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE_TIME), "w") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+    return buf.getvalue()
 
 
 # feature fields a domain holds as text before they are converted; as str
@@ -353,18 +407,89 @@ def _raise_first_bad_value(path: Path, buckets, dim: int) -> None:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
 
 
+def _dataset(domain_id: str, features: np.ndarray, labels, splits: list) -> DomainDataset:
+    """One domain from its columns as stored: any negative label means the
+    domain has no labels, a first split tag of "none" that it has no tags."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return DomainDataset(domain_id, features, labels if np.all(labels >= 0) else None,
+                         np.asarray(splits) if splits[0] != "none" else None)
+
+
+def _read_sidecar(path: Path) -> Optional[list[tuple[str, DomainDataset]]]:
+    """(role, dataset) per domain from the ``corpus.npz`` beside the CSV
+    at ``path``, or None unless it exists, loads without pickles, carries
+    the SHA-256 of the CSV's bytes and holds arrays of the dtypes and
+    shapes the parse would give."""
+    sidecar = path.with_name(SIDECAR_FILE)
+    if not sidecar.exists():
+        return None
+    import hashlib
+
+    # hashed in blocks, so that the file's bytes are never held whole
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        sha256, rows = hashlib.sha256(header), 0
+        while block := fh.read(1 << 16):
+            sha256.update(block)
+            rows += block.count(b"\n")
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            if str(npz["digest"]) != sha256.hexdigest():
+                return None
+            arrays = {name: npz[name] for name in npz.files}
+    except Exception:  # zip, npy and decompressor errors alike: the CSV is parsed instead
+        return None
+    ids, roles = arrays.get("domains"), arrays.get("roles")
+    if ids is None or roles is None or ids.ndim != 1 or roles.shape != ids.shape \
+            or ids.dtype.kind != "U" or roles.dtype.kind != "U":
+        return None
+    ids, roles = ids.tolist(), roles.tolist()
+    names = {"digest", "domains", "roles"} | {
+        f"{kind}{i}" for i in range(len(ids)) for kind in ("features", "labels", "splits")}
+    if len(set(ids)) != len(ids) or not set(roles) <= {"source", "target"} \
+            or set(arrays) != names:
+        return None
+    dim = header.count(b",") - 3
+    out = []
+    for i, (domain_id, role) in enumerate(zip(ids, roles)):
+        x, labels, splits = arrays[f"features{i}"], arrays[f"labels{i}"], arrays[f"splits{i}"]
+        n = len(x) if x.ndim == 2 else 0
+        if n < 1 or x.shape != (n, dim) or x.dtype != np.float64 or not x.flags.c_contiguous \
+                or labels.dtype != np.int64 or labels.shape != (n,) \
+                or splits.dtype.kind != "U" or splits.shape != (n,):
+            return None
+        out.append((role, _dataset(domain_id, x, labels, splits.tolist())))
+        rows -= n
+    # the writer emits one line per row and no blank lines
+    return out if rows == 0 else None
+
+
 def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDataset]]:
     """(sources, targets) from a corpus directory, one dataset per domain.
+
+    ``corpus.csv`` is the reference. A ``corpus.npz`` written beside it by
+    ``write_corpus`` is used instead of parsing only when it holds the
+    SHA-256 of the CSV's bytes and loads as the arrays the parse would give;
+    in every other case the CSV is parsed, so the archive changes how long
+    a read takes, never what it returns or which ``DataError`` it raises.
+    """
+    path = Path(corpus_dir) / CORPUS_FILE
+    if not path.exists():
+        raise DataError(f"{path} not found")
+    sources, targets = [], []
+    for role, ds in _read_sidecar(path) or _parse_corpus(path):
+        (sources if role == "source" else targets).append(ds)
+    return sources, targets
+
+
+def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
+    """(role, dataset) per domain of ``corpus.csv``, in file order.
 
     Feature fields are kept as strings and converted with one numpy call
     per block of rows of a domain. A field that does not parse is reported
     at its line, and before any error on a later line, as a line-by-line
     parse would report it.
     """
-    root = Path(corpus_dir)
-    path = root / CORPUS_FILE
-    if not path.exists():
-        raise DataError(f"{path} not found")
     rows_by_domain: dict[str, dict] = {}
     buckets = rows_by_domain.values()
     with open_text(path) as fh:
@@ -402,18 +527,12 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
             _raise_first_bad_value(path, buckets, dim)
             raise
 
-    sources, targets = [], []
+    out = []
     for domain_id, bucket in rows_by_domain.items():
         _convert_pending(path, buckets, bucket, dim)
-        labels = np.asarray(bucket["label"], dtype=np.int64)
-        ds = DomainDataset(
-            domain_id,
-            np.concatenate(bucket["blocks"]),
-            labels if np.all(labels >= 0) else None,
-            np.asarray(bucket["split"]) if bucket["split"][0] != "none" else None,
-        )
-        (sources if bucket["role"] == "source" else targets).append(ds)
-    return sources, targets
+        out.append((bucket["role"], _dataset(domain_id, np.concatenate(bucket["blocks"]),
+                                             bucket["label"], bucket["split"])))
+    return out
 
 
 def read_corpus(corpus_dir) -> SyntheticCorpus:
@@ -430,19 +549,27 @@ def read_corpus(corpus_dir) -> SyntheticCorpus:
     seed = -1
     specs_path = root / SPECS_FILE
     if specs_path.exists():
-        payload = json.loads(read_text(specs_path))
-        rule = LabelRule(
-            tuple(float(v) for v in payload["rule"]["direction"]),
-            float(payload["rule"]["margin"]),
-            float(payload["rule"]["separation"]),
-        )
-        seed = int(payload["seed"])
-        for d in payload["domains"]:
-            spec = _spec_from_dict(d)
-            if d["role"] == "source":
-                source_specs.append(spec)
-            else:
-                target_spec = spec
+        text = read_text(specs_path)
+        try:
+            payload = json.loads(text)
+            rule = LabelRule(
+                tuple(float(v) for v in payload["rule"]["direction"]),
+                float(payload["rule"]["margin"]),
+                float(payload["rule"]["separation"]),
+            )
+            seed = int(payload["seed"])
+            for d in payload["domains"]:
+                spec = _spec_from_dict(d)
+                if d["role"] == "source":
+                    source_specs.append(spec)
+                else:
+                    target_spec = spec
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{specs_path}:{exc.lineno}: not JSON: {exc.msg}") from exc
+        except KeyError as exc:
+            raise DataError(f"{specs_path}: specs have no {exc} entry") from exc
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"{specs_path}: malformed specs: {exc}") from exc
     else:
         source_specs = [
             identity_spec(ds.domain_id, ds.features.shape[1], len(ds.features), 0.5)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
-from .files import csv_rows, write_text_atomic
+from .files import csv_rows, write_atomic
 
 TILE_SIZE = 518
 R_THRESHOLD = 0.1
@@ -160,18 +160,28 @@ def overlap_ratio(
 def union_overlap_ratio(
     boxes: Sequence[BBoxAnnotation], tile_x: int, tile_y: int, side: int = TILE_SIZE
 ) -> float:
-    """Union-of-boxes variant: covered tile pixels counted once each."""
-    if not boxes:
-        return 0.0
-    mask = np.zeros((side, side), dtype=bool)
+    """Union-of-boxes variant: covered tile pixels counted once each.
+
+    The area is exact: the clipped boxes' edges cut the tile into a grid of
+    cells, each of which lies inside some box or outside all of them.
+    """
+    rects = []
     for box in boxes:
         x0 = max(box.x_min - tile_x, 0)
         y0 = max(box.y_min - tile_y, 0)
         x1 = min(box.x_max - tile_x, side)
         y1 = min(box.y_max - tile_y, side)
         if x1 > x0 and y1 > y0:
-            mask[y0:y1, x0:x1] = True
-    return int(mask.sum()) / (side * side)
+            rects.append((x0, x1, y0, y1))
+    if not rects:
+        return 0.0
+    rects = np.array(rects, dtype=np.int64)
+    xs, ys = np.unique(rects[:, :2]), np.unique(rects[:, 2:])
+    cols, rows = np.searchsorted(xs, rects[:, :2]), np.searchsorted(ys, rects[:, 2:])
+    covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=np.int64)
+    for (c0, c1), (r0, r1) in zip(cols.tolist(), rows.tolist()):
+        covered[r0:r1, c0:c1] = 1
+    return int(np.diff(ys) @ covered @ np.diff(xs)) / (side * side)
 
 
 def _check_label_rule(r_th: float, combine: str) -> None:
@@ -431,7 +441,7 @@ def write_manifest(manifest: SplitManifest, path) -> None:
         writer.writerow(
             [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id, r.pass_corner]
         )
-    write_text_atomic(path, buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def read_manifest(path) -> SplitManifest:

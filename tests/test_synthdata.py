@@ -1,5 +1,7 @@
+import os
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -143,18 +145,22 @@ def test_corpus_roundtrip_bit_exact(tmp_path):
     sources, target = default_benchmark(n_samples=100)
     corpus = generate(sources, target, seed=4)
     write_corpus(corpus, tmp_path)
-    loaded = read_corpus(tmp_path)
-    assert [d.domain_id for d in loaded.sources] == [d.domain_id for d in corpus.sources]
-    for a, b in zip(loaded.sources + [loaded.target], corpus.sources + [corpus.target]):
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
-    assert loaded.rule == corpus.rule
-    assert loaded.target_spec == corpus.target_spec
-    # writing the loaded corpus again reproduces identical bytes
-    out2 = tmp_path / "again"
-    write_corpus(loaded, out2)
-    assert (tmp_path / "corpus.csv").read_bytes() == (out2 / "corpus.csv").read_bytes()
-    assert (tmp_path / "specs.json").read_bytes() == (out2 / "specs.json").read_bytes()
+    # once through the binary copy, once through the CSV parser
+    for archive in ("kept", "deleted"):
+        if archive == "deleted":
+            (tmp_path / "corpus.npz").unlink()
+        loaded = read_corpus(tmp_path)
+        assert [d.domain_id for d in loaded.sources] == [d.domain_id for d in corpus.sources]
+        for a, b in zip(loaded.sources + [loaded.target], corpus.sources + [corpus.target]):
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
+        assert loaded.rule == corpus.rule
+        assert loaded.target_spec == corpus.target_spec
+        # writing the loaded corpus again reproduces identical bytes
+        out2 = tmp_path / f"again_{archive}"
+        write_corpus(loaded, out2)
+        assert (tmp_path / "corpus.csv").read_bytes() == (out2 / "corpus.csv").read_bytes()
+        assert (tmp_path / "specs.json").read_bytes() == (out2 / "specs.json").read_bytes()
 
 
 def test_read_corpus_requires_single_target(tmp_path):
@@ -183,11 +189,15 @@ def test_rule_direction_must_be_nonzero():
 # corpus reader fuzzing
 
 
-def _small_corpus_bytes() -> bytes:
+def _small_corpus_dir(root: Path) -> Path:
     sources, target = default_benchmark(n_sources=2, dim=3, n_samples=4)
+    write_corpus(generate(sources, target, seed=1), root)
+    return root
+
+
+def _small_corpus_bytes() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        write_corpus(generate(sources, target, seed=1), tmp)
-        return (Path(tmp) / "corpus.csv").read_bytes()
+        return (_small_corpus_dir(Path(tmp)) / "corpus.csv").read_bytes()
 
 
 def _float_per_value(text: str) -> dict:
@@ -273,7 +283,208 @@ def test_corpus_reader_converts_in_blocks_bitwise(tmp_path, monkeypatch, block):
     sources, target = default_benchmark(n_sources=2, dim=3, n_samples=30)
     write_corpus(generate(sources, target, seed=2), tmp_path)
     monkeypatch.setattr(synthdata, "_PARSE_BLOCK", block)
-    read_sources, read_targets = read_corpus_domains(tmp_path)
     reference = _float_per_value((tmp_path / "corpus.csv").read_text())
-    for ds in read_sources + read_targets:
-        assert ds.features.tobytes() == reference[ds.domain_id].tobytes()
+    # once through the binary copy, once through the block parser
+    for archive in ("kept", "deleted"):
+        if archive == "deleted":
+            (tmp_path / "corpus.npz").unlink()
+        read_sources, read_targets = read_corpus_domains(tmp_path)
+        for ds in read_sources + read_targets:
+            assert ds.features.tobytes() == reference[ds.domain_id].tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1,', ":1: not JSON"),
+    ('{"seed": 1}', ": specs have no 'rule' entry"),
+    ("[]", ": malformed specs"),
+])
+def test_malformed_specs_is_a_data_error(tmp_path, text, message):
+    sources, target = default_benchmark(n_sources=1, dim=3, n_samples=10)
+    write_corpus(generate(sources, target, seed=0), tmp_path)
+    path = tmp_path / "specs.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+        read_corpus(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# the binary copy of a corpus
+
+
+def _outcome(corpus_dir):
+    """Everything ``read_corpus_domains`` returns, down to dtypes, memory
+    layout and which labels and split tags are None, or its DataError."""
+    try:
+        sources, targets = read_corpus_domains(corpus_dir)
+    except DataError as exc:
+        return "DataError: " + str(exc)
+
+    def column(a):
+        return None if a is None else (a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+
+    return [(role, ds.domain_id, column(ds.features), column(ds.labels), column(ds.split))
+            for role, group in (("source", sources), ("target", targets)) for ds in group]
+
+
+def _csv_outcome(corpus_dir):
+    """``_outcome`` with the archive moved away, so that the CSV is parsed."""
+    npz = Path(corpus_dir) / "corpus.npz"
+    aside = npz.with_name("aside.bin")
+    if npz.exists():
+        npz.rename(aside)
+    try:
+        return _outcome(corpus_dir)
+    finally:
+        if aside.exists():
+            aside.rename(npz)
+
+
+def _no_parse(path):
+    raise AssertionError(f"{path} was parsed although its archive is valid")
+
+
+@pytest.mark.parametrize("labeled_target", [True, False])
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+def test_archive_read_is_bitwise_the_csv_parse(tmp_path, monkeypatch, n_sources,
+                                                labeled_target):
+    sources, target = default_benchmark(n_sources=n_sources, dim=5, n_samples=40)
+    corpus = generate(sources, target, seed=n_sources)
+    if not labeled_target:
+        corpus.target = corpus.target.unlabeled()
+    write_corpus(corpus, tmp_path)
+    reference = _csv_outcome(tmp_path)
+    monkeypatch.setattr(synthdata, "_parse_corpus", _no_parse)
+    assert _outcome(tmp_path) == reference
+    assert [entry[:2] for entry in reference] == \
+        [("source", f"source{i}") for i in range(n_sources)] + [("target", "target")]
+    assert (reference[-1][3] is None) != labeled_target
+    assert all(entry[4] is not None for entry in reference[:-1]) and reference[-1][4] is None
+
+
+def _forge_archive(corpus_dir: Path, **changes) -> None:
+    """Rewrite corpus.npz with some entries replaced, keeping its digest."""
+    with np.load(corpus_dir / "corpus.npz") as npz:
+        entries = {name: npz[name] for name in npz.files}
+    np.savez(corpus_dir / "corpus.npz", **{**entries, **changes})
+
+
+def _edit_value(d):
+    path = d / "corpus.csv"
+    text = path.read_text()
+    path.write_text(text.replace("\nsource0,source,train,", "\nsource0,source,val,", 1))
+    assert path.read_text() != text
+
+
+def _edit_to_invalid(d):
+    path = d / "corpus.csv"
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2] + ",9.5"
+    path.write_text("\n".join(lines))
+
+
+def _truncate(d):
+    path = d / "corpus.npz"
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _entry(corpus_dir: Path, name: str) -> np.ndarray:
+    with np.load(corpus_dir / "corpus.npz") as npz:
+        return npz[name]
+
+
+def _with_entry(name, make):
+    return lambda d: _forge_archive(d, **{name: make(_entry(d, name))})
+
+
+@pytest.mark.parametrize("damage", [
+    _edit_value,
+    _edit_to_invalid,
+    lambda d: (d / "corpus.npz").unlink(),
+    _truncate,
+    lambda d: (d / "corpus.npz").write_bytes(b""),
+    _with_entry("features0", lambda x: x.astype(np.float32)),
+    _with_entry("features1", np.asfortranarray),
+    _with_entry("labels0", lambda y: y.astype(np.int32)),
+    _with_entry("splits1", lambda s: s.astype(object)),
+    _with_entry("splits1", lambda s: np.arange(len(s))),
+    _with_entry("features0", lambda x: x[:-1]),
+    _with_entry("features0", lambda x: x[0, 0]),
+    lambda d: _forge_archive(d, **{name: _entry(d, name)[:-1]
+                                   for name in ("features0", "labels0", "splits0")}),
+    _with_entry("digest", lambda h: np.array(str(h).upper())),
+    _with_entry("roles", lambda r: np.array(["source", "source", "flight"])),
+], ids=["edited-csv", "edited-csv-invalid", "deleted", "truncated", "empty", "float32",
+        "fortran-order", "int32-labels", "pickled-splits", "int-splits", "short-features",
+        "scalar-features", "short-domain", "wrong-digest", "unknown-role"])
+def test_damaged_archive_gives_the_csv_result(tmp_path, damage):
+    corpus_dir = _small_corpus_dir(tmp_path)
+    damage(corpus_dir)
+    assert _outcome(corpus_dir) == _csv_outcome(corpus_dir)
+
+
+def _small_archive() -> tuple[bytes, list]:
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = _small_corpus_dir(Path(tmp))
+        return (corpus_dir / "corpus.npz").read_bytes(), _csv_outcome(corpus_dir)
+
+
+_ARCHIVE, _ARCHIVE_REFERENCE = _small_archive()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flips=st.lists(st.tuples(st.integers(0, len(_ARCHIVE) - 1), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_archive_byte_flips_give_the_csv_result(tmp_path, flips):
+    data = bytearray(_ARCHIVE)
+    for index, mask in flips:
+        data[index] ^= mask
+    (tmp_path / "corpus.csv").write_bytes(_CORPUS)
+    (tmp_path / "corpus.npz").write_bytes(bytes(data))
+    assert _outcome(tmp_path) == _ARCHIVE_REFERENCE
+
+
+def test_archive_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    from rumexda.cli import main
+
+    assert main(["synth", "--out", str(tmp_path / "a"), "--samples", "30", "--seed", "3"]) == 0
+    later = time.time() + 400 * 86400
+    monkeypatch.setattr(time, "time", lambda: later)
+    assert main(["synth", "--out", str(tmp_path / "b"), "--samples", "30", "--seed", "3"]) == 0
+    for name in ("corpus.csv", "corpus.npz", "specs.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_failed_archive_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    sources, target = default_benchmark(n_sources=1, dim=3, n_samples=10)
+    write_corpus(generate(sources, target, seed=0), tmp_path)
+    real_replace = os.replace
+
+    def full_disk(src, dst):
+        if str(dst).endswith("corpus.npz"):
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        write_corpus(generate(sources, target, seed=1), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "corpus.npz", "specs.json"]
+    # the earlier archive no longer matches the new CSV, so the CSV is read
+    assert _outcome(tmp_path) == _csv_outcome(tmp_path)
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: setattr(c.sources[0], "domain_id", "a,b"),
+    lambda c: setattr(c.target, "domain_id", "source0"),
+    lambda c: setattr(c.sources[0], "split", np.array(["train\r"] * len(c.sources[0].split))),
+    lambda c: setattr(c.sources[0], "split", np.array(["val\0"] * len(c.sources[0].split),
+                                                      dtype=object)),
+    lambda c: c.sources[0].features.__setitem__((0, 0), np.nan),
+], ids=["comma-in-id", "duplicate-id", "carriage-return-in-split", "nul-in-split", "nan"])
+def test_no_archive_for_records_that_do_not_parse_back(tmp_path, change):
+    sources, target = default_benchmark(n_sources=2, dim=3, n_samples=10)
+    write_corpus(generate(sources, target, seed=0), tmp_path)
+    corpus = generate(sources, target, seed=0)
+    change(corpus)
+    write_corpus(corpus, tmp_path)
+    assert not (tmp_path / "corpus.npz").exists()

@@ -158,6 +158,58 @@ def test_union_overlap_counts_pixels_once():
     assert union_overlap_ratio(boxes, 0, 0, 518) == expected
 
 
+def _mask_union_overlap(boxes, tile_x, tile_y, side):
+    """The union area by filling a side x side mask: the reference."""
+    if not boxes:
+        return 0.0
+    mask = np.zeros((side, side), dtype=bool)
+    for box in boxes:
+        x0, y0 = max(box.x_min - tile_x, 0), max(box.y_min - tile_y, 0)
+        x1, y1 = min(box.x_max - tile_x, side), min(box.y_max - tile_y, side)
+        if x1 > x0 and y1 > y0:
+            mask[y0:y1, x0:x1] = True
+    return int(mask.sum()) / (side * side)
+
+
+@st.composite
+def _union_cases(draw):
+    """A tile and boxes around it, each drawn at random, touching the edge
+    of an earlier box, nested in one, or on an edge of the tile."""
+    side = draw(st.integers(1, 48))
+    tile_x, tile_y = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    boxes = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["random", "touching", "nested", "tile-edge"]))
+        if kind == "random" or not boxes:
+            x0 = draw(st.integers(tile_x - side, tile_x + side))
+            y0 = draw(st.integers(tile_y - side, tile_y + side))
+            x1, y1 = x0 + draw(st.integers(1, 2 * side)), y0 + draw(st.integers(1, 2 * side))
+        elif kind == "touching":
+            other = draw(st.sampled_from(boxes))
+            x0, y0 = other.x_max, draw(st.integers(other.y_min - side, other.y_max))
+            x1, y1 = x0 + draw(st.integers(1, side)), y0 + draw(st.integers(1, 2 * side))
+        elif kind == "nested":
+            other = draw(st.sampled_from(boxes))
+            x0 = draw(st.integers(other.x_min, other.x_max - 1))
+            y0 = draw(st.integers(other.y_min, other.y_max - 1))
+            x1, y1 = draw(st.integers(x0 + 1, other.x_max)), draw(st.integers(y0 + 1, other.y_max))
+        else:
+            x0 = draw(st.sampled_from([tile_x - side, tile_x, tile_x + side]))
+            y0 = draw(st.integers(tile_y - side, tile_y + side))
+            x1, y1 = x0 + draw(st.sampled_from([side, 2 * side])), y0 + draw(st.integers(1, side))
+        boxes.append(_box(x0, y0, x1, y1))
+    return boxes, tile_x, tile_y, side
+
+
+@settings(max_examples=300, deadline=None)
+@given(_union_cases())
+def test_union_overlap_matches_the_mask_reference(case):
+    boxes, tile_x, tile_y, side = case
+    r = union_overlap_ratio(boxes, tile_x, tile_y, side)
+    assert type(r) is float
+    assert r.hex() == _mask_union_overlap(boxes, tile_x, tile_y, side).hex()
+
+
 # ----------------------------------------------------------------------
 # label rule
 
