@@ -17,13 +17,15 @@ classifiers only, to stay correct on the sources while maximizing each
 pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
 
-Each step records graph only where its optimizer consumes a gradient. The
-2N heads are one stack (``nn.ClassifierHead``) that runs in one forward
-pass, so a step's head part is a handful of nodes however many pairs there
-are; per-head losses are added in head order. Step 2 extracts features
-under ``T.no_grad()``, since G is fixed there, and step 3 turns the four
-head tensors' ``requires_grad`` off around its forward and backward passes,
-so neither fills gradients that nothing steps. Evaluation
+Each step records graph only where its optimizer consumes a gradient. An
+extraction is one graph node and the 2N heads (one ``nn.ClassifierHead``
+stack) another, however many blocks and pairs there are; per-head losses
+are added in head order. A vanilla or LoRA iteration's backward walks 3
+nodes; with lambda > 0 an m2s2da one walks 7, and the m3sda steps over
+three sources walk 9, 6 and 4. Step 2 extracts features under
+``T.no_grad()``, since G is fixed there, and step 3 turns the four head
+tensors' ``requires_grad`` off around its forward and backward passes, so
+neither fills gradients that nothing steps. Evaluation
 (``predict_labels``, ``discrepancy_eval``) records no graph at all.
 
 A loss that is not finite stops training with ``TrainingStateError`` before
@@ -321,8 +323,13 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     ``select_model_epoch`` picks so far are kept in ``selected_snapshot``,
     so one copy is held however many epochs run. A loss or a stepped
     parameter that is not finite raises ``TrainingStateError`` naming the
-    epoch and iteration, and for a loss the step that computed it.
+    epoch and iteration, and for a loss the step that computed it. A run
+    of no more epochs than the warm-up has no epoch to select, so it ends
+    in ``ConfigError`` before the first iteration.
     """
+    if config.epochs <= config.warmup:
+        raise ConfigError(f"epochs={config.epochs} must exceed the warmup of {config.warmup} "
+                          "for model selection")
     history = TrainingHistory(strategy, trainable_parameter_count(bundle))
     # overflow in a diverging run surfaces as a non-finite loss or parameter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -68,11 +68,6 @@ def run_strategy(
         raise ShapeError(
             f"model input_dim={model_config.input_dim} does not match corpus dim={dim}"
         )
-    if config.epochs <= config.warmup:
-        raise ConfigError(
-            f"epochs={config.epochs} must exceed the warmup of {config.warmup} "
-            "for model selection"
-        )
     train_sources, pooled_val = split_sources(sources)
     unlabeled_target = target.unlabeled()
 

@@ -2,13 +2,15 @@
 
 G is a stack of linear+ReLU blocks standing in for an arbitrary backbone;
 the adaptation math only ever touches its output embedding, so the block
-internals are irrelevant to the training strategies. Each classifier is
+internals are irrelevant to the training strategies. Its blocks are the
+layer tuples ``tensor.mlp`` takes, built once by ``build_model``, so an
+extraction is one graph node, LoRA adapters included. Each classifier is
 fixed to linear -> ReLU -> dropout(0.3) -> linear -> 2 logits. A bundle's
 H classifiers (one, or the 2N of the pair strategies) live in one
 ``ClassifierHead`` that keeps each layer's weights and biases as one
-(H, ...) stack and runs every head in one forward pass. Checkpoints still
-store each head's slab as its own ``head{j}.linear{1,2}.{weight,bias}``
-entry.
+(H, ...) stack and runs every head as one ``tensor.head_stack`` node.
+Checkpoints still store each head's slab as its own
+``head{j}.linear{1,2}.{weight,bias}`` entry.
 
 ``build_model`` takes the run config's ``model`` section as it is, plus
 the pair count and seed that callers derive from the training settings.
@@ -34,77 +36,29 @@ def _he_uniform(rng: np.random.Generator, d_out: int, d_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(d_out, d_in))
 
 
-class LinearLayer:
-    """weight is d_out x d_in, He-uniform at init; forward(x) computes
-    x W^T + b row-wise. ``build_model`` sets whether it trains."""
-
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.weight = Tensor(_he_uniform(rng, d_out, d_in))
-        self.bias = Tensor(np.zeros(d_out))
-
-    def set_trainable(self, flag: bool) -> None:
-        self.weight.requires_grad = flag
-        self.bias.requires_grad = flag
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.weight, self.bias)
-
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-
-class LoraLinear:
-    """A frozen linear layer plus a rank-R trainable update.
-
-    forward(x) = base(x) + (alpha/R) * up(down(x)); ``up`` starts at zero so
-    the adapter is an exact identity at initialization, and merging
-    (alpha/R) * up @ down into the base weight reproduces the forward pass.
-    """
-
-    def __init__(self, base: LinearLayer, rank: int, alpha: float, rng: np.random.Generator):
-        if rank <= 0:
-            raise ConfigError(f"LoRA rank must be positive, got {rank}")
-        base.set_trainable(False)
-        self.base = base
-        self.rank = rank
-        self.alpha = float(alpha)
-        d_out, d_in = base.weight.shape
-        self.down = Tensor(_he_uniform(rng, rank, d_in), requires_grad=True)
-        self.up = Tensor(np.zeros((d_out, rank)), requires_grad=True)
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
-
-    def forward(self, x: Tensor) -> Tensor:
-        delta = T.linear(T.linear(x, self.down), self.up)
-        return T.add(self.base.forward(x), T.mul(delta, self.scaling))
-
-    def merged_weight(self) -> np.ndarray:
-        return self.base.weight.data + self.scaling * (self.up.data @ self.down.data)
-
-    def parameters(self):
-        return self.base.parameters() + [("lora_down", self.down), ("lora_up", self.up)]
+# the names of a block's tensors, in the order of its ``T.mlp`` layer tuple
+_BLOCK_PARAMETERS = ("weight", "bias", "lora_down", "lora_up")
 
 
 class FeatureExtractor:
-    """Ordered linear+ReLU blocks; exactly the trailing ``unfreeze`` blocks
-    are trainable (all base weights frozen under LoRA)."""
+    """Ordered linear+ReLU blocks, run as one ``T.mlp`` node.
 
-    def __init__(self, blocks: list):
+    Each block is the layer tuple ``T.mlp`` takes: ``(weight, bias)``, with
+    exactly the trailing ``unfreeze`` blocks trainable, or under LoRA
+    ``(weight, bias, lora_down, lora_up, scale)``, with the base frozen and
+    the rank-R factors trainable. ``weight`` is d_out x d_in, ``lora_down``
+    R x d_in and ``lora_up`` d_out x R, and ``scale`` is alpha / R.
+    """
+
+    def __init__(self, blocks: list[tuple]):
         self.blocks = blocks
 
     def forward(self, x: Tensor) -> Tensor:
-        for block in self.blocks:
-            x = T.relu(block.forward(x))
-        return x
+        return T.mlp(x, self.blocks)
 
     def parameters(self):
-        out = []
-        for i, block in enumerate(self.blocks):
-            for name, p in block.parameters():
-                out.append((f"extractor.block{i}.{name}", p))
-        return out
+        return [(f"extractor.block{i}.{name}", p) for i, block in enumerate(self.blocks)
+                for name, p in zip(_BLOCK_PARAMETERS, block)]
 
 
 class ClassifierHead:
@@ -128,13 +82,13 @@ class ClassifierHead:
         self.dropout_p = dropout_p
 
     def forward(self, z, training: bool = False, rng=None) -> Tensor:
-        """The logits of every head as one H x n x 2 stack. ``z`` is an
-        n x f tensor that every head reads, or a sequence of H of them, one
-        per head. One dropout draw of shape (H, n, f) takes the numbers H
-        draws of shape (n, f) would, head by head."""
-        h = T.relu(T.linear_stack(z, self.weight1, self.bias1))
-        h = T.dropout(h, self.dropout_p, training, rng)
-        return T.linear_stack(h, self.weight2, self.bias2)
+        """The logits of every head as one H x n x 2 stack, from one
+        ``T.head_stack`` node. ``z`` is an n x f tensor that every head
+        reads, or a sequence of H of them, one per head. One dropout draw of
+        shape (H, n, f) takes the numbers H draws of shape (n, f) would, head
+        by head."""
+        return T.head_stack(z, self.weight1, self.bias1, self.weight2, self.bias2,
+                            self.dropout_p, training, rng)
 
     def parameters(self):
         return [("head.linear1.weight", self.weight1), ("head.linear1.bias", self.bias1),
@@ -203,22 +157,26 @@ def build_model(config: ModelConfig, pairs: int = 0, seed: int = 0) -> ModelBund
         raise ConfigError(f"classifier pairs must be >= 0, got {pairs}")
     rng = np.random.default_rng(seed)
     dims = (config.input_dim, *config.hidden_dims, config.feature_dim)
-    alpha = config.lora_alpha if config.lora_alpha is not None else float(config.lora_rank)
+    alpha = float(config.lora_alpha if config.lora_alpha is not None else config.lora_rank)
 
-    bases = [LinearLayer(dims[i], dims[i + 1], rng) for i in range(config.n_blocks)]
+    bases = [(Tensor(_he_uniform(rng, dims[i + 1], dims[i])), Tensor(np.zeros(dims[i + 1])))
+             for i in range(config.n_blocks)]
     n_heads = 1 if pairs == 0 else 2 * pairs
     head = ClassifierHead(config.feature_dim, n_heads, rng, config.dropout)
 
     # adapter factors are drawn last so the base+head draw sequence matches
     # a plain build of the same seed; a fresh LoRA model therefore computes
     # exactly what the corresponding frozen model computes
-    blocks: list = []
-    for i, base in enumerate(bases):
+    blocks: list[tuple] = []
+    for i, (weight, bias) in enumerate(bases):
         if config.adaptation == "lora":
-            blocks.append(LoraLinear(base, config.lora_rank, alpha, rng))
+            rank = config.lora_rank
+            down = Tensor(_he_uniform(rng, rank, dims[i]), requires_grad=True)
+            up = Tensor(np.zeros((dims[i + 1], rank)), requires_grad=True)
+            blocks.append((weight, bias, down, up, alpha / rank))
         else:
-            base.set_trainable(i >= config.n_blocks - config.unfreeze)
-            blocks.append(base)
+            weight.requires_grad = bias.requires_grad = i >= config.n_blocks - config.unfreeze
+            blocks.append((weight, bias))
     return ModelBundle(config, FeatureExtractor(blocks), head, seed)
 
 

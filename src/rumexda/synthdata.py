@@ -542,6 +542,8 @@ def read_corpus(corpus_dir) -> SyntheticCorpus:
     sources, targets = read_corpus_domains(root)
     if len(targets) != 1:
         raise DataError(f"corpus must contain exactly one target domain, found {len(targets)}")
+    if not sources:
+        raise DataError(f"{root / CORPUS_FILE}: corpus has no source domain")
 
     source_specs: list[DomainSpec] = []
     target_spec: Optional[DomainSpec] = None

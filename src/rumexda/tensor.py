@@ -7,12 +7,14 @@ every other elementwise operation requires equal shapes. That is all the
 losses and networks in this package need.
 
 A graph node costs far more Python time than the small products it wraps,
-so the engine records as few nodes as it can:
+so the engine records as few nodes as it can and walks only those:
 
 * Inside ``with no_grad():`` an op records no parents, so its result is a
   constant to any later ``backward``; evaluation and frozen parts of a
   training step run there. A grad_fn returns ``None`` for a parent that
   needs no gradient, so frozen weights cost no gradient products either.
+* ``backward`` orders the interior nodes only. A leaf's contributions add
+  up as its consumers run, and its ``grad`` is updated once at the end.
 * ``linear(x, W, b)`` is one node for ``x W^T + b``, bitwise equal to
   ``add_bias(matmul(x, transpose(W)), b)``.
 * ``linear_stack`` runs H such maps (one per classifier head) as one node
@@ -21,6 +23,10 @@ so the engine records as few nodes as it can:
   ``softmax`` and ``softmax_cross_entropy`` act on such stacks as well,
   and ``pair_discrepancy`` compares the heads pair by pair; per-head and
   per-pair losses are added in head order, as a chain of ``add`` would.
+* The model forward is two nodes. ``mlp`` runs the extractor's chain of
+  linear+ReLU blocks, LoRA updates included, and ``head_stack`` runs the
+  H heads' ``linear_stack -> relu -> dropout -> linear_stack``. Each is
+  bitwise equal in value and gradient to the chain of nodes it replaces.
 * ``moment_distance`` is the first- plus second-moment distance between
   feature batches (MD2) as one node, bitwise equal in value and gradient
   to the ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
@@ -102,6 +108,8 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
+        # interior nodes only: a leaf has nothing to expand, and it is
+        # visited when a gradient reaches it, not in topological order
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -110,30 +118,36 @@ class Tensor:
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if id(node) in seen or node._grad_fn is None:
                 continue
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent._grad_fn is not None and id(parent) not in seen:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        # a leaf's contributions add up in grads in the order its consumers
+        # run, and land in its grad once, after the walk
+        leaves: list[Tensor] = [] if topo else [self]
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._grad_fn is not None:
-                for parent, pg in zip(node._parents, node._grad_fn(g)):
-                    if pg is None:
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
-            elif node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+            for parent, pg in zip(node._parents, node._grad_fn(g)):
+                if pg is None:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+                    if parent._grad_fn is None:
+                        leaves.append(parent)
+        for leaf in leaves:
+            if leaf.requires_grad:
+                g = grads[id(leaf)]
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -529,6 +543,130 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _result(data, parents, grad_fn, "linear")
 
 
+def mlp(x: Tensor, layers: Sequence[tuple]) -> Tensor:
+    """A chain of linear+ReLU blocks over the rows of ``x``, as one node.
+
+    A layer is ``(W, b)``, or ``(W, b, down, up, scale)`` for a block with a
+    LoRA update. Block by block, ``h`` becomes ``relu(h W^T + b)``, where a
+    LoRA block adds ``((h down^T) up^T) * scale`` before the ReLU. Every
+    product is the one ``linear`` computes, so the value is bitwise that of
+    ``relu(linear(h, W, b))``, or for a LoRA block
+    ``relu(add(linear(h, W, b), mul(linear(linear(h, down), up), scale)))``,
+    and so is every gradient. The backward repeats those ops' products in
+    reverse, computes no gradient that no parent needs, and stops below the
+    lowest block with a parameter that needs one, unless ``x`` needs one.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"mlp expects rows of a rank-2 tensor, got {x.shape}")
+    h = x.data
+    parents = [x]
+    saved = []  # per block: (index of its W in parents, layer, input, W^T, pre-activation)
+    for layer in layers:
+        weight, bias = layer[0], layer[1]
+        if weight.ndim != 2 or h.shape[1] != weight.shape[1] or bias.shape != weight.shape[:1]:
+            raise ShapeError(f"mlp: cannot apply weight {weight.shape} and bias {bias.shape} "
+                             f"to rows of {h.shape}")
+        wt = np.ascontiguousarray(weight.data.T)
+        pre = h @ wt
+        pre += bias.data
+        lora = None
+        if len(layer) == 5:
+            down, up, scale = layer[2:]
+            if down.shape[1:] != h.shape[1:] or up.shape != (weight.shape[0], down.shape[0]):
+                raise ShapeError(f"mlp: LoRA factors {down.shape} and {up.shape} do not fit "
+                                 f"weight {weight.shape}")
+            dt, ut = np.ascontiguousarray(down.data.T), np.ascontiguousarray(up.data.T)
+            mid = h @ dt
+            pre = pre + (mid @ ut) * scale
+            lora = (dt, ut, mid)
+        saved.append((len(parents), layer, h, wt, pre, lora))
+        parents.extend(layer[:4])
+        h = np.maximum(pre, 0)
+
+    def grad_fn(g):
+        grads = [None] * len(parents)
+        # whether each block's input needs a gradient
+        wants, want = [], _needs_grad(x)
+        for _, layer, *_ in saved:
+            wants.append(want)
+            want = want or any(_needs_grad(p) for p in layer[:4])
+        for (at, layer, h_in, wt, pre, lora), want in zip(reversed(saved), reversed(wants)):
+            g = g * (pre > 0)
+            if _needs_grad(layer[0]):
+                grads[at] = np.ascontiguousarray((h_in.T @ g).T)
+            if _needs_grad(layer[1]):
+                grads[at + 1] = g.sum(axis=0)
+            gx = g @ wt.T if want else None
+            if lora is not None:
+                down, up, scale = layer[2:]
+                dt, ut, mid = lora
+                mid_wanted = want or _needs_grad(down)
+                if mid_wanted or _needs_grad(up):
+                    gd = g * scale
+                    if _needs_grad(up):
+                        grads[at + 3] = np.ascontiguousarray((mid.T @ gd).T)
+                    if mid_wanted:
+                        gmid = gd @ ut.T
+                        if _needs_grad(down):
+                            grads[at + 2] = np.ascontiguousarray((h_in.T @ gmid).T)
+                        if want:
+                            gx = gx + gmid @ dt.T
+            if not want:
+                break
+            g = gx
+        else:
+            grads[0] = g
+        return grads
+
+    return _result(h, parents, grad_fn, "mlp")
+
+
+def _stack_inputs(x, weight: Tensor, bias: Tensor, op: str):
+    """``(single, xs, xdata)`` for a stacked layer's input in any of the
+    forms ``linear_stack`` takes; ``xdata`` is its H x n x d_in or
+    n x d_in array."""
+    single = isinstance(x, Tensor)
+    xs = [x] if single else [_as_tensor(t) for t in x]
+    try:
+        xdata = x.data if single else np.stack([t.data for t in xs])
+    except ValueError as exc:
+        raise ShapeError(f"{op}: per-head inputs disagree: {exc}") from exc
+    _check_stack(xdata, weight, bias, op)
+    return single, xs, xdata
+
+
+def _check_stack(xdata: np.ndarray, weight: Tensor, bias: Tensor, op: str) -> None:
+    if xdata.ndim not in (2, 3) or weight.ndim != 3 or bias.shape != weight.shape[:2] or not (
+            (xdata.ndim == 2 or xdata.shape[0] == weight.shape[0])
+            and xdata.shape[-1] == weight.shape[2]):
+        raise ShapeError(f"{op}: cannot apply weights {weight.shape} and biases "
+                         f"{bias.shape} to inputs of shape {xdata.shape}")
+
+
+def _stack_forward(xdata: np.ndarray, weight: Tensor, bias: Tensor):
+    """``(W^T stack, x W^T + b)``; a shared input broadcasts over the heads."""
+    wt = np.ascontiguousarray(weight.data.transpose(0, 2, 1))
+    data = np.matmul(xdata, wt)
+    data += bias.data[:, None, :]
+    return wt, data
+
+
+def _stack_input_grads(g: np.ndarray, wt: np.ndarray, single: bool, xs, xdata: np.ndarray):
+    # a shared input adds its per-head gradients up in head order
+    if not any(_needs_grad(t) for t in xs):
+        return [None] * len(xs)
+    gx = np.matmul(g, wt.swapaxes(1, 2))
+    if single:
+        return [_sum_in_order(gx) if xdata.ndim == 2 else gx]
+    return [gx[h] if _needs_grad(t) else None for h, t in enumerate(xs)]
+
+
+def _stack_param_grads(g: np.ndarray, xdata: np.ndarray, weight: Tensor, bias: Tensor):
+    return (np.matmul(xdata.swapaxes(-1, -2), g).swapaxes(1, 2) if _needs_grad(weight) else None,
+            g.sum(axis=1) if _needs_grad(bias) else None)
+
+
 def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
     """H linear maps as one node: slice h of the H x n x d_out result is
     bitwise ``linear(x_h, weight[h], bias[h])``.
@@ -540,33 +678,50 @@ def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
     that read it, in head order.
     """
     weight, bias = _as_tensor(weight), _as_tensor(bias)
-    single = isinstance(x, Tensor)
-    xs = [x] if single else [_as_tensor(t) for t in x]
-    try:
-        xdata = x.data if single else np.stack([t.data for t in xs])
-    except ValueError as exc:
-        raise ShapeError(f"linear_stack: per-head inputs disagree: {exc}") from exc
-    shared = xdata.ndim == 2
-    if xdata.ndim not in (2, 3) or weight.ndim != 3 or bias.shape != weight.shape[:2] or not (
-            (shared or xdata.shape[0] == weight.shape[0]) and xdata.shape[-1] == weight.shape[2]):
-        raise ShapeError(f"linear_stack: cannot apply weights {weight.shape} and biases "
-                         f"{bias.shape} to inputs of shape {xdata.shape}")
-    wt = np.ascontiguousarray(weight.data.transpose(0, 2, 1))
-    data = np.matmul(xdata, wt)  # a shared input broadcasts over the heads
-    data += bias.data[:, None, :]
+    single, xs, xdata = _stack_inputs(x, weight, bias, "linear_stack")
+    wt, data = _stack_forward(xdata, weight, bias)
 
     def grad_fn(g):
-        grads = [None] * len(xs)
-        if any(_needs_grad(t) for t in xs):
-            gx = np.matmul(g, wt.swapaxes(1, 2))
-            if single:
-                grads = [_sum_in_order(gx) if shared else gx]
-            else:
-                grads = [gx[h] if _needs_grad(t) else None for h, t in enumerate(xs)]
-        gw = np.matmul(xdata.swapaxes(-1, -2), g).swapaxes(1, 2) if _needs_grad(weight) else None
-        return (*grads, gw, g.sum(axis=1) if _needs_grad(bias) else None)
+        return (*_stack_input_grads(g, wt, single, xs, xdata),
+                *_stack_param_grads(g, xdata, weight, bias))
 
     return _result(data, [*xs, weight, bias], grad_fn, "linear_stack")
+
+
+def head_stack(x, weight1: Tensor, bias1: Tensor, weight2: Tensor, bias2: Tensor,
+               p: float, training: bool, rng=None) -> Tensor:
+    """H classifier heads, ``linear_stack -> relu -> dropout -> linear_stack``,
+    as one node.
+
+    ``x`` takes the forms ``linear_stack`` takes. The value is bitwise that
+    of the four-node chain and so is every gradient, and the dropout mask
+    takes the same draw from ``rng`` as ``dropout`` there. The backward
+    computes no gradient that no parent needs, and goes back through the
+    first layer only when its weights or an input need one.
+    """
+    weight1, bias1 = _as_tensor(weight1), _as_tensor(bias1)
+    weight2, bias2 = _as_tensor(weight2), _as_tensor(bias2)
+    single, xs, xdata = _stack_inputs(x, weight1, bias1, "head_stack")
+    wt1, pre = _stack_forward(xdata, weight1, bias1)
+    hidden = np.maximum(pre, 0)
+    keep = _dropout_keep(hidden, p, training, rng)
+    if keep is not None:
+        hidden = hidden * keep
+    _check_stack(hidden, weight2, bias2, "head_stack")
+    wt2, data = _stack_forward(hidden, weight2, bias2)
+
+    def grad_fn(g):
+        gw2, gb2 = _stack_param_grads(g, hidden, weight2, bias2)
+        if not (_needs_grad(weight1) or _needs_grad(bias1) or any(_needs_grad(t) for t in xs)):
+            return (*[None] * len(xs), None, None, gw2, gb2)
+        g = np.matmul(g, wt2.swapaxes(1, 2))
+        if keep is not None:
+            g = g * keep
+        g = g * (pre > 0)
+        return (*_stack_input_grads(g, wt1, single, xs, xdata),
+                *_stack_param_grads(g, xdata, weight1, bias1), gw2, gb2)
+
+    return _result(data, [*xs, weight1, bias1, weight2, bias2], grad_fn, "head_stack")
 
 
 # ----------------------------------------------------------------------
@@ -670,17 +825,25 @@ def pair_discrepancy(p: Tensor) -> Tensor:
     return _result(_sum_in_order(per_pair), (p,), grad_fn, "pair_discrepancy")
 
 
+def _dropout_keep(data: np.ndarray, p: float, training: bool, rng):
+    """Inverted dropout's scaled keep mask for ``data``, or ``None`` where
+    dropout is the identity."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    if rng is None:
+        raise ConfigError("training-mode dropout needs an explicit rng")
+    return (rng.random(data.shape) >= p).astype(data.dtype) / (1.0 - p)
+
+
 def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by
     1/(1-p) at train time, exact identity at inference."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     t = _as_tensor(t)
-    if not training or p == 0.0:
+    keep = _dropout_keep(t.data, p, training, rng)
+    if keep is None:
         return t
-    if rng is None:
-        raise ConfigError("training-mode dropout needs an explicit rng")
-    keep = (rng.random(t.shape) >= p).astype(t.dtype) / (1.0 - p)
     data = t.data * keep
 
     def grad_fn(g):
@@ -695,11 +858,13 @@ __all__ = [
     "add_bias",
     "dropout",
     "exp",
+    "head_stack",
     "l2_norm",
     "linear",
     "linear_stack",
     "log",
     "matmul",
+    "mlp",
     "moment_distance",
     "mul",
     "no_grad",

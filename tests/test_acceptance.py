@@ -205,6 +205,41 @@ def test_criterion_1_gradient_suite():
 
     cases["loss_moment_distance"] = moment_distance_case
 
+    # the fused model forward, added after the cases above so their draws are unchanged
+    def mlp_case():
+        # a plain block, then a LoRA block; the point is the input rows
+        layers = [(weights((5, 4)), weights((5,))),
+                  (weights((3, 5)), weights((3,)), weights((2, 5)), weights((3, 2)), 0.5)]
+        return (lambda t: T.pow_k(T.mlp(t, layers), 2).sum()), rng.normal(size=(6, 4))
+
+    cases["mlp"] = mlp_case
+
+    def mlp_lora_case():
+        # the point is a LoRA down factor
+        x, w, b, up = weights((6, 4)), weights((3, 4)), weights((3,)), weights((3, 2))
+        return (lambda t: T.pow_k(T.mlp(x, [(w, b, t, up, 0.5)]), 2).sum()
+                ), rng.normal(size=(2, 4))
+
+    cases["mlp_lora"] = mlp_lora_case
+
+    def head_stack_case():
+        # one input feeds heads 0 and 2; each evaluation draws the same dropout mask
+        params = [weights(s) for s in ((3, 4, 4), (3, 4), (3, 2, 4), (3, 2))]
+        other, seed = weights((5, 4)), int(rng.integers(0, 2**31))
+        return (lambda t: T.pow_k(T.head_stack([t, other, t], *params, 0.3, True,
+                                                np.random.default_rng(seed)), 2).sum()
+                ), rng.normal(size=(5, 4))
+
+    cases["head_stack"] = head_stack_case
+
+    def head_stack_weight_case():
+        # the point is the first layer's weight stack, under a shared input
+        x, b1, w2, b2 = weights((5, 4)), weights((2, 4)), weights((2, 2, 4)), weights((2, 2))
+        return (lambda t: T.pow_k(T.head_stack(x, t, b1, w2, b2, 0.3, False), 2).sum()
+                ), rng.normal(size=(2, 4, 4))
+
+    cases["head_stack_weight"] = head_stack_weight_case
+
     for name, make in cases.items():
         for _ in range(n_instances):
             loss_fn, x = make()

@@ -211,15 +211,35 @@ def test_vanilla_lr_zero_keeps_parameters():
     train = _blobs(seed=3)
     bundle = _model(seed=2)
     before = bundle.snapshot()
-    cfg = AdaptationConfig(strategy="vanilla", epochs=2, lr=0.0, optimizer="sgd", seed=0)
+    cfg = AdaptationConfig(strategy="vanilla", epochs=2, warmup=0, lr=0.0, optimizer="sgd", seed=0)
     train_vanilla(bundle, train, cfg)
+    for name, arr in bundle.snapshot().items():
+        assert arr.tobytes() == before[name].tobytes(), name
+
+
+@pytest.mark.parametrize("strategy", ["vanilla", "m2s2da", "m3sda_beta"])
+def test_trainers_need_epochs_past_the_warmup(strategy):
+    # no epoch past the warm-up means no selected snapshot: a typed error
+    # before the first step, not a None snapshot for the caller to restore
+    cfg = AdaptationConfig(strategy=strategy, epochs=5, warmup=5, seed=0)
+    sources = [_blobs(seed=s) for s in (30, 31)]
+    target = _blobs(seed=32).unlabeled()
+    bundle = _model(seed=6, pairs=2 if strategy == "m3sda_beta" else 0)
+    before = bundle.snapshot()
+    with pytest.raises(ConfigError, match="epochs=5 must exceed the warmup of 5"):
+        if strategy == "vanilla":
+            train_vanilla(bundle, sources[0], cfg)
+        elif strategy == "m2s2da":
+            train_m2s2da(bundle, sources[0], target, cfg)
+        else:
+            train_m3sda_beta(bundle, sources, target, cfg)
     for name, arr in bundle.snapshot().items():
         assert arr.tobytes() == before[name].tobytes(), name
 
 
 def test_vanilla_history_bitwise_deterministic(tmp_path):
     train, val = _blobs(seed=4), _blobs(seed=5)
-    cfg = AdaptationConfig(strategy="vanilla", epochs=4, seed=9)
+    cfg = AdaptationConfig(strategy="vanilla", epochs=4, warmup=0, seed=9)
 
     def run(path):
         bundle = _model(seed=3)
@@ -233,7 +253,7 @@ def test_vanilla_history_bitwise_deterministic(tmp_path):
 def test_vanilla_warns_on_single_class_data():
     ds = DomainDataset("one", np.random.default_rng(0).normal(size=(50, 2)), np.zeros(50, dtype=int))
     bundle = _model(seed=4)
-    cfg = AdaptationConfig(strategy="vanilla", epochs=1, seed=0)
+    cfg = AdaptationConfig(strategy="vanilla", epochs=1, warmup=0, seed=0)
     with pytest.warns(UserWarning, match="single class"):
         train_vanilla(bundle, ds, cfg)
 
@@ -241,7 +261,7 @@ def test_vanilla_warns_on_single_class_data():
 def test_history_jsonl_roundtrip(tmp_path):
     train = _blobs(seed=6)
     bundle = _model(seed=5)
-    cfg = AdaptationConfig(strategy="vanilla", epochs=3, seed=1)
+    cfg = AdaptationConfig(strategy="vanilla", epochs=3, warmup=0, seed=1)
     history = train_vanilla(bundle, train, cfg, val=_blobs(seed=7), eval_targets=[_blobs(seed=8)])
     path = tmp_path / "history.jsonl"
     history.to_jsonl(path)
@@ -266,8 +286,8 @@ def test_lambda_zero_reduces_to_vanilla():
     target = _shifted_target(seed=12)
     b_v = _model(seed=6)
     b_0 = _model(seed=6)
-    cfg_v = AdaptationConfig(strategy="vanilla", epochs=3, seed=21)
-    cfg_0 = AdaptationConfig(strategy="m2s2da", lam=0.0, epochs=3, seed=21)
+    cfg_v = AdaptationConfig(strategy="vanilla", epochs=3, warmup=0, seed=21)
+    cfg_0 = AdaptationConfig(strategy="m2s2da", lam=0.0, epochs=3, warmup=0, seed=21)
     h_v = train_vanilla(b_v, train, cfg_v)
     h_0 = train_m2s2da(b_0, train, target.unlabeled(), cfg_0)
     assert [r.losses["ce"] for r in h_v.records] == [r.losses["ce"] for r in h_0.records]
@@ -331,7 +351,7 @@ def test_m3sda_freeze_contracts_during_training():
     sources = _three_sources()
     target = _shifted_target(n=300, seed=40)
     bundle = _model(seed=10, pairs=3)
-    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=50, seed=4)
+    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, warmup=0, batch_size=50, seed=4)
 
     g_names = {name for name, _ in bundle.extractor_trainable_parameters()}
     head_names = {name for name, _ in bundle.head_trainable_parameters()}
@@ -413,7 +433,8 @@ def test_m3sda_step3_freeze_audit_sees_every_head_tensor():
             seen[phase].add(len(b.head_trainable_parameters()))
 
     train_m3sda_beta(bundle, sources, target.unlabeled(),
-                     AdaptationConfig(strategy="m3sda_beta", epochs=1, batch_size=50, seed=5),
+                     AdaptationConfig(strategy="m3sda_beta", epochs=1, warmup=0, batch_size=50,
+                                      seed=5),
                      step_observer=observer)
     assert seen == {"step3_pre": {4}, "step3_post": {4}}
 
@@ -470,7 +491,7 @@ def test_m3sda_single_source_degrades_to_pairworthy_m2s2da():
     source = [_blobs(n=200, seed=70)]
     target = _shifted_target(n=200, seed=71)
     bundle = _model(seed=12, pairs=1)
-    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=40, seed=5)
+    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, warmup=0, batch_size=40, seed=5)
     history = train_m3sda_beta(bundle, source, target.unlabeled(), cfg)
     assert len(history.records) == 2
 
@@ -478,7 +499,7 @@ def test_m3sda_single_source_degrades_to_pairworthy_m2s2da():
 def test_m3sda_determinism():
     sources = _three_sources(seed0=80)
     target = _shifted_target(n=300, seed=85)
-    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, batch_size=60, seed=6)
+    cfg = AdaptationConfig(strategy="m3sda_beta", epochs=2, warmup=0, batch_size=60, seed=6)
 
     def run():
         bundle = _model(seed=13, pairs=3)
@@ -629,3 +650,55 @@ def test_minibatch_stream_matches_a_list_queue(n, batch_size):
         assert y.tolist() == labels[idx].tolist()
     unlabeled = _MinibatchStream(features, None, batch_size, np.random.default_rng(0))
     assert unlabeled.next()[1] is None
+
+
+# ----------------------------------------------------------------------
+# graph size per backward
+
+
+def _nodes_per_backward(monkeypatch, train) -> list[int]:
+    """The number of interior graph nodes each ``backward`` call of
+    ``train()`` walks, in call order."""
+    counts = []
+    backward = Tensor.backward
+
+    def counting(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._grad_fn is not None:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        counts.append(len(seen))
+        backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    train()
+    return counts
+
+
+@pytest.mark.parametrize("leg,per_iteration", [
+    ("vanilla", [3]),  # extractor, head, CE
+    ("m2s2da", [7]),  # two extractors, head, CE, MD2, its weight, the sum
+    ("lora", [3]),  # as vanilla: the adapters fold into the extractor node
+    ("m3sda_beta", [9, 6, 4]),  # steps 1, 2 and 3
+])
+def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
+    # two iterations of one epoch; a test failure here, not a slower
+    # benchmark, is where an extra node per step first shows
+    cfg = AdaptationConfig(strategy="vanilla" if leg == "lora" else leg, epochs=1, warmup=0,
+                           batch_size=64, seed=0)
+    sources = [_blobs(n=128, seed=s) for s in (80, 81, 82)]
+    target = _shifted_target(n=128, seed=83).unlabeled()
+    if leg == "lora":
+        bundle = build_model(ModelConfig(input_dim=2, hidden_dims=(8,), feature_dim=8,
+                                         unfreeze=0, adaptation="lora", lora_rank=4), 0, 7)
+    else:
+        bundle = _model(seed=7, pairs=3 if leg == "m3sda_beta" else 0)
+    train = {
+        "vanilla": lambda: train_vanilla(bundle, sources[0], cfg),
+        "lora": lambda: train_vanilla(bundle, sources[0], cfg),
+        "m2s2da": lambda: train_m2s2da(bundle, sources[0], target, cfg),
+        "m3sda_beta": lambda: train_m3sda_beta(bundle, sources, target, cfg),
+    }[leg]
+    assert _nodes_per_backward(monkeypatch, train) == per_iteration * 2

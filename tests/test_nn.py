@@ -132,12 +132,14 @@ def test_merge_equivalence():
     )
     bundle = build_model(cfg, seed=2)
     rng = np.random.default_rng(0)
-    block = bundle.extractor.blocks[0]
-    block.up.data = rng.normal(size=block.up.shape)
-    block.down.data = rng.normal(size=block.down.shape)
+    weight, bias, down, up, scale = bundle.extractor.blocks[0]
+    up.data = rng.normal(size=up.shape)
+    down.data = rng.normal(size=down.shape)
     x = Tensor(rng.normal(size=(9, 6)))
-    adapter_out = block.forward(x).data
-    merged = x.data @ block.merged_weight().T + block.base.bias.data
+    adapter_out = bundle.extract(x).data
+    # (alpha/R) * up @ down merged into the base weight gives the same block
+    merged = np.maximum(x.data @ (weight.data + scale * (up.data @ down.data)).T + bias.data, 0)
+    assert merged.any()
     assert np.max(np.abs(adapter_out - merged)) < 1e-10
 
 

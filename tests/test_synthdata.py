@@ -174,6 +174,12 @@ def test_read_corpus_requires_single_target(tmp_path):
         read_corpus(tmp_path)
 
 
+def test_read_corpus_requires_a_source(tmp_path):
+    (tmp_path / "corpus.csv").write_text("domain_id,role,split,label,x0\nt,target,none,1,0.5\n")
+    with pytest.raises(DataError, match="no source domain"):
+        read_corpus(tmp_path)
+
+
 def test_identity_spec_helper():
     spec = identity_spec("d", 5, 100, 0.4, noise_sigma=0.2)
     spec.validate()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rumexda import tensor as T
 from rumexda.errors import (
@@ -12,6 +14,7 @@ from rumexda.errors import (
     ShapeError,
     TrainingStateError,
 )
+from rumexda.nn import ModelConfig, build_model
 from rumexda.optim import SGD, Adam
 from rumexda.tensor import Tensor
 
@@ -280,6 +283,62 @@ def test_backward_accumulates_across_calls():
     assert np.allclose(t.grad, 2 * first)
 
 
+def _reference_backward(loss):
+    """The engine as it was before leaves left the walk: every node, leaves
+    included, in one topological order, and a leaf's grad set when the
+    walk reaches it."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._grad_fn is not None:
+            for parent, pg in zip(node._parents, node._grad_fn(g)):
+                if pg is not None:
+                    key = id(parent)
+                    grads[key] = grads[key] + pg if key in grads else pg
+        elif node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_repeated_backward_with_shared_leaves_is_bitwise_the_reference_engine(seed):
+    def graph():
+        # w feeds five nodes and b three, at scales far apart, so the order
+        # in which their contributions add up shows in the last bits
+        rng = np.random.default_rng(seed)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        frozen = Tensor(rng.normal(size=(3, 4)))
+        zs = [T.relu(T.linear(Tensor(rng.normal(size=(6, 4)) * s), w, b))
+              for s in (1e-3, 1.0, 1e3)]
+        loss = T.add(T.moment_distance(zs[:2], zs[2]),
+                     T.mul(T.mul(w, frozen).sum(), T.pow_k(w, 2).sum()))
+        return loss, (w, b, frozen)
+
+    new, reference = graph(), graph()
+    for _ in range(3):  # no zero_grad in between: the calls add up
+        new[0].backward()
+        _reference_backward(reference[0])
+        assert _grad_bytes(new[1]) == _grad_bytes(reference[1])
+    assert new[1][2].grad is None
+    leaf = Tensor(2.0, requires_grad=True)
+    leaf.backward()
+    leaf.backward()
+    assert leaf.grad == 2.0
+
+
 def test_backward_requires_scalar():
     t = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
@@ -470,6 +529,220 @@ def test_pair_discrepancy_shape_errors():
         T.pair_discrepancy(Tensor(np.zeros((4, 2))))
     with pytest.raises(DegenerateInputError):
         T.pair_discrepancy(Tensor(np.zeros((2, 0, 2))))
+
+
+# ----------------------------------------------------------------------
+# fused model forward
+
+
+def _unfused_mlp(x, layers):
+    """The extractor as one linear (plus the LoRA leg) and one relu node per block."""
+    for layer in layers:
+        out = T.linear(x, layer[0], layer[1])
+        if len(layer) == 5:
+            down, up, scale = layer[2:]
+            out = T.add(out, T.mul(T.linear(T.linear(x, down), up), scale))
+        x = T.relu(out)
+    return x
+
+
+def _unfused_head(x, w1, b1, w2, b2, p, training, rng):
+    hidden = T.dropout(T.relu(T.linear_stack(x, w1, b1)), p, training, rng)
+    return T.linear_stack(hidden, w2, b2)
+
+
+def _leaves(arrays, flags):
+    return [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+
+
+def _grad_bytes(tensors):
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+def _mlp_run(build, x0, x_flag, blocks, upstream):
+    """Value and every leaf gradient of sum(build(x, layers) * upstream);
+    ``blocks`` holds (arrays, requires_grad flags, scale or None) per block."""
+    x = Tensor(x0, requires_grad=x_flag)
+    layers, leaves = [], [x]
+    for arrays, flags, scale in blocks:
+        tensors = _leaves(arrays, flags)
+        leaves += tensors
+        layers.append(tuple(tensors) if scale is None else (*tensors, scale))
+    out = build(x, layers)
+    T.mul(out, Tensor(upstream)).sum().backward()
+    return [out.data.tobytes()] + _grad_bytes(leaves)
+
+
+def _random_blocks(rng, dims, flags, rank=0):
+    blocks = []
+    for i, trains in enumerate(flags):
+        arrays = [rng.normal(size=(dims[i + 1], dims[i])), rng.normal(size=dims[i + 1])]
+        if rank:
+            arrays += [rng.normal(size=(rank, dims[i])), rng.normal(size=(dims[i + 1], rank))]
+            blocks.append((arrays, (False, False, trains, trains), 0.75))
+        else:
+            blocks.append((arrays, (trains, trains), None))
+    return blocks
+
+
+@pytest.mark.parametrize("flags,rank,x_flag", [
+    ((False, True, True), 0, False),  # a frozen leading block, as unfreeze=2 of 3
+    ((False, True, True), 0, True),
+    ((True, False, True), 0, False),  # a frozen block between trainable ones
+    ((False, False, False), 0, True),  # only the input needs a gradient
+    ((True, True, True), 3, False),  # LoRA on every block, base frozen
+    ((True, True, True), 3, True),
+    ((False, True, True), 2, False),  # LoRA with a frozen leading adapter
+])
+def test_mlp_is_bitwise_the_unfused_graph(flags, rank, x_flag):
+    rng = np.random.default_rng(len(flags) * 10 + rank + 2 * sum(flags))
+    dims = (5, 7, 6, 4)
+    blocks = _random_blocks(rng, dims, flags, rank)
+    x0, upstream = rng.normal(size=(9, dims[0])), rng.normal(size=(9, dims[-1]))
+    fused = _mlp_run(T.mlp, x0, x_flag, blocks, upstream)
+    assert fused == _mlp_run(_unfused_mlp, x0, x_flag, blocks, upstream)
+    # a frozen tensor gets no gradient, a trainable one does
+    expected = [x_flag] + [f for _, block_flags, _ in blocks for f in block_flags]
+    assert [g is not None for g in fused[1:]] == expected
+
+
+def test_mlp_stops_below_the_lowest_block_that_needs_a_gradient():
+    rng = np.random.default_rng(3)
+    layers = [(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=4))),
+              (Tensor(rng.normal(size=(2, 4)), requires_grad=True), Tensor(np.zeros(2)))]
+    out = T.mlp(Tensor(rng.normal(size=(5, 3))), layers)
+    assert out._op == "mlp" and len(out._parents) == 5
+    grads = out._grad_fn(np.ones((5, 2)))
+    assert [g is not None for g in grads] == [False, False, False, True, False]
+    with T.no_grad():
+        assert T.mlp(Tensor(rng.normal(size=(5, 3))), layers)._grad_fn is None
+    with pytest.raises(ShapeError):
+        T.mlp(Tensor(rng.normal(size=(5, 4))), layers)
+    with pytest.raises(ShapeError):
+        T.mlp(Tensor(rng.normal(size=(5, 3))), [(layers[0][0], Tensor(np.zeros(3)))])
+    with pytest.raises(ShapeError):
+        T.mlp(Tensor(rng.normal(size=(5, 3))),
+              [(*layers[0], Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), 1.0)])
+
+
+def _head_run(build, form, training, head_flags, x_flag, seed=0):
+    """Value and every leaf gradient of a head stack's weighted logits for
+    the input ``form``: "shared" (n x f), "stacked" (H x n x f) or "list"
+    (H tensors, one of them feeding two heads)."""
+    rng = np.random.default_rng(seed)
+    h, n, f = 4, 6, 5
+    params = _leaves([rng.normal(size=(h, f, f)), rng.normal(size=(h, f)),
+                      rng.normal(size=(h, 2, f)), rng.normal(size=(h, 2))], [head_flags] * 4)
+    if form == "shared":
+        inputs = _leaves([rng.normal(size=(n, f))], [x_flag])
+        x = inputs[0]
+    elif form == "stacked":
+        inputs = _leaves([rng.normal(size=(h, n, f))], [x_flag])
+        x = inputs[0]
+    else:
+        inputs = _leaves([rng.normal(size=(n, f)) for _ in range(3)], [x_flag] * 3)
+        x = [inputs[0], inputs[1], inputs[0], inputs[2]]
+    upstream = Tensor(rng.normal(size=(h, n, 2)))
+    out = build(x, *params, 0.3, training, np.random.default_rng(seed + 1))
+    T.mul(out, upstream).sum().backward()
+    return [out.data.tobytes()] + _grad_bytes(inputs + params)
+
+
+@pytest.mark.parametrize("form", ["shared", "stacked", "list"])
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("head_flags,x_flag", [
+    (True, False),  # frozen features, as step 2
+    (True, True),  # step 1
+    (False, True),  # frozen heads, as step 3
+])
+def test_head_stack_is_bitwise_the_unfused_graph(form, training, head_flags, x_flag):
+    fused = _head_run(T.head_stack, form, training, head_flags, x_flag)
+    assert fused == _head_run(_unfused_head, form, training, head_flags, x_flag)
+    n_inputs = 1 if form != "list" else 3
+    assert [g is not None for g in fused[1:]] == [x_flag] * n_inputs + [head_flags] * 4
+
+
+def test_head_stack_draws_dropout_like_the_unfused_graph_and_checks_it():
+    rng = np.random.default_rng(4)
+    params = [Tensor(rng.normal(size=s)) for s in ((3, 5, 5), (3, 5), (3, 2, 5), (3, 2))]
+    z = Tensor(rng.normal(size=(7, 5)))
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    T.head_stack(z, *params, 0.3, True, a)
+    _unfused_head(z, *params, 0.3, True, b)
+    assert a.random() == b.random()
+    with pytest.raises(ConfigError):
+        T.head_stack(z, *params, 1.0, False)
+    with pytest.raises(ConfigError):
+        T.head_stack(z, *params, 0.3, True)
+    with pytest.raises(ShapeError):
+        T.head_stack(z, *params[:2], Tensor(np.zeros((3, 2, 4))), params[3], 0.3, False)
+    with pytest.raises(ShapeError):
+        T.head_stack([z, z], *params, 0.3, False)
+
+
+def _model_step(fused, arrays, ws, heads):
+    """An m3sda step 1: three source batches and a target batch through one
+    extractor, the sources into their head pairs, CE + 0.5 * MD2."""
+    layers = [tuple(Tensor(a, requires_grad=True) for a in block) for block in ws]
+    params = [Tensor(a, requires_grad=True) for a in heads]
+    extract = T.mlp if fused else _unfused_mlp
+    head = T.head_stack if fused else _unfused_head
+    zs = [extract(Tensor(x), layers) for x in arrays[:-1]]
+    z_t = extract(Tensor(arrays[-1]), layers)
+    logits = head([z for z in zs for _ in range(2)], *params, 0.3, True,
+                  np.random.default_rng(5))
+    labels = np.stack([(x[:, 0] > 0).astype(np.int64) for x in arrays[:-1] for _ in range(2)])
+    loss = T.add(T.softmax_cross_entropy(logits, labels),
+                 T.mul(T.moment_distance(zs, z_t), 0.5))
+    loss.backward()
+    return [loss.data.tobytes()] + _grad_bytes([p for layer in layers for p in layer] + params)
+
+
+def test_fused_model_step_is_bitwise_the_unfused_graph():
+    # four extractor nodes and one head node feed the shared weights, so
+    # the order in which backward adds up their gradients shows
+    rng = np.random.default_rng(6)
+    arrays = [rng.normal(size=(8, 5)) * s for s in (1.0, 3.0, 0.2, 2.0)]
+    ws = [(rng.normal(size=(7, 5)), rng.normal(size=7)),
+          (rng.normal(size=(4, 7)), rng.normal(size=4))]
+    heads = [rng.normal(size=s) for s in ((6, 4, 4), (6, 4), (6, 2, 4), (6, 2))]
+    assert _model_step(True, arrays, ws, heads) == _model_step(False, arrays, ws, heads)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(input_dim=st.integers(1, 6), hidden=st.lists(st.integers(1, 6), max_size=3),
+       feature_dim=st.integers(1, 6), unfreeze=st.integers(0, 4), rank=st.integers(0, 3),
+       pairs=st.integers(0, 2), training=st.booleans(), x_flag=st.booleans(),
+       rows=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_model_forward_is_bitwise_the_unfused_graph(input_dim, hidden, feature_dim, unfreeze,
+                                                     rank, pairs, training, x_flag, rows, seed):
+    # rank 0 stands for a plain extractor, rank R >= 1 for LoRA at rank R
+    config = ModelConfig(input_dim=input_dim, hidden_dims=tuple(hidden),
+                         feature_dim=feature_dim,
+                         unfreeze=0 if rank else min(unfreeze, len(hidden) + 1),
+                         adaptation="lora" if rank else "none", lora_rank=max(rank, 1))
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(rows, input_dim))
+    dims = (input_dim, *hidden, feature_dim)
+    ups = [rng.normal(size=(d_out, rank)) for d_out in dims[1:]] if rank else []
+    upstream = Tensor(rng.normal(size=(max(1, 2 * pairs), rows, 2)))
+    results = []
+    for fused in (True, False):
+        bundle = build_model(config, pairs, seed)
+        for block, up in zip(bundle.extractor.blocks, ups):
+            block[3].data[...] = up  # a trained adapter, not the zero-init identity
+        x = Tensor(x0, requires_grad=x_flag)
+        head = bundle.head
+        head_args = (head.weight1, head.bias1, head.weight2, head.bias2, head.dropout_p,
+                     training, np.random.default_rng(seed))
+        if fused:
+            out = bundle.forward(x, training, head_args[-1])
+        else:
+            out = _unfused_head(_unfused_mlp(x, bundle.extractor.blocks), *head_args)
+        T.mul(out, upstream).sum().backward()
+        results.append([out.data.tobytes()]
+                       + _grad_bytes([x] + [p for _, p in bundle.parameters()]))
+    assert results[0] == results[1]
 
 
 # ----------------------------------------------------------------------
