@@ -390,6 +390,13 @@ def _norm_grad(g, d: np.ndarray, norm: float) -> np.ndarray:
     return np.zeros_like(d) if norm == 0.0 else g * d / norm
 
 
+def _moment_grad(z: Tensor, mg: np.ndarray, k: float) -> np.ndarray:
+    # z ** 0 is all ones (NaN ** 0 too) and x * 1.0 == x, so for k = 1 the row
+    # mg / b * k is only repeated, into an array that a leaf's grad may own
+    row = mg / len(z.data) * k
+    return np.repeat(row[None], len(z.data), axis=0) if k == 1.0 else row * z.data ** (k - 1)
+
+
 def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
     """MD2 between N source feature batches and a target batch, as one node.
 
@@ -461,8 +468,7 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
             for sg in st_grads[1:]:
                 target_grad = target_grad + -sg
             ordered = [*moment_grads, target_grad] if n == 1 else [target_grad, *moment_grads]
-            # (g / b * k) is the same for every row, so it is computed once per column
-            grads += [mg / len(z.data) * k * z.data ** (k - 1) if _needs_grad(z) else None
+            grads += [_moment_grad(z, mg, k) if _needs_grad(z) else None
                       for z, mg in zip(block, ordered)]
         return grads
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
+import mmap
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -505,8 +505,14 @@ _PNM_PREFIX_BYTES = 256  # a header without long comments fits in one read
 def read_pnm(path) -> np.ndarray:
     """Binary PGM (P5) or PPM (P6); returns uint8/uint16 HxW or HxWx3.
 
-    The file is read once: the header from a small prefix, grown only while
-    a token runs past it, and the payload straight into the returned array.
+    The header is parsed from a small prefix, grown only while a token runs
+    past it. An 8-bit payload is not read: the returned array is a
+    copy-on-write map of the file, whose pages are read from disk only when
+    touched, and a write to the array copies the page it lands on and never
+    reaches the file. So rewrite a mapped file only by replacing it (as
+    ``write_pnm`` does), never in place, and note that a live array holds
+    one duplicated file descriptor. A 16-bit payload is returned as a
+    decoded copy in native byte order.
     """
     with open(path, "rb") as fh:
         head = fh.read(_PNM_PREFIX_BYTES)
@@ -540,15 +546,13 @@ def read_pnm(path) -> np.ndarray:
         channels = _PNM_MAGIC[magic]
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         count = width * height * channels
-        complete = os.fstat(fh.fileno()).st_size - pos >= count * dtype.itemsize
-        if complete:
-            fh.seek(pos)
-            data = np.fromfile(fh, dtype=dtype, count=count)
-            complete = data.size == count  # false only if the file shrank meanwhile
-    if not complete:
+        # the length checked is that of the very bytes mapped
+        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    if len(view) < pos + count * dtype.itemsize:
+        view.close()
         raise DataError(f"{path}: payload shorter than {width}x{height}x{channels}")
     shape = (height, width) if channels == 1 else (height, width, 3)
-    out = data.reshape(shape)
+    out = np.frombuffer(view, dtype, count, offset=pos).reshape(shape)
     return out.astype(np.uint16) if maxval > 255 else out
 
 
@@ -565,17 +569,8 @@ def write_pnm(path, image: np.ndarray, maxval: Optional[int] = None) -> None:
     height, width = image.shape[:2]
     header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
     payload = image.astype(">u2" if maxval > 255 else "u1").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def extract_tile_pixels(image: np.ndarray, x: int, y: int, side: int = TILE_SIZE) -> np.ndarray:
-    """Exact crop of one tile; the tile must lie fully inside the image."""
-    height, width = image.shape[:2]
-    if x < 0 or y < 0 or x + side > width or y + side > height:
-        raise ShapeError(
-            f"tile at ({x},{y}) with side {side} exceeds image {width}x{height}"
-        )
-    return image[y : y + side, x : x + side].copy()
+    # replaced, not rewritten in place: read_pnm arrays map the old file
+    write_atomic(path, header + payload)
 
 
 def image_files(images_dir) -> list[tuple[str, Path]]:

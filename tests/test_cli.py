@@ -4,6 +4,7 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -129,6 +130,38 @@ def test_tile_unreadable_inputs_fail_but_run_continues(tmp_path, image_fixture):
     assert len(manifest) > 0
     ids = {e.record.image_id for e in manifest.entries}
     assert "siteA/img0.ppm" in ids and "siteA/broken.ppm" not in ids
+
+
+def test_tile_truncated_raster_fails_but_run_continues(tmp_path, image_fixture, capsys):
+    _, images, _, _ = image_fixture
+    victim = images / "siteB" / "img2.ppm"
+    victim.write_bytes(victim.read_bytes()[:-1])
+    out = tmp_path / "manifest.csv"
+    assert main(_tile_args(image_fixture, out)) == 1
+    err = capsys.readouterr().err
+    assert "error: siteB/img2.ppm: DataError: " in err and "payload shorter" in err
+    ids = {e.record.image_id for e in read_manifest(out).entries}
+    assert ids == {"siteA/img0.ppm", "siteA/img1.pgm"}
+
+
+def test_tile_allocates_far_less_than_the_raster(tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    img = np.random.default_rng(6).integers(0, 256, size=(1100, 1200, 3), dtype=np.uint8)
+    write_pnm(images / "big.ppm", img)
+    annotations = tmp_path / "boxes.csv"
+    annotations.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n"
+                           "big.ppm,50,60,400,420,rumex,p1\n")
+    args = ["tile", "--annotations", str(annotations), "--images-dir", str(images),
+            "--out", str(tmp_path / "manifest.csv")]
+    tracemalloc.start()
+    try:
+        rc = main(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < img.nbytes // 10
 
 
 # ----------------------------------------------------------------------

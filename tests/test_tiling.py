@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rumexda import tiling
-from rumexda.errors import ConfigError, DataError, DegenerateInputError, ShapeError
+from rumexda.errors import ConfigError, DataError, DegenerateInputError
 from rumexda.tiling import (
     BBoxAnnotation,
     ManifestEntry,
@@ -18,7 +19,6 @@ from rumexda.tiling import (
     assign_label,
     build_splits,
     enumerate_tiles,
-    extract_tile_pixels,
     overlap_ratio,
     read_annotations,
     read_manifest,
@@ -715,34 +715,54 @@ def test_pnm_matches_independent_decoder(tmp_path):
     assert np.array_equal(read_pnm(path), reference)
 
 
-def test_extract_tile_full_image():
-    img = np.arange(518 * 518, dtype=np.uint16).reshape(518, 518) % 256
-    tile = extract_tile_pixels(img, 0, 0, 518)
-    assert np.array_equal(tile, img)
-
-
-def test_extract_corner_tile_of_constant_image():
-    img = np.full((600, 700), 7, dtype=np.uint8)
-    tile = extract_tile_pixels(img, 700 - 518, 600 - 518, 518)
-    assert tile.shape == (518, 518)
-    assert np.all(tile == 7)
-
-
 def test_extract_checkerboard_matches_reference_crop(tmp_path):
     PIL = pytest.importorskip("PIL.Image")
     yy, xx = np.mgrid[0:64, 0:80]
     img = ((xx // 4 + yy // 4) % 2 * 255).astype(np.uint8)
     path = tmp_path / "cb.pgm"
     write_pnm(path, img)
-    ours = extract_tile_pixels(read_pnm(path), 8, 16, 32)
     ref = np.asarray(PIL.open(path))[16:48, 8:40]
-    assert np.array_equal(ours, ref)
+    assert np.array_equal(read_pnm(path)[16:48, 8:40], ref)
 
 
-def test_extract_out_of_bounds():
-    img = np.zeros((518, 518), dtype=np.uint8)
-    with pytest.raises(ShapeError):
-        extract_tile_pixels(img, 1, 0, 518)
+def _rgb_raster(path, height=1000, width=1200):
+    img = np.random.default_rng(8).integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    write_pnm(path, img)
+    return img
+
+
+def test_pnm_read_allocates_far_less_than_its_payload(tmp_path):
+    path = tmp_path / "big.ppm"
+    img = _rgb_raster(path)
+    tracemalloc.start()
+    try:
+        back = read_pnm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.nbytes == img.nbytes and back.flags.writeable
+    assert peak < img.nbytes // 100
+    assert np.array_equal(back, img)
+
+
+def test_pnm_write_to_the_array_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "img.ppm"
+    img = _rgb_raster(path, 40, 50)
+    raw = path.read_bytes()
+    back = read_pnm(path)
+    back[:] = 7
+    assert path.read_bytes() == raw
+    assert np.array_equal(read_pnm(path), img)
+    assert np.all(back == 7)
+
+
+def test_pnm_rewrite_leaves_an_earlier_array_unchanged(tmp_path):
+    path = tmp_path / "img.ppm"
+    img = _rgb_raster(path, 40, 50)
+    back = read_pnm(path)
+    write_pnm(path, np.full(img.shape, 7, dtype=np.uint8))
+    assert np.array_equal(back, img)
+    assert np.all(read_pnm(path) == 7)
 
 
 # ----------------------------------------------------------------------
