@@ -14,7 +14,6 @@ from .adaptation import (
 from .evaluation import (
     ConfusionCounts,
     MetricsReport,
-    dummy_prior_baseline,
     f1_precision_recall,
     select_model_epoch,
     sigma_epochs,
@@ -51,7 +50,6 @@ __all__ = [
     "build_splits",
     "classifier_discrepancy",
     "default_benchmark",
-    "dummy_prior_baseline",
     "enumerate_tiles",
     "f1_precision_recall",
     "generate",

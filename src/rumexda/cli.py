@@ -100,6 +100,8 @@ def _domain_lookup(args) -> dict[str, str]:
 
 
 def cmd_tile(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args)
     tc = config.tiling
     boxes = read_annotations(args.annotations)
@@ -133,11 +135,8 @@ def cmd_tile(args) -> int:
         except Exception as exc:  # per-image failure keeps the run going
             return image_id, [], f"{type(exc).__name__}: {exc}"
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(tile_one, images))
-    else:
-        results = [tile_one(item) for item in images]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(tile_one, images))
 
     entries = []
     for image_id, records, error in sorted(results, key=lambda r: r[0]):
@@ -215,6 +214,11 @@ def cmd_synth(args) -> int:
 # train
 
 
+def _f1_text(f1) -> str:
+    """An F1 for a summary line; ``none`` where a corpus gave no F1."""
+    return "none" if f1 is None else f"{f1:.4f}"
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
     if config.model.adaptation == "lora" and getattr(args, "model.unfreeze") is None:
@@ -244,8 +248,8 @@ def cmd_train(args) -> int:
     rec = history.records[selected - 1]
     print(
         f"trained {train_cfg.strategy} for {train_cfg.epochs} epochs; "
-        f"selected epoch {selected} (val F1={rec.source_val_f1:.4f}, "
-        f"median target F1={rec.median_target_f1:.4f})"
+        f"selected epoch {selected} (val F1={_f1_text(rec.source_val_f1)}, "
+        f"median target F1={_f1_text(rec.median_target_f1)})"
     )
     return 0
 
@@ -259,6 +263,9 @@ def cmd_eval(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
     sources, targets = read_corpus_domains(args.corpus)
     flights = targets if not args.include_sources else sources + targets
+    if not flights:
+        raise DataError(f"{args.corpus}: corpus has no "
+                        f"{'domain' if args.include_sources else 'target domain'}")
     dim = flights[0].dim
     if bundle.config.input_dim != dim:
         raise ShapeError(

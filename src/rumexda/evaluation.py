@@ -26,17 +26,8 @@ class ConfusionCounts:
     tn: int = 0
 
     @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
     def positives(self) -> int:
         return self.tp + self.fn
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
-        )
 
 
 def confusion_from_predictions(y_true, y_pred) -> ConfusionCounts:
@@ -145,40 +136,14 @@ def sigma_epochs(median_f1_by_epoch: Sequence[float], window: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# dummy prior baseline
-
-
-def dummy_prior_expected_f1(prior: float, n_pos: int, n_neg: int) -> float:
-    """Large-sample F1 of a classifier that predicts positive with
-    probability ``prior`` independently per tile.
-
-    With q the flight's positive rate, the limit is
-    2*prior*q / (2*prior*q + prior*(1-q) + (1-prior)*q), which equals the
-    prior itself when q == prior (the case where precision and recall both
-    converge to the prior too).
-    """
-    if not 0.0 <= prior <= 1.0:
-        raise ConfigError(f"prior must lie in [0, 1], got {prior}")
-    n = n_pos + n_neg
-    if n == 0:
-        raise DegenerateInputError("flight with no tiles")
-    q = n_pos / n
-    denom = 2 * prior * q + prior * (1 - q) + (1 - prior) * q
-    return 0.0 if denom == 0.0 else 2 * prior * q / denom
-
-
-def dummy_prior_baseline(prior: float, tiles_by_flight: Mapping[str, tuple[int, int]]) -> dict[str, float]:
-    """Expected F1 per flight for the prior-probability dummy classifier."""
-    return {
-        flight: dummy_prior_expected_f1(prior, n_pos, n_neg)
-        for flight, (n_pos, n_neg) in sorted(tiles_by_flight.items())
-    }
+# dummy prior classifier
 
 
 def dummy_prior_simulate(
     prior: float, n_pos: int, n_neg: int, rng: np.random.Generator
 ) -> tuple[float, float, float]:
-    """Monte-Carlo draw of the dummy classifier; returns (precision, recall, F1)."""
+    """Monte-Carlo draw of the dummy classifier, which predicts positive with
+    probability ``prior`` independently per tile; returns (precision, recall, F1)."""
     if not 0.0 <= prior <= 1.0:
         raise ConfigError(f"prior must lie in [0, 1], got {prior}")
     n = n_pos + n_neg

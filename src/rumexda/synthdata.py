@@ -96,20 +96,6 @@ class DomainSpec:
         return ((x - shift) @ rot) / scale
 
 
-def identity_spec(domain_id: str, dim: int, n_samples: int, positive_fraction: float,
-                  noise_sigma: float = 0.0) -> DomainSpec:
-    return DomainSpec(
-        domain_id=domain_id,
-        dim=dim,
-        mean_shift=tuple([0.0] * dim),
-        scale=tuple([1.0] * dim),
-        rotation=tuple(tuple(row) for row in np.eye(dim)),
-        n_samples=n_samples,
-        positive_fraction=positive_fraction,
-        noise_sigma=noise_sigma,
-    )
-
-
 @dataclass
 class SyntheticCorpus:
     sources: list[DomainDataset]
@@ -118,9 +104,6 @@ class SyntheticCorpus:
     target_spec: DomainSpec
     rule: LabelRule
     seed: int
-
-    def all_domains(self) -> list[tuple[DomainSpec, DomainDataset]]:
-        return list(zip(self.source_specs, self.sources)) + [(self.target_spec, self.target)]
 
 
 def _sample_domain(spec: DomainSpec, rule: LabelRule, rng: np.random.Generator,
@@ -188,7 +171,8 @@ def bayes_reference(corpus: SyntheticCorpus) -> dict[str, float]:
     from .evaluation import confusion_from_predictions, f1_precision_recall
 
     out = {}
-    for spec, ds in corpus.all_domains():
+    for spec, ds in zip([*corpus.source_specs, corpus.target_spec],
+                        [*corpus.sources, corpus.target]):
         latent = spec.inverse_transform(ds.features)
         preds = corpus.rule.labels(latent)
         _, _, f1 = f1_precision_recall(confusion_from_predictions(ds.labels, preds))
@@ -537,47 +521,37 @@ def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
 
 def read_corpus(corpus_dir) -> SyntheticCorpus:
     """Load a corpus directory written by ``write_corpus`` (or any external
-    tool emitting the same records)."""
+    tool emitting the same records); ``specs.json`` must list the domains
+    of ``corpus.csv``, its sources and then its target, in file order."""
     root = Path(corpus_dir)
     sources, targets = read_corpus_domains(root)
     if len(targets) != 1:
         raise DataError(f"corpus must contain exactly one target domain, found {len(targets)}")
     if not sources:
         raise DataError(f"{root / CORPUS_FILE}: corpus has no source domain")
-
-    source_specs: list[DomainSpec] = []
-    target_spec: Optional[DomainSpec] = None
-    rule = LabelRule(tuple([1.0] + [0.0] * (sources[0].features.shape[1] - 1)))
-    seed = -1
     specs_path = root / SPECS_FILE
-    if specs_path.exists():
-        text = read_text(specs_path)
-        try:
-            payload = json.loads(text)
-            rule = LabelRule(
-                tuple(float(v) for v in payload["rule"]["direction"]),
-                float(payload["rule"]["margin"]),
-                float(payload["rule"]["separation"]),
-            )
-            seed = int(payload["seed"])
-            for d in payload["domains"]:
-                spec = _spec_from_dict(d)
-                if d["role"] == "source":
-                    source_specs.append(spec)
-                else:
-                    target_spec = spec
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{specs_path}:{exc.lineno}: not JSON: {exc.msg}") from exc
-        except KeyError as exc:
-            raise DataError(f"{specs_path}: specs have no {exc} entry") from exc
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"{specs_path}: malformed specs: {exc}") from exc
-    else:
-        source_specs = [
-            identity_spec(ds.domain_id, ds.features.shape[1], len(ds.features), 0.5)
-            for ds in sources
-        ]
-        target_spec = identity_spec(
-            targets[0].domain_id, targets[0].features.shape[1], len(targets[0].features), 0.5
+    if not specs_path.exists():
+        raise DataError(f"{specs_path} not found")
+    text = read_text(specs_path)
+    try:
+        payload = json.loads(text)
+        rule = LabelRule(
+            tuple(float(v) for v in payload["rule"]["direction"]),
+            float(payload["rule"]["margin"]),
+            float(payload["rule"]["separation"]),
         )
-    return SyntheticCorpus(sources, targets[0], source_specs, target_spec, rule, seed)
+        seed = int(payload["seed"])
+        specs = [(d["role"], _spec_from_dict(d)) for d in payload["domains"]]
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{specs_path}:{exc.lineno}: not JSON: {exc.msg}") from exc
+    except KeyError as exc:
+        raise DataError(f"{specs_path}: specs have no {exc} entry") from exc
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{specs_path}: malformed specs: {exc}") from exc
+    found = [(role, spec.domain_id) for role, spec in specs]
+    expected = [("source", ds.domain_id) for ds in sources] + [("target", targets[0].domain_id)]
+    if found != expected:
+        raise DataError(f"{specs_path}: specs list domains {found}, "
+                        f"{CORPUS_FILE} holds {expected}")
+    return SyntheticCorpus(sources, targets[0], [spec for _, spec in specs[:-1]], specs[-1][1],
+                           rule, seed)

@@ -91,9 +91,6 @@ class Tensor:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({self.data!r}{flag})"
@@ -102,7 +99,7 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every requires_grad leaf.
 
-        Repeated calls without ``zero_grad`` add up, and shared
+        Repeated calls add up until ``grad`` is cleared, and shared
         subexpressions contribute once per path, which together give the
         usual multivariate chain rule on a DAG.
         """
@@ -150,32 +147,6 @@ class Tensor:
                 leaf.grad = g if leaf.grad is None else leaf.grad + g
 
     # ------------------------------------------------------------------
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, k):
-        return pow_k(self, k)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None):
         return reduce_sum(self, axis)
 

@@ -31,10 +31,6 @@ LABEL_BACKGROUND = 0
 LABEL_RUMEX = 1
 LABEL_UNCLEAR = 2
 
-PASS_CORNERS = ("TL", "TR", "BL", "BR")
-
-UNSPLIT = "none"
-
 
 @dataclass(frozen=True)
 class BBoxAnnotation:

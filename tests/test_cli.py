@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import string
@@ -112,6 +113,14 @@ def test_tile_parallel_matches_serial(tmp_path, image_fixture):
     assert main(_tile_args(image_fixture, out1)) == 0
     assert main(_tile_args(image_fixture, out2, extra=("--jobs", "3"))) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_tile_jobs_below_one_is_a_config_error(tmp_path, image_fixture, capsys, jobs):
+    out = tmp_path / "manifest.csv"
+    assert main(_tile_args(image_fixture, out, extra=("--jobs", jobs))) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
 
 
 def test_tile_unreadable_inputs_fail_but_run_continues(tmp_path, image_fixture):
@@ -230,6 +239,16 @@ def test_train_writes_history_and_checkpoint(tmp_path):
     resolved = read_config(run / "config.txt")
     assert resolved.training.epochs == 6
     assert resolved.training.strategy == "vanilla"
+
+
+def test_train_without_a_validation_split_prints_none(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--samples", "60", "--val-fraction", "0"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                 "--strategy", "vanilla", "--epochs", "7"]) == 0
+    assert "val F1=none" in capsys.readouterr().out
+    assert (run / "checkpoint.json").exists()
 
 
 def test_train_rerun_and_config_roundtrip_byte_identical(tmp_path):
@@ -416,6 +435,26 @@ def test_eval_dim_mismatch_names_both_dims(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "16" in err and "8" in err
+
+
+def test_eval_of_corpus_without_a_target_is_a_data_error(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                 "--strategy", "vanilla", "--epochs", "6"]) == 0
+    sources_only = tmp_path / "sources_only"
+    sources_only.mkdir()
+    lines = (corpus / "corpus.csv").read_text().splitlines(keepends=True)
+    (sources_only / "corpus.csv").write_text(
+        "".join(line for line in lines if ",target," not in line))
+    args = ["eval", "--checkpoint", str(run / "checkpoint.json"), "--corpus", str(sources_only)]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == f"error: {sources_only}: corpus has no target domain\n"
+    assert not (tmp_path / "e").exists()
+    assert main([*args, "--out", str(tmp_path / "e_all"), "--include-sources"]) == 0
+    with open(tmp_path / "e_all" / "flights.csv", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["source0", "source1", "source2"]
 
 
 def test_report_outputs(tmp_path):

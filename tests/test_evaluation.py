@@ -5,8 +5,6 @@ from rumexda.errors import ConfigError, LabelError
 from rumexda.evaluation import (
     ConfusionCounts,
     confusion_from_predictions,
-    dummy_prior_baseline,
-    dummy_prior_expected_f1,
     dummy_prior_simulate,
     f1_precision_recall,
     format_report_table,
@@ -65,7 +63,6 @@ def test_confusion_matches_brute_force_tally():
 
 def test_label2_tiles_are_skipped():
     counts = confusion_from_predictions([2, 2, 1, 0], [1, 0, 1, 0])
-    assert counts.total == 2
     assert counts == ConfusionCounts(tp=1, fp=0, fn=0, tn=1)
 
 
@@ -195,28 +192,7 @@ def test_short_history_uses_all_with_warning():
 # dummy prior baseline
 
 
-def test_prior_zero_gives_zero():
-    assert dummy_prior_expected_f1(0.0, 10, 90) == 0.0
-
-
-def test_prior_one_on_all_positive_data():
-    assert dummy_prior_expected_f1(1.0, 50, 0) == 1.0
-
-
-def test_expected_f1_equals_prior_at_matching_rate():
-    for prior in (0.1, 0.25, 0.5):
-        n_pos = int(prior * 1000)
-        assert dummy_prior_expected_f1(prior, n_pos, 1000 - n_pos) == pytest.approx(prior)
-
-
 def test_monte_carlo_close_to_expectation():
     rng = np.random.default_rng(123)
     _, _, f1 = dummy_prior_simulate(0.1, 10_000, 90_000, rng)
     assert abs(f1 - 0.1) < 0.01
-
-
-def test_baseline_per_flight():
-    flights = {"a": (10, 90), "b": (50, 50)}
-    out = dummy_prior_baseline(0.1, flights)
-    assert set(out) == {"a", "b"}
-    assert out["a"] == pytest.approx(0.1)

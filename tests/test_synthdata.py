@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import tempfile
@@ -17,7 +18,6 @@ from rumexda.synthdata import (
     bayes_reference,
     default_benchmark,
     generate,
-    identity_spec,
     read_corpus,
     read_corpus_domains,
     write_corpus,
@@ -180,10 +180,24 @@ def test_read_corpus_requires_a_source(tmp_path):
         read_corpus(tmp_path)
 
 
-def test_identity_spec_helper():
-    spec = identity_spec("d", 5, 100, 0.4, noise_sigma=0.2)
-    spec.validate()
-    assert spec.scale == (1.0,) * 5
+def test_read_corpus_without_specs_is_a_data_error(tmp_path):
+    sources, target = default_benchmark(n_sources=2, dim=3, n_samples=10)
+    write_corpus(generate(sources, target, seed=0), tmp_path)
+    (tmp_path / "specs.json").unlink()
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'specs.json'} not found")):
+        read_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("drop", [0, -1])  # the first source's entry, the target's
+def test_read_corpus_with_specs_of_other_domains_is_a_data_error(tmp_path, drop):
+    sources, target = default_benchmark(n_sources=2, dim=3, n_samples=10)
+    write_corpus(generate(sources, target, seed=0), tmp_path)
+    path = tmp_path / "specs.json"
+    payload = json.loads(path.read_text())
+    del payload["domains"][drop]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=re.escape(f"{path}: specs list domains")):
+        read_corpus(tmp_path)
 
 
 def test_rule_direction_must_be_nonzero():
