@@ -173,8 +173,8 @@ class TrainingHistory:
     # parameters after the epoch ``select_model_epoch`` picks from ``records``
     selected_snapshot: Optional[dict[str, np.ndarray]] = None
 
-    def val_f1_series(self) -> list[float]:
-        return [r.source_val_f1 if r.source_val_f1 is not None else 0.0 for r in self.records]
+    def val_f1_series(self) -> list[Optional[float]]:
+        return [r.source_val_f1 for r in self.records]
 
     def median_target_series(self) -> list[float]:
         return [
@@ -379,7 +379,7 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
         x, y = src_stream.next()
         z_s = bundle.extract(Tensor(x))
         logits = bundle.head.forward(z_s, training=True, rng=drop_rng)
-        loss = T.softmax_cross_entropy(logits, y[None], config.class_weights)
+        loss = T.softmax_cross_entropy(logits, y[None])
         losses = {"ce": _finite("ce", loss, "classify")}
         if tgt_stream is not None:
             xt, _ = tgt_stream.next()
@@ -463,7 +463,7 @@ class M3sdaStepper:
         logits = self.bundle.head.forward([z for z in z_list for _ in range(2)],
                                           training=True, rng=self.drop_rng)
         labels = np.stack([y for _, y in batches for _ in range(2)])
-        return T.softmax_cross_entropy(logits, labels, self.config.class_weights)
+        return T.softmax_cross_entropy(logits, labels)
 
     def _pair_discrepancy(self, z_t: Tensor, training: bool = True) -> Tensor:
         """Summed discrepancy of every pair on the target batch."""

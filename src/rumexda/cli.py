@@ -127,10 +127,8 @@ def cmd_tile(args) -> int:
         try:
             image = read_pnm(path)
             height, width = image.shape[:2]
-            records = tile_image(
-                image_id, width, height, by_image.get(image_id, []),
-                side=tc.tile_size, r_th=tc.r_threshold, combine=tc.combine,
-            )
+            records = tile_image(image_id, width, height, by_image.get(image_id, []),
+                                 side=tc.tile_size, r_th=tc.r_threshold)
             return image_id, records, None
         except Exception as exc:  # per-image failure keeps the run going
             return image_id, [], f"{type(exc).__name__}: {exc}"
@@ -356,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile-size", dest="tiling.tile_size", type=int)
     p.add_argument("--r-threshold", dest="tiling.r_threshold", type=float)
     p.add_argument("--positive-class", dest="tiling.positive_class")
-    p.add_argument("--combine", dest="tiling.combine", choices=["max", "union"])
     p.add_argument("--domain", default="d0", help="domain id for images not in --domain-map")
     p.add_argument("--domain-map", help="csv of image_id,domain_id pairs")
     p.add_argument("--jobs", type=int, default=1)

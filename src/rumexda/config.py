@@ -22,7 +22,6 @@ class TilingSection:
     tile_size: int = 518
     r_threshold: float = 0.1
     positive_class: str = "rumex"
-    combine: str = "max"
 
 
 @dataclass
@@ -84,7 +83,6 @@ class AdaptationConfig:
     lr: float = 0.001
     optimizer: str = "adam"
     seed: int = 0
-    class_weights: Optional[tuple[float, float]] = None
 
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -151,7 +149,7 @@ def _encode(value) -> str:
 
 def _decode(text: str, annotation: str, key: str):
     text = text.strip()
-    if annotation in ("Optional[float]", "Optional[tuple[float, float]]") and text == "none":
+    if annotation == "Optional[float]" and text == "none":
         return None
     try:
         if annotation == "int":
@@ -162,11 +160,6 @@ def _decode(text: str, annotation: str, key: str):
             return text
         if annotation == "tuple[int, ...]":
             return tuple(int(v) for v in text.split(",") if v != "")
-        if annotation == "Optional[tuple[float, float]]":
-            parts = [float(v) for v in text.split(",")]
-            if len(parts) != 2:
-                raise ValueError("expected two comma-separated weights")
-            return tuple(parts)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
     raise ConfigError(f"unhandled config type {annotation!r} for {key}")

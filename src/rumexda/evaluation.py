@@ -102,17 +102,21 @@ def report_from_counts(counts_by_domain: Mapping[str, ConfusionCounts]) -> Metri
     return report
 
 
-def select_model_epoch(val_f1_by_epoch: Sequence[float], warmup: int) -> int:
-    """Earliest epoch (1-based) maximizing validation F1 after the warm-up."""
+def select_model_epoch(val_f1_by_epoch: Sequence[Optional[float]], warmup: int) -> int:
+    """Earliest epoch (1-based) maximizing validation F1 after the warm-up.
+
+    Epochs without a score (``None``: no validation rows) are skipped; when
+    no epoch after the warm-up has one, the last epoch is selected.
+    """
     if warmup < 0:
         raise ConfigError(f"warmup must be non-negative, got {warmup}")
     n = len(val_f1_by_epoch)
     if n <= warmup:
         raise ConfigError(f"history of {n} epochs does not extend past warmup={warmup}")
-    best_epoch, best = None, -np.inf
+    best_epoch, best = n, -np.inf
     for epoch in range(warmup + 1, n + 1):
         score = val_f1_by_epoch[epoch - 1]
-        if score > best:
+        if score is not None and score > best:
             best, best_epoch = score, epoch
     return best_epoch
 

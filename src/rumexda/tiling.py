@@ -153,38 +153,9 @@ def overlap_ratio(
     return np.maximum(ox, 0) * np.maximum(oy, 0) / (side * side)
 
 
-def union_overlap_ratio(
-    boxes: Sequence[BBoxAnnotation], tile_x: int, tile_y: int, side: int = TILE_SIZE
-) -> float:
-    """Union-of-boxes variant: covered tile pixels counted once each.
-
-    The area is exact: the clipped boxes' edges cut the tile into a grid of
-    cells, each of which lies inside some box or outside all of them.
-    """
-    rects = []
-    for box in boxes:
-        x0 = max(box.x_min - tile_x, 0)
-        y0 = max(box.y_min - tile_y, 0)
-        x1 = min(box.x_max - tile_x, side)
-        y1 = min(box.y_max - tile_y, side)
-        if x1 > x0 and y1 > y0:
-            rects.append((x0, x1, y0, y1))
-    if not rects:
-        return 0.0
-    rects = np.array(rects, dtype=np.int64)
-    xs, ys = np.unique(rects[:, :2]), np.unique(rects[:, 2:])
-    cols, rows = np.searchsorted(xs, rects[:, :2]), np.searchsorted(ys, rects[:, 2:])
-    covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=np.int64)
-    for (c0, c1), (r0, r1) in zip(cols.tolist(), rows.tolist()):
-        covered[r0:r1, c0:c1] = 1
-    return int(np.diff(ys) @ covered @ np.diff(xs)) / (side * side)
-
-
-def _check_label_rule(r_th: float, combine: str) -> None:
+def _check_label_rule(r_th: float) -> None:
     if not 0.0 < r_th < 1.0:
         raise ConfigError(f"r_th must lie in (0, 1), got {r_th}")
-    if combine not in ("max", "union"):
-        raise ConfigError(f"unknown overlap combination rule {combine!r}")
 
 
 def _label_for(r: float, r_th: float) -> int:
@@ -202,19 +173,15 @@ def assign_label(
     side: int,
     boxes: Sequence[BBoxAnnotation],
     r_th: float = R_THRESHOLD,
-    combine: str = "max",
 ) -> tuple[int, float]:
     """(label, r) for one tile against the positive-class boxes.
 
-    r aggregates multiple boxes by maximum by default (combine="union"
-    switches to union area). Labels: r == 0 -> background, r > r_th ->
-    rumex, 0 < r <= r_th -> unclear (excluded from training downstream).
+    r is the largest overlap ratio of any box. Labels: r == 0 ->
+    background, r > r_th -> rumex, 0 < r <= r_th -> unclear (excluded from
+    training downstream).
     """
-    _check_label_rule(r_th, combine)
-    if combine == "max":
-        r = max((float(overlap_ratio(b, tile_x, tile_y, side)) for b in boxes), default=0.0)
-    else:
-        r = union_overlap_ratio(boxes, tile_x, tile_y, side)
+    _check_label_rule(r_th)
+    r = max((float(overlap_ratio(b, tile_x, tile_y, side)) for b in boxes), default=0.0)
     return _label_for(r, r_th), r
 
 
@@ -244,20 +211,14 @@ def tile_image(
     boxes: Sequence[BBoxAnnotation],
     side: int = TILE_SIZE,
     r_th: float = R_THRESHOLD,
-    combine: str = "max",
 ) -> list[TileRecord]:
     """Tile one image and label each tile against its boxes."""
     clamped = [b.clamped(width, height) for b in boxes if b.image_id == image_id]
     tiles = enumerate_tiles(width, height, side)
-    _check_label_rule(r_th, combine)
+    _check_label_rule(r_th)
     ratios = _overlap_matrix(clamped, np.array([t[0] for t in tiles]),
                              np.array([t[1] for t in tiles]), side)
-    if combine == "max":
-        rs = ratios.max(axis=0, initial=0.0).tolist()
-    else:
-        # a box that misses a tile adds nothing to its union
-        rs = [union_overlap_ratio([clamped[i] for i in np.flatnonzero(hits)], x, y, side)
-              for (x, y, _), hits in zip(tiles, ratios.T)]
+    rs = ratios.max(axis=0, initial=0.0).tolist()
     return [
         TileRecord(image_id, x, y, side, _label_for(r, r_th), r, corner, plants)
         for (x, y, corner), r, plants in zip(tiles, rs, _plant_ids(clamped, ratios))
@@ -493,41 +454,34 @@ def read_annotations(path) -> list[BBoxAnnotation]:
 # raster I/O (binary PGM/PPM)
 
 _PNM_MAGIC = {b"P5": 1, b"P6": 3}
-# header tokens may be separated by whitespace and '#' comments
-_PNM_TOKEN = re.compile(rb"(?:\s+|#[^\n]*\n)*(\d+)")
-_PNM_PREFIX_BYTES = 256  # a header without long comments fits in one read
+# header tokens may be separated by whitespace and '#' comments; one byte
+# per repetition, since a nested \s+ backtracks exponentially on a long run
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\d+)")
 
 
 def read_pnm(path) -> np.ndarray:
     """Binary PGM (P5) or PPM (P6); returns uint8/uint16 HxW or HxWx3.
 
-    The header is parsed from a small prefix, grown only while a token runs
-    past it. An 8-bit payload is not read: the returned array is a
-    copy-on-write map of the file, whose pages are read from disk only when
-    touched, and a write to the array copies the page it lands on and never
-    reaches the file. So rewrite a mapped file only by replacing it (as
-    ``write_pnm`` does), never in place, and note that a live array holds
-    one duplicated file descriptor. A 16-bit payload is returned as a
-    decoded copy in native byte order.
+    The header is parsed from a copy-on-write map of the file. An 8-bit
+    payload is not read: the returned array is that map, whose pages are
+    read from disk only when touched, and a write to the array copies the
+    page it lands on and never reaches the file. So rewrite a mapped file
+    only by replacing it (as ``write_pnm`` does), never in place, and note
+    that a live array holds one duplicated file descriptor. A 16-bit
+    payload is returned as a decoded copy in native byte order.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_PNM_PREFIX_BYTES)
-        magic = head[:2]
+        magic = fh.read(2)  # an empty file cannot be mapped
         if magic not in _PNM_MAGIC:
             raise DataError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
+        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    try:
         tokens: list[int] = []
         pos = 2
         while len(tokens) < 3:
-            m = _PNM_TOKEN.match(head, pos)
-            # a failed match, or digits that reach the end of the prefix, may
-            # only mean the prefix is too short: read on unless at end of file
-            if m is None or m.end() == len(head):
-                more = fh.read(len(head))
-                if more:
-                    head += more
-                    continue
-                if m is None:
-                    raise DataError(f"{path}: truncated PNM header")
+            m = _PNM_TOKEN.match(view, pos)
+            if m is None:
+                raise DataError(f"{path}: truncated PNM header")
             digits = m.group(1).lstrip(b"0") or b"0"
             if len(digits) > 18:  # numpy's shape arithmetic would overflow
                 raise DataError(f"{path}: PNM header number with more than 18 digits")
@@ -536,17 +490,17 @@ def read_pnm(path) -> np.ndarray:
         width, height, maxval = tokens
         if maxval <= 0 or maxval > 65535:
             raise DataError(f"{path}: unsupported maxval {maxval}")
-        if not head[pos:pos + 1].isspace():  # the bytes \s matches in _PNM_TOKEN
+        if not view[pos:pos + 1].isspace():  # the bytes \s matches in _PNM_TOKEN
             raise DataError(f"{path}: expected one whitespace byte after maxval")
         pos += 1
         channels = _PNM_MAGIC[magic]
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         count = width * height * channels
-        # the length checked is that of the very bytes mapped
-        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    if len(view) < pos + count * dtype.itemsize:
+        if len(view) < pos + count * dtype.itemsize:
+            raise DataError(f"{path}: payload shorter than {width}x{height}x{channels}")
+    except DataError:
         view.close()
-        raise DataError(f"{path}: payload shorter than {width}x{height}x{channels}")
+        raise
     shape = (height, width) if channels == 1 else (height, width, 3)
     out = np.frombuffer(view, dtype, count, offset=pos).reshape(shape)
     return out.astype(np.uint16) if maxval > 255 else out

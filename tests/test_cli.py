@@ -247,8 +247,13 @@ def test_train_without_a_validation_split_prints_none(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", "--corpus", str(corpus), "--out", str(run),
                  "--strategy", "vanilla", "--epochs", "7"]) == 0
-    assert "val F1=none" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "selected epoch 7 (val F1=none" in out  # no score to select by: the last epoch
     assert (run / "checkpoint.json").exists()
+    rep = tmp_path / "rep"
+    assert main(["report", "--history", str(run / "history.jsonl"), "--out", str(rep),
+                 "--window", "7"]) == 0
+    assert "selected_epoch = 7\n" in (rep / "selection.txt").read_text()
 
 
 def test_train_rerun_and_config_roundtrip_byte_identical(tmp_path):
@@ -504,6 +509,32 @@ def test_unknown_config_key_rejected(tmp_path):
     assert rc == 1
 
 
+def test_removed_tiling_combine_key_is_rejected(tmp_path, image_fixture, capsys):
+    cfg = tmp_path / "union.txt"
+    cfg.write_text("tiling.combine = union\n")
+    out = tmp_path / "tiles.csv"
+    assert main(_tile_args(image_fixture, out, ["--config", str(cfg)])) == 1
+    assert "unknown config key 'tiling.combine'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_removed_training_class_weights_key_is_rejected(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    cfg = tmp_path / "weighted.txt"
+    cfg.write_text("training.class_weights = 0.5,2.0\n")
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run),
+                 "--config", str(cfg)]) == 1
+    assert "unknown config key 'training.class_weights'" in capsys.readouterr().err
+    assert not run.exists()
+
+
+def test_tile_combine_flag_is_a_usage_error(tmp_path, image_fixture):
+    with pytest.raises(SystemExit) as exc:
+        main(_tile_args(image_fixture, tmp_path / "tiles.csv", ["--combine", "union"]))
+    assert exc.value.code == 2
+
+
 def test_config_text_is_stable(tmp_path):
     cfg = RunConfig()
     path = tmp_path / "config.txt"
@@ -520,8 +551,6 @@ _VALUES = {
     "str": st.text(alphabet=string.ascii_letters + string.digits + "_.-=#", max_size=12),
     "tuple[int, ...]": st.lists(st.integers(-10**6, 10**6), max_size=4).map(tuple),
     "Optional[float]": st.none() | st.floats(allow_nan=False),
-    "Optional[tuple[float, float]]": st.none() | st.tuples(st.floats(allow_nan=False),
-                                                           st.floats(allow_nan=False)),
 }
 
 
@@ -560,7 +589,7 @@ def test_every_flag_is_a_config_field_or_an_io_option():
             section, attr = action.dest.split(".")
             assert attr in {f.name for f in fields(getattr(config, section))}, (command, action.dest)
             dotted += 1
-    assert dotted == 31
+    assert dotted == 30
 
 
 def test_flag_overrides_its_config_field(tmp_path):

@@ -149,6 +149,15 @@ def test_tie_breaks_to_earliest():
     assert select_model_epoch(history, warmup=5) == 7
 
 
+def test_epochs_without_a_score_are_skipped():
+    assert select_model_epoch([0.9] * 5 + [None, 0.4, None, 0.6, None], warmup=5) == 9
+
+
+def test_history_without_scores_selects_the_last_epoch():
+    assert select_model_epoch([None] * 8, warmup=5) == 8
+    assert select_model_epoch([0.9] * 5 + [None] * 3, warmup=5) == 8
+
+
 def test_short_history_errors():
     with pytest.raises(ConfigError):
         select_model_epoch([0.1] * 5, warmup=5)
