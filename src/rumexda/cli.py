@@ -41,7 +41,6 @@ from .tiling import (
     read_manifest,
     read_pnm,
     tile_image,
-    with_plant_ids,
     write_manifest,
 )
 
@@ -91,9 +90,9 @@ def _apply_overrides(config: cfgmod.RunConfig, args) -> None:
 def _domain_lookup(args) -> dict[str, str]:
     if args.domain_map:
         table = {}
-        for _, row in csv_rows(args.domain_map):
+        for line_no, row in csv_rows(args.domain_map):
             if len(row) != 2:
-                raise DataError(f"{args.domain_map}: expected image_id,domain_id rows")
+                raise DataError(f"{args.domain_map}:{line_no}: expected image_id,domain_id rows")
             table[row[0].strip()] = row[1].strip()
         return table
     return {}
@@ -165,11 +164,7 @@ def cmd_split(args) -> int:
     config = _load_config(args)
     sc = config.split
     manifest = read_manifest(args.manifest)
-    boxes = [
-        b for b in read_annotations(args.annotations)
-        if b.class_name == config.tiling.positive_class
-    ]
-    records = with_plant_ids([e.record for e in manifest.entries], boxes)
+    records = [e.record for e in manifest.entries]
     subset_of = {e.record.image_id: e.domain_id for e in manifest.entries}
 
     split_manifest = build_splits(records, subset_of, sc.val_fraction, sc.mode, sc.seed)
@@ -361,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="assign leakage-safe train/val splits to a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--annotations", required=True)
+    p.add_argument("--annotations", help="not read: the manifest carries each tile's plant ids")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--mode", dest="split.mode", choices=["pooled", "per_subset"])

@@ -706,18 +706,18 @@ def head_stack(x, weight1: Tensor, bias1: Tensor, weight2: Tensor, bias2: Tensor
 
 
 def softmax(t: Tensor) -> Tensor:
-    """Softmax over the last axis of a b x c tensor or of a stack of them
-    (computed with the max-shift trick)."""
+    """Softmax over the last axis of b x 2 logits or of a stack of them (max-shift
+    trick; the two-class max and sum are column operations, bitwise the reductions)."""
     t = _as_tensor(t)
-    if t.ndim < 2:
-        raise ShapeError(f"softmax expects a rank-2 tensor or a stack of them, got {t.shape}")
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    if t.ndim < 2 or t.shape[-1] != 2:
+        raise ShapeError(f"softmax expects b x 2 logits or a stack of them, got {t.shape}")
+    z = t.data
+    e = np.exp(z - np.maximum(z[..., 0], z[..., 1])[..., None])
+    p = e / (e[..., 0] + e[..., 1])[..., None]
 
     def grad_fn(g):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - dot),)
+        gp = g * p
+        return (p * (g - (gp[..., 0] + gp[..., 1])[..., None]),)
 
     return _result(p, (t,), grad_fn, "softmax")
 
@@ -762,10 +762,10 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
         w = np.where(y == 1, w1, w0).astype(logits.dtype)
 
     z = logits.data
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    total = e.sum(axis=-1)
-    nll = m[..., 0] + np.log(total) - np.where(y == 1, z[..., 1], z[..., 0])
+    m = np.maximum(z[..., 0], z[..., 1])  # bitwise the max over the last axis
+    e = np.exp(z - m[..., None])
+    total = e[..., 0] + e[..., 1]
+    nll = m + np.log(total) - np.where(y == 1, z[..., 1], z[..., 0])
     loss = _sum_in_order(np.atleast_1d((w * nll).sum(axis=-1) / b))
 
     def grad_fn(g):

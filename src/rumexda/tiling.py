@@ -15,6 +15,7 @@ import math
 import mmap
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -141,12 +142,14 @@ def overlap_ratio(
     box: BBoxAnnotation,
     tile_x: int | np.ndarray,
     tile_y: int | np.ndarray,
-    side: int | np.ndarray = TILE_SIZE,
+    side: int = TILE_SIZE,
 ) -> float | np.ndarray:
     """Fraction of the tile's pixels covered by the box (exact integer area).
 
     ``tile_x`` and ``tile_y`` may be integer arrays of tile origins, which
-    gives one ratio per tile, each bitwise the ratio of a scalar call.
+    gives one ratio per tile, each bitwise the ratio of a scalar call. The
+    box may also be a ``_BoxColumns`` of B boxes, which gives B x tiles
+    ratios in one call.
     """
     ox = np.minimum(box.x_max, tile_x + side) - np.maximum(box.x_min, tile_x)
     oy = np.minimum(box.y_max, tile_y + side) - np.maximum(box.y_min, tile_y)
@@ -185,13 +188,18 @@ def assign_label(
     return _label_for(r, r_th), r
 
 
+# B boxes as B x 1 int64 coordinate columns, which broadcast against a row of
+# tile origins when ``overlap_ratio`` takes them as its box
+_BoxColumns = namedtuple("_BoxColumns", "x_min y_min x_max y_max")
+
+
 def _overlap_matrix(boxes: Sequence[BBoxAnnotation], xs: np.ndarray, ys: np.ndarray,
-                    side: int | np.ndarray) -> np.ndarray:
-    """boxes x tiles overlap ratios, one ``overlap_ratio`` call per box."""
-    ratios = np.zeros((len(boxes), len(xs)))
-    for i, box in enumerate(boxes):
-        ratios[i] = overlap_ratio(box, xs, ys, side)
-    return ratios
+                    side: int) -> np.ndarray:
+    """boxes x tiles overlap ratios from one ``overlap_ratio`` call; the int64
+    arithmetic of a single-box call, so each ratio is bitwise the same."""
+    coords = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                      dtype=np.int64).reshape(-1, 4)
+    return overlap_ratio(_BoxColumns(*coords.T[:, :, None]), xs, ys, side)
 
 
 def _plant_ids(boxes: Sequence[BBoxAnnotation], ratios: np.ndarray) -> list[tuple[str, ...]]:
@@ -223,27 +231,6 @@ def tile_image(
         TileRecord(image_id, x, y, side, _label_for(r, r_th), r, corner, plants)
         for (x, y, corner), r, plants in zip(tiles, rs, _plant_ids(clamped, ratios))
     ]
-
-
-def with_plant_ids(records: Sequence[TileRecord],
-                   boxes: Sequence[BBoxAnnotation]) -> list[TileRecord]:
-    """``records`` with ``plant_ids`` derived again from ``boxes``, the same
-    way ``tile_image`` derives them: one overlap matrix per image."""
-    boxes_of: dict[str, list[BBoxAnnotation]] = {}
-    for b in boxes:
-        boxes_of.setdefault(b.image_id, []).append(b)
-    rows_of: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        rows_of.setdefault(rec.image_id, []).append(i)
-    out = list(records)
-    for image_id, rows in rows_of.items():
-        recs = [records[i] for i in rows]
-        image_boxes = boxes_of.get(image_id, [])
-        ratios = _overlap_matrix(image_boxes, np.array([r.x for r in recs]),
-                                 np.array([r.y for r in recs]), np.array([r.side for r in recs]))
-        for i, plants in zip(rows, _plant_ids(image_boxes, ratios)):
-            out[i] = replace(records[i], plant_ids=plants)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -383,21 +370,30 @@ def build_splits(
 # arithmetic on arrays of them is exact
 _COORD_LIMIT = 2**31
 
-MANIFEST_HEADER = ["image_id", "x", "y", "side", "label", "r", "split", "domain_id", "pass_corner"]
+# plant_ids holds a tile's sorted plant ids joined by PLANT_ID_SEP, empty for none
+MANIFEST_HEADER = ["image_id", "x", "y", "side", "label", "r", "split", "domain_id", "pass_corner",
+                   "plant_ids"]
 ANNOTATION_HEADER = ["image_id", "x_min", "y_min", "x_max", "y_max", "class", "plant_id"]
+PLANT_ID_SEP = ";"
 
 
 def write_manifest(manifest: SplitManifest, path) -> None:
     """Write the manifest CSV atomically, rows sorted by image and origin."""
     entries = sorted(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
+    rows = [MANIFEST_HEADER]
     for e in entries:
         r = e.record
-        writer.writerow(
-            [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id, r.pass_corner]
+        rows.append(
+            [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id,
+             r.pass_corner, PLANT_ID_SEP.join(r.plant_ids)]
         )
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if "\r" in buf.getvalue():
+        # minimal quoting leaves a bare "\r" in a field, which reads back as a
+        # line end, because only the line terminator's characters are quoted
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
     write_atomic(path, buf.getvalue())
 
 
@@ -405,14 +401,20 @@ def read_manifest(path) -> SplitManifest:
     entries = []
     rows = csv_rows(path)
     _, header = next(rows, (1, None))
+    if header == MANIFEST_HEADER[:-1]:
+        raise DataError(f"{path}:1: manifest predates the plant_ids column; re-run tile")
     if header != MANIFEST_HEADER:
-        raise DataError(f"unexpected manifest header {header!r}")
+        raise DataError(f"{path}:1: unexpected manifest header {header!r}")
     for line_no, row in rows:
         if len(row) != len(MANIFEST_HEADER):
             raise DataError(f"{path}:{line_no}: expected {len(MANIFEST_HEADER)} fields")
-        image_id, x, y, side, label, r, split, domain_id, corner = row
+        image_id, x, y, side, label, r, split, domain_id, corner, plants = row
+        plant_ids = tuple(plants.split(PLANT_ID_SEP)) if plants else ()
+        if "" in plant_ids:
+            raise DataError(f"{path}:{line_no}: empty plant id in {plants!r}")
         try:
-            rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner)
+            rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner,
+                             plant_ids)
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
         if not (0 <= rec.x < _COORD_LIMIT and 0 <= rec.y < _COORD_LIMIT
@@ -440,6 +442,8 @@ def read_annotations(path) -> list[BBoxAnnotation]:
         if len(row) != len(ANNOTATION_HEADER):
             raise DataError(f"{path}:{line_no}: expected {len(ANNOTATION_HEADER)} fields")
         image_id, x0, y0, x1, y1, cls, plant = [f.strip() for f in row]
+        if PLANT_ID_SEP in plant:  # the manifest joins a tile's plant ids with it
+            raise DataError(f"{path}:{line_no}: plant id {plant!r} contains {PLANT_ID_SEP!r}")
         try:
             box = BBoxAnnotation(image_id, int(x0), int(y0), int(x1), int(y1), cls, plant or None)
         except ValueError as exc:

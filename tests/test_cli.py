@@ -21,6 +21,7 @@ from rumexda.tiling import (
     BBoxAnnotation,
     enumerate_tiles,
     assign_label,
+    overlap_ratio,
     read_manifest,
     write_pnm,
 )
@@ -88,9 +89,11 @@ def test_tile_manifest_matches_oracle(tmp_path, image_fixture):
     expected = {}
     for x, y, corner in enumerate_tiles(1100, 700, 518):
         label, r = assign_label(x, y, 518, [box1, box2])
-        expected[(x, y)] = (label, round(r, 6), corner)
+        plants = tuple(b.plant_id for b in (box1, box2) if overlap_ratio(b, x, y, 518) > 0)
+        expected[(x, y)] = (label, round(r, 6), corner, plants)
     rows = {
-        (e.record.x, e.record.y): (e.record.label, e.record.overlap, e.record.pass_corner)
+        (e.record.x, e.record.y):
+            (e.record.label, e.record.overlap, e.record.pass_corner, e.record.plant_ids)
         for e in manifest.entries
         if e.record.image_id == "siteA/img0.ppm"
     }
@@ -194,11 +197,38 @@ def test_split_determinism_and_leakage(tmp_path, image_fixture):
     assert {e.domain_id for e in loaded.entries} == {"siteA", "siteB"}
 
 
+def test_split_without_annotations_writes_the_same_bytes(tmp_path, image_fixture):
+    _, _, annotations, _ = image_fixture
+    manifest = tmp_path / "manifest.csv"
+    assert main(_tile_args(image_fixture, manifest)) == 0
+    outs = []
+    for extra in (["--annotations", str(annotations)], []):
+        out = tmp_path / f"split{len(extra)}.csv"
+        with pytest.warns(UserWarning):
+            assert main(["split", "--manifest", str(manifest), "--out", str(out), *extra,
+                         "--mode", "per_subset", "--val-fraction", "0.3", "--seed", "5"]) == 0
+        outs.append(out)
+    for suffix in ("", ".config.txt"):
+        assert Path(f"{outs[0]}{suffix}").read_bytes() == Path(f"{outs[1]}{suffix}").read_bytes()
+    assert {e.record.plant_ids for e in read_manifest(outs[1]).entries} == \
+        {(), ("p1",), ("p2",), ("p3",)}
+
+
+def test_split_of_a_manifest_without_plant_ids_is_a_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
+                        "a.ppm,0,0,518,1,0.500000,none,d,TL\n")
+    out = tmp_path / "split.csv"
+    rc = main(["split", "--manifest", str(manifest), "--out", str(out)])
+    _assert_single_data_error(
+        rc, capsys, f"{manifest}:1: manifest predates the plant_ids column; re-run tile", out)
+
+
 def test_split_of_non_numeric_manifest_field_is_a_data_error(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(
-        "image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
-        "a.ppm,abc,0,518,0,0.000000,train,d,TL\n"
+        "image_id,x,y,side,label,r,split,domain_id,pass_corner,plant_ids\n"
+        "a.ppm,abc,0,518,0,0.000000,train,d,TL,\n"
     )
     boxes = tmp_path / "boxes.csv"
     boxes.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n")
@@ -681,10 +711,18 @@ def test_tile_with_a_field_over_the_csv_limit_is_a_data_error(tmp_path, image_fi
     _assert_single_data_error(rc, capsys, f"{path}:{line}: field larger than field limit", out)
 
 
+def test_tile_malformed_domain_map_row_names_its_line(tmp_path, image_fixture, capsys):
+    _, _, _, domains = image_fixture
+    domains.write_text("siteA/img0.ppm,siteA\nsiteA/img1.pgm,siteA,extra\n")
+    out = tmp_path / "tiles.csv"
+    rc = main(_tile_args(image_fixture, out))
+    _assert_single_data_error(rc, capsys, f"{domains}:2: expected image_id,domain_id rows", out)
+
+
 def test_split_of_manifest_with_a_field_over_the_csv_limit_is_a_data_error(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
-                        f"{'a' * 200_000},0,0,518,0,0.000000,train,d,TL\n")
+    manifest.write_text("image_id,x,y,side,label,r,split,domain_id,pass_corner,plant_ids\n"
+                        f"{'a' * 200_000},0,0,518,0,0.000000,train,d,TL,\n")
     boxes = tmp_path / "boxes.csv"
     boxes.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n")
     out = tmp_path / "split.csv"
@@ -696,8 +734,8 @@ def test_split_of_manifest_with_a_field_over_the_csv_limit_is_a_data_error(tmp_p
 def test_split_of_non_utf8_manifest_is_a_data_error(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_bytes(
-        b"image_id,x,y,side,label,r,split,domain_id,pass_corner\n"
-        b"a\xff.ppm,0,0,518,0,0.000000,train,d,TL\n"
+        b"image_id,x,y,side,label,r,split,domain_id,pass_corner,plant_ids\n"
+        b"a\xff.ppm,0,0,518,0,0.000000,train,d,TL,\n"
     )
     boxes = tmp_path / "boxes.csv"
     boxes.write_text("image_id,x_min,y_min,x_max,y_max,class,plant_id\n")

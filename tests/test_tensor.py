@@ -229,6 +229,39 @@ def test_softmax_rows_sum_to_one_and_gradient():
     assert_gradients_match(lambda t: T.mul(T.softmax(t), Tensor(weights)).sum(), x)
 
 
+def test_softmax_is_binary_and_bitwise_the_last_axis_reductions():
+    rng = np.random.default_rng(22)
+    z = rng.normal(size=(3, 50, 2)) * 30
+    g = rng.normal(size=z.shape)
+    t = Tensor(z, requires_grad=True)
+    p = T.softmax(t)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    ref = e / e.sum(axis=-1, keepdims=True)
+    assert p.data.tobytes() == ref.tobytes()
+    T.mul(p, Tensor(g)).sum().backward()
+    assert t.grad.tobytes() == (ref * (g - (g * ref).sum(axis=-1, keepdims=True))).tobytes()
+    with pytest.raises(ShapeError):
+        T.softmax(Tensor(np.zeros((4, 3))))
+
+
+def test_cross_entropy_is_bitwise_the_last_axis_reductions():
+    rng = np.random.default_rng(23)
+    z = rng.normal(size=(3, 50, 2)) * 30
+    y = rng.integers(0, 2, size=(3, 50))
+    t = Tensor(z, requires_grad=True)
+    loss = T.softmax_cross_entropy(t, y)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    nll = m[..., 0] + np.log(e.sum(axis=-1)) - np.where(y == 1, z[..., 1], z[..., 0])
+    ref = nll.sum(axis=-1) / 50
+    assert loss.data.tobytes() == np.asarray(ref[0] + ref[1] + ref[2]).tobytes()
+    loss.backward()
+    p = e / e.sum(axis=-1, keepdims=True)
+    p[..., 0] -= y == 0
+    p[..., 1] -= y == 1
+    assert t.grad.tobytes() == (p * (np.ones(y.shape) / 50)[..., None]).tobytes()
+
+
 # ----------------------------------------------------------------------
 # dropout
 

@@ -24,7 +24,6 @@ from rumexda.tiling import (
     read_manifest,
     read_pnm,
     tile_image,
-    with_plant_ids,
     write_manifest,
     write_pnm,
 )
@@ -397,11 +396,75 @@ def test_read_annotations(tmp_path):
     assert boxes[1].class_name == "dandelion"
 
 
+_PLANT_ID = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=";"),
+                    min_size=1, max_size=8)
+_ID_EXAMPLES = ["p,1", 'p"1', "p 1", " p1 ", "p\r1", "p\n1", "Ampfer-ä", "酸模"]
+
+
+@st.composite
+def _manifests(draw):
+    entries = []
+    plant_sets = st.sets(_PLANT_ID | st.sampled_from(_ID_EXAMPLES), max_size=3)
+    for x, plants in enumerate(draw(st.lists(plant_sets, max_size=6))):
+        image_id = draw(st.sampled_from(["a.ppm", 'b,"c".ppm', "d\r.ppm"]))
+        rec = TileRecord(image_id, x, draw(st.integers(0, 9)), draw(st.integers(1, 600)),
+                         draw(st.sampled_from([0, 1, 2])), draw(st.integers(0, 10**6)) / 10**6,
+                         "TL", tuple(sorted(plants)))
+        entries.append(ManifestEntry(rec, draw(st.sampled_from(["none", "train", "val"])),
+                                     draw(st.sampled_from(["d0", "site Ä"]))))
+    return SplitManifest(entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_manifests())
+def test_manifest_write_then_read_gives_the_same_records(manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_manifest(manifest, path)
+        loaded = read_manifest(path)
+    assert loaded.entries == sorted(manifest.entries,
+                                    key=lambda e: (e.record.image_id, e.record.x, e.record.y))
+
+
+def test_manifest_without_the_plant_ids_column_is_a_data_error(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(tiling.MANIFEST_HEADER[:-1]) + "\na.ppm,0,0,518,0,0.0,none,d,TL\n")
+    with pytest.raises(DataError, match=r"m.csv:1: manifest predates the plant_ids column; "
+                                        r"re-run tile"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("text", ["", "image_id,x\n", ",".join(tiling.MANIFEST_HEADER[::-1])])
+def test_unexpected_manifest_header_names_the_path(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="m.csv:1: unexpected manifest header"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("plants", [";", "p1;", ";p1", "p1;;p2"])
+def test_manifest_with_an_empty_plant_id_is_a_data_error(tmp_path, plants):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(tiling.MANIFEST_HEADER)
+                    + f"\na.ppm,0,0,518,1,0.5,none,d,TL,{plants}\n")
+    with pytest.raises(DataError, match="m.csv:2: empty plant id"):
+        read_manifest(path)
+
+
+def test_plant_id_with_the_manifest_separator_is_a_data_error(tmp_path):
+    path = tmp_path / "boxes.csv"
+    path.write_text(",".join(tiling.ANNOTATION_HEADER) + "\na.ppm,0,0,10,10,rumex,p1\n"
+                    "a.ppm,0,0,10,10,rumex,p2;p3\n")
+    with pytest.raises(DataError, match="boxes.csv:3: plant id 'p2;p3' contains ';'"):
+        read_annotations(path)
+
+
 @pytest.mark.parametrize("x, y, side", [(0, 0, 0), (-1, 0, 518), (0, 2**31, 518),
                                          (0, 0, 10**20)])
 def test_manifest_tile_out_of_range_is_a_data_error(tmp_path, x, y, side):
     path = tmp_path / "m.csv"
-    path.write_text(",".join(tiling.MANIFEST_HEADER) + f"\na.ppm,{x},{y},{side},0,0.0,none,d,TL\n")
+    path.write_text(",".join(tiling.MANIFEST_HEADER)
+                    + f"\na.ppm,{x},{y},{side},0,0.0,none,d,TL,\n")
     with pytest.raises(DataError, match="m.csv:2: .* out of range"):
         read_manifest(path)
 
@@ -435,8 +498,8 @@ def test_annotation_field_over_the_csv_limit_is_a_data_error(tmp_path):
 
 def test_manifest_field_over_the_csv_limit_is_a_data_error(tmp_path):
     path = tmp_path / "m.csv"
-    path.write_text(",".join(tiling.MANIFEST_HEADER) + f"\na.ppm,0,0,518,0,0.0,none,d,TL\n"
-                    f"{_OVERSIZED},0,0,518,0,0.0,none,d,TL\n")
+    path.write_text(",".join(tiling.MANIFEST_HEADER) + f"\na.ppm,0,0,518,0,0.0,none,d,TL,\n"
+                    f"{_OVERSIZED},0,0,518,0,0.0,none,d,TL,\n")
     with pytest.raises(DataError, match="m.csv:3: field larger than field limit"):
         read_manifest(path)
 
@@ -444,8 +507,8 @@ def test_manifest_field_over_the_csv_limit_is_a_data_error(tmp_path):
 def test_reader_errors_name_the_line_a_row_ends_on(tmp_path):
     # a quoted field may hold a line break, so row 3 ends on line 4
     path = tmp_path / "m.csv"
-    path.write_text(",".join(tiling.MANIFEST_HEADER) + '\n"a\nb.ppm",0,0,518,0,0.0,none,d,TL\n'
-                    "a.ppm,zz,0,518,0,0.0,none,d,TL\n")
+    path.write_text(",".join(tiling.MANIFEST_HEADER) + '\n"a\nb.ppm",0,0,518,0,0.0,none,d,TL,\n'
+                    "a.ppm,zz,0,518,0,0.0,none,d,TL,\n")
     with pytest.raises(DataError, match="m.csv:4: invalid literal"):
         read_manifest(path)
 
@@ -789,14 +852,10 @@ def test_tile_image_matches_per_tile_oracle(case):
         for r, rec in zip(ratios.tolist(), records):
             exact = _exact_overlap(clamped, rec.x, rec.y, side)
             assert r.hex() == float(overlap_ratio(clamped, rec.x, rec.y, side)).hex() == exact.hex()
-    # split derives the same plants from the unclamped boxes of every image
-    stripped = [replace(r, plant_ids=()) for r in records]
-    assert with_plant_ids(stripped, boxes) == records
+    # the manifest's plant_ids column carries the oracle's plant sets
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiles.csv"
+        write_manifest(SplitManifest([ManifestEntry(r, "none", "d") for r in records]), path)
+        assert [e.record.plant_ids for e in read_manifest(path).entries] == \
+            [r.plant_ids for r in oracle]
 
-
-
-def test_with_plant_ids_uses_each_records_side():
-    boxes = [BBoxAnnotation("im", 30, 0, 40, 10, "rumex", "p")]
-    recs = [TileRecord("im", 0, 0, 20, 0, 0.0, "TL"), TileRecord("im", 0, 20, 50, 0, 0.0, "TL"),
-            TileRecord("im", 0, 0, 50, 0, 0.0, "TL")]
-    assert [r.plant_ids for r in with_plant_ids(recs, boxes)] == [(), (), ("p",)]
