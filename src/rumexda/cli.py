@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", dest="split.mode", choices=["pooled", "per_subset"])
     p.add_argument("--val-fraction", dest="split.val_fraction", type=float)
     p.add_argument("--seed", dest="split.seed", type=int)
-    p.add_argument("--positive-class", dest="tiling.positive_class")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("synth", help="generate a synthetic covariate-shift corpus")
@@ -417,11 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one stderr line per warning, not Python's location and source line
+        warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}",
+                                                               file=sys.stderr)
+        try:
+            return args.func(args)
+        except ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .adaptation import DomainDataset
 from .errors import ConfigError, DataError
-from .files import open_text, read_text, write_atomic
+from .files import open_text, write_atomic
 
 DEFAULT_MARGIN = 0.4
 DEFAULT_SEPARATION = 3.0
@@ -257,19 +258,6 @@ def _spec_to_dict(spec: DomainSpec, role: str) -> dict:
     }
 
 
-def _spec_from_dict(d: dict) -> DomainSpec:
-    return DomainSpec(
-        domain_id=str(d["domain_id"]),
-        dim=int(d["dim"]),
-        mean_shift=tuple(float(v) for v in d["mean_shift"]),
-        scale=tuple(float(v) for v in d["scale"]),
-        rotation=tuple(tuple(float(v) for v in row) for row in d["rotation"]),
-        n_samples=int(d["n_samples"]),
-        positive_fraction=float(d["positive_fraction"]),
-        noise_sigma=float(d["noise_sigma"]),
-    )
-
-
 def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
     """Line-delimited feature records, a binary copy of them and a JSON
     spec sidecar.
@@ -350,45 +338,10 @@ def _sidecar_bytes(domains, digest: str) -> bytes:
                     (f"splits{i}", np.array(splits))]
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
-        for name, array in entries:
+        for name, values in entries:
             with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE_TIME), "w") as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+                np.lib.format.write_array(fh, values, allow_pickle=False)
     return buf.getvalue()
-
-
-# feature fields a domain holds as text before they are converted; as str
-# objects they take about 8x the memory of the float64 values, so a corpus
-# is never held as text whole
-_PARSE_BLOCK = 1 << 12
-
-
-def _convert_pending(path: Path, buckets, bucket: dict, dim: int) -> None:
-    """Convert a domain's pending feature fields to one float64 block.
-
-    numpy parses each field as ``float()`` does. When one does not parse,
-    the first line with such a field among every domain's pending rows,
-    and so in the file so far, is reported.
-    """
-    try:
-        block = np.array(bucket["x"], dtype=np.float64).reshape(len(bucket["line"]), dim)
-    except ValueError as exc:
-        _raise_first_bad_value(path, buckets, dim)
-        raise DataError(f"{path}: {exc}") from exc
-    bucket["blocks"].append(block)
-    bucket["x"], bucket["line"] = [], []
-
-
-def _raise_first_bad_value(path: Path, buckets, dim: int) -> None:
-    """Raise the DataError of the first pending line with a feature field
-    that ``float()`` rejects, if there is one."""
-    rows = sorted((line_no, bucket["x"][r * dim:(r + 1) * dim])
-                  for bucket in buckets for r, line_no in enumerate(bucket["line"]))
-    for line_no, fields in rows:
-        try:
-            for value in fields:
-                float(value)
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
 
 
 def _dataset(domain_id: str, features: np.ndarray, labels, splits: list) -> DomainDataset:
@@ -452,10 +405,11 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
     """(sources, targets) from a corpus directory, one dataset per domain.
 
     ``corpus.csv`` is the reference. A ``corpus.npz`` written beside it by
-    ``write_corpus`` is used instead of parsing only when it holds the
-    SHA-256 of the CSV's bytes and loads as the arrays the parse would give;
-    in every other case the CSV is parsed, so the archive changes how long
-    a read takes, never what it returns or which ``DataError`` it raises.
+    ``write_corpus`` is used instead only when it holds the SHA-256 of the
+    CSV's bytes and loads as the arrays the parse would give; in every
+    other case the CSV is parsed line by line, each field with ``float()``,
+    so the archive changes how long a read takes, never what it returns or
+    which ``DataError`` it raises.
     """
     path = Path(corpus_dir) / CORPUS_FILE
     if not path.exists():
@@ -469,89 +423,38 @@ def read_corpus_domains(corpus_dir) -> tuple[list[DomainDataset], list[DomainDat
 def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
     """(role, dataset) per domain of ``corpus.csv``, in file order.
 
-    Feature fields are kept as strings and converted with one numpy call
-    per block of rows of a domain. A field that does not parse is reported
-    at its line, and before any error on a later line, as a line-by-line
-    parse would report it.
+    A plain line-by-line parse: each feature field goes through ``float()``
+    into its domain's ``array("d")``, 8 bytes a value as in float64, and a
+    field that does not parse raises a DataError naming its own line.
     """
-    rows_by_domain: dict[str, dict] = {}
-    buckets = rows_by_domain.values()
+    buckets: dict[str, dict] = {}
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:4] != ["domain_id", "role", "split", "label"]:
             raise DataError(f"{path}: unexpected corpus header {header[:4]}")
         dim = len(header) - 4
-        try:
-            for line_no, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4 + dim:
-                    raise DataError(f"{path}:{line_no}: expected {4 + dim} fields")
-                domain_id, role, split, label = parts[:4]
-                if role not in ("source", "target"):
-                    raise DataError(f"{path}:{line_no}: unknown role {role!r}")
-                bucket = rows_by_domain.get(domain_id)
-                if bucket is None:
-                    bucket = rows_by_domain[domain_id] = {
-                        "role": role, "split": [], "label": [], "x": [], "line": [], "blocks": []}
-                if bucket["role"] != role:
-                    raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
-                bucket["split"].append(split)
-                try:
-                    bucket["label"].append(int(label))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{line_no}: {exc}") from exc
-                bucket["x"].extend(parts[4:])
-                bucket["line"].append(line_no)
-                if len(bucket["x"]) >= _PARSE_BLOCK:
-                    _convert_pending(path, buckets, bucket, dim)
-        except (DataError, UnicodeDecodeError):  # open_text turns the latter into a DataError
-            _raise_first_bad_value(path, buckets, dim)
-            raise
-
-    out = []
-    for domain_id, bucket in rows_by_domain.items():
-        _convert_pending(path, buckets, bucket, dim)
-        out.append((bucket["role"], _dataset(domain_id, np.concatenate(bucket["blocks"]),
-                                             bucket["label"], bucket["split"])))
-    return out
-
-
-def read_corpus(corpus_dir) -> SyntheticCorpus:
-    """Load a corpus directory written by ``write_corpus`` (or any external
-    tool emitting the same records); ``specs.json`` must list the domains
-    of ``corpus.csv``, its sources and then its target, in file order."""
-    root = Path(corpus_dir)
-    sources, targets = read_corpus_domains(root)
-    if len(targets) != 1:
-        raise DataError(f"corpus must contain exactly one target domain, found {len(targets)}")
-    if not sources:
-        raise DataError(f"{root / CORPUS_FILE}: corpus has no source domain")
-    specs_path = root / SPECS_FILE
-    if not specs_path.exists():
-        raise DataError(f"{specs_path} not found")
-    text = read_text(specs_path)
-    try:
-        payload = json.loads(text)
-        rule = LabelRule(
-            tuple(float(v) for v in payload["rule"]["direction"]),
-            float(payload["rule"]["margin"]),
-            float(payload["rule"]["separation"]),
-        )
-        seed = int(payload["seed"])
-        specs = [(d["role"], _spec_from_dict(d)) for d in payload["domains"]]
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{specs_path}:{exc.lineno}: not JSON: {exc.msg}") from exc
-    except KeyError as exc:
-        raise DataError(f"{specs_path}: specs have no {exc} entry") from exc
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{specs_path}: malformed specs: {exc}") from exc
-    found = [(role, spec.domain_id) for role, spec in specs]
-    expected = [("source", ds.domain_id) for ds in sources] + [("target", targets[0].domain_id)]
-    if found != expected:
-        raise DataError(f"{specs_path}: specs list domains {found}, "
-                        f"{CORPUS_FILE} holds {expected}")
-    return SyntheticCorpus(sources, targets[0], [spec for _, spec in specs[:-1]], specs[-1][1],
-                           rule, seed)
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 4 + dim:
+                raise DataError(f"{path}:{line_no}: expected {4 + dim} fields")
+            domain_id, role, split, label = parts[:4]
+            if role not in ("source", "target"):
+                raise DataError(f"{path}:{line_no}: unknown role {role!r}")
+            bucket = buckets.get(domain_id)
+            if bucket is None:
+                bucket = buckets[domain_id] = {"role": role, "split": [], "label": [],
+                                               "x": array("d")}
+            if bucket["role"] != role:
+                raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
+            try:
+                bucket["label"].append(int(label))
+                bucket["x"].extend(map(float, parts[4:]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from exc
+            bucket["split"].append(split)
+    return [(bucket["role"], _dataset(
+        domain_id, np.frombuffer(bucket["x"]).reshape(len(bucket["label"]), dim),
+        bucket["label"], bucket["split"])) for domain_id, bucket in buckets.items()]

@@ -180,33 +180,37 @@ def test_tile_allocates_far_less_than_the_raster(tmp_path):
 # split
 
 
-def test_split_determinism_and_leakage(tmp_path, image_fixture):
+_SINGLE_GROUP_WARNING = ("warning: subset 'siteB' has a single leakage group; "
+                         "it cannot appear in both splits\n")
+
+
+def test_split_determinism_and_leakage(tmp_path, image_fixture, capsys):
     _, _, annotations, _ = image_fixture
     manifest = tmp_path / "manifest.csv"
     assert main(_tile_args(image_fixture, manifest)) == 0
     s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     for out in (s1, s2):
-        with pytest.warns(UserWarning):
-            rc = main(["split", "--manifest", str(manifest), "--annotations", str(annotations),
-                       "--out", str(out), "--mode", "per_subset",
-                       "--val-fraction", "0.3", "--seed", "5"])
+        rc = main(["split", "--manifest", str(manifest), "--annotations", str(annotations),
+                   "--out", str(out), "--mode", "per_subset",
+                   "--val-fraction", "0.3", "--seed", "5"])
         assert rc == 0
+        assert capsys.readouterr().err == _SINGLE_GROUP_WARNING
     assert s1.read_bytes() == s2.read_bytes()
     loaded = read_manifest(s1)
     assert {e.split for e in loaded.entries} == {"train", "val"}
     assert {e.domain_id for e in loaded.entries} == {"siteA", "siteB"}
 
 
-def test_split_without_annotations_writes_the_same_bytes(tmp_path, image_fixture):
+def test_split_without_annotations_writes_the_same_bytes(tmp_path, image_fixture, capsys):
     _, _, annotations, _ = image_fixture
     manifest = tmp_path / "manifest.csv"
     assert main(_tile_args(image_fixture, manifest)) == 0
     outs = []
     for extra in (["--annotations", str(annotations)], []):
         out = tmp_path / f"split{len(extra)}.csv"
-        with pytest.warns(UserWarning):
-            assert main(["split", "--manifest", str(manifest), "--out", str(out), *extra,
-                         "--mode", "per_subset", "--val-fraction", "0.3", "--seed", "5"]) == 0
+        assert main(["split", "--manifest", str(manifest), "--out", str(out), *extra,
+                     "--mode", "per_subset", "--val-fraction", "0.3", "--seed", "5"]) == 0
+        assert capsys.readouterr().err == _SINGLE_GROUP_WARNING
         outs.append(out)
     for suffix in ("", ".config.txt"):
         assert Path(f"{outs[0]}{suffix}").read_bytes() == Path(f"{outs[1]}{suffix}").read_bytes()
@@ -387,6 +391,49 @@ def test_train_negative_warmup_is_an_error(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: warmup must be non-negative, got -1\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit, found", [
+    ((",target,", ",source,"), 0),
+    (("\nsource0,source,", "\nsource0,target,"), 2),
+])
+def test_train_needs_exactly_one_target_domain(tmp_path, capsys, edit, found):
+    corpus = _make_corpus(tmp_path)
+    path = corpus / "corpus.csv"
+    path.write_text(path.read_text().replace(*edit))
+    rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--epochs", "6"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: training expects exactly one target domain, found {found}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_holds_the_selected_epoch(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, seed=1, samples=300)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy", "m2s2da",
+                 "--epochs", "8", "--warmup", "1"]) == 0
+    selected = int(capsys.readouterr().out.split("selected epoch ")[1].split()[0])
+    records = [json.loads(line) for line in (run / "history.jsonl").read_text().splitlines()]
+    # the last epoch scores differently, so a checkpoint of it would show
+    assert records[selected - 1]["median_target_f1"] != records[-1]["median_target_f1"]
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "eval")]) == 0
+    summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
+    assert summary["median_f1"] == records[selected - 1]["median_target_f1"]
+
+
+def test_report_prints_a_warning_as_one_stderr_line(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, samples=100)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "7",
+                 "--warmup", "1"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--history", str(run / "history.jsonl"), "--out",
+                 str(tmp_path / "rep"), "--window", "10"]) == 0
+    assert capsys.readouterr().err == \
+        "warning: history of 7 epochs is shorter than window=10; using all epochs\n"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -619,7 +666,7 @@ def test_every_flag_is_a_config_field_or_an_io_option():
             section, attr = action.dest.split(".")
             assert attr in {f.name for f in fields(getattr(config, section))}, (command, action.dest)
             dotted += 1
-    assert dotted == 30
+    assert dotted == 29
 
 
 def test_flag_overrides_its_config_field(tmp_path):

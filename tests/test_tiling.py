@@ -296,6 +296,30 @@ def test_plant_spanning_subsets_warns():
         build_splits(recs, subset_of, val_fraction=0.0, mode="pooled", seed=0)
 
 
+def test_a_plant_group_is_drawn_in_the_subset_of_its_first_record():
+    # the shared plant's first record by (image_id, x, y) is on a.ppm, though not in list
+    # order, so its group is drawn in s1 and s2 is left with b.ppm's background alone
+    recs = [
+        TileRecord("b.ppm", 0, 0, 518, 1, 0.5, "TL", ("shared",)),
+        TileRecord("b.ppm", 518, 0, 518, 0, 0.0, "TL"),
+        TileRecord("a.ppm", 518, 0, 518, 0, 0.0, "TL"),
+        TileRecord("a.ppm", 0, 0, 518, 1, 0.5, "TL", ("shared",)),
+    ]
+    subset_of = {"a.ppm": "s1", "b.ppm": "s2"}
+    a_background = set()
+    for seed in range(10):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            manifest = build_splits(recs, subset_of, 0.5, "per_subset", seed)
+        assert [str(w.message) for w in caught] == [
+            "plant 'shared' spans subsets ['s1', 's2']; it will be kept in a single split",
+            "subset 's2' has a single leakage group; it cannot appear in both splits"]
+        split = {(e.record.image_id, e.record.x): e.split for e in manifest.entries}
+        assert split["b.ppm", 518] == "train"
+        a_background.add(split["a.ppm", 518])
+    assert a_background == {"train", "val"}
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_splits_never_put_one_plant_in_train_and_val(data):
