@@ -169,6 +169,7 @@ class EpochRecord:
 class TrainingHistory:
     strategy: str
     trainable_count: int
+    warmup: int  # the warm-up that select_model_epoch selects with
     records: list[EpochRecord] = field(default_factory=list)
     # parameters after the epoch ``select_model_epoch`` picks from ``records``
     selected_snapshot: Optional[dict[str, np.ndarray]] = None
@@ -194,6 +195,7 @@ class TrainingHistory:
                         "median_target_f1": r.median_target_f1,
                         "strategy": self.strategy,
                         "trainable_parameters": self.trainable_count,
+                        "warmup": self.warmup,
                     },
                     sort_keys=True,
                 )
@@ -209,7 +211,7 @@ def read_history_jsonl(path) -> TrainingHistory:
     """Parse ``to_jsonl`` output; a malformed line raises ``DataError``
     naming the path and line."""
     records = []
-    strategy, count = "", 0
+    strategy, count, warmup = "", 0, 0
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -217,20 +219,25 @@ def read_history_jsonl(path) -> TrainingHistory:
             d = json.loads(line)
             strategy = d.get("strategy", strategy)
             count = d.get("trainable_parameters", count)
-            records.append(
-                EpochRecord(
-                    epoch=int(d["epoch"]),
-                    losses={k: float(v) for k, v in d["losses"].items()},
-                    source_val_f1=_optional_float(d["source_val_f1"]),
-                    target_f1={k: float(v) for k, v in d["target_f1"].items()},
-                    median_target_f1=_optional_float(d["median_target_f1"]),
-                )
+            record = EpochRecord(
+                epoch=int(d["epoch"]),
+                losses={k: float(v) for k, v in d["losses"].items()},
+                source_val_f1=_optional_float(d["source_val_f1"]),
+                target_f1={k: float(v) for k, v in d["target_f1"].items()},
+                median_target_f1=_optional_float(d["median_target_f1"]),
             )
+            if type(d["warmup"]) is not int or d["warmup"] < 0:
+                raise ValueError(f"warmup must be a non-negative integer, got {d['warmup']!r}")
+            if records and d["warmup"] != warmup:
+                raise ValueError(f"warmup {d['warmup']} differs from the {warmup} of the "
+                                 "records before it")
+            warmup = d["warmup"]
+            records.append(record)
         except KeyError as exc:
             raise DataError(f"{path}:{line_no}: history record has no {exc} field") from exc
         except (ValueError, TypeError, AttributeError) as exc:
             raise DataError(f"{path}:{line_no}: malformed history record: {exc}") from exc
-    return TrainingHistory(strategy, count, records)
+    return TrainingHistory(strategy, count, warmup, records)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +337,7 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     if config.epochs <= config.warmup:
         raise ConfigError(f"epochs={config.epochs} must exceed the warmup of {config.warmup} "
                           "for model selection")
-    history = TrainingHistory(strategy, trainable_parameter_count(bundle))
+    history = TrainingHistory(strategy, trainable_parameter_count(bundle), config.warmup)
     # overflow in a diverging run surfaces as a non-finite loss or parameter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, config.epochs + 1):

@@ -122,28 +122,26 @@ def cmd_tile(args) -> int:
 
     domain_map = _domain_lookup(args)
 
-    def tile_one(item):
-        image_id, path = item
-        try:
-            image = read_pnm(path)
-            height, width = image.shape[:2]
-            records = tile_image(image_id, width, height, by_image.get(image_id, []),
-                                 side=tc.tile_size, r_th=tc.r_threshold)
-            return image_id, records, None
-        except Exception as exc:  # per-image failure keeps the run going
-            return image_id, [], f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(tile_one, images))
+    def header_size(path) -> tuple[int, int]:
+        """(height, width); the mapped array, and so its file, is let go here."""
+        return read_pnm(path).shape[:2]
 
     entries = []
-    for image_id, records, error in sorted(results, key=lambda r: r[0]):
-        if error is not None:
-            failures.append(image_id)
-            print(f"error: {image_id}: {error}", file=sys.stderr)
-            continue
-        domain = domain_map.get(image_id, args.domain)
-        entries.extend(ManifestEntry(rec, "none", domain) for rec in records)
+    # the pool overlaps only the header reads, which can block on disk; tiling
+    # runs in this thread, so its temporaries stay out of the pool's malloc arenas
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        sizes = [pool.submit(header_size, path) for _, path in images]
+        for (image_id, _), size in zip(images, sizes):
+            try:
+                height, width = size.result()
+                records = tile_image(image_id, width, height, by_image.get(image_id, []),
+                                     side=tc.tile_size, r_th=tc.r_threshold)
+            except Exception as exc:  # per-image failure keeps the run going
+                failures.append(image_id)
+                print(f"error: {image_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                continue
+            domain = domain_map.get(image_id, args.domain)
+            entries.extend([ManifestEntry(rec, "none", domain) for rec in records])
 
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -151,7 +149,7 @@ def cmd_tile(args) -> int:
     cfgmod.write_config(config, out.with_suffix(out.suffix + ".config.txt"))
     counts = label_counts(e.record for e in entries)
     print(
-        f"tiled {len(results) - len([f for f in failures if f not in missing])} images -> "
+        f"tiled {len(images) - len(failures) + len(missing)} images -> "
         f"{len(entries)} tiles (background={counts[0]} rumex={counts[1]} unclear={counts[2]})"
     )
     return 1 if failures else 0
@@ -305,7 +303,13 @@ def cmd_report(args) -> int:
     history = read_history_jsonl(args.history)
     if not history.records:
         raise DataError(f"{args.history}: empty history")
-    selected = select_model_epoch(history.val_f1_series(), config.training.warmup)
+    warmup = getattr(args, "training.warmup")  # None unless the flag is given
+    if warmup is not None and warmup != history.warmup:
+        raise ConfigError(f"warmup must be non-negative, got {warmup}" if warmup < 0 else
+                          f"--warmup {warmup} disagrees with the warm-up of {history.warmup} "
+                          f"that {args.history} records")
+    config.training.warmup = history.warmup  # the rule train selected its checkpoint with
+    selected = select_model_epoch(history.val_f1_series(), history.warmup)
     sigma = sigma_epochs(history.median_target_series(), config.evaluation.window)
     rec = history.records[selected - 1]
 
@@ -352,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive-class", dest="tiling.positive_class")
     p.add_argument("--domain", default="d0", help="domain id for images not in --domain-map")
     p.add_argument("--domain-map", help="csv of image_id,domain_id pairs")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="threads that read image headers; tiling itself runs in one thread")
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("split", help="assign leakage-safe train/val splits to a manifest")
@@ -410,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--window", dest="evaluation.window", type=int)
-    p.add_argument("--warmup", dest="training.warmup", type=int)
+    p.add_argument("--warmup", dest="training.warmup", type=int,
+                   help="must equal the warm-up that train recorded in the history")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -6,24 +6,34 @@ import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DataError
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write ``data``, as UTF-8 if it is text, to a temporary file in the
-    same directory, then rename it over ``path``, so a failure part-way
-    leaves any earlier file intact and no temporary file behind."""
+@contextmanager
+def replacing(path):
+    """A binary file to write in place of ``path``: a temporary file in the
+    same directory, renamed over ``path`` when the block ends without an
+    error, so a failure part-way leaves any earlier file intact and no
+    temporary file behind."""
     path = Path(path)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_atomic(path, data: str | bytes | Iterable[bytes]) -> None:
+    """Write ``data`` through ``replacing``: text as UTF-8, or bytes, or an
+    iterable of byte chunks, each written as it comes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with replacing(path) as fh:
+        fh.writelines([data] if isinstance(data, bytes) else data)
 
 
 @contextmanager

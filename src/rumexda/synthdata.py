@@ -14,7 +14,6 @@ ceiling reported by ``bayes_reference``.
 
 from __future__ import annotations
 
-import io
 import json
 import zipfile
 from array import array
@@ -26,7 +25,7 @@ import numpy as np
 
 from .adaptation import DomainDataset
 from .errors import ConfigError, DataError
-from .files import open_text, write_atomic
+from .files import open_text, replacing, write_atomic
 
 DEFAULT_MARGIN = 0.4
 DEFAULT_SEPARATION = 3.0
@@ -242,6 +241,8 @@ def default_benchmark(
 CORPUS_FILE = "corpus.csv"
 SIDECAR_FILE = "corpus.npz"
 SPECS_FILE = "specs.json"
+# rows of corpus.csv that write_corpus formats and encodes at a time
+_WRITE_BLOCK = 256
 
 
 def _spec_to_dict(spec: DomainSpec, role: str) -> dict:
@@ -274,8 +275,6 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     dim = corpus.target_spec.dim
     header = ["domain_id", "role", "split", "label"] + [f"f{i}" for i in range(dim)]
-    # encoded one domain at a time, so that the rows are never held as text whole
-    data = bytearray((",".join(header) + "\n").encode("utf-8"))
     # (role, domain id, features, labels, split tags) as the parse returns them
     domains = []
     for role, ds in [("source", ds) for ds in corpus.sources] + [("target", corpus.target)]:
@@ -283,15 +282,32 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
         n = len(features)
         splits = [str(s) for s in ds.split.tolist()] if ds.split is not None else ["none"] * n
         labels = [int(v) for v in ds.labels.tolist()] if ds.labels is not None else [-1] * n
-        # floats made one row at a time: a whole domain's at once raised peak memory
-        rows = [",".join((ds.domain_id, role, split, str(label), *map(repr, x.tolist())))
-                for split, label, x in zip(splits, labels, features)]
-        rows.append("")  # every row ends with a newline
-        data += "\n".join(rows).encode("utf-8")
         domains.append((role, ds.domain_id, features, labels, splits))
-    write_atomic(out / CORPUS_FILE, data)
+    sha256 = hashlib.sha256()
+
+    def texts():
+        yield ",".join(header) + "\n"
+        for role, domain_id, features, labels, splits in domains:
+            for i in range(0, len(features), _WRITE_BLOCK):
+                rows = slice(i, i + _WRITE_BLOCK)
+                yield "".join([
+                    ",".join([domain_id, role, split, str(label), *map(repr, x)]) + "\n"
+                    for split, label, x in zip(splits[rows], labels[rows],
+                                               features[rows].tolist())
+                ])
+
+    def blocks():
+        """The CSV's bytes, encoded and hashed one block of rows at a time,
+        so that the rows are never held whole as text or bytes."""
+        for text in texts():
+            block = text.encode("utf-8")
+            sha256.update(block)
+            yield block
+
+    write_atomic(out / CORPUS_FILE, blocks())
     if _parses_back(domains, dim):
-        write_atomic(out / SIDECAR_FILE, _sidecar_bytes(domains, hashlib.sha256(data).hexdigest()))
+        with replacing(out / SIDECAR_FILE) as fh:
+            _write_sidecar(fh, domains, sha256.hexdigest())
     else:
         (out / SIDECAR_FILE).unlink(missing_ok=True)
 
@@ -326,22 +342,20 @@ def _parses_back(domains, dim: int) -> bool:
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
-def _sidecar_bytes(domains, digest: str) -> bytes:
-    """A zip of ``.npy`` entries, none pickled: the CSV digest, the domain
-    ids and roles in file order, and per domain ``i`` its features, labels
-    (-1 for none) and split tags ("none" for none)."""
+def _write_sidecar(fh, domains, digest: str) -> None:
+    """A zip of ``.npy`` entries, none pickled, written to ``fh``: the CSV
+    digest, the domain ids and roles in file order, and per domain ``i``
+    its features, labels (-1 for none) and split tags ("none" for none)."""
     entries = [("digest", np.array(digest)),
                ("domains", np.array([domain_id for _, domain_id, _, _, _ in domains])),
                ("roles", np.array([role for role, _, _, _, _ in domains]))]
     for i, (_, _, x, labels, splits) in enumerate(domains):
         entries += [(f"features{i}", x), (f"labels{i}", np.array(labels, dtype=np.int64)),
                     (f"splits{i}", np.array(splits))]
-    buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w") as zf:
+    with zipfile.ZipFile(fh, "w") as zf:
         for name, values in entries:
-            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE_TIME), "w") as fh:
-                np.lib.format.write_array(fh, values, allow_pickle=False)
-    return buf.getvalue()
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE_TIME), "w") as entry:
+                np.lib.format.write_array(entry, values, allow_pickle=False)
 
 
 def _dataset(domain_id: str, features: np.ndarray, labels, splits: list) -> DomainDataset:

@@ -18,7 +18,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class BBoxAnnotation:
             )
 
     def clamped(self, width: int, height: int) -> "BBoxAnnotation":
+        if 0 <= self.x_min and 0 <= self.y_min and self.x_max <= width and self.y_max <= height:
+            return self  # inside the image already
         return replace(
             self,
             x_min=max(0, self.x_min),
@@ -60,8 +62,10 @@ class BBoxAnnotation:
         )
 
 
-@dataclass(frozen=True)
-class TileRecord:
+class TileRecord(NamedTuple):
+    """One tile as an immutable, hashable tuple. Its first three fields,
+    ``rec[:3] == (image_id, x, y)``, name the tile and order a manifest."""
+
     image_id: str
     x: int
     y: int
@@ -76,8 +80,7 @@ class TileRecord:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     record: TileRecord
     split: str
     domain_id: str
@@ -90,7 +93,7 @@ class SplitManifest:
     def __post_init__(self):
         seen = set()
         for e in self.entries:
-            key = (e.record.image_id, e.record.x, e.record.y)
+            key = e.record[:3]
             if key in seen:
                 raise DataError(f"duplicate tile {key} in manifest")
             seen.add(key)
@@ -118,20 +121,19 @@ def enumerate_tiles(width: int, height: int, side: int = TILE_SIZE) -> list[tupl
 
     Returns (x, y, pass_corner) sorted by origin; when several passes
     produce the same origin the first pass in TL, TR, BL, BR order wins.
+    The passes together give every pair of a forward or backward x and a
+    forward or backward y, so that pass is T unless only a backward pass
+    has the y, and L unless only a backward pass has the x.
     """
     if width < side or height < side:
         raise DegenerateInputError(
             f"image {width}x{height} is smaller than the {side}-pixel tile"
         )
-    fx, bx = _forward_origins(width, side), _backward_origins(width, side)
-    fy, by = _forward_origins(height, side), _backward_origins(height, side)
-    passes = (("TL", fx, fy), ("TR", bx, fy), ("BL", fx, by), ("BR", bx, by))
-    origin_corner: dict[tuple[int, int], str] = {}
-    for corner, xs, ys in passes:
-        for y in ys:
-            for x in xs:
-                origin_corner.setdefault((x, y), corner)
-    return [(x, y, origin_corner[(x, y)]) for (x, y) in sorted(origin_corner)]
+    left, top = set(_forward_origins(width, side)), set(_forward_origins(height, side))
+    xs = sorted(left.union(_backward_origins(width, side)))
+    ys = sorted(top.union(_backward_origins(height, side)))
+    rows = [(y, "T" if y in top else "B") for y in ys]
+    return [(x, y, tb + ("L" if x in left else "R")) for x in xs for y, tb in rows]
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +207,15 @@ def _overlap_matrix(boxes: Sequence[BBoxAnnotation], xs: np.ndarray, ys: np.ndar
 def _plant_ids(boxes: Sequence[BBoxAnnotation], ratios: np.ndarray) -> list[tuple[str, ...]]:
     """Per tile (column of ``ratios``), the sorted ids of the plants whose
     boxes overlap it."""
-    plants: list[set[str]] = [set() for _ in range(ratios.shape[1])]
-    for i, j in zip(*np.nonzero(ratios)):
-        if boxes[i].plant_id:
-            plants[j].add(boxes[i].plant_id)
-    return [tuple(sorted(p)) for p in plants]
+    ids = [b.plant_id for b in boxes]
+    touching: dict[int, set[str]] = {}
+    for i, j in zip(*(index.tolist() for index in np.nonzero(ratios))):
+        if ids[i]:
+            touching.setdefault(j, set()).add(ids[i])
+    plants: list[tuple[str, ...]] = [()] * ratios.shape[1]
+    for j, ids_j in touching.items():
+        plants[j] = tuple(sorted(ids_j))
+    return plants
 
 
 def tile_image(
@@ -274,20 +280,25 @@ def build_splits(
         raise ConfigError(f"unknown split mode {mode!r}")
     if not 0.0 <= val_fraction < 1.0:
         raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+    plant_subsets: dict[str, set[str]] = {}
+    uf = _UnionFind()
     for rec in records:
-        if rec.image_id not in subset_of:
-            raise DataError(f"no subset assignment for image {rec.image_id!r}")
-        if rec.label == LABEL_RUMEX and not rec.plant_ids:
-            raise DataError(
-                f"rumex tile {rec.image_id}@{rec.origin} has no plant_id; "
-                "plant-level leakage control needs one"
-            )
+        image_id, plant_ids = rec.image_id, rec.plant_ids
+        if image_id not in subset_of:
+            raise DataError(f"no subset assignment for image {image_id!r}")
+        if not plant_ids:
+            if rec.label == LABEL_RUMEX:
+                raise DataError(
+                    f"rumex tile {image_id}@{rec.origin} has no plant_id; "
+                    "plant-level leakage control needs one"
+                )
+            continue
+        subset = subset_of[image_id]
+        for pid in plant_ids:
+            plant_subsets.setdefault(pid, set()).add(subset)
+            uf.union(plant_ids[0], pid)
 
     # warn on plants observed in more than one subset
-    plant_subsets: dict[str, set[str]] = {}
-    for rec in records:
-        for pid in rec.plant_ids:
-            plant_subsets.setdefault(pid, set()).add(subset_of[rec.image_id])
     for pid, subsets in sorted(plant_subsets.items()):
         if len(subsets) > 1:
             warnings.warn(
@@ -296,30 +307,19 @@ def build_splits(
                 stacklevel=2,
             )
 
-    uf = _UnionFind()
-    for rec in records:
-        for pid in rec.plant_ids:
-            uf.union(rec.plant_ids[0], pid)
+    tile_groups = [  # each tile's leakage group
+        "plant:" + uf.find(rec.plant_ids[0]) if rec.plant_ids else "image:" + rec.image_id
+        for rec in records
+    ]
+    groups: dict[str, list[str]] = {}  # group -> the image id of each of its tiles
+    for key, rec in zip(tile_groups, records):
+        groups.setdefault(key, []).append(rec.image_id)
 
-    def group_key(rec: TileRecord) -> str:
-        if rec.plant_ids:
-            return "plant:" + uf.find(rec.plant_ids[0])
-        return "image:" + rec.image_id
-
-    groups: dict[str, list[TileRecord]] = {}
-    for rec in records:
-        groups.setdefault(group_key(rec), []).append(rec)
-
-    # each group is attributed to the subset of its first record
-    def rec_sort_key(rec: TileRecord):
-        return (rec.image_id, rec.x, rec.y)
-
-    group_subset = {
-        key: subset_of[min(recs, key=rec_sort_key).image_id] for key, recs in groups.items()
-    }
+    # each group is attributed to the subset of its first record in (image_id, x, y)
+    # order, which is the one with the least image id
     by_subset: dict[str, list[str]] = {}
-    for key in groups:
-        by_subset.setdefault(group_subset[key], []).append(key)
+    for key, image_ids in groups.items():
+        by_subset.setdefault(subset_of[min(image_ids)], []).append(key)
 
     rng = np.random.default_rng(seed)
     split_of_group: dict[str, str] = {}
@@ -347,11 +347,12 @@ def build_splits(
                 taken += len(groups[key])
                 val_groups += 1
 
-    entries = []
-    for rec in sorted(records, key=rec_sort_key):
-        domain = "pooled" if mode == "pooled" else subset_of[rec.image_id]
-        entries.append(ManifestEntry(rec, split_of_group[group_key(rec)], domain))
-
+    entries = [
+        ManifestEntry(rec, split_of_group[key],
+                      "pooled" if mode == "pooled" else subset_of[rec.image_id])
+        for rec, key in zip(records, tile_groups)
+    ]
+    entries.sort(key=lambda e: e.record[:3])
     manifest = SplitManifest(entries)
     if val_fraction > 0.0:
         splits = {e.split for e in entries}
@@ -379,22 +380,31 @@ PLANT_ID_SEP = ";"
 
 def write_manifest(manifest: SplitManifest, path) -> None:
     """Write the manifest CSV atomically, rows sorted by image and origin."""
-    entries = sorted(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-    rows = [MANIFEST_HEADER]
-    for e in entries:
-        r = e.record
-        rows.append(
-            [r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id,
-             r.pass_corner, PLANT_ID_SEP.join(r.plant_ids)]
-        )
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    if "\r" in buf.getvalue():
+    entries = sorted(manifest.entries, key=lambda e: e.record[:3])
+    join = PLANT_ID_SEP.join
+    n_lines = len(entries) + 1
+    text = "".join([",".join(MANIFEST_HEADER) + "\n"] + [
+        f"{image_id},{x},{y},{side},{label},{overlap:.6f},{split},{domain_id},{corner},"
+        f"{join(plants)}\n"
+        for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id in entries
+    ])
+    # these are the csv module's lines unless a field holds a delimiter, a
+    # quote or a line break, which it quotes
+    if (text.count(",") != 9 * n_lines or text.count("\n") != n_lines
+            or '"' in text or "\r" in text):
         # minimal quoting leaves a bare "\r" in a field, which reads back as a
         # line end, because only the line terminator's characters are quoted
+        quoting = csv.QUOTE_ALL if "\r" in text else csv.QUOTE_MINIMAL
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
-    write_atomic(path, buf.getvalue())
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(
+            [MANIFEST_HEADER] + [
+                (image_id, x, y, side, label, f"{overlap:.6f}", split, domain_id, corner,
+                 join(plants))
+                for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id
+                in entries
+            ])
+        text = buf.getvalue()
+    write_atomic(path, text)
 
 
 def read_manifest(path) -> SplitManifest:
@@ -413,16 +423,13 @@ def read_manifest(path) -> SplitManifest:
         if "" in plant_ids:
             raise DataError(f"{path}:{line_no}: empty plant id in {plants!r}")
         try:
-            rec = TileRecord(image_id, int(x), int(y), int(side), int(label), float(r), corner,
-                             plant_ids)
+            x, y, side, label, r = int(x), int(y), int(side), int(label), float(r)
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
-        if not (0 <= rec.x < _COORD_LIMIT and 0 <= rec.y < _COORD_LIMIT
-                and 0 < rec.side < _COORD_LIMIT):
-            raise DataError(
-                f"{path}:{line_no}: tile ({rec.x},{rec.y}) with side {rec.side} is out of range"
-            )
-        entries.append(ManifestEntry(rec, split, domain_id))
+        if not (0 <= x < _COORD_LIMIT and 0 <= y < _COORD_LIMIT and 0 < side < _COORD_LIMIT):
+            raise DataError(f"{path}:{line_no}: tile ({x},{y}) with side {side} is out of range")
+        entries.append(ManifestEntry(TileRecord(image_id, x, y, side, label, r, corner, plant_ids),
+                                     split, domain_id))
     return SplitManifest(entries)
 
 

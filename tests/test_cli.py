@@ -424,6 +424,48 @@ def test_checkpoint_holds_the_selected_epoch(tmp_path, capsys):
     assert summary["median_f1"] == records[selected - 1]["median_target_f1"]
 
 
+def test_report_selects_with_the_warmup_that_train_recorded(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, seed=2, samples=300)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy", "m2s2da",
+                 "--epochs", "8", "--warmup", "1", "--lr", "0.05", "--seed", "1"]) == 0
+    selected = int(capsys.readouterr().out.split("selected epoch ")[1].split()[0])
+    history = run / "history.jsonl"
+    # without --warmup, report applies the recorded warm-up, not its default of 5
+    assert main(["report", "--history", str(history), "--out", str(tmp_path / "rep")]) == 0
+    assert f"selected_epoch = {selected}\n" in (tmp_path / "rep" / "selection.txt").read_text()
+    assert {json.loads(line)["warmup"] for line in history.read_text().splitlines()} == {1}
+    assert read_config(tmp_path / "rep" / "config.txt").training.warmup == 1
+    assert main(["report", "--history", str(history), "--out", str(tmp_path / "same"),
+                 "--warmup", "1"]) == 0
+    assert (tmp_path / "same" / "selection.txt").read_bytes() == \
+        (tmp_path / "rep" / "selection.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--history", str(history), "--out", str(tmp_path / "other"),
+                 "--warmup", "5"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --warmup 5 disagrees with the warm-up of 1 that {history} records\n"
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize("lines, where", [
+    ([{}], ":1: history record has no 'warmup' field"),
+    ([{"warmup": 1}, {"warmup": 2}], ":2: malformed history record: warmup 2 differs"),
+    ([{"warmup": -1}], ":1: malformed history record: warmup must be a non-negative integer"),
+    ([{"warmup": "1"}], ":1: malformed history record: warmup must be a non-negative integer"),
+])
+def test_report_of_a_history_without_one_warmup_is_a_data_error(tmp_path, capsys, lines, where):
+    record = {"epoch": 1, "losses": {"ce": 0.5}, "source_val_f1": 0.5, "target_f1": {"t": 0.5},
+              "median_target_f1": 0.5, "strategy": "vanilla", "trainable_parameters": 10}
+    history = tmp_path / "history.jsonl"
+    history.write_text("".join(json.dumps({**record, "epoch": i + 1, **extra}) + "\n"
+                               for i, extra in enumerate(lines)))
+    out = tmp_path / "rep"
+    rc = main(["report", "--history", str(history), "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{history}{where}", out)
+
+
 def test_report_prints_a_warning_as_one_stderr_line(tmp_path, capsys):
     corpus = _make_corpus(tmp_path, samples=100)
     run = tmp_path / "run"
@@ -734,7 +776,8 @@ def test_eval_of_malformed_checkpoint_is_a_data_error(tmp_path, capsys, text, wh
 ])
 def test_report_of_malformed_history_is_a_data_error(tmp_path, capsys, line, where):
     good = {"epoch": 1, "losses": {"ce": 0.5}, "source_val_f1": 0.5, "target_f1": {"t": 0.5},
-            "median_target_f1": 0.5, "strategy": "vanilla", "trainable_parameters": 10}
+            "median_target_f1": 0.5, "strategy": "vanilla", "trainable_parameters": 10,
+            "warmup": 0}
     history = tmp_path / "history.jsonl"
     history.write_text(json.dumps(good) + "\n" + line + "\n")
     out = tmp_path / "rep"

@@ -1,7 +1,9 @@
+import hashlib
 import os
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from rumexda import synthdata
 from rumexda.errors import ConfigError, DataError
+from rumexda.files import write_atomic
 from rumexda.synthdata import (
     DomainSpec,
     LabelRule,
@@ -160,6 +163,49 @@ def test_corpus_roundtrip_bit_exact(tmp_path):
                                      corpus.target_spec, corpus.rule, corpus.seed), out2)
         assert (tmp_path / "corpus.csv").read_bytes() == (out2 / "corpus.csv").read_bytes()
         assert (tmp_path / "specs.json").read_bytes() == (out2 / "specs.json").read_bytes()
+
+
+def test_corpus_write_holds_far_less_than_the_csv(tmp_path):
+    # the default 3 x 2000 x 16 corpus, encoded, hashed and written a block at a time
+    sources, target = default_benchmark()
+    corpus = generate(sources, target, seed=1)
+    tracemalloc.start()
+    try:
+        write_corpus(corpus, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "corpus.csv").stat().st_size / 2
+
+
+def test_corpus_csv_is_every_row_in_order_across_write_blocks(tmp_path):
+    sources, target = default_benchmark(n_sources=2, dim=3, n_samples=600)
+    corpus = generate(sources, target, seed=2)
+    write_corpus(corpus, tmp_path)
+    lines = ["domain_id,role,split,label,f0,f1,f2"]
+    for role, ds in [("source", ds) for ds in corpus.sources] + [("target", corpus.target)]:
+        splits = ds.split.tolist() if ds.split is not None else ["none"] * len(ds.features)
+        labels = ds.labels.tolist() if ds.labels is not None else [-1] * len(ds.features)
+        lines += [",".join([ds.domain_id, role, split, str(label), *map(repr, x)])
+                  for split, label, x in zip(splits, labels, ds.features.tolist())]
+    data = (tmp_path / "corpus.csv").read_bytes()
+    assert data == ("\n".join(lines) + "\n").encode("utf-8")
+    with np.load(tmp_path / "corpus.npz") as npz:
+        assert str(npz["digest"]) == hashlib.sha256(data).hexdigest()
+
+
+def test_streamed_write_that_fails_part_way_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "corpus.csv"
+    write_atomic(path, iter([b"earlier", b"\n"]))
+
+    def chunks():
+        yield b"partial"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
 
 
 def test_rule_direction_must_be_nonzero():

@@ -1,7 +1,8 @@
+import csv
+import io
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,30 @@ def test_tile_origins_cover_every_pixel(side, data):
     for x, y in origins:
         assert 0 <= x <= width - side and 0 <= y <= height - side
     assert pixel_coverage(width, height, origins, side).min() >= 1
+
+
+def _four_pass_oracle(width, height, side):
+    """The passes run in TL, TR, BL, BR order, each row by row, and the
+    first pass to reach an origin names its corner."""
+    n_x, n_y = -(-width // side), -(-height // side)
+    fx = [min(i * side, width - side) for i in range(n_x)]
+    bx = [max(width - side - i * side, 0) for i in range(n_x)]
+    fy = [min(i * side, height - side) for i in range(n_y)]
+    by = [max(height - side - i * side, 0) for i in range(n_y)]
+    corner_of = {}
+    for corner, xs, ys in (("TL", fx, fy), ("TR", bx, fy), ("BL", fx, by), ("BR", bx, by)):
+        for y in ys:
+            for x in xs:
+                corner_of.setdefault((x, y), corner)
+    return [(x, y, corner_of[(x, y)]) for x, y in sorted(corner_of)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.integers(1, 40), data=st.data())
+def test_enumeration_is_the_four_passes_first_wins(side, data):
+    width = data.draw(st.integers(side, 9 * side))
+    height = data.draw(st.integers(side, 9 * side))
+    assert enumerate_tiles(width, height, side) == _four_pass_oracle(width, height, side)
 
 
 def test_pass_corner_first_wins():
@@ -367,6 +392,22 @@ def test_duplicate_tile_in_manifest_errors():
         SplitManifest([ManifestEntry(rec, "train", "d"), ManifestEntry(rec, "val", "d")])
 
 
+def test_tile_records_and_manifest_entries_are_immutable_and_hashable():
+    rec = TileRecord("a.ppm", 0, 518, 518, 1, 0.5, "TL", ("p1",))
+    entry = ManifestEntry(rec, "train", "d")
+    for obj, name, value in ((rec, "x", 1), (rec, "plant_ids", ()), (entry, "split", "val")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    assert rec.origin == (0, 518) and rec[:3] == ("a.ppm", 0, 518)
+    twin = TileRecord("a.ppm", 0, 518, 518, 1, 0.5, "TL", ("p1",))
+    assert twin == rec and hash(twin) == hash(rec)
+    assert ManifestEntry(twin, "train", "d") == entry
+    assert hash(ManifestEntry(twin, "train", "d")) == hash(entry)
+    assert len({rec, twin, TileRecord("a.ppm", 0, 518, 518, 1, 0.5, "TL")}) == 2
+    assert len({entry, ManifestEntry(twin, "train", "d"), ManifestEntry(rec, "val", "d")}) == 2
+    assert TileRecord("a.ppm", 0, 0, 518, 0, 0.0, "TL").plant_ids == ()
+
+
 # ----------------------------------------------------------------------
 # manifest / annotation files
 
@@ -397,7 +438,7 @@ def test_failed_manifest_write_keeps_the_previous_file(tmp_path):
     # formatted fails on the last row written
     moved = [ManifestEntry(e.record, e.split, "elsewhere") for e in manifest.entries]
     last = max(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-    bad = ManifestEntry(replace(last.record, x=last.record.x + 1, overlap="n/a"),
+    bad = ManifestEntry(last.record._replace(x=last.record.x + 1, overlap="n/a"),
                         last.split, last.domain_id)
     for target in (path, tmp_path / "fresh.csv"):
         with pytest.raises(ValueError):
@@ -448,6 +489,29 @@ def test_manifest_write_then_read_gives_the_same_records(manifest):
         loaded = read_manifest(path)
     assert loaded.entries == sorted(manifest.entries,
                                     key=lambda e: (e.record.image_id, e.record.x, e.record.y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_manifests())
+def test_manifest_bytes_are_those_of_the_csv_module(manifest):
+    # the rows the csv module writes with minimal quoting, or with every field
+    # quoted when one holds a bare carriage return
+    rows = [tiling.MANIFEST_HEADER] + [
+        [e.record.image_id, e.record.x, e.record.y, e.record.side, e.record.label,
+         f"{e.record.overlap:.6f}", e.split, e.domain_id, e.record.pass_corner,
+         ";".join(e.record.plant_ids)]
+        for e in sorted(manifest.entries,
+                        key=lambda e: (e.record.image_id, e.record.x, e.record.y))
+    ]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if "\r" in buf.getvalue():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_manifest(manifest, path)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_manifest_without_the_plant_ids_column_is_a_data_error(tmp_path):
@@ -821,6 +885,14 @@ def test_tile_image_labels_and_plants():
     assert by_origin[(0, 518)].label == 0
     assert by_origin[(0, 518)].plant_ids == ()
 
+
+
+def test_box_outside_the_image_is_a_data_error():
+    boxes = [BBoxAnnotation("im", -5, 10, 60, 700, "rumex", "p1"),  # clamped to the image
+             BBoxAnnotation("im", 700, 0, 800, 50, "rumex", "p2")]  # nothing left once clamped
+    assert tile_image("im", 600, 600, boxes[:1], side=518)[0].overlap == 60 * 508 / 518 ** 2
+    with pytest.raises(DataError, match=r"^degenerate box for im: \(700,0,600,50\)$"):
+        tile_image("im", 600, 600, boxes, side=518)
 
 
 def _exact_overlap(box, x, y, side):
