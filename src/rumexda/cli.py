@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import config as cfgmod
@@ -122,26 +121,18 @@ def cmd_tile(args) -> int:
 
     domain_map = _domain_lookup(args)
 
-    def header_size(path) -> tuple[int, int]:
-        """(height, width); the mapped array, and so its file, is let go here."""
-        return read_pnm(path).shape[:2]
-
     entries = []
-    # the pool overlaps only the header reads, which can block on disk; tiling
-    # runs in this thread, so its temporaries stay out of the pool's malloc arenas
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        sizes = [pool.submit(header_size, path) for _, path in images]
-        for (image_id, _), size in zip(images, sizes):
-            try:
-                height, width = size.result()
-                records = tile_image(image_id, width, height, by_image.get(image_id, []),
-                                     side=tc.tile_size, r_th=tc.r_threshold)
-            except Exception as exc:  # per-image failure keeps the run going
-                failures.append(image_id)
-                print(f"error: {image_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                continue
-            domain = domain_map.get(image_id, args.domain)
-            entries.extend([ManifestEntry(rec, "none", domain) for rec in records])
+    for image_id, path in images:
+        try:
+            height, width = read_pnm(path).shape[:2]
+            records = tile_image(image_id, width, height, by_image.get(image_id, []),
+                                 side=tc.tile_size, r_th=tc.r_threshold)
+        except Exception as exc:  # per-image failure keeps the run going
+            failures.append(image_id)
+            print(f"error: {image_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            continue
+        domain = domain_map.get(image_id, args.domain)
+        entries.extend([ManifestEntry(rec, "none", domain) for rec in records])
 
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -357,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="d0", help="domain id for images not in --domain-map")
     p.add_argument("--domain-map", help="csv of image_id,domain_id pairs")
     p.add_argument("--jobs", type=int, default=1,
-                   help="threads that read image headers; tiling itself runs in one thread")
+                   help="accepted (N >= 1) and unused: tile runs in one thread")
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("split", help="assign leakage-safe train/val splits to a manifest")

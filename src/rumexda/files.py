@@ -6,7 +6,6 @@ import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
 
 from .errors import DataError
 
@@ -27,13 +26,12 @@ def replacing(path):
         tmp.unlink(missing_ok=True)
 
 
-def write_atomic(path, data: str | bytes | Iterable[bytes]) -> None:
-    """Write ``data`` through ``replacing``: text as UTF-8, or bytes, or an
-    iterable of byte chunks, each written as it comes."""
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data``, as UTF-8 if it is text, through ``replacing``."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     with replacing(path) as fh:
-        fh.writelines([data] if isinstance(data, bytes) else data)
+        fh.write(data)
 
 
 @contextmanager

@@ -284,27 +284,23 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
         labels = [int(v) for v in ds.labels.tolist()] if ds.labels is not None else [-1] * n
         domains.append((role, ds.domain_id, features, labels, splits))
     sha256 = hashlib.sha256()
+    with replacing(out / CORPUS_FILE) as fh:
 
-    def texts():
-        yield ",".join(header) + "\n"
+        def put(text: str) -> None:
+            """Encode, hash and write one block of rows, so that the rows are
+            never held whole as text or bytes."""
+            block = text.encode("utf-8")
+            sha256.update(block)
+            fh.write(block)
+
+        put(",".join(header) + "\n")
         for role, domain_id, features, labels, splits in domains:
             for i in range(0, len(features), _WRITE_BLOCK):
                 rows = slice(i, i + _WRITE_BLOCK)
-                yield "".join([
+                put("".join([
                     ",".join([domain_id, role, split, str(label), *map(repr, x)]) + "\n"
-                    for split, label, x in zip(splits[rows], labels[rows],
-                                               features[rows].tolist())
-                ])
-
-    def blocks():
-        """The CSV's bytes, encoded and hashed one block of rows at a time,
-        so that the rows are never held whole as text or bytes."""
-        for text in texts():
-            block = text.encode("utf-8")
-            sha256.update(block)
-            yield block
-
-    write_atomic(out / CORPUS_FILE, blocks())
+                    for split, label, x in zip(splits[rows], labels[rows], features[rows].tolist())
+                ]))
     if _parses_back(domains, dim):
         with replacing(out / SIDECAR_FILE) as fh:
             _write_sidecar(fh, domains, sha256.hexdigest())

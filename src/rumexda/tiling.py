@@ -382,29 +382,18 @@ def write_manifest(manifest: SplitManifest, path) -> None:
     """Write the manifest CSV atomically, rows sorted by image and origin."""
     entries = sorted(manifest.entries, key=lambda e: e.record[:3])
     join = PLANT_ID_SEP.join
-    n_lines = len(entries) + 1
-    text = "".join([",".join(MANIFEST_HEADER) + "\n"] + [
-        f"{image_id},{x},{y},{side},{label},{overlap:.6f},{split},{domain_id},{corner},"
-        f"{join(plants)}\n"
+    rows = [MANIFEST_HEADER] + [
+        (image_id, x, y, side, label, f"{overlap:.6f}", split, domain_id, corner, join(plants))
         for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id in entries
-    ])
-    # these are the csv module's lines unless a field holds a delimiter, a
-    # quote or a line break, which it quotes
-    if (text.count(",") != 9 * n_lines or text.count("\n") != n_lines
-            or '"' in text or "\r" in text):
+    ]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if "\r" in buf.getvalue():
         # minimal quoting leaves a bare "\r" in a field, which reads back as a
         # line end, because only the line terminator's characters are quoted
-        quoting = csv.QUOTE_ALL if "\r" in text else csv.QUOTE_MINIMAL
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(
-            [MANIFEST_HEADER] + [
-                (image_id, x, y, side, label, f"{overlap:.6f}", split, domain_id, corner,
-                 join(plants))
-                for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id
-                in entries
-            ])
-        text = buf.getvalue()
-    write_atomic(path, text)
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    write_atomic(path, buf.getvalue())
 
 
 def read_manifest(path) -> SplitManifest:

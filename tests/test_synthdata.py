@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rumexda import synthdata
 from rumexda.errors import ConfigError, DataError
-from rumexda.files import write_atomic
+from rumexda.files import replacing, write_atomic
 from rumexda.synthdata import (
     DomainSpec,
     LabelRule,
@@ -196,14 +196,11 @@ def test_corpus_csv_is_every_row_in_order_across_write_blocks(tmp_path):
 
 def test_streamed_write_that_fails_part_way_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "corpus.csv"
-    write_atomic(path, iter([b"earlier", b"\n"]))
-
-    def chunks():
-        yield b"partial"
-        raise OSError(28, "No space left on device")
-
+    write_atomic(path, b"earlier\n")
     with pytest.raises(OSError, match="No space left"):
-        write_atomic(path, chunks())
+        with replacing(path) as fh:
+            fh.write(b"partial")
+            raise OSError(28, "No space left on device")
     assert path.read_bytes() == b"earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
 

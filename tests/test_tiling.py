@@ -1,5 +1,3 @@
-import csv
-import io
 import tempfile
 import tracemalloc
 import warnings
@@ -489,29 +487,6 @@ def test_manifest_write_then_read_gives_the_same_records(manifest):
         loaded = read_manifest(path)
     assert loaded.entries == sorted(manifest.entries,
                                     key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_manifests())
-def test_manifest_bytes_are_those_of_the_csv_module(manifest):
-    # the rows the csv module writes with minimal quoting, or with every field
-    # quoted when one holds a bare carriage return
-    rows = [tiling.MANIFEST_HEADER] + [
-        [e.record.image_id, e.record.x, e.record.y, e.record.side, e.record.label,
-         f"{e.record.overlap:.6f}", e.split, e.domain_id, e.record.pass_corner,
-         ";".join(e.record.plant_ids)]
-        for e in sorted(manifest.entries,
-                        key=lambda e: (e.record.image_id, e.record.x, e.record.y))
-    ]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    if "\r" in buf.getvalue():
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.csv"
-        write_manifest(manifest, path)
-        assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_manifest_without_the_plant_ids_column_is_a_data_error(tmp_path):
