@@ -27,6 +27,10 @@ three sources walk 9, 6 and 4. Step 2 extracts features under
 tensors' ``requires_grad`` off around its forward and backward passes, so
 neither fills gradients that nothing steps. Evaluation
 (``predict_labels``, ``discrepancy_eval``) records no graph at all.
+``predict_labels``, which the per-epoch eval and ``rumexda eval`` call once
+per dataset, runs the rows in fixed blocks of ``_PREDICT_BLOCK`` (256), so
+its memory is O(block x H x f) whatever the flight size, and its labels
+are those of the whole array.
 
 A loss that is not finite stops training with ``TrainingStateError`` before
 any optimizer steps on it, and so does an optimizer step that leaves a
@@ -243,6 +247,9 @@ def read_history_jsonl(path) -> TrainingHistory:
 # ----------------------------------------------------------------------
 # prediction
 
+# rows that predict_labels runs through the extractor and heads at a time
+_PREDICT_BLOCK = 256
+
 
 def predict_ensemble(bundle: ModelBundle, x) -> Tensor:
     """Uniform average of the softmax outputs of every classifier head: the
@@ -255,11 +262,21 @@ def predict_ensemble(bundle: ModelBundle, x) -> Tensor:
 
 def predict_labels(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
     """Hard 0/1 predictions: the argmax of a single head's logits, or of
-    the uniform softmax ensemble of 2N heads. Records no graph."""
-    if bundle.head.n_heads > 1:
-        return np.argmax(predict_ensemble(bundle, features).data, axis=1)
+    the uniform softmax ensemble of 2N heads. Records no graph.
+
+    The rows run through the model ``_PREDICT_BLOCK`` at a time, so the
+    temporaries are H x block x f however many rows a flight has. Each
+    row's products are the whole-array ones, so the labels are too."""
+    ensemble = bundle.head.n_heads > 1
+    labels = []
     with T.no_grad():
-        return np.argmax(bundle.forward(features).data[0], axis=1)
+        # no rows still run one empty block, which gives an empty int64 array
+        for start in range(0, max(len(features), 1), _PREDICT_BLOCK):
+            block = features[start:start + _PREDICT_BLOCK]
+            scores = (predict_ensemble(bundle, block).data if ensemble
+                      else bundle.forward(block).data[0])
+            labels.append(np.argmax(scores, axis=1))
+    return np.concatenate(labels)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -294,11 +295,6 @@ def cmd_report(args) -> int:
     history = read_history_jsonl(args.history)
     if not history.records:
         raise DataError(f"{args.history}: empty history")
-    warmup = getattr(args, "training.warmup")  # None unless the flag is given
-    if warmup is not None and warmup != history.warmup:
-        raise ConfigError(f"warmup must be non-negative, got {warmup}" if warmup < 0 else
-                          f"--warmup {warmup} disagrees with the warm-up of {history.warmup} "
-                          f"that {args.history} records")
     config.training.warmup = history.warmup  # the rule train selected its checkpoint with
     selected = select_model_epoch(history.val_f1_series(), history.warmup)
     sigma = sigma_epochs(history.median_target_series(), config.evaluation.window)
@@ -333,7 +329,10 @@ def cmd_report(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process. ``main`` runs the ``cmd_<command>``
+    global it finds when the command runs, so the parser binds no function."""
     parser = argparse.ArgumentParser(prog="rumexda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-map", help="csv of image_id,domain_id pairs")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted (N >= 1) and unused: tile runs in one thread")
-    p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("split", help="assign leakage-safe train/val splits to a manifest")
     p.add_argument("--manifest", required=True)
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", dest="split.mode", choices=["pooled", "per_subset"])
     p.add_argument("--val-fraction", dest="split.val_fraction", type=float)
     p.add_argument("--seed", dest="split.seed", type=int)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("synth", help="generate a synthetic covariate-shift corpus")
     p.add_argument("--out", required=True)
@@ -372,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", dest="synth.noise_sigma", type=float)
     p.add_argument("--val-fraction", dest="synth.val_fraction", type=float)
     p.add_argument("--seed", dest="synth.seed", type=int)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one strategy on a corpus")
     p.add_argument("--corpus", required=True)
@@ -391,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unfreeze", dest="model.unfreeze", type=int)
     p.add_argument("--adaptation", dest="model.adaptation", choices=["none", "lora"])
     p.add_argument("--lora-rank", dest="model.lora_rank", type=int)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint per target flight")
     p.add_argument("--checkpoint", required=True)
@@ -399,16 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--include-sources", action="store_true")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="model selection and plot records from a history log")
     p.add_argument("--history", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--window", dest="evaluation.window", type=int)
-    p.add_argument("--warmup", dest="training.warmup", type=int,
-                   help="must equal the warm-up that train recorded in the history")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -419,7 +410,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}",
                                                                file=sys.stderr)
         try:
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
         except ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

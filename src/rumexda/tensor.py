@@ -753,11 +753,11 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
         if np.any(yi != y):
             raise LabelError("labels must be integers in {0, 1}")
         y = yi
-    if np.any((y != 0) & (y != 1)):
+    if y.size and (y.min() < 0 or y.max() > 1):
         raise LabelError(f"labels outside {{0, 1}}: {sorted(set(y.ravel().tolist()) - {0, 1})}")
-    if class_weights is None:
-        w = np.ones(y.shape, dtype=logits.dtype)
-    else:
+    # per-sample weights, or None for the unweighted loss
+    w = None
+    if class_weights is not None:
         w0, w1 = float(class_weights[0]), float(class_weights[1])
         w = np.where(y == 1, w1, w0).astype(logits.dtype)
 
@@ -766,13 +766,13 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     e = np.exp(z - m[..., None])
     total = e[..., 0] + e[..., 1]
     nll = m + np.log(total) - np.where(y == 1, z[..., 1], z[..., 0])
-    loss = _sum_in_order(np.atleast_1d((w * nll).sum(axis=-1) / b))
+    loss = _sum_in_order(np.atleast_1d((nll if w is None else w * nll).sum(axis=-1) / b))
 
     def grad_fn(g):
         p = e / total[..., None]
         p[..., 0] -= y == 0
         p[..., 1] -= y == 1
-        return (g * p * (w / b)[..., None],)
+        return (g * p * (1.0 / b if w is None else (w / b)[..., None]),)
 
     return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
 
@@ -811,7 +811,7 @@ def _dropout_keep(data: np.ndarray, p: float, training: bool, rng):
         return None
     if rng is None:
         raise ConfigError("training-mode dropout needs an explicit rng")
-    return (rng.random(data.shape) >= p).astype(data.dtype) / (1.0 - p)
+    return (rng.random(data.shape) >= p) * (1.0 / (1.0 - p))
 
 
 def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:

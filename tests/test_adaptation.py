@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rumexda.adaptation import (
     DomainDataset,
     M3sdaStepper,
     _MinibatchStream,
+    _PREDICT_BLOCK,
     classifier_discrepancy,
     moment_distance_multi,
     moment_distance_single,
@@ -599,6 +601,33 @@ def test_predict_labels_builds_no_graph(pairs, monkeypatch):
     labels = predict_labels(bundle, x)
     assert recorded and not any(recorded)
     assert labels.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("pairs", [0, 3])
+@pytest.mark.parametrize("n", [0, 1, _PREDICT_BLOCK - 1, _PREDICT_BLOCK, _PREDICT_BLOCK + 1, 2000])
+def test_blocked_labels_equal_the_whole_array_argmax(pairs, n):
+    bundle = build_model(ModelConfig(), pairs, seed=18)
+    x = np.random.default_rng(n).normal(size=(n, 16))
+    with T.no_grad():
+        scores = predict_ensemble(bundle, x).data if pairs else bundle.forward(Tensor(x)).data[0]
+    labels = predict_labels(bundle, x)
+    assert labels.dtype == np.int64 and labels.shape == (n,)
+    assert labels.tobytes() == np.argmax(scores, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("pairs", [0, 3])
+def test_predict_labels_memory_does_not_grow_with_the_rows(pairs):
+    bundle = build_model(ModelConfig(), pairs, seed=19)
+    x = np.random.default_rng(4).normal(size=(20000, 16))
+    predict_labels(bundle, x[:10])  # first-call allocations are not the rows'
+    tracemalloc.start()
+    try:
+        predict_labels(bundle, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole array in one pass would hold 14.7 MiB with one head, 33.7 MiB with six
+    assert peak < 2 * 2**20
 
 
 def test_pair_set_from_bundle_validates():
