@@ -1,9 +1,11 @@
 """Batch command line: tile | split | train | eval | synth | report.
 
-Every command is deterministic given its config and seed; each one writes
-its fully resolved config beside its outputs so a rerun from that file is
-byte-identical. Relative output paths are resolved against the
-RUMEXDA_OUT_ROOT environment variable when it is set.
+Every command is deterministic given its config and seed. Each one but
+``eval``, whose settings are the checkpoint's, writes its fully resolved
+config beside its outputs, so a rerun from that file is byte-identical.
+Relative output paths are resolved against the RUMEXDA_OUT_ROOT
+environment variable when it is set. Every package error ends a command
+with one ``error:`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .adaptation import read_history_jsonl
-from .errors import ConfigError, DataError, ShapeError, TrainingStateError
+from .errors import ConfigError, DataError, RumexdaError, ShapeError
 from .evaluation import (
     confusion_from_predictions,
     format_report_table,
@@ -36,6 +38,8 @@ from .tiling import (
     ManifestEntry,
     SplitManifest,
     build_splits,
+    check_label_rule,
+    check_side,
     label_counts,
     image_files,
     read_annotations,
@@ -45,7 +49,7 @@ from .tiling import (
     write_manifest,
 )
 
-ERRORS = (ConfigError, DataError, ShapeError, TrainingStateError, OSError)
+ERRORS = (RumexdaError, OSError)
 
 
 def _csv_text(header: list, rows) -> str:
@@ -104,6 +108,8 @@ def cmd_tile(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args)
     tc = config.tiling
+    check_side(tc.tile_size)  # once here, not once per image
+    check_label_rule(tc.r_threshold)
     boxes = read_annotations(args.annotations)
     positives = [b for b in boxes if b.class_name == tc.positive_class]
     by_image: dict[str, list] = {}
@@ -243,7 +249,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
     bundle = load_checkpoint(args.checkpoint)
     sources, targets = read_corpus_domains(args.corpus)
     flights = targets if not args.include_sources else sources + targets
@@ -266,7 +271,6 @@ def cmd_eval(args) -> int:
 
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfgmod.write_config(config, out / "config.txt")
     write_atomic(out / "report.txt", format_report_table(report))
     write_atomic(out / "flights.csv", _csv_text(
         ["domain_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "included"],
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="not read: the manifest carries each tile's plant ids")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--mode", dest="split.mode", choices=["pooled", "per_subset"])
+    p.add_argument("--mode", dest="split.mode", choices=cfgmod.SPLIT_MODES)
     p.add_argument("--val-fraction", dest="split.val_fraction", type=float)
     p.add_argument("--seed", dest="split.seed", type=int)
 
@@ -380,19 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", dest="training.warmup", type=int)
     p.add_argument("--batch-size", dest="training.batch_size", type=int)
     p.add_argument("--lr", dest="training.lr", type=float)
-    p.add_argument("--optimizer", dest="training.optimizer", choices=["sgd", "adam"])
+    p.add_argument("--optimizer", dest="training.optimizer", choices=cfgmod.OPTIMIZERS)
     p.add_argument("--seed", dest="training.seed", type=int)
     p.add_argument("--hidden-dims", dest="model.hidden_dims", type=comma_ints)
     p.add_argument("--feature-dim", dest="model.feature_dim", type=int)
     p.add_argument("--unfreeze", dest="model.unfreeze", type=int)
-    p.add_argument("--adaptation", dest="model.adaptation", choices=["none", "lora"])
+    p.add_argument("--adaptation", dest="model.adaptation", choices=cfgmod.ADAPTATIONS)
     p.add_argument("--lora-rank", dest="model.lora_rank", type=int)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint per target flight")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--include-sources", action="store_true")
 
     p = sub.add_parser("report", help="model selection and plot records from a history log")

@@ -1,8 +1,10 @@
 """Plain-text run configuration: ``section.key = value`` lines.
 
-Every command writes its fully resolved configuration (defaults included)
-next to its outputs, and rerunning from that file reproduces the outputs
-byte for byte. Floats are serialized with repr so they round-trip exactly.
+Every command but ``eval`` writes its fully resolved configuration
+(defaults included) next to its outputs, and rerunning from that file
+reproduces the outputs byte for byte. Floats are serialized with repr so
+they round-trip exactly. The section defaults and the choice lists below
+are the package's only copies of them.
 
 The ``model`` section is the ``ModelConfig`` that ``nn.build_model`` takes,
 and the ``training`` section the ``AdaptationConfig`` the trainers take.
@@ -15,6 +17,18 @@ from typing import Optional
 
 from .errors import ConfigError
 from .files import read_text, write_atomic
+
+
+SPLIT_MODES = ("pooled", "per_subset")
+ADAPTATIONS = ("none", "lora")
+STRATEGIES = ("vanilla", "m2s2da", "m3sda_beta")
+OPTIMIZERS = ("sgd", "adam")
+
+
+def check_val_fraction(val_fraction: float) -> None:
+    """The share of rows held out for validation lies in [0, 1)."""
+    if not 0.0 <= val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction}")
 
 
 @dataclass
@@ -39,7 +53,7 @@ class ModelConfig:
     hidden_dims: tuple[int, ...] = (32,)
     feature_dim: int = 16
     unfreeze: int = 2  # trailing extractor blocks that train
-    adaptation: str = "none"  # "none" | "lora"
+    adaptation: str = "none"  # one of ADAPTATIONS
     lora_rank: int = 8
     lora_alpha: Optional[float] = None  # None -> alpha == rank, i.e. scale 1
     dropout: float = 0.3
@@ -53,7 +67,7 @@ class ModelConfig:
             raise ConfigError("input_dim and feature_dim must be positive")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError(f"hidden widths must be positive, got {self.hidden_dims}")
-        if self.adaptation not in ("none", "lora"):
+        if self.adaptation not in ADAPTATIONS:
             raise ConfigError(f"unknown adaptation {self.adaptation!r}")
         if not 0 <= self.unfreeze <= self.n_blocks:
             raise ConfigError(
@@ -66,9 +80,6 @@ class ModelConfig:
                 raise ConfigError("LoRA keeps the whole base extractor frozen; set unfreeze=0")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-
-
-STRATEGIES = ("vanilla", "m2s2da", "m3sda_beta")
 
 
 @dataclass
@@ -97,7 +108,7 @@ class AdaptationConfig:
             raise ConfigError("batch_size must be positive")
         if self.strategy != "vanilla" and self.batch_size < 2:
             raise ConfigError("moment terms need batches of at least 2 samples")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.lr < 0:
             raise ConfigError("learning rate must be non-negative")
@@ -138,8 +149,6 @@ _SECTIONS = ("tiling", "split", "model", "training", "synth", "evaluation")
 def _encode(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

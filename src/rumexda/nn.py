@@ -5,10 +5,10 @@ the adaptation math only ever touches its output embedding, so the block
 internals are irrelevant to the training strategies. Its blocks are the
 layer tuples ``tensor.mlp`` takes, built once by ``build_model``, so an
 extraction is one graph node, LoRA adapters included. Each classifier is
-fixed to linear -> ReLU -> dropout(0.3) -> linear -> 2 logits. A bundle's
-H classifiers (one, or the 2N of the pair strategies) live in one
-``ClassifierHead`` that keeps each layer's weights and biases as one
-(H, ...) stack and runs every head as one ``tensor.head_stack`` node.
+fixed to linear -> ReLU -> dropout (``ModelConfig.dropout``) -> linear ->
+2 logits. A bundle's H classifiers (one, or the 2N of the pair strategies)
+live in one ``ClassifierHead`` that keeps each layer's weights and biases as
+one (H, ...) stack and runs every head as one ``tensor.head_stack`` node.
 Checkpoints still store each head's slab as its own
 ``head{j}.linear{1,2}.{weight,bias}`` entry.
 
@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import ModelConfig
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, RumexdaError, ShapeError
 from .files import read_text, write_atomic
 from . import tensor as T
 from .tensor import Tensor
@@ -67,7 +67,7 @@ class ClassifierHead:
     ``weight2`` H x 2 x f and ``bias2`` H x 2."""
 
     def __init__(self, feature_dim: int, n_heads: int, rng: np.random.Generator,
-                 dropout_p: float = 0.3):
+                 dropout_p: float):
         # He-uniform weights drawn head by head, linear1's before linear2's
         w1 = np.empty((n_heads, feature_dim, feature_dim))
         w2 = np.empty((n_heads, 2, feature_dim))
@@ -218,13 +218,11 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
     """Write config plus all named parameters; the float payload is raw
     little-endian bytes so a reload is bit-exact."""
     params = {}
-    for name, arr in _checkpoint_entries(bundle):
-        arr = np.ascontiguousarray(arr)
-        dtype = "<f8" if arr.dtype == np.float64 else "<f4"
+    for name, arr in _checkpoint_entries(bundle):  # every parameter is float64
         params[name] = {
             "shape": list(arr.shape),
-            "dtype": dtype,
-            "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii"),
+            "dtype": "<f8",
+            "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
         }
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -255,7 +253,7 @@ def load_checkpoint(path) -> ModelBundle:
                 raise DataError(f"{path}: parameter {name!r} has shape {arr.shape}, "
                                 f"the model needs {target.shape}")
             target[...] = arr
-    except (ConfigError, DataError):
+    except RumexdaError:
         raise
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from exc

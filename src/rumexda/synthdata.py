@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adaptation import DomainDataset
+from .config import SynthSection, check_val_fraction
 from .errors import ConfigError, DataError
 from .files import open_text, replacing, write_atomic
 
@@ -68,11 +69,13 @@ class DomainSpec:
             )
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         shift, scale, rot = self.arrays()
         if shift.shape != (self.dim,) or scale.shape != (self.dim,):
             raise ConfigError(f"domain {self.domain_id}: shift/scale must have dim {self.dim}")
+        if not (np.isfinite(shift).all() and np.isfinite(scale).all()):
+            raise ConfigError(f"domain {self.domain_id}: shift and scale entries must be finite")
         if np.any(scale <= 0):
             raise ConfigError(f"domain {self.domain_id}: scale entries must be positive")
         if rot.shape != (self.dim, self.dim) or not np.allclose(
@@ -135,8 +138,9 @@ def _sample_domain(spec: DomainSpec, rule: LabelRule, rng: np.random.Generator,
 
 
 def generate(source_specs: Sequence[DomainSpec], target_spec: DomainSpec, seed: int,
-             val_fraction: float = 0.2, rule: Optional[LabelRule] = None) -> SyntheticCorpus:
-    """Draw every domain with its own child stream of ``seed``.
+             val_fraction: float = SynthSection.val_fraction) -> SyntheticCorpus:
+    """Draw every domain with its own child stream of ``seed``, labeled by
+    the rule along the first latent axis.
 
     Latent samples, labels and split tags depend only on the seed and the
     per-domain sample counts, never on the affine transforms, so changing a
@@ -144,6 +148,7 @@ def generate(source_specs: Sequence[DomainSpec], target_spec: DomainSpec, seed: 
     """
     if len(source_specs) < 1:
         raise ConfigError("need at least one source domain spec")
+    check_val_fraction(val_fraction)
     specs = [*source_specs, target_spec]
     ids = [s.domain_id for s in specs]
     if len(set(ids)) != len(ids):
@@ -153,9 +158,7 @@ def generate(source_specs: Sequence[DomainSpec], target_spec: DomainSpec, seed: 
         raise ConfigError(f"inconsistent dims across domains: {sorted(dims)}")
     for spec in specs:
         spec.validate()
-    if rule is None:
-        direction = tuple([1.0] + [0.0] * (target_spec.dim - 1))
-        rule = LabelRule(direction)
+    rule = LabelRule(tuple([1.0] + [0.0] * (target_spec.dim - 1)))
     children = np.random.SeedSequence(seed).spawn(len(specs))
     datasets = [
         _sample_domain(spec, rule, np.random.default_rng(child), val_fraction,
@@ -181,25 +184,21 @@ def bayes_reference(corpus: SyntheticCorpus) -> dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# default desk-scale benchmark
-
-BENCHMARK_DIM = 16
-BENCHMARK_SAMPLES = 2000
-BENCHMARK_POSITIVE_FRACTION = 0.2
-BENCHMARK_TARGET_SHIFT = 4.5
-BENCHMARK_NOISE = 0.1
+# default desk-scale benchmark, its settings the ``synth`` section's defaults
 
 
 def default_benchmark(
-    n_sources: int = 3,
-    dim: int = BENCHMARK_DIM,
-    n_samples: int = BENCHMARK_SAMPLES,
-    positive_fraction: float = BENCHMARK_POSITIVE_FRACTION,
-    target_shift: float = BENCHMARK_TARGET_SHIFT,
-    noise_sigma: float = BENCHMARK_NOISE,
+    n_sources: int = SynthSection.sources,
+    dim: int = SynthSection.dim,
+    n_samples: int = SynthSection.samples,
+    positive_fraction: float = SynthSection.positive_fraction,
+    target_shift: float = SynthSection.target_shift,
+    noise_sigma: float = SynthSection.noise_sigma,
 ) -> tuple[list[DomainSpec], DomainSpec]:
     """Source domains with mild off-rule shifts plus a target shifted along
     the label direction, where an unadapted source model degrades."""
+    if dim < 1:
+        raise ConfigError(f"dim must be positive, got {dim}")
     rng = np.random.default_rng(715)  # fixed: the benchmark is part of the artifact
     sources = []
     for i in range(n_sources):
@@ -241,6 +240,8 @@ def default_benchmark(
 CORPUS_FILE = "corpus.csv"
 SIDECAR_FILE = "corpus.npz"
 SPECS_FILE = "specs.json"
+# the leading columns of corpus.csv; the features f0, f1, ... follow them
+CORPUS_COLUMNS = ["domain_id", "role", "split", "label"]
 # rows of corpus.csv that write_corpus formats and encodes at a time
 _WRITE_BLOCK = 256
 
@@ -274,7 +275,7 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = corpus.target_spec.dim
-    header = ["domain_id", "role", "split", "label"] + [f"f{i}" for i in range(dim)]
+    header = CORPUS_COLUMNS + [f"f{i}" for i in range(dim)]
     # (role, domain id, features, labels, split tags) as the parse returns them
     domains = []
     for role, ds in [("source", ds) for ds in corpus.sources] + [("target", corpus.target)]:
@@ -396,7 +397,7 @@ def _read_sidecar(path: Path) -> Optional[list[tuple[str, DomainDataset]]]:
     if len(set(ids)) != len(ids) or not set(roles) <= {"source", "target"} \
             or set(arrays) != names:
         return None
-    dim = header.count(b",") - 3
+    dim = header.count(b",") + 1 - len(CORPUS_COLUMNS)
     out = []
     for i, (domain_id, role) in enumerate(zip(ids, roles)):
         x, labels, splits = arrays[f"features{i}"], arrays[f"labels{i}"], arrays[f"splits{i}"]
@@ -438,19 +439,20 @@ def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
     field that does not parse raises a DataError naming its own line.
     """
     buckets: dict[str, dict] = {}
+    lead = len(CORPUS_COLUMNS)
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if header[:4] != ["domain_id", "role", "split", "label"]:
-            raise DataError(f"{path}: unexpected corpus header {header[:4]}")
-        dim = len(header) - 4
+        if header[:lead] != CORPUS_COLUMNS:
+            raise DataError(f"{path}: unexpected corpus header {header[:lead]}")
+        dim = len(header) - lead
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 4 + dim:
-                raise DataError(f"{path}:{line_no}: expected {4 + dim} fields")
-            domain_id, role, split, label = parts[:4]
+            if len(parts) != lead + dim:
+                raise DataError(f"{path}:{line_no}: expected {lead + dim} fields")
+            domain_id, role, split, label = parts[:lead]
             if role not in ("source", "target"):
                 raise DataError(f"{path}:{line_no}: unknown role {role!r}")
             bucket = buckets.get(domain_id)
@@ -461,7 +463,7 @@ def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
                 raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
             try:
                 bucket["label"].append(int(label))
-                bucket["x"].extend(map(float, parts[4:]))
+                bucket["x"].extend(map(float, parts[lead:]))
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from exc
             bucket["split"].append(split)

@@ -22,15 +22,17 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .config import SPLIT_MODES, TilingSection, check_val_fraction
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
+from .evaluation import EXCLUDED_LABEL
 from .files import csv_rows, write_atomic
 
-TILE_SIZE = 518
-R_THRESHOLD = 0.1
+TILE_SIZE = TilingSection.tile_size
+R_THRESHOLD = TilingSection.r_threshold
 
 LABEL_BACKGROUND = 0
 LABEL_RUMEX = 1
-LABEL_UNCLEAR = 2
+LABEL_UNCLEAR = EXCLUDED_LABEL
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,7 @@ def enumerate_tiles(width: int, height: int, side: int = TILE_SIZE) -> list[tupl
     forward or backward y, so that pass is T unless only a backward pass
     has the y, and L unless only a backward pass has the x.
     """
+    check_side(side)
     if width < side or height < side:
         raise DegenerateInputError(
             f"image {width}x{height} is smaller than the {side}-pixel tile"
@@ -158,7 +161,12 @@ def overlap_ratio(
     return np.maximum(ox, 0) * np.maximum(oy, 0) / (side * side)
 
 
-def _check_label_rule(r_th: float) -> None:
+def check_side(side: int) -> None:
+    if side < 1:
+        raise ConfigError(f"tile side must be at least 1 pixel, got {side}")
+
+
+def check_label_rule(r_th: float) -> None:
     if not 0.0 < r_th < 1.0:
         raise ConfigError(f"r_th must lie in (0, 1), got {r_th}")
 
@@ -185,7 +193,7 @@ def assign_label(
     background, r > r_th -> rumex, 0 < r <= r_th -> unclear (excluded from
     training downstream).
     """
-    _check_label_rule(r_th)
+    check_label_rule(r_th)
     r = max((float(overlap_ratio(b, tile_x, tile_y, side)) for b in boxes), default=0.0)
     return _label_for(r, r_th), r
 
@@ -229,7 +237,7 @@ def tile_image(
     """Tile one image and label each tile against its boxes."""
     clamped = [b.clamped(width, height) for b in boxes if b.image_id == image_id]
     tiles = enumerate_tiles(width, height, side)
-    _check_label_rule(r_th)
+    check_label_rule(r_th)
     ratios = _overlap_matrix(clamped, np.array([t[0] for t in tiles]),
                              np.array([t[1] for t in tiles]), side)
     rs = ratios.max(axis=0, initial=0.0).tolist()
@@ -276,10 +284,9 @@ def build_splits(
     domain_id: "pooled" collapses all subsets into one source domain,
     "per_subset" keeps one domain per subset.
     """
-    if mode not in ("pooled", "per_subset"):
+    if mode not in SPLIT_MODES:
         raise ConfigError(f"unknown split mode {mode!r}")
-    if not 0.0 <= val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+    check_val_fraction(val_fraction)
     plant_subsets: dict[str, set[str]] = {}
     uf = _UnionFind()
     for rec in records:
@@ -419,7 +426,21 @@ def read_manifest(path) -> SplitManifest:
             raise DataError(f"{path}:{line_no}: tile ({x},{y}) with side {side} is out of range")
         entries.append(ManifestEntry(TileRecord(image_id, x, y, side, label, r, corner, plant_ids),
                                      split, domain_id))
-    return SplitManifest(entries)
+    try:
+        return SplitManifest(entries)
+    except DataError as exc:  # a repeated tile: find the line that repeats it
+        raise DataError(f"{path}:{_repeat_line(path, entries)}: {exc}") from None
+
+
+def _repeat_line(path, entries: list[ManifestEntry]) -> int:
+    """The line of the first entry whose tile an earlier entry already has;
+    entry ``i`` is the ``i``-th data row of the manifest at ``path``."""
+    seen = set()
+    for i, e in enumerate(entries):
+        if e.record[:3] in seen:
+            break
+        seen.add(e.record[:3])
+    return [line_no for line_no, _ in csv_rows(path)][i + 1]  # row 0 is the header
 
 
 def read_annotations(path) -> list[BBoxAnnotation]:

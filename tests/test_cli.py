@@ -126,6 +126,19 @@ def test_tile_jobs_below_one_is_a_config_error(tmp_path, image_fixture, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--tile-size", "-5"), "tile side must be at least 1 pixel, got -5"),
+    (("--tile-size", "0"), "tile side must be at least 1 pixel, got 0"),
+    (("--r-threshold", "0"), "r_th must lie in (0, 1), got 0.0"),
+])
+def test_tile_checks_its_settings_once_before_any_image(tmp_path, image_fixture, capsys,
+                                                        flags, message):
+    out = tmp_path / "manifest.csv"
+    assert main(_tile_args(image_fixture, out, extra=flags)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not Path(f"{out}.config.txt").exists()
+
+
 def test_tile_unreadable_inputs_fail_but_run_continues(tmp_path, image_fixture):
     tmp_path_, images, annotations, domains = image_fixture
     bad = tmp_path / "bad.csv"
@@ -242,6 +255,20 @@ def test_split_of_non_numeric_manifest_field_is_a_data_error(tmp_path, capsys):
     assert f"error: {manifest}:2:" in capsys.readouterr().err
 
 
+def test_split_of_a_manifest_with_a_repeated_tile_names_its_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "image_id,x,y,side,label,r,split,domain_id,pass_corner,plant_ids\n"
+        "a.ppm,0,0,518,0,0.000000,none,d,TL,\n"
+        "a.ppm,518,0,518,0,0.000000,none,d,TR,\n"
+        "a.ppm,0,0,518,0,0.000000,none,d,TL,\n"
+    )
+    out = tmp_path / "split.csv"
+    rc = main(["split", "--manifest", str(manifest), "--out", str(out)])
+    _assert_single_data_error(
+        rc, capsys, f"{manifest}:4: duplicate tile ('a.ppm', 0, 0) in manifest", out)
+
+
 # ----------------------------------------------------------------------
 # synth / train / eval / report
 
@@ -259,6 +286,20 @@ def test_synth_rerun_byte_identical(tmp_path):
     b = _make_corpus(tmp_path / "b")
     assert (a / "corpus.csv").read_bytes() == (b / "corpus.csv").read_bytes()
     assert (a / "specs.json").read_bytes() == (b / "specs.json").read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--dim", "0"), "dim must be positive, got 0"),
+    (("--val-fraction", "1.5"), "val_fraction must lie in [0, 1), got 1.5"),
+    (("--val-fraction", "-1"), "val_fraction must lie in [0, 1), got -1.0"),
+    (("--target-shift", "nan"), "domain target: shift and scale entries must be finite"),
+    (("--noise-sigma", "nan"), "noise_sigma must be finite and non-negative, got nan"),
+])
+def test_synth_rejects_settings_that_make_an_unusable_corpus(tmp_path, capsys, flags, message):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--samples", "40", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_train_writes_history_and_checkpoint(tmp_path):
@@ -408,6 +449,23 @@ def test_train_needs_exactly_one_target_domain(tmp_path, capsys, edit, found):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    # one training row labelled 2, the unclear label
+    ((",source,train,0,", ",source,train,2,", 1), "labels outside {0, 1}: [2]"),
+    # every source row held out for validation
+    ((",train,", ",val,"), "cannot stream batches from an empty dataset"),
+])
+def test_train_on_an_untrainable_corpus_is_one_error_line(tmp_path, capsys, edit, message):
+    corpus = _make_corpus(tmp_path)
+    path = corpus / "corpus.csv"
+    path.write_text(path.read_text().replace(*edit))
+    capsys.readouterr()
+    rc = main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--epochs", "6"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_checkpoint_holds_the_selected_epoch(tmp_path, capsys):
     corpus = _make_corpus(tmp_path, seed=1, samples=300)
     run = tmp_path / "run"
@@ -534,6 +592,7 @@ def test_eval_reports_and_rerun_identical(tmp_path):
                      "--corpus", str(corpus), "--out", str(out)]) == 0
     for name in ("report.txt", "flights.csv", "summary.json"):
         assert (e1 / name).read_bytes() == (e2 / name).read_bytes()
+    assert sorted(p.name for p in e1.iterdir()) == ["flights.csv", "report.txt", "summary.json"]
     summary = json.loads((e1 / "summary.json").read_text())
     # recompute the median from the per-flight records
     import csv as csvmod
@@ -542,6 +601,15 @@ def test_eval_reports_and_rerun_identical(tmp_path):
         rows = [r for r in csvmod.DictReader(fh) if r["included"] == "1"]
     f1s = [float(r["f1"]) for r in rows]
     assert summary["median_f1"] == pytest.approx(float(np.median(f1s)))
+
+
+def test_eval_config_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "c.json"), "--corpus", str(tmp_path),
+              "--out", str(tmp_path / "e"), "--config", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_dim_mismatch_names_both_dims(tmp_path, capsys):

@@ -127,6 +127,20 @@ def test_non_orthogonal_rotation_rejected():
         generate([bad], _spec("t"), seed=0)
 
 
+@pytest.mark.parametrize("field", ["shift", "scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_shift_or_scale_rejected(field, value):
+    bad = _spec("s", **{field: (value, 1.0, 1.0, 1.0)})
+    with pytest.raises(ConfigError, match="must be finite"):
+        generate([bad], _spec("t"), seed=0)
+
+
+@pytest.mark.parametrize("val_fraction", [-1.0, 1.0, 1.5, float("nan")])
+def test_val_fraction_outside_unit_interval_rejected(val_fraction):
+    with pytest.raises(ConfigError, match="val_fraction must lie in"):
+        generate([_spec("s")], _spec("t"), seed=0, val_fraction=val_fraction)
+
+
 def test_duplicate_domain_ids_rejected():
     with pytest.raises(ConfigError):
         generate([_spec("s"), _spec("s")], _spec("t"), seed=0)

@@ -86,6 +86,12 @@ def test_too_small_image_errors():
         enumerate_tiles(517, 1000, 518)
 
 
+@pytest.mark.parametrize("side", [0, -5])
+def test_tile_side_below_one_is_a_config_error(side):
+    with pytest.raises(ConfigError, match=f"tile side must be at least 1 pixel, got {side}"):
+        enumerate_tiles(1000, 1000, side)
+
+
 def test_coverage_property_random_sizes():
     rng = np.random.default_rng(0)
     for _ in range(8):
