@@ -347,13 +347,8 @@ def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
     ``select_model_epoch`` picks so far are kept in ``selected_snapshot``,
     so one copy is held however many epochs run. A loss or a stepped
     parameter that is not finite raises ``TrainingStateError`` naming the
-    epoch and iteration, and for a loss the step that computed it. A run
-    of no more epochs than the warm-up has no epoch to select, so it ends
-    in ``ConfigError`` before the first iteration.
+    epoch and iteration, and for a loss the step that computed it.
     """
-    if config.epochs <= config.warmup:
-        raise ConfigError(f"epochs={config.epochs} must exceed the warmup of {config.warmup} "
-                          "for model selection")
     history = TrainingHistory(strategy, trainable_parameter_count(bundle), config.warmup)
     # overflow in a diverging run surfaces as a non-finite loss or parameter
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

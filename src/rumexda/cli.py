@@ -1,8 +1,10 @@
 """Batch command line: tile | split | train | eval | synth | report.
 
 Every command is deterministic given its config and seed. Each one but
-``eval``, whose settings are the checkpoint's, writes its fully resolved
-config beside its outputs, so a rerun from that file is byte-identical.
+``eval``, whose settings are the checkpoint's, checks its whole resolved
+config (every section, not only the ones it reads) before it reads or
+writes a file, and writes that config beside its outputs, so a rerun from
+that file is byte-identical.
 Relative output paths are resolved against the RUMEXDA_OUT_ROOT
 environment variable when it is set. Every package error ends a command
 with one ``error:`` line and exit code 1.
@@ -38,8 +40,6 @@ from .tiling import (
     ManifestEntry,
     SplitManifest,
     build_splits,
-    check_label_rule,
-    check_side,
     label_counts,
     image_files,
     read_annotations,
@@ -74,18 +74,21 @@ def comma_ints(text: str) -> tuple[int, ...]:
 
 
 def _load_config(args) -> cfgmod.RunConfig:
-    """The ``--config`` file (or the defaults) with the given flags applied."""
+    """The ``--config`` file (or the defaults) with the given flags applied
+    and every section checked: the one place a command checks its settings,
+    before it reads or writes a file. A flag whose dest is ``section.field``
+    sets that config field."""
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = cfgmod.read_config(args.config) if args.config else cfgmod.RunConfig()
-    _apply_overrides(config, args)
-    return config
-
-
-def _apply_overrides(config: cfgmod.RunConfig, args) -> None:
-    """A flag whose dest is ``section.field`` sets that config field."""
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
             section, attr = dest.split(".")
             setattr(getattr(config, section), attr, value)
+    if config.model.adaptation == "lora" and getattr(args, "model.unfreeze", None) is None:
+        config.model.unfreeze = 0  # LoRA freezes the base; only an explicit flag conflicts
+    config.validate()
+    return config
 
 
 # ----------------------------------------------------------------------
@@ -104,12 +107,8 @@ def _domain_lookup(args) -> dict[str, str]:
 
 
 def cmd_tile(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config = _load_config(args)
     tc = config.tiling
-    check_side(tc.tile_size)  # once here, not once per image
-    check_label_rule(tc.r_threshold)
     boxes = read_annotations(args.annotations)
     positives = [b for b in boxes if b.class_name == tc.positive_class]
     by_image: dict[str, list] = {}
@@ -211,15 +210,11 @@ def _f1_text(f1) -> str:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    if config.model.adaptation == "lora" and getattr(args, "model.unfreeze") is None:
-        config.model.unfreeze = 0  # LoRA freezes the base; only an explicit flag conflicts
-
     sources, targets = read_corpus_domains(args.corpus)
     if len(targets) != 1:
         raise ConfigError(f"training expects exactly one target domain, found {len(targets)}")
     target = targets[0]
     train_cfg = config.training
-    train_cfg.validate()
     if train_cfg.strategy == "m3sda_beta" and len(sources) < 2:
         raise ConfigError(
             f"m3sda_beta needs at least 2 source domains, corpus has {len(sources)}"
@@ -299,7 +294,8 @@ def cmd_report(args) -> int:
     history = read_history_jsonl(args.history)
     if not history.records:
         raise DataError(f"{args.history}: empty history")
-    config.training.warmup = history.warmup  # the rule train selected its checkpoint with
+    # the epochs and warm-up train selected with, so config.txt reruns as a valid config
+    config.training.epochs, config.training.warmup = len(history.records), history.warmup
     selected = select_model_epoch(history.val_f1_series(), history.warmup)
     sigma = sigma_epochs(history.median_target_series(), config.evaluation.window)
     rec = history.records[selected - 1]

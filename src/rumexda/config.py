@@ -3,8 +3,11 @@
 Every command but ``eval`` writes its fully resolved configuration
 (defaults included) next to its outputs, and rerunning from that file
 reproduces the outputs byte for byte. Floats are serialized with repr so
-they round-trip exactly. The section defaults and the choice lists below
-are the package's only copies of them.
+they round-trip exactly. The section defaults, the choice lists and the
+rules on values below are the package's only copies of them: a section's
+``validate()`` holds every rule on its fields (each a "not in range" test,
+which NaN and the infinities fail too), and the library functions that
+take bare values, such as ``tiling.tile_image``, check them through it.
 
 The ``model`` section is the ``ModelConfig`` that ``nn.build_model`` takes,
 and the ``training`` section the ``AdaptationConfig`` the trainers take.
@@ -12,6 +15,7 @@ and the ``training`` section the ``AdaptationConfig`` the trainers take.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -25,10 +29,9 @@ STRATEGIES = ("vanilla", "m2s2da", "m3sda_beta")
 OPTIMIZERS = ("sgd", "adam")
 
 
-def check_val_fraction(val_fraction: float) -> None:
-    """The share of rows held out for validation lies in [0, 1)."""
-    if not 0.0 <= val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must lie in [0, 1), got {val_fraction}")
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass
@@ -37,12 +40,25 @@ class TilingSection:
     r_threshold: float = 0.1
     positive_class: str = "rumex"
 
+    def validate(self) -> None:
+        if self.tile_size < 1:
+            raise ConfigError(f"tile side must be at least 1 pixel, got {self.tile_size}")
+        if not 0.0 < self.r_threshold < 1.0:
+            raise ConfigError(f"r_th must lie in (0, 1), got {self.r_threshold}")
+
 
 @dataclass
 class SplitSection:
     mode: str = "per_subset"
-    val_fraction: float = 0.2
+    val_fraction: float = 0.2  # share of rows held out for validation
     seed: int = 0
+
+    def validate(self) -> None:
+        if self.mode not in SPLIT_MODES:
+            raise ConfigError(f"unknown split mode {self.mode!r}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -64,9 +80,9 @@ class ModelConfig:
 
     def validate(self) -> None:
         if self.input_dim < 1 or self.feature_dim < 1:
-            raise ConfigError("input_dim and feature_dim must be positive")
+            raise ConfigError("input_dim and feature_dim must be at least 1")
         if any(h < 1 for h in self.hidden_dims):
-            raise ConfigError(f"hidden widths must be positive, got {self.hidden_dims}")
+            raise ConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.adaptation not in ADAPTATIONS:
             raise ConfigError(f"unknown adaptation {self.adaptation!r}")
         if not 0 <= self.unfreeze <= self.n_blocks:
@@ -75,9 +91,11 @@ class ModelConfig:
             )
         if self.adaptation == "lora":
             if self.lora_rank <= 0:
-                raise ConfigError(f"LoRA rank must be positive, got {self.lora_rank}")
+                raise ConfigError(f"lora_rank must be positive, got {self.lora_rank}")
             if self.unfreeze != 0:
                 raise ConfigError("LoRA keeps the whole base extractor frozen; set unfreeze=0")
+        if self.lora_alpha is not None and not 0.0 < self.lora_alpha < math.inf:
+            raise ConfigError(f"lora_alpha must be finite and positive, got {self.lora_alpha}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -98,20 +116,24 @@ class AdaptationConfig:
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and non-negative, got {self.lam}")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be non-negative, got {self.warmup}")
+        if self.epochs <= self.warmup:  # no epoch after the warm-up to select
+            raise ConfigError(f"epochs={self.epochs} must exceed the warmup of {self.warmup} "
+                              "for model selection")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.strategy != "vanilla" and self.batch_size < 2:
-            raise ConfigError("moment terms need batches of at least 2 samples")
+            raise ConfigError("moment terms need a batch_size of at least 2")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr < 0:
-            raise ConfigError("learning rate must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -125,10 +147,27 @@ class SynthSection:
     val_fraction: float = 0.2
     seed: int = 0
 
+    def validate(self) -> None:
+        if self.sources < 1:
+            raise ConfigError(f"sources must be at least 1, got {self.sources}")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be positive, got {self.dim}")
+        SplitSection(val_fraction=self.val_fraction, seed=self.seed).validate()
+        # one domain's rules live in DomainSpec, the check a hand-built spec gets;
+        # the benchmark's domains break them exactly when this 1-d target does
+        from .synthdata import DomainSpec
+
+        DomainSpec("target", 1, (self.target_shift,), (1.0,), ((1.0,),), self.samples,
+                   self.positive_fraction, self.noise_sigma).validate()
+
 
 @dataclass
 class EvaluationSection:
     window: int = 10
+
+    def validate(self) -> None:
+        if self.window < 1:
+            raise ConfigError(f"window must be at least 1 epoch, got {self.window}")
 
 
 @dataclass
@@ -139,6 +178,10 @@ class RunConfig:
     training: AdaptationConfig = field(default_factory=AdaptationConfig)
     synth: SynthSection = field(default_factory=SynthSection)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
+
+    def validate(self) -> None:
+        for section in fields(self):
+            getattr(self, section.name).validate()
 
 
 # serialized key <-> attribute name; "lambda" is a keyword in python

@@ -13,6 +13,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import AdaptationConfig, EvaluationSection
 from .errors import ConfigError, DegenerateInputError, LabelError
 
 EXCLUDED_LABEL = 2
@@ -108,11 +109,8 @@ def select_model_epoch(val_f1_by_epoch: Sequence[Optional[float]], warmup: int) 
     Epochs without a score (``None``: no validation rows) are skipped; when
     no epoch after the warm-up has one, the last epoch is selected.
     """
-    if warmup < 0:
-        raise ConfigError(f"warmup must be non-negative, got {warmup}")
     n = len(val_f1_by_epoch)
-    if n <= warmup:
-        raise ConfigError(f"history of {n} epochs does not extend past warmup={warmup}")
+    AdaptationConfig(epochs=n, warmup=warmup).validate()
     best_epoch, best = n, -np.inf
     for epoch in range(warmup + 1, n + 1):
         score = val_f1_by_epoch[epoch - 1]
@@ -124,8 +122,7 @@ def select_model_epoch(val_f1_by_epoch: Sequence[Optional[float]], warmup: int) 
 def sigma_epochs(median_f1_by_epoch: Sequence[float], window: int) -> float:
     """Population standard deviation of the flight-median F1 over the
     trailing ``window`` epochs."""
-    if window < 1:
-        raise ConfigError(f"window must be at least 1 epoch, got {window}")
+    EvaluationSection(window).validate()
     n = len(median_f1_by_epoch)
     if n == 0:
         raise DegenerateInputError("empty history")

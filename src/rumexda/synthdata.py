@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adaptation import DomainDataset
-from .config import SynthSection, check_val_fraction
+from .config import SynthSection
 from .errors import ConfigError, DataError
 from .files import open_text, replacing, write_atomic
 
@@ -146,9 +146,7 @@ def generate(source_specs: Sequence[DomainSpec], target_spec: DomainSpec, seed: 
     per-domain sample counts, never on the affine transforms, so changing a
     transform re-labels nothing.
     """
-    if len(source_specs) < 1:
-        raise ConfigError("need at least one source domain spec")
-    check_val_fraction(val_fraction)
+    SynthSection(sources=len(source_specs), val_fraction=val_fraction, seed=seed).validate()
     specs = [*source_specs, target_spec]
     ids = [s.domain_id for s in specs]
     if len(set(ids)) != len(ids):
@@ -197,8 +195,7 @@ def default_benchmark(
 ) -> tuple[list[DomainSpec], DomainSpec]:
     """Source domains with mild off-rule shifts plus a target shifted along
     the label direction, where an unadapted source model degrades."""
-    if dim < 1:
-        raise ConfigError(f"dim must be positive, got {dim}")
+    SynthSection(n_sources, dim, n_samples, positive_fraction, target_shift, noise_sigma).validate()
     rng = np.random.default_rng(715)  # fixed: the benchmark is part of the artifact
     sources = []
     for i in range(n_sources):

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import SPLIT_MODES, TilingSection, check_val_fraction
+from .config import SplitSection, TilingSection
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
 from .evaluation import EXCLUDED_LABEL
 from .files import csv_rows, write_atomic
@@ -127,7 +127,7 @@ def enumerate_tiles(width: int, height: int, side: int = TILE_SIZE) -> list[tupl
     forward or backward y, so that pass is T unless only a backward pass
     has the y, and L unless only a backward pass has the x.
     """
-    check_side(side)
+    TilingSection(side).validate()
     if width < side or height < side:
         raise DegenerateInputError(
             f"image {width}x{height} is smaller than the {side}-pixel tile"
@@ -161,16 +161,6 @@ def overlap_ratio(
     return np.maximum(ox, 0) * np.maximum(oy, 0) / (side * side)
 
 
-def check_side(side: int) -> None:
-    if side < 1:
-        raise ConfigError(f"tile side must be at least 1 pixel, got {side}")
-
-
-def check_label_rule(r_th: float) -> None:
-    if not 0.0 < r_th < 1.0:
-        raise ConfigError(f"r_th must lie in (0, 1), got {r_th}")
-
-
 def _label_for(r: float, r_th: float) -> int:
     """r == 0 -> background, r > r_th -> rumex, 0 < r <= r_th -> unclear."""
     if r == 0.0:
@@ -193,7 +183,7 @@ def assign_label(
     background, r > r_th -> rumex, 0 < r <= r_th -> unclear (excluded from
     training downstream).
     """
-    check_label_rule(r_th)
+    TilingSection(side, r_th).validate()
     r = max((float(overlap_ratio(b, tile_x, tile_y, side)) for b in boxes), default=0.0)
     return _label_for(r, r_th), r
 
@@ -235,9 +225,9 @@ def tile_image(
     r_th: float = R_THRESHOLD,
 ) -> list[TileRecord]:
     """Tile one image and label each tile against its boxes."""
+    TilingSection(side, r_th).validate()
     clamped = [b.clamped(width, height) for b in boxes if b.image_id == image_id]
     tiles = enumerate_tiles(width, height, side)
-    check_label_rule(r_th)
     ratios = _overlap_matrix(clamped, np.array([t[0] for t in tiles]),
                              np.array([t[1] for t in tiles]), side)
     rs = ratios.max(axis=0, initial=0.0).tolist()
@@ -284,9 +274,7 @@ def build_splits(
     domain_id: "pooled" collapses all subsets into one source domain,
     "per_subset" keeps one domain per subset.
     """
-    if mode not in SPLIT_MODES:
-        raise ConfigError(f"unknown split mode {mode!r}")
-    check_val_fraction(val_fraction)
+    SplitSection(mode, val_fraction, seed).validate()
     plant_subsets: dict[str, set[str]] = {}
     uf = _UnionFind()
     for rec in records:

@@ -332,7 +332,8 @@ def test_m2s2da_requires_target():
     bundle = _model(seed=9)
     empty = DomainDataset("t", np.zeros((0, 2)))
     with pytest.raises(ConfigError):
-        train_m2s2da(bundle, _blobs(seed=18), empty, AdaptationConfig(strategy="m2s2da", epochs=1))
+        train_m2s2da(bundle, _blobs(seed=18), empty,
+                     AdaptationConfig(strategy="m2s2da", epochs=1, warmup=0))
 
 
 def test_da_strategies_reject_batch_of_one():
@@ -486,7 +487,7 @@ def test_m3sda_pair_count_mismatch():
     bundle = _model(seed=11, pairs=2)
     with pytest.raises(ConfigError, match="pairs"):
         train_m3sda_beta(bundle, sources, target.unlabeled(),
-                         AdaptationConfig(strategy="m3sda_beta", epochs=1))
+                         AdaptationConfig(strategy="m3sda_beta", epochs=1, warmup=0))
 
 
 def test_m3sda_single_source_degrades_to_pairworthy_m2s2da():

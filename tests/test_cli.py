@@ -1,7 +1,9 @@
 import argparse
 import csv
 import json
+import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumexda import config as cfgmod
 from rumexda.cli import build_parser, main
 from rumexda.config import RunConfig, from_text, read_config, to_text, write_config
+from rumexda.errors import ConfigError
 from rumexda.tiling import (
     BBoxAnnotation,
     enumerate_tiles,
@@ -130,6 +134,8 @@ def test_tile_jobs_below_one_is_a_config_error(tmp_path, image_fixture, capsys, 
     (("--tile-size", "-5"), "tile side must be at least 1 pixel, got -5"),
     (("--tile-size", "0"), "tile side must be at least 1 pixel, got 0"),
     (("--r-threshold", "0"), "r_th must lie in (0, 1), got 0.0"),
+    (("--r-threshold", "nan"), "r_th must lie in (0, 1), got nan"),
+    (("--r-threshold", "inf"), "r_th must lie in (0, 1), got inf"),
 ])
 def test_tile_checks_its_settings_once_before_any_image(tmp_path, image_fixture, capsys,
                                                         flags, message):
@@ -294,6 +300,11 @@ def test_synth_rerun_byte_identical(tmp_path):
     (("--val-fraction", "-1"), "val_fraction must lie in [0, 1), got -1.0"),
     (("--target-shift", "nan"), "domain target: shift and scale entries must be finite"),
     (("--noise-sigma", "nan"), "noise_sigma must be finite and non-negative, got nan"),
+    (("--val-fraction", "inf"), "val_fraction must lie in [0, 1), got inf"),
+    (("--positive-fraction", "nan"), "positive_fraction must lie in (0, 1), got nan"),
+    (("--target-shift", "inf"), "domain target: shift and scale entries must be finite"),
+    (("--noise-sigma", "inf"), "noise_sigma must be finite and non-negative, got inf"),
+    (("--sources", "0"), "sources must be at least 1, got 0"),
 ])
 def test_synth_rejects_settings_that_make_an_unusable_corpus(tmp_path, capsys, flags, message):
     out = tmp_path / "corpus"
@@ -550,6 +561,45 @@ def test_report_rejects_an_empty_window(tmp_path, capsys, flags, message):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "training.strategy = bogus",
+    "training.lr = nan",
+    "training.epochs = 3",  # not past the default warm-up of 5
+])
+def test_report_rejects_an_invalid_section_it_does_not_read(tmp_path, capsys, line):
+    corpus = _make_corpus(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "6"]) == 0
+    config = tmp_path / "config.txt"
+    config.write_text(line + "\n")
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    rc = main(["report", "--history", str(run / "history.jsonl"), "--out", str(rep),
+               "--config", str(config)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not rep.exists()
+
+
+def test_report_config_reruns_after_a_warmup_past_the_default_epochs(tmp_path):
+    corpus = _make_corpus(tmp_path, samples=120)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--epochs", "22",
+                 "--warmup", "20"]) == 0
+    history = str(run / "history.jsonl")
+    first, rerun = tmp_path / "rep", tmp_path / "rerun"
+    assert main(["report", "--history", history, "--out", str(first)]) == 0
+    recorded = read_config(first / "config.txt").training
+    assert (recorded.epochs, recorded.warmup) == (22, 20)
+    assert main(["report", "--history", history, "--out", str(rerun),
+                 "--config", str(first / "config.txt")]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in rerun.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
 def test_input_dim_is_not_a_flag(tmp_path, capsys):
     # the corpus sets model.input_dim; no flag can disagree with it
     with pytest.raises(SystemExit) as exc:
@@ -731,10 +781,10 @@ def test_config_text_is_stable(tmp_path):
 
 _VALUES = {
     "int": st.integers(-10**9, 10**9),
-    "float": st.floats(allow_nan=False),
+    "float": st.floats(),
     "str": st.text(alphabet=string.ascii_letters + string.digits + "_.-=#", max_size=12),
     "tuple[int, ...]": st.lists(st.integers(-10**6, 10**6), max_size=4).map(tuple),
-    "Optional[float]": st.none() | st.floats(allow_nan=False),
+    "Optional[float]": st.none() | st.floats(),
 }
 
 
@@ -751,7 +801,84 @@ def _run_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(config=_run_configs())
 def test_config_text_roundtrip_property(config):
-    assert from_text(to_text(config)) == config
+    # NaN != NaN, so the round trip is compared as text
+    assert to_text(from_text(to_text(config))) == to_text(config)
+
+
+_CHOICES = cfgmod.SPLIT_MODES + cfgmod.ADAPTATIONS + cfgmod.STRATEGIES + cfgmod.OPTIMIZERS
+
+
+@st.composite
+def _mostly_default_configs(draw):
+    """The defaults with up to three fields set to any value of their type, or
+    a str field to any choice of any list."""
+    config = RunConfig()
+    names = [(s.name, f.name, f.type) for s in fields(config)
+             for f in fields(getattr(config, s.name))]
+    for section, attr, annotation in draw(st.sets(st.sampled_from(names), max_size=3)):
+        values = _VALUES[annotation]
+        if annotation == "str":
+            values = values | st.sampled_from(_CHOICES)
+        setattr(getattr(config, section), attr, draw(values))
+    return config
+
+
+# every config key, and the names the tiling and domain rules give their settings
+_SETTING_NAMES = [line.split(" = ")[0].split(".")[1] for line in to_text(RunConfig()).splitlines()]
+_SETTING_NAMES += ["tile side", "r_th", "n_samples", "shift"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_mostly_default_configs())
+def test_validate_names_a_setting_or_every_float_is_finite(config):
+    try:
+        config.validate()
+    except ConfigError as exc:
+        assert any(re.search(rf"\b{re.escape(name)}\b", str(exc)) for name in _SETTING_NAMES), exc
+        return
+    for section_field in fields(config):
+        section = getattr(config, section_field.name)
+        for f in fields(section):
+            value = getattr(section, f.name)
+            assert not isinstance(value, float) or math.isfinite(value), (f.name, value)
+
+
+_MISSING = "missing"  # an input path that does not exist
+
+
+def _bad(argv, message, config_line=None):
+    shown = [a for a in argv if a != _MISSING] + ([config_line] if config_line else [])
+    return pytest.param(argv, config_line, message, id=" ".join(shown))
+
+
+@pytest.mark.parametrize("argv, config_line, message", [
+    *[_bad(["train", "--corpus", _MISSING, f"{flag}={value}"],
+           f"{name} must be finite and non-negative, got {value}")
+      for flag, name in (("--lr", "lr"), ("--lambda", "lambda"))
+      for value in ("nan", "inf", "-inf")],
+    *[_bad(["train", "--corpus", _MISSING], f"lora_alpha must be finite and positive, got {shown}",
+           config_line)
+      for config_line, shown in (("model.lora_alpha = 0", "0.0"),
+                                 ("model.lora_alpha = -4", "-4.0"),
+                                 ("model.lora_alpha = nan", "nan"),
+                                 ("model.lora_alpha = inf", "inf"),
+                                 ("model.adaptation = lora; model.lora_alpha = -4", "-4.0"))],
+    _bad(["synth", "--seed", "-1"], "seed must be non-negative, got -1"),
+    _bad(["split", "--manifest", _MISSING, "--seed", "-1"], "seed must be non-negative, got -1"),
+    _bad(["train", "--corpus", _MISSING, "--seed", "-1"], "seed must be non-negative, got -1"),
+    _bad(["split", "--manifest", _MISSING, "--val-fraction", "nan"],
+         "val_fraction must lie in [0, 1), got nan"),
+])
+def test_a_bad_setting_is_one_error_before_any_input_is_read(tmp_path, monkeypatch, capsys,
+                                                            argv, config_line, message):
+    monkeypatch.chdir(tmp_path)
+    extra = []
+    if config_line is not None:
+        Path("config.txt").write_text(config_line.replace("; ", "\n") + "\n")
+        extra = ["--config", "config.txt"]
+    assert main([*argv, "--out", "out", *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["config.txt"] if extra else [])
 
 
 # options that name an input, an output or a run mode rather than a config field

@@ -56,7 +56,7 @@ def test_run_strategy_validates_dims():
     bad_cfg = ModelConfig(input_dim=8, hidden_dims=(16,), feature_dim=8, unfreeze=2)
     with pytest.raises(ShapeError, match="input_dim=8"):
         run_strategy(corpus.sources, corpus.target, bad_cfg,
-                     AdaptationConfig(strategy="vanilla", epochs=1))
+                     AdaptationConfig(strategy="vanilla", epochs=1, warmup=0))
 
 
 def test_run_strategy_needs_epochs_past_the_warmup():

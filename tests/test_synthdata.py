@@ -141,6 +141,11 @@ def test_val_fraction_outside_unit_interval_rejected(val_fraction):
         generate([_spec("s")], _spec("t"), seed=0, val_fraction=val_fraction)
 
 
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        generate([_spec("s")], _spec("t"), seed=-1)
+
+
 def test_duplicate_domain_ids_rejected():
     with pytest.raises(ConfigError):
         generate([_spec("s"), _spec("s")], _spec("t"), seed=0)

@@ -227,6 +227,11 @@ def test_bad_r_threshold():
         assign_label(0, 0, 518, [], r_th=0.0)
 
 
+def test_split_with_a_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        build_splits([], {}, 0.2, "pooled", -1)
+
+
 # ----------------------------------------------------------------------
 # splits
 
