@@ -16,7 +16,7 @@ import mmap
 import re
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -35,8 +35,7 @@ LABEL_RUMEX = 1
 LABEL_UNCLEAR = EXCLUDED_LABEL
 
 
-@dataclass(frozen=True)
-class BBoxAnnotation:
+class _BoxFields(NamedTuple):
     image_id: str
     x_min: int
     y_min: int
@@ -45,18 +44,26 @@ class BBoxAnnotation:
     class_name: str
     plant_id: Optional[str] = None
 
-    def __post_init__(self):
-        if self.x_min >= self.x_max or self.y_min >= self.y_max:
-            raise DataError(
-                f"degenerate box for {self.image_id}: "
-                f"({self.x_min},{self.y_min},{self.x_max},{self.y_max})"
-            )
+
+class BBoxAnnotation(_BoxFields):
+    """One annotated box as an immutable tuple; every way of making one,
+    ``_replace`` included, rejects a box with no area."""
+
+    __slots__ = ()
+
+    def __new__(cls, image_id, x_min, y_min, x_max, y_max, class_name, plant_id=None):
+        if x_min >= x_max or y_min >= y_max:
+            raise DataError(f"degenerate box for {image_id}: ({x_min},{y_min},{x_max},{y_max})")
+        return tuple.__new__(cls, (image_id, x_min, y_min, x_max, y_max, class_name, plant_id))
+
+    @classmethod
+    def _make(cls, iterable):  # the constructor ``_replace`` calls
+        return cls(*iterable)
 
     def clamped(self, width: int, height: int) -> "BBoxAnnotation":
         if 0 <= self.x_min and 0 <= self.y_min and self.x_max <= width and self.y_max <= height:
             return self  # inside the image already
-        return replace(
-            self,
+        return self._replace(
             x_min=max(0, self.x_min),
             y_min=max(0, self.y_min),
             x_max=min(width, self.x_max),
@@ -258,6 +265,83 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+class _SplitRng:
+    """The stream of ``numpy.random.default_rng(seed)`` for ``permutation(n)``
+    only, in integer arithmetic: call after call, the same permutations."""
+
+    def __init__(self, seed: int):
+        # SeedSequence(seed): the seed's 32-bit words hashed into a 4-word pool
+        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * 0x931E8875 & _M32
+            value = value * hash_const & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): 8 words, paired little-endian
+        hash_const = 0x8B51F9DD
+        words = []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _M32
+            value = value * hash_const & _M32
+            words.append(value ^ value >> 16)
+        s0, s1, s2, s3 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+        # PCG64 seeding: step, add the state, step
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+        self._state = 0
+        self._next64()
+        self._state = (self._state + (s0 << 64 | s1)) & _M128
+        self._next64()
+        self._half: Optional[int] = None  # the unused high half of the last 64-bit draw
+
+    def _next64(self) -> int:
+        """Step the LCG and return the XSL-RR 128->64 output of the new state."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        value = self._next64()
+        self._half = value >> 32
+        return value & _M32
+
+    def permutation(self, n: int) -> list[int]:
+        """``Generator.shuffle`` of ``range(n)``: for i from n-1 down to 1,
+        swap i with a j <= i drawn by masked rejection (``random_interval``)."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            draw = self._next32 if i <= _M32 else self._next64
+            while (j := draw() & mask) > i:
+                pass
+            out[i], out[j] = out[j], out[i]
+        return out
+
+
 def build_splits(
     records: Sequence[TileRecord],
     subset_of: Mapping[str, str],
@@ -273,6 +357,13 @@ def build_splits(
     from every location/date subset. ``mode`` controls the emitted
     domain_id: "pooled" collapses all subsets into one source domain,
     "per_subset" keeps one domain per subset.
+
+    Each subset's sorted group keys are taken in the order of one
+    ``permutation`` call on a PCG64 stream (O'Neill 2014, HMC-CS-2014-0905)
+    seeded through numpy's ``SeedSequence``, with numpy's ``random_interval``
+    for each swap: bit for bit ``numpy.random.default_rng(seed).permutation``,
+    computed here so that the split never loads ``numpy.random`` and does not
+    change with the installed numpy.
     """
     SplitSection(mode, val_fraction, seed).validate()
     plant_subsets: dict[str, set[str]] = {}
@@ -316,7 +407,7 @@ def build_splits(
     for key, image_ids in groups.items():
         by_subset.setdefault(subset_of[min(image_ids)], []).append(key)
 
-    rng = np.random.default_rng(seed)
+    rng = _SplitRng(seed)
     split_of_group: dict[str, str] = {}
     for subset in sorted(by_subset):
         keys = sorted(by_subset[subset])

@@ -220,6 +220,26 @@ def test_split_determinism_and_leakage(tmp_path, image_fixture, capsys):
     assert {e.domain_id for e in loaded.entries} == {"siteA", "siteB"}
 
 
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy < 2 loads numpy.random when numpy is imported")
+def test_tile_then_split_never_load_numpy_random(tmp_path, image_fixture):
+    manifest, split = tmp_path / "manifest.csv", tmp_path / "split.csv"
+    split_args = ["split", "--manifest", str(manifest), "--out", str(split),
+                  "--mode", "per_subset", "--val-fraction", "0.3", "--seed", "5"]
+    script = ("import sys\n"
+              "from rumexda.cli import main\n"
+              f"assert main({_tile_args(image_fixture, manifest)!r}) == 0\n"
+              f"assert main({split_args!r}) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"  # the loaded numpy.random modules
+    assert {e.split for e in read_manifest(split).entries} == {"train", "val"}
+
+
 def test_split_without_annotations_writes_the_same_bytes(tmp_path, image_fixture, capsys):
     _, _, annotations, _ = image_fixture
     manifest = tmp_path / "manifest.csv"
@@ -879,6 +899,19 @@ def test_a_bad_setting_is_one_error_before_any_input_is_read(tmp_path, monkeypat
     assert main([*argv, "--out", "out", *extra]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (["config.txt"] if extra else [])
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--lambda"])
+def test_a_negative_value_given_as_its_own_argument_is_a_usage_error(tmp_path, monkeypatch,
+                                                                      capsys, flag):
+    # argparse takes "-inf" for an option; only "--lr=-inf" reaches the config rule
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--corpus", _MISSING, flag, "-inf", "--out", "out"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument {flag}: expected one argument" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # options that name an input, an output or a run mode rather than a config field

@@ -318,6 +318,22 @@ def test_split_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1),
+       sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=5))
+def test_split_rng_permutations_are_numpys_call_after_call(seed, sizes):
+    ours, numpys = tiling._SplitRng(seed), np.random.default_rng(seed)
+    for n in sizes:
+        assert ours.permutation(n) == numpys.permutation(n).tolist()
+
+
+def test_split_rng_golden_for_seed_1():
+    # pins the split's group order whatever a future numpy's Generator.permutation gives
+    rng = tiling._SplitRng(1)
+    assert rng.permutation(10) == [8, 4, 7, 0, 1, 2, 5, 9, 6, 3]
+    assert rng.permutation(10) == [0, 1, 8, 6, 5, 7, 9, 2, 3, 4]
+
+
 def test_plant_spanning_subsets_warns():
     recs = [
         TileRecord("a.ppm", 0, 0, 518, 1, 0.5, "TL", ("shared",)),
@@ -468,6 +484,25 @@ def test_read_annotations(tmp_path):
     assert boxes[0].plant_id == "p1"
     assert boxes[1].plant_id is None
     assert boxes[1].class_name == "dandelion"
+
+
+def test_degenerate_annotation_row_is_a_data_error(tmp_path):
+    path = tmp_path / "boxes.csv"
+    path.write_text(",".join(tiling.ANNOTATION_HEADER) + "\na.ppm,0,0,10,10,rumex,p1\n"
+                    "a.ppm,10,0,5,10,rumex,p2\n")
+    with pytest.raises(DataError,
+                       match=r"^\S*boxes.csv:3: degenerate box for a.ppm: \(10,0,5,10\)$"):
+        read_annotations(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BBoxAnnotation("im", 5, 0, 5, 10, "rumex"),
+    lambda: BBoxAnnotation(image_id="im", x_min=5, y_min=0, x_max=5, y_max=10, class_name="r"),
+    lambda: BBoxAnnotation("im", 0, 0, 10, 10, "rumex", "p1")._replace(x_min=5, x_max=5),
+], ids=["positional", "keywords", "_replace"])
+def test_a_hand_built_box_without_area_is_a_data_error(make):
+    with pytest.raises(DataError, match=r"^degenerate box for im: \(5,0,5,10\)$"):
+        make()
 
 
 _PLANT_ID = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=";"),
