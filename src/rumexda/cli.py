@@ -128,6 +128,7 @@ def cmd_tile(args) -> int:
     domain_map = _domain_lookup(args)
 
     entries = []
+    make_entry = ManifestEntry._make
     for image_id, path in images:
         try:
             height, width = read_pnm(path).shape[:2]
@@ -138,7 +139,7 @@ def cmd_tile(args) -> int:
             print(f"error: {image_id}: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
         domain = domain_map.get(image_id, args.domain)
-        entries.extend([ManifestEntry(rec, "none", domain) for rec in records])
+        entries.extend([make_entry((rec, "none", domain)) for rec in records])
 
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

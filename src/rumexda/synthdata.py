@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adaptation import DomainDataset
-from .config import SynthSection
+from .config import SynthSection, check_domain_scalars
 from .errors import ConfigError, DataError
 from .files import open_text, replacing, write_atomic
 
@@ -63,14 +63,7 @@ class DomainSpec:
     noise_sigma: float = 0.0
 
     def validate(self) -> None:
-        if not 0.0 < self.positive_fraction < 1.0:
-            raise ConfigError(
-                f"positive_fraction must lie in (0, 1), got {self.positive_fraction}"
-            )
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be positive")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ConfigError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        check_domain_scalars(self.n_samples, self.positive_fraction, self.noise_sigma)
         shift, scale, rot = self.arrays()
         if shift.shape != (self.dim,) or scale.shape != (self.dim,):
             raise ConfigError(f"domain {self.domain_id}: shift/scale must have dim {self.dim}")

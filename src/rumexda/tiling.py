@@ -95,6 +95,16 @@ class ManifestEntry(NamedTuple):
     domain_id: str
 
 
+# Rows are built by the C tuple constructor, which skips the generated
+# ``__new__`` with its defaults and its arity check, so a caller passes every
+# field; ``_replace`` goes through it too. A NamedTuple body may not define it.
+TileRecord._make = ManifestEntry._make = classmethod(tuple.__new__)
+
+LABELS = (LABEL_BACKGROUND, LABEL_RUMEX, LABEL_UNCLEAR)
+PASS_CORNERS = ("TL", "TR", "BL", "BR")
+SPLIT_TAGS = ("none", "train", "val")  # "none" until ``build_splits`` assigns one
+
+
 @dataclass
 class SplitManifest:
     entries: list[ManifestEntry]
@@ -238,8 +248,9 @@ def tile_image(
     ratios = _overlap_matrix(clamped, np.array([t[0] for t in tiles]),
                              np.array([t[1] for t in tiles]), side)
     rs = ratios.max(axis=0, initial=0.0).tolist()
+    make = TileRecord._make
     return [
-        TileRecord(image_id, x, y, side, _label_for(r, r_th), r, corner, plants)
+        make((image_id, x, y, side, _label_for(r, r_th), r, corner, plants))
         for (x, y, corner), r, plants in zip(tiles, rs, _plant_ids(clamped, ratios))
     ]
 
@@ -433,13 +444,13 @@ def build_splits(
                 taken += len(groups[key])
                 val_groups += 1
 
+    make = ManifestEntry._make
     entries = [
-        ManifestEntry(rec, split_of_group[key],
-                      "pooled" if mode == "pooled" else subset_of[rec.image_id])
+        make((rec, split_of_group[key], "pooled" if mode == "pooled" else subset_of[rec.image_id]))
         for rec, key in zip(records, tile_groups)
     ]
-    entries.sort(key=lambda e: e.record[:3])
-    manifest = SplitManifest(entries)
+    manifest = SplitManifest(entries)  # a repeated tile fails here, before the sort compares it
+    entries.sort()  # natural tuple order: (image_id, x, y) order, since that key is unique
     if val_fraction > 0.0:
         splits = {e.split for e in entries}
         if splits != {"train", "val"}:
@@ -465,8 +476,9 @@ PLANT_ID_SEP = ";"
 
 
 def write_manifest(manifest: SplitManifest, path) -> None:
-    """Write the manifest CSV atomically, rows sorted by image and origin."""
-    entries = sorted(manifest.entries, key=lambda e: e.record[:3])
+    """Write the manifest CSV atomically, rows sorted by image and origin:
+    the entries' natural tuple order, as a manifest's (image_id, x, y) are unique."""
+    entries = sorted(manifest.entries)
     join = PLANT_ID_SEP.join
     rows = [MANIFEST_HEADER] + [
         (image_id, x, y, side, label, f"{overlap:.6f}", split, domain_id, corner, join(plants))
@@ -474,15 +486,18 @@ def write_manifest(manifest: SplitManifest, path) -> None:
     ]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    if "\r" in buf.getvalue():
+    text = buf.getvalue()
+    if "\r" in text:
         # minimal quoting leaves a bare "\r" in a field, which reads back as a
         # line end, because only the line terminator's characters are quoted
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
-    write_atomic(path, buf.getvalue())
+        text = buf.getvalue()
+    write_atomic(path, text)
 
 
 def read_manifest(path) -> SplitManifest:
+    make_record, make_entry = TileRecord._make, ManifestEntry._make
     entries = []
     rows = csv_rows(path)
     _, header = next(rows, (1, None))
@@ -503,8 +518,17 @@ def read_manifest(path) -> SplitManifest:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
         if not (0 <= x < _COORD_LIMIT and 0 <= y < _COORD_LIMIT and 0 < side < _COORD_LIMIT):
             raise DataError(f"{path}:{line_no}: tile ({x},{y}) with side {side} is out of range")
-        entries.append(ManifestEntry(TileRecord(image_id, x, y, side, label, r, corner, plant_ids),
-                                     split, domain_id))
+        if label not in LABELS:
+            raise DataError(f"{path}:{line_no}: label must be one of {LABELS}, got {label}")
+        if not 0.0 <= r <= 1.0:
+            raise DataError(f"{path}:{line_no}: r must lie in [0, 1], got {r}")
+        if corner not in PASS_CORNERS:
+            raise DataError(f"{path}:{line_no}: pass_corner must be one of {PASS_CORNERS}, "
+                            f"got {corner!r}")
+        if split not in SPLIT_TAGS:
+            raise DataError(f"{path}:{line_no}: split must be one of {SPLIT_TAGS}, got {split!r}")
+        record = make_record((image_id, x, y, side, label, r, corner, plant_ids))
+        entries.append(make_entry((record, split, domain_id)))
     try:
         return SplitManifest(entries)
     except DataError as exc:  # a repeated tile: find the line that repeats it
@@ -634,7 +658,7 @@ def image_files(images_dir) -> list[tuple[str, Path]]:
 
 
 def label_counts(records: Iterable[TileRecord]) -> dict[int, int]:
-    counts = {LABEL_BACKGROUND: 0, LABEL_RUMEX: 0, LABEL_UNCLEAR: 0}
+    counts = dict.fromkeys(LABELS, 0)
     for rec in records:
         counts[rec.label] += 1
     return counts

@@ -22,6 +22,7 @@ from rumexda.cli import build_parser, main
 from rumexda.config import RunConfig, from_text, read_config, to_text, write_config
 from rumexda.errors import ConfigError
 from rumexda.tiling import (
+    MANIFEST_HEADER,
     BBoxAnnotation,
     enumerate_tiles,
     assign_label,
@@ -293,6 +294,19 @@ def test_split_of_a_manifest_with_a_repeated_tile_names_its_line(tmp_path, capsy
     rc = main(["split", "--manifest", str(manifest), "--out", str(out)])
     _assert_single_data_error(
         rc, capsys, f"{manifest}:4: duplicate tile ('a.ppm', 0, 0) in manifest", out)
+
+
+@pytest.mark.parametrize("field, value", [("label", "7"), ("r", "nan"), ("r", "-3.5"),
+                                          ("pass_corner", "ZZ"), ("split", "test")])
+def test_split_of_a_manifest_field_outside_its_values_names_its_line(tmp_path, capsys, field,
+                                                                      value):
+    row = dict(zip(MANIFEST_HEADER, "a.ppm,518,0,518,0,0.000000,none,d,TR,".split(",")))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(",".join(MANIFEST_HEADER) + "\na.ppm,0,0,518,0,0.000000,none,d,TL,\n"
+                        + ",".join({**row, field: value}.values()) + "\n")
+    out = tmp_path / "split.csv"
+    rc = main(["split", "--manifest", str(manifest), "--out", str(out), "--val-fraction", "0"])
+    _assert_single_data_error(rc, capsys, f"{manifest}:3: {field} must", out)
 
 
 # ----------------------------------------------------------------------
@@ -841,6 +855,19 @@ def _mostly_default_configs(draw):
             values = values | st.sampled_from(_CHOICES)
         setattr(getattr(config, section), attr, draw(values))
     return config
+
+
+def test_validating_a_config_loads_no_trainer():
+    script = ("import sys\n"
+              "from rumexda.config import RunConfig\n"
+              "RunConfig().validate()\n"
+              "print(sorted(m for m in sys.modules if m.startswith('rumexda.')))\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "rumexda.synthdata" not in proc.stdout.splitlines()[-1]
 
 
 # every config key, and the names the tiling and domain rules give their settings

@@ -1,3 +1,5 @@
+import csv
+import io
 import tempfile
 import tracemalloc
 import warnings
@@ -417,6 +419,41 @@ def test_duplicate_tile_in_manifest_errors():
         SplitManifest([ManifestEntry(rec, "train", "d"), ManifestEntry(rec, "val", "d")])
 
 
+@pytest.mark.parametrize("twin", [
+    lambda rec: rec,
+    lambda rec: rec._replace(overlap=None),  # a sort would compare 0.0 with None
+], ids=["same", "incomparable"])
+def test_a_repeated_tile_in_the_records_is_a_data_error(twin):
+    rec = TileRecord("a.ppm", 0, 0, 518, 0, 0.0, "TL")
+    other = TileRecord("a.ppm", 518, 0, 518, 0, 0.0, "TR")
+    with pytest.raises(DataError, match=r"^duplicate tile \('a.ppm', 0, 0\) in manifest$"):
+        build_splits([rec, other, twin(rec)], {"a.ppm": "s"}, 0.0, "pooled", seed=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(order=st.permutations(range(len(_records_for_split()[0]))), seed=st.integers(0, 9))
+def test_build_splits_does_not_depend_on_the_order_of_its_records(order, seed):
+    recs, subset_of = _records_for_split()
+    expected = build_splits(recs, subset_of, 0.3, "per_subset", seed)
+    assert build_splits([recs[i] for i in order], subset_of, 0.3, "per_subset",
+                        seed).entries == expected.entries
+
+
+def test_rows_from_make_are_the_rows_from_the_constructor():
+    args = ("a.ppm", 0, 518, 518, 1, 0.5, "TL", ("p1",))
+    rec, made = TileRecord(*args), TileRecord._make(args)
+    assert type(made) is TileRecord and made == rec and hash(made) == hash(rec)
+    assert made.plant_ids == ("p1",) and made.origin == (0, 518)
+    entry = ManifestEntry._make((made, "train", "d"))
+    assert type(entry) is ManifestEntry and entry == ManifestEntry(rec, "train", "d")
+    assert hash(entry) == hash(ManifestEntry(rec, "train", "d"))
+    moved = rec._replace(x=1036, plant_ids=())
+    assert type(moved) is TileRecord and moved == TileRecord("a.ppm", 1036, 518, 518, 1, 0.5, "TL")
+    assert entry._replace(split="val") == ManifestEntry(rec, "val", "d")
+    with pytest.raises(ValueError, match="unexpected field names"):
+        rec._replace(z=1)
+
+
 def test_tile_records_and_manifest_entries_are_immutable_and_hashable():
     rec = TileRecord("a.ppm", 0, 518, 518, 1, 0.5, "TL", ("p1",))
     entry = ManifestEntry(rec, "train", "d")
@@ -533,6 +570,65 @@ def test_manifest_write_then_read_gives_the_same_records(manifest):
         loaded = read_manifest(path)
     assert loaded.entries == sorted(manifest.entries,
                                     key=lambda e: (e.record.image_id, e.record.x, e.record.y))
+
+
+def _key_order_bytes(entries) -> bytes:
+    """The manifest as rows sorted by ``(image_id, x, y)``, written without
+    ``write_manifest``."""
+    rows = [tiling.MANIFEST_HEADER] + [
+        (r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id,
+         r.pass_corner, ";".join(r.plant_ids))
+        for e in sorted(entries, key=lambda e: e.record[:3]) for r in [e.record]
+    ]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+@st.composite
+def _shuffled_entries(draw):
+    # few ids and origins, so that many keys tie on image_id, or on image_id and x
+    keys = draw(st.sets(st.tuples(st.sampled_from(["a.ppm", "b.ppm", "a/b.ppm"]),
+                                  st.sampled_from([0, 7, 518]), st.sampled_from([0, 7, 518])),
+                        max_size=20))
+    entries = []
+    for image_id, x, y in keys:
+        plants = draw(st.sets(st.sampled_from(["p1", "p2", "q"]), max_size=2))
+        rec = TileRecord(image_id, x, y, draw(st.integers(1, 600)),
+                         draw(st.sampled_from([0, 1, 2])), draw(st.integers(0, 10**6)) / 10**6,
+                         draw(st.sampled_from(["TL", "TR", "BL", "BR"])), tuple(sorted(plants)))
+        entries.append(ManifestEntry(rec, draw(st.sampled_from(["none", "train", "val"])),
+                                     draw(st.sampled_from(["d0", "d1"]))))
+    return draw(st.permutations(entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shuffled_entries())
+def test_manifest_rows_are_in_tile_key_order(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_manifest(SplitManifest(entries), path)
+        assert path.read_bytes() == _key_order_bytes(entries)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("label", "7", r"label must be one of \(0, 1, 2\), got 7"),
+    ("label", "-1", r"label must be one of \(0, 1, 2\), got -1"),
+    ("r", "nan", r"r must lie in \[0, 1\], got nan"),
+    ("r", "-3.5", r"r must lie in \[0, 1\], got -3.5"),
+    ("r", "1.000001", r"r must lie in \[0, 1\], got 1.000001"),
+    ("r", "inf", r"r must lie in \[0, 1\], got inf"),
+    ("pass_corner", "ZZ", r"pass_corner must be one of \('TL', 'TR', 'BL', 'BR'\), got 'ZZ'"),
+    ("split", "test", r"split must be one of \('none', 'train', 'val'\), got 'test'"),
+], ids=["label-7", "label-minus-1", "r-nan", "r-minus-3.5", "r-1.000001", "r-inf",
+        "pass_corner", "split"])
+def test_manifest_field_outside_its_values_is_a_data_error(tmp_path, field, value, message):
+    row = dict(zip(tiling.MANIFEST_HEADER, "a.ppm,0,0,518,0,0.000000,none,d,TL,".split(",")))
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(tiling.MANIFEST_HEADER) + "\na.ppm,518,0,518,0,0.000000,none,d,TR,\n"
+                    + ",".join({**row, field: value}.values()) + "\n")
+    with pytest.raises(DataError, match=f"m.csv:3: {message}$"):
+        read_manifest(path)
 
 
 def test_manifest_without_the_plant_ids_column_is_a_data_error(tmp_path):
