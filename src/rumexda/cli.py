@@ -13,9 +13,7 @@ with one ``error:`` line and exit code 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -33,12 +31,11 @@ from .evaluation import (
     sigma_epochs,
 )
 from .experiment import run_strategy
-from .files import csv_rows, write_atomic
+from .files import csv_rows, csv_text, write_atomic
 from .nn import load_checkpoint, save_checkpoint, trainable_parameter_count
 from .synthdata import default_benchmark, generate, read_corpus_domains, write_corpus
 from .tiling import (
     ManifestEntry,
-    SplitManifest,
     build_splits,
     label_counts,
     image_files,
@@ -50,14 +47,6 @@ from .tiling import (
 )
 
 ERRORS = (RumexdaError, OSError)
-
-
-def _csv_text(header: list, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _out_path(path: str) -> Path:
@@ -96,14 +85,18 @@ def _load_config(args) -> cfgmod.RunConfig:
 
 
 def _domain_lookup(args) -> dict[str, str]:
+    """The ``--domain-map`` table; an image belongs to one domain."""
+    table: dict[str, str] = {}
     if args.domain_map:
-        table = {}
         for line_no, row in csv_rows(args.domain_map):
             if len(row) != 2:
                 raise DataError(f"{args.domain_map}:{line_no}: expected image_id,domain_id rows")
-            table[row[0].strip()] = row[1].strip()
-        return table
-    return {}
+            image_id, domain = row[0].strip(), row[1].strip()
+            if image_id in table:
+                raise DataError(f"{args.domain_map}:{line_no}: image {image_id!r} is mapped "
+                                f"again, to {domain!r} after {table[image_id]!r}")
+            table[image_id] = domain
+    return table
 
 
 def cmd_tile(args) -> int:
@@ -143,7 +136,7 @@ def cmd_tile(args) -> int:
 
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_manifest(SplitManifest(entries), out)
+    write_manifest(entries, out)  # unique tiles: distinct image ids, distinct origins
     cfgmod.write_config(config, out.with_suffix(out.suffix + ".config.txt"))
     counts = label_counts(e.record for e in entries)
     print(
@@ -160,17 +153,20 @@ def cmd_tile(args) -> int:
 def cmd_split(args) -> int:
     config = _load_config(args)
     sc = config.split
-    manifest = read_manifest(args.manifest)
-    records = [e.record for e in manifest.entries]
-    subset_of = {e.record.image_id: e.domain_id for e in manifest.entries}
+    records, subset_of = [], {}
+    for record, _, domain in read_manifest(args.manifest):
+        records.append(record)
+        if subset_of.setdefault(record.image_id, domain) != domain:  # one domain per image
+            raise DataError(f"{args.manifest}: image {record.image_id!r} has tiles in domains "
+                            f"{subset_of[record.image_id]!r} and {domain!r}")
 
-    split_manifest = build_splits(records, subset_of, sc.val_fraction, sc.mode, sc.seed)
+    entries = build_splits(records, subset_of, sc.val_fraction, sc.mode, sc.seed)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_manifest(split_manifest, out)
+    write_manifest(entries, out)
     cfgmod.write_config(config, out.with_suffix(out.suffix + ".config.txt"))
-    n_val = sum(1 for e in split_manifest.entries if e.split == "val")
-    print(f"split {len(split_manifest)} tiles: {len(split_manifest) - n_val} train, {n_val} val")
+    n_val = sum(1 for e in entries if e.split == "val")
+    print(f"split {len(entries)} tiles: {len(entries) - n_val} train, {n_val} val")
     return 0
 
 
@@ -268,11 +264,11 @@ def cmd_eval(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "report.txt", format_report_table(report))
-    write_atomic(out / "flights.csv", _csv_text(
-        ["domain_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "included"],
-        ([fl.domain_id, fl.counts.tp, fl.counts.fp, fl.counts.fn, fl.counts.tn,
-          repr(fl.precision), repr(fl.recall), repr(fl.f1), int(fl.included)]
-         for fl in report.flights),
+    write_atomic(out / "flights.csv", csv_text(
+        [["domain_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1", "included"]]
+        + [[fl.domain_id, fl.counts.tp, fl.counts.fp, fl.counts.fn, fl.counts.tn,
+            repr(fl.precision), repr(fl.recall), repr(fl.f1), int(fl.included)]
+           for fl in report.flights]
     ))
     summary = {
         "median_f1": report.median_f1,
@@ -304,17 +300,17 @@ def cmd_report(args) -> int:
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_config(config, out / "config.txt")
-    write_atomic(out / "f1_vs_epoch.csv", _csv_text(
-        ["epoch", "domain_id", "f1"],
-        ([r.epoch, domain_id, repr(r.target_f1[domain_id])]
-         for r in history.records for domain_id in sorted(r.target_f1)),
+    write_atomic(out / "f1_vs_epoch.csv", csv_text(
+        [["epoch", "domain_id", "f1"]]
+        + [[r.epoch, domain_id, repr(r.target_f1[domain_id])]
+           for r in history.records for domain_id in sorted(r.target_f1)]
     ))
-    write_atomic(out / "f1_vs_params.csv", _csv_text(
+    write_atomic(out / "f1_vs_params.csv", csv_text([
         ["trainable_parameters", "strategy", "median_f1", "sigma_epochs"],
-        [[history.trainable_count, history.strategy,
-          repr(rec.median_target_f1) if rec.median_target_f1 is not None else "none",
-          repr(sigma)]],
-    ))
+        [history.trainable_count, history.strategy,
+         repr(rec.median_target_f1) if rec.median_target_f1 is not None else "none",
+         repr(sigma)],
+    ]))
     lines = [
         f"selected_epoch = {selected}",
         f"source_val_f1 = {rec.source_val_f1}",

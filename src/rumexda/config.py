@@ -195,7 +195,14 @@ class RunConfig:
 
 # serialized key <-> attribute name; "lambda" is a keyword in python
 _RENAMED = {("training", "lam"): "lambda"}
-_SECTIONS = ("tiling", "split", "model", "training", "synth", "evaluation")
+
+
+def _settings(config: RunConfig):
+    """(``section.key``, section, field) for every setting, in file order."""
+    for s in fields(config):
+        section = getattr(config, s.name)
+        for f in fields(section):
+            yield f"{s.name}.{_RENAMED.get((s.name, f.name), f.name)}", section, f
 
 
 def _encode(value) -> str:
@@ -227,23 +234,13 @@ def _decode(text: str, annotation: str, key: str):
 
 
 def to_text(config: RunConfig) -> str:
-    lines = []
-    for section_name in _SECTIONS:
-        section = getattr(config, section_name)
-        for f in fields(section):
-            key = _RENAMED.get((section_name, f.name), f.name)
-            lines.append(f"{section_name}.{key} = {_encode(getattr(section, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_encode(getattr(section, f.name))}\n"
+                   for key, section, f in _settings(config))
 
 
 def from_text(text: str) -> RunConfig:
     config = RunConfig()
-    lookup = {}
-    for section_name in _SECTIONS:
-        section = getattr(config, section_name)
-        for f in fields(section):
-            key = _RENAMED.get((section_name, f.name), f.name)
-            lookup[f"{section_name}.{key}"] = (section, f.name, f.type)
+    lookup = {key: (section, f.name, f.type) for key, section, f in _settings(config)}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

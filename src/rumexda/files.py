@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,6 +33,20 @@ def write_atomic(path, data: str | bytes) -> None:
         data = data.encode("utf-8")
     with replacing(path) as fh:
         fh.write(data)
+
+
+def csv_text(rows) -> str:
+    r"""CSV text of ``rows``, a sequence of rows, with "\n" line ends and
+    minimal quoting. Minimal quoting leaves a bare "\r" in a field, which reads
+    back as a line end, because only the line terminator's characters are
+    quoted; text that holds a "\r" is written again with every field quoted."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
+        text = buf.getvalue()
+        if "\r" not in text:
+            break
+    return text
 
 
 @contextmanager

@@ -9,14 +9,11 @@ is what produces the partially overlapping tiles near edges.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import mmap
 import re
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -25,7 +22,7 @@ import numpy as np
 from .config import SplitSection, TilingSection
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError
 from .evaluation import EXCLUDED_LABEL
-from .files import csv_rows, write_atomic
+from .files import csv_rows, csv_text, write_atomic
 
 TILE_SIZE = TilingSection.tile_size
 R_THRESHOLD = TilingSection.r_threshold
@@ -105,20 +102,16 @@ PASS_CORNERS = ("TL", "TR", "BL", "BR")
 SPLIT_TAGS = ("none", "train", "val")  # "none" until ``build_splits`` assigns one
 
 
-@dataclass
-class SplitManifest:
-    entries: list[ManifestEntry]
+# A manifest is a list of ManifestEntry rows in natural tuple order, which is
+# (image_id, x, y) order: a tile appears once, so no two rows tie on that key.
 
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            key = e.record[:3]
-            if key in seen:
-                raise DataError(f"duplicate tile {key} in manifest")
-            seen.add(key)
 
-    def __len__(self):
-        return len(self.entries)
+def _add_tile(seen: set, key: tuple) -> None:
+    """Add a tile's ``(image_id, x, y)`` to the keys seen so far; a key seen
+    before is a repeated tile."""
+    if key in seen:
+        raise DataError(f"duplicate tile {key} in manifest")
+    seen.add(key)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +352,7 @@ def build_splits(
     val_fraction: float,
     mode: str,
     seed: int,
-) -> SplitManifest:
+) -> list[ManifestEntry]:
     """Assign train/val splits without splitting any plant across them.
 
     Tiles touching plants are grouped by connected plant components (a tile
@@ -449,7 +442,11 @@ def build_splits(
         make((rec, split_of_group[key], "pooled" if mode == "pooled" else subset_of[rec.image_id]))
         for rec, key in zip(records, tile_groups)
     ]
-    manifest = SplitManifest(entries)  # a repeated tile fails here, before the sort compares it
+    keys = [rec[:3] for rec in records]
+    if len(set(keys)) < len(keys):  # a repeated tile fails here, before the sort compares it
+        seen: set = set()
+        for key in keys:
+            _add_tile(seen, key)
     entries.sort()  # natural tuple order: (image_id, x, y) order, since that key is unique
     if val_fraction > 0.0:
         splits = {e.split for e in entries}
@@ -458,7 +455,7 @@ def build_splits(
                 f"split produced {sorted(splits)} only; "
                 "not enough leakage groups for a non-empty val split"
             )
-    return manifest
+    return entries
 
 
 # ----------------------------------------------------------------------
@@ -475,30 +472,23 @@ ANNOTATION_HEADER = ["image_id", "x_min", "y_min", "x_max", "y_max", "class", "p
 PLANT_ID_SEP = ";"
 
 
-def write_manifest(manifest: SplitManifest, path) -> None:
+def write_manifest(entries: Sequence[ManifestEntry], path) -> None:
     """Write the manifest CSV atomically, rows sorted by image and origin:
     the entries' natural tuple order, as a manifest's (image_id, x, y) are unique."""
-    entries = sorted(manifest.entries)
     join = PLANT_ID_SEP.join
-    rows = [MANIFEST_HEADER] + [
+    write_atomic(path, csv_text([MANIFEST_HEADER] + [
         (image_id, x, y, side, label, f"{overlap:.6f}", split, domain_id, corner, join(plants))
-        for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id in entries
-    ]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    text = buf.getvalue()
-    if "\r" in text:
-        # minimal quoting leaves a bare "\r" in a field, which reads back as a
-        # line end, because only the line terminator's characters are quoted
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
-        text = buf.getvalue()
-    write_atomic(path, text)
+        for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id
+        in sorted(entries)
+    ]))
 
 
-def read_manifest(path) -> SplitManifest:
+def read_manifest(path) -> list[ManifestEntry]:
+    """The manifest's rows in file order; a bad field or a repeated tile
+    raises ``DataError`` naming the path and line."""
     make_record, make_entry = TileRecord._make, ManifestEntry._make
     entries = []
+    seen: set = set()
     rows = csv_rows(path)
     _, header = next(rows, (1, None))
     if header == MANIFEST_HEADER[:-1]:
@@ -527,23 +517,13 @@ def read_manifest(path) -> SplitManifest:
                             f"got {corner!r}")
         if split not in SPLIT_TAGS:
             raise DataError(f"{path}:{line_no}: split must be one of {SPLIT_TAGS}, got {split!r}")
+        try:
+            _add_tile(seen, (image_id, x, y))
+        except DataError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
         record = make_record((image_id, x, y, side, label, r, corner, plant_ids))
         entries.append(make_entry((record, split, domain_id)))
-    try:
-        return SplitManifest(entries)
-    except DataError as exc:  # a repeated tile: find the line that repeats it
-        raise DataError(f"{path}:{_repeat_line(path, entries)}: {exc}") from None
-
-
-def _repeat_line(path, entries: list[ManifestEntry]) -> int:
-    """The line of the first entry whose tile an earlier entry already has;
-    entry ``i`` is the ``i``-th data row of the manifest at ``path``."""
-    seen = set()
-    for i, e in enumerate(entries):
-        if e.record[:3] in seen:
-            break
-        seen.add(e.record[:3])
-    return [line_no for line_no, _ in csv_rows(path)][i + 1]  # row 0 is the header
+    return entries
 
 
 def read_annotations(path) -> list[BBoxAnnotation]:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from rumexda import config as cfgmod
 from rumexda.cli import build_parser, main
 from rumexda.config import RunConfig, from_text, read_config, to_text, write_config
 from rumexda.errors import ConfigError
+from rumexda.files import csv_text
 from rumexda.tiling import (
     MANIFEST_HEADER,
     BBoxAnnotation,
@@ -79,7 +81,7 @@ def test_tile_empty_annotations_all_background(tmp_path, image_fixture):
     assert rc == 0
     manifest = read_manifest(out)
     assert len(manifest) > 0
-    assert all(e.record.label == 0 for e in manifest.entries)
+    assert all(e.record.label == 0 for e in manifest)
 
 
 def test_tile_manifest_matches_oracle(tmp_path, image_fixture):
@@ -99,13 +101,13 @@ def test_tile_manifest_matches_oracle(tmp_path, image_fixture):
     rows = {
         (e.record.x, e.record.y):
             (e.record.label, e.record.overlap, e.record.pass_corner, e.record.plant_ids)
-        for e in manifest.entries
+        for e in manifest
         if e.record.image_id == "siteA/img0.ppm"
     }
     assert rows == expected
     # the dandelion box is not the positive class: img1 stays background
     assert all(
-        e.record.label == 0 for e in manifest.entries if e.record.image_id == "siteA/img1.pgm"
+        e.record.label == 0 for e in manifest if e.record.image_id == "siteA/img1.pgm"
     )
 
 
@@ -160,7 +162,7 @@ def test_tile_unreadable_inputs_fail_but_run_continues(tmp_path, image_fixture):
     assert out.exists()  # surviving images were still tiled
     manifest = read_manifest(out)
     assert len(manifest) > 0
-    ids = {e.record.image_id for e in manifest.entries}
+    ids = {e.record.image_id for e in manifest}
     assert "siteA/img0.ppm" in ids and "siteA/broken.ppm" not in ids
 
 
@@ -172,7 +174,7 @@ def test_tile_truncated_raster_fails_but_run_continues(tmp_path, image_fixture, 
     assert main(_tile_args(image_fixture, out)) == 1
     err = capsys.readouterr().err
     assert "error: siteB/img2.ppm: DataError: " in err and "payload shorter" in err
-    ids = {e.record.image_id for e in read_manifest(out).entries}
+    ids = {e.record.image_id for e in read_manifest(out)}
     assert ids == {"siteA/img0.ppm", "siteA/img1.pgm"}
 
 
@@ -217,8 +219,8 @@ def test_split_determinism_and_leakage(tmp_path, image_fixture, capsys):
         assert capsys.readouterr().err == _SINGLE_GROUP_WARNING
     assert s1.read_bytes() == s2.read_bytes()
     loaded = read_manifest(s1)
-    assert {e.split for e in loaded.entries} == {"train", "val"}
-    assert {e.domain_id for e in loaded.entries} == {"siteA", "siteB"}
+    assert {e.split for e in loaded} == {"train", "val"}
+    assert {e.domain_id for e in loaded} == {"siteA", "siteB"}
 
 
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
@@ -238,7 +240,7 @@ def test_tile_then_split_never_load_numpy_random(tmp_path, image_fixture):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # the loaded numpy.random modules
-    assert {e.split for e in read_manifest(split).entries} == {"train", "val"}
+    assert {e.split for e in read_manifest(split)} == {"train", "val"}
 
 
 def test_split_without_annotations_writes_the_same_bytes(tmp_path, image_fixture, capsys):
@@ -254,7 +256,7 @@ def test_split_without_annotations_writes_the_same_bytes(tmp_path, image_fixture
         outs.append(out)
     for suffix in ("", ".config.txt"):
         assert Path(f"{outs[0]}{suffix}").read_bytes() == Path(f"{outs[1]}{suffix}").read_bytes()
-    assert {e.record.plant_ids for e in read_manifest(outs[1]).entries} == \
+    assert {e.record.plant_ids for e in read_manifest(outs[1])} == \
         {(), ("p1",), ("p2",), ("p3",)}
 
 
@@ -282,18 +284,35 @@ def test_split_of_non_numeric_manifest_field_is_a_data_error(tmp_path, capsys):
     assert f"error: {manifest}:2:" in capsys.readouterr().err
 
 
-def test_split_of_a_manifest_with_a_repeated_tile_names_its_line(tmp_path, capsys):
+@pytest.mark.parametrize("rows, line, tile", [
+    ("ABA", 4, "('a.ppm', 0, 0)"),  # the first row again
+    ("AAB", 3, "('a.ppm', 0, 0)"),  # on the second data row
+    ("ABCB", 5, "('a.ppm', 518, 0)"),  # a row other than the first again, on the last row
+    ("ABCBA", 5, "('a.ppm', 518, 0)"),  # the first repeat is named, not a later one
+], ids=["first-row-again", "second-row", "last-row", "first-of-two"])
+def test_split_of_a_manifest_with_a_repeated_tile_names_its_line(tmp_path, capsys, rows, line,
+                                                                 tile):
+    text = {"A": "a.ppm,0,0,518,0,0.000000,none,d,TL,\n",
+            "B": "a.ppm,518,0,518,0,0.000000,none,d,TR,\n",
+            "C": "a.ppm,0,518,518,0,0.000000,none,d,BL,\n"}
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text(
-        "image_id,x,y,side,label,r,split,domain_id,pass_corner,plant_ids\n"
-        "a.ppm,0,0,518,0,0.000000,none,d,TL,\n"
-        "a.ppm,518,0,518,0,0.000000,none,d,TR,\n"
-        "a.ppm,0,0,518,0,0.000000,none,d,TL,\n"
-    )
+    manifest.write_text(",".join(MANIFEST_HEADER) + "\n" + "".join(text[r] for r in rows))
     out = tmp_path / "split.csv"
     rc = main(["split", "--manifest", str(manifest), "--out", str(out)])
     _assert_single_data_error(
-        rc, capsys, f"{manifest}:4: duplicate tile ('a.ppm', 0, 0) in manifest", out)
+        rc, capsys, f"{manifest}:{line}: duplicate tile {tile} in manifest\n", out)
+
+
+def test_split_of_a_manifest_with_an_image_in_two_domains_is_a_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(",".join(MANIFEST_HEADER) + "\n"
+                        "a.ppm,0,0,518,0,0.000000,none,siteA,TL,\n"
+                        "a.ppm,518,0,518,0,0.000000,none,siteB,TR,\n")
+    out = tmp_path / "split.csv"
+    rc = main(["split", "--manifest", str(manifest), "--out", str(out), "--val-fraction", "0"])
+    _assert_single_data_error(
+        rc, capsys, f"{manifest}: image 'a.ppm' has tiles in domains 'siteA' and 'siteB'\n", out)
+    assert not (tmp_path / "split.csv.config.txt").exists()
 
 
 @pytest.mark.parametrize("field, value", [("label", "7"), ("r", "nan"), ("r", "-3.5"),
@@ -747,6 +766,38 @@ def test_report_outputs(tmp_path):
     assert params_rows[0] == "trainable_parameters,strategy,median_f1,sigma_epochs"
 
 
+def test_report_csv_fields_with_a_carriage_return_read_back_as_written(tmp_path):
+    # a bare "\r" in a field reads back as a line end unless the field is quoted
+    record = {"epoch": 1, "losses": {"ce": 0.5}, "source_val_f1": 0.5,
+              "target_f1": {"t\rx": 0.5, "u": 0.25}, "median_target_f1": 0.375,
+              "strategy": "van\rilla", "trainable_parameters": 10, "warmup": 0}
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(record) + "\n")
+    rep = tmp_path / "rep"
+    assert main(["report", "--history", str(history), "--out", str(rep)]) == 0
+    with open(rep / "f1_vs_epoch.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["epoch", "domain_id", "f1"], ["1", "t\rx", "0.5"],
+                                        ["1", "u", "0.25"]]
+    with open(rep / "f1_vs_params.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["trainable_parameters", "strategy", "median_f1", "sigma_epochs"],
+            ["10", "van\rilla", "0.375", "0.0"]]
+
+
+_CSV_FIELD = st.text(st.sampled_from('ab,"\r\n é'), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CSV_FIELD, min_size=1, max_size=3), max_size=4))
+def test_csv_text_reads_back_as_its_rows(rows):
+    text = csv_text(rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+    if not any("\r" in field for row in rows for field in row):  # minimal quoting, as before
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert text == buf.getvalue()
+
+
 def test_eval_of_well_fit_model_scores_high(tmp_path):
     # no target shift: the trained model should score near-perfectly on the
     # target through the full checkpoint + eval path
@@ -1061,6 +1112,17 @@ def test_tile_with_a_field_over_the_csv_limit_is_a_data_error(tmp_path, image_fi
     out = tmp_path / "tiles.csv"
     rc = main(_tile_args(image_fixture, out))
     _assert_single_data_error(rc, capsys, f"{path}:{line}: field larger than field limit", out)
+
+
+@pytest.mark.parametrize("domain", ["siteB", "siteA"])
+def test_tile_domain_map_that_repeats_an_image_names_its_line(tmp_path, image_fixture, capsys,
+                                                              domain):
+    _, _, _, domains = image_fixture
+    domains.write_text(f"siteA/img0.ppm,siteA\nsiteB/img2.ppm,siteB\nsiteA/img0.ppm,{domain}\n")
+    out = tmp_path / "tiles.csv"
+    rc = main(_tile_args(image_fixture, out))
+    _assert_single_data_error(rc, capsys, f"{domains}:3: image 'siteA/img0.ppm' is mapped again, "
+                              f"to {domain!r} after 'siteA'\n", out)
 
 
 def test_tile_malformed_domain_map_row_names_its_line(tmp_path, image_fixture, capsys):

@@ -15,7 +15,6 @@ from rumexda.errors import ConfigError, DataError, DegenerateInputError
 from rumexda.tiling import (
     BBoxAnnotation,
     ManifestEntry,
-    SplitManifest,
     TileRecord,
     assign_label,
     build_splits,
@@ -258,7 +257,7 @@ def test_plant_groups_stay_in_one_split():
     recs, subset_of = _records_for_split()
     manifest = build_splits(recs, subset_of, val_fraction=0.3, mode="per_subset", seed=1)
     split_by_plant = {}
-    for e in manifest.entries:
+    for e in manifest:
         for pid in e.record.plant_ids:
             split_by_plant.setdefault(pid, set()).add(e.split)
     assert split_by_plant
@@ -271,16 +270,16 @@ def test_single_plant_tiles_travel_together():
     recs += [TileRecord("b.ppm", i * 518, 0, 518, 1, 0.5, "TL", (f"q{i}",)) for i in range(4)]
     subset_of = {"a.ppm": "s", "b.ppm": "s"}
     manifest = build_splits(recs, subset_of, val_fraction=0.4, mode="pooled", seed=0)
-    p1_splits = {e.split for e in manifest.entries if "p1" in e.record.plant_ids}
+    p1_splits = {e.split for e in manifest if "p1" in e.record.plant_ids}
     assert len(p1_splits) == 1
 
 
 def test_per_subset_mode_keeps_domains():
     recs, subset_of = _records_for_split()
     manifest = build_splits(recs, subset_of, val_fraction=0.3, mode="per_subset", seed=1)
-    assert {e.domain_id for e in manifest.entries} == {"siteA", "siteB"}
+    assert {e.domain_id for e in manifest} == {"siteA", "siteB"}
     pooled = build_splits(recs, subset_of, val_fraction=0.3, mode="pooled", seed=1)
-    assert {e.domain_id for e in pooled.entries} == {"pooled"}
+    assert {e.domain_id for e in pooled} == {"pooled"}
 
 
 def test_five_subsets_give_five_domains():
@@ -294,22 +293,22 @@ def test_five_subsets_give_five_domains():
             recs.append(TileRecord(image_id, t * 518, 0, 518, 1, 0.5, "TL", (f"s{s}p{t}",)))
         recs.append(TileRecord(image_id, 0, 518, 518, 0, 0.0, "TL"))
     manifest = build_splits(recs, subset_of, val_fraction=0.25, mode="per_subset", seed=3)
-    assert {e.domain_id for e in manifest.entries} == {f"subset{s}" for s in range(5)}
-    assert {e.domain_id for e in build_splits(recs, subset_of, 0.25, "pooled", 3).entries} == {"pooled"}
+    assert {e.domain_id for e in manifest} == {f"subset{s}" for s in range(5)}
+    assert {e.domain_id for e in build_splits(recs, subset_of, 0.25, "pooled", 3)} == {"pooled"}
 
 
 def test_both_splits_see_every_subset():
     recs, subset_of = _records_for_split()
     manifest = build_splits(recs, subset_of, val_fraction=0.3, mode="per_subset", seed=5)
     for subset in ("siteA", "siteB"):
-        splits = {e.split for e in manifest.entries if subset_of[e.record.image_id] == subset}
+        splits = {e.split for e in manifest if subset_of[e.record.image_id] == subset}
         assert splits == {"train", "val"}
 
 
 def test_val_fraction_zero_all_train():
     recs, subset_of = _records_for_split()
     manifest = build_splits(recs, subset_of, val_fraction=0.0, mode="pooled", seed=1)
-    assert all(e.split == "train" for e in manifest.entries)
+    assert all(e.split == "train" for e in manifest)
 
 
 def test_split_determinism(tmp_path):
@@ -366,7 +365,7 @@ def test_a_plant_group_is_drawn_in_the_subset_of_its_first_record():
         assert [str(w.message) for w in caught] == [
             "plant 'shared' spans subsets ['s1', 's2']; it will be kept in a single split",
             "subset 's2' has a single leakage group; it cannot appear in both splits"]
-        split = {(e.record.image_id, e.record.x): e.split for e in manifest.entries}
+        split = {(e.record.image_id, e.record.x): e.split for e in manifest}
         assert split["b.ppm", 518] == "train"
         a_background.add(split["a.ppm", 518])
     assert a_background == {"train", "val"}
@@ -401,7 +400,7 @@ def test_splits_never_put_one_plant_in_train_and_val(data):
             return  # too few leakage groups for a val split
     assert len(manifest) == len(records)
     splits_of_plant: dict = {}
-    for e in manifest.entries:
+    for e in manifest:
         for pid in e.record.plant_ids:
             splits_of_plant.setdefault(pid, set()).add(e.split)
     assert all(len(splits) == 1 for splits in splits_of_plant.values()), splits_of_plant
@@ -411,12 +410,6 @@ def test_rumex_tile_without_plant_id_errors():
     recs = [TileRecord("a.ppm", 0, 0, 518, 1, 0.5, "TL")]
     with pytest.raises(DataError):
         build_splits(recs, {"a.ppm": "s"}, 0.2, "pooled", seed=0)
-
-
-def test_duplicate_tile_in_manifest_errors():
-    rec = TileRecord("a.ppm", 0, 0, 518, 0, 0.0, "TL")
-    with pytest.raises(DataError):
-        SplitManifest([ManifestEntry(rec, "train", "d"), ManifestEntry(rec, "val", "d")])
 
 
 @pytest.mark.parametrize("twin", [
@@ -436,7 +429,7 @@ def test_build_splits_does_not_depend_on_the_order_of_its_records(order, seed):
     recs, subset_of = _records_for_split()
     expected = build_splits(recs, subset_of, 0.3, "per_subset", seed)
     assert build_splits([recs[i] for i in order], subset_of, 0.3, "per_subset",
-                        seed).entries == expected.entries
+                        seed) == expected
 
 
 def test_rows_from_make_are_the_rows_from_the_constructor():
@@ -482,8 +475,8 @@ def test_manifest_roundtrip(tmp_path):
     loaded = read_manifest(path)
     assert len(loaded) == len(manifest)
     for a, b in zip(
-        sorted(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y)),
-        loaded.entries,
+        sorted(manifest, key=lambda e: (e.record.image_id, e.record.x, e.record.y)),
+        loaded,
     ):
         assert (a.record.image_id, a.record.x, a.record.y) == (b.record.image_id, b.record.x, b.record.y)
         assert a.split == b.split and a.domain_id == b.domain_id
@@ -498,13 +491,13 @@ def test_failed_manifest_write_keeps_the_previous_file(tmp_path):
     before = path.read_bytes()
     # every row differs from the file on disk, and an overlap that cannot be
     # formatted fails on the last row written
-    moved = [ManifestEntry(e.record, e.split, "elsewhere") for e in manifest.entries]
-    last = max(manifest.entries, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
+    moved = [ManifestEntry(e.record, e.split, "elsewhere") for e in manifest]
+    last = max(manifest, key=lambda e: (e.record.image_id, e.record.x, e.record.y))
     bad = ManifestEntry(last.record._replace(x=last.record.x + 1, overlap="n/a"),
                         last.split, last.domain_id)
     for target in (path, tmp_path / "fresh.csv"):
         with pytest.raises(ValueError):
-            write_manifest(SplitManifest(moved + [bad]), target)
+            write_manifest(moved + [bad], target)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]
 
@@ -558,7 +551,7 @@ def _manifests(draw):
                          "TL", tuple(sorted(plants)))
         entries.append(ManifestEntry(rec, draw(st.sampled_from(["none", "train", "val"])),
                                      draw(st.sampled_from(["d0", "site Ä"]))))
-    return SplitManifest(entries)
+    return entries
 
 
 @settings(max_examples=100, deadline=None)
@@ -568,7 +561,7 @@ def test_manifest_write_then_read_gives_the_same_records(manifest):
         path = Path(tmp) / "m.csv"
         write_manifest(manifest, path)
         loaded = read_manifest(path)
-    assert loaded.entries == sorted(manifest.entries,
+    assert loaded == sorted(manifest,
                                     key=lambda e: (e.record.image_id, e.record.x, e.record.y))
 
 
@@ -607,7 +600,7 @@ def _shuffled_entries(draw):
 def test_manifest_rows_are_in_tile_key_order(entries):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.csv"
-        write_manifest(SplitManifest(entries), path)
+        write_manifest(entries, path)
         assert path.read_bytes() == _key_order_bytes(entries)
 
 
@@ -1068,7 +1061,7 @@ def test_tile_image_matches_per_tile_oracle(case):
     # the manifest's plant_ids column carries the oracle's plant sets
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "tiles.csv"
-        write_manifest(SplitManifest([ManifestEntry(r, "none", "d") for r in records]), path)
-        assert [e.record.plant_ids for e in read_manifest(path).entries] == \
+        write_manifest([ManifestEntry(r, "none", "d") for r in records], path)
+        assert [e.record.plant_ids for e in read_manifest(path)] == \
             [r.plant_ids for r in oracle]
 
