@@ -18,11 +18,15 @@ pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
 
 Each step records graph only where its optimizer consumes a gradient. An
-extraction is one graph node and the 2N heads (one ``nn.ClassifierHead``
-stack) another, however many blocks and pairs there are; per-head losses
-are added in head order. A vanilla or LoRA iteration's backward walks 3
-nodes; with lambda > 0 an m2s2da one walks 7, and the m3sda steps over
-three sources walk 9, 6 and 4. Step 2 extracts features under
+extraction is one graph node per batch and the 2N heads (one
+``nn.ClassifierHead`` stack) another, however many blocks and pairs there
+are; per-head losses are added in head order. A vanilla or LoRA
+iteration's backward walks 3 nodes; with lambda > 0 an m2s2da one walks 7,
+and the m3sda steps over three sources walk 9, 6 and 4. Every iteration of
+the single-head trainers, and every m3sda step, makes one
+``ModelBundle.extract`` call: the batches a step reads (the sources, plus
+the target where it is used) go through the extractor in one pass, which
+is bitwise one pass per batch. Step 2 extracts features under
 ``T.no_grad()``, since G is fixed there, and step 3 turns the four head
 tensors' ``requires_grad`` off around its forward and backward passes, so
 neither fills gradients that nothing steps. Evaluation
@@ -396,13 +400,15 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
 
     def iterate() -> dict[str, float]:
         x, y = src_stream.next()
-        z_s = bundle.extract(Tensor(x))
+        if tgt_stream is None:
+            z_s = bundle.extract(Tensor(x))
+        else:  # independent streams: drawing the target before the loss changes no draw
+            z_s, z_t = bundle.extract([Tensor(x), Tensor(tgt_stream.next()[0])])
         logits = bundle.head.forward(z_s, training=True, rng=drop_rng)
         loss = T.softmax_cross_entropy(logits, y[None])
         losses = {"ce": _finite("ce", loss, "classify")}
         if tgt_stream is not None:
-            xt, _ = tgt_stream.next()
-            md2 = moment_distance_single(z_s, bundle.extract(Tensor(xt)))
+            md2 = moment_distance_single(z_s, z_t)
             losses["md2"] = _finite("md2", md2, "classify")
             loss = T.add(loss, T.mul(md2, config.lam))
         opt.zero_grad()
@@ -491,13 +497,16 @@ class M3sdaStepper:
 
     def step_classify(self, batches, x_t: np.ndarray) -> tuple[float, float]:
         """Step 1: update G and all heads on source CE + lambda * MD2."""
-        z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
-        loss = self._pair_ce(z_list, batches)
+        n = len(batches)
+        inputs = [Tensor(x) for x, _ in batches]
+        if self.config.lam > 0:
+            inputs.append(Tensor(x_t))
+        z_list = self.bundle.extract(inputs)
+        loss = self._pair_ce(z_list[:n], batches)
         ce_value = _finite("ce", loss, "classify")
         md2_value = 0.0
         if self.config.lam > 0:
-            z_t = self.bundle.extract(Tensor(x_t))
-            md2 = moment_distance_multi(z_list, z_t)
+            md2 = moment_distance_multi(z_list[:n], z_list[n])
             md2_value = _finite("md2", md2, "classify")
             loss = T.add(loss, T.mul(md2, self.config.lam))
         self.opt_g.zero_grad()
@@ -511,8 +520,7 @@ class M3sdaStepper:
         """Step 2: with G fixed, push classifier pairs apart on the target
         while keeping them correct on the sources."""
         with T.no_grad():
-            z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
-            z_t = self.bundle.extract(Tensor(x_t))
+            *z_list, z_t = self.bundle.extract([*(Tensor(x) for x, _ in batches), Tensor(x_t)])
         disc = self._pair_discrepancy(z_t)
         disc_value = _finite("disc_max", disc, "max_discrepancy")
         loss = T.sub(self._pair_ce(z_list, batches), disc)

@@ -84,8 +84,9 @@ def _load_config(args) -> cfgmod.RunConfig:
 # tile
 
 
-def _domain_lookup(args) -> dict[str, str]:
-    """The ``--domain-map`` table; an image belongs to one domain."""
+def _domain_lookup(args, known_ids: set[str]) -> dict[str, str]:
+    """The ``--domain-map`` table; an image belongs to one domain, and each
+    row names an image under ``--images-dir``."""
     table: dict[str, str] = {}
     if args.domain_map:
         for line_no, row in csv_rows(args.domain_map):
@@ -95,6 +96,9 @@ def _domain_lookup(args) -> dict[str, str]:
             if image_id in table:
                 raise DataError(f"{args.domain_map}:{line_no}: image {image_id!r} is mapped "
                                 f"again, to {domain!r} after {table[image_id]!r}")
+            if image_id not in known_ids:
+                raise DataError(f"{args.domain_map}:{line_no}: image {image_id!r} is not under "
+                                f"{args.images_dir}")
             table[image_id] = domain
     return table
 
@@ -113,12 +117,11 @@ def cmd_tile(args) -> int:
         print(f"error: no PGM/PPM images under {args.images_dir}", file=sys.stderr)
         return 1
     known_ids = {image_id for image_id, _ in images}
+    domain_map = _domain_lookup(args, known_ids)
     missing = sorted({b.image_id for b in positives} - known_ids)
     failures = list(missing)
     for image_id in missing:
         print(f"error: annotation references missing image {image_id!r}", file=sys.stderr)
-
-    domain_map = _domain_lookup(args)
 
     entries = []
     make_entry = ManifestEntry._make

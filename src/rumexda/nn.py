@@ -4,12 +4,13 @@ G is a stack of linear+ReLU blocks standing in for an arbitrary backbone;
 the adaptation math only ever touches its output embedding, so the block
 internals are irrelevant to the training strategies. Its blocks are the
 layer tuples ``tensor.mlp`` takes, built once by ``build_model``, so an
-extraction is one graph node, LoRA adapters included. Each classifier is
-fixed to linear -> ReLU -> dropout (``ModelConfig.dropout``) -> linear ->
-2 logits. A bundle's H classifiers (one, or the 2N of the pair strategies)
-live in one ``ClassifierHead`` that keeps each layer's weights and biases as
-one (H, ...) stack and runs every head as one ``tensor.head_stack`` node.
-Checkpoints still store each head's slab as its own
+extraction is one graph node per batch, LoRA adapters included, and
+``ModelBundle.extract`` runs a list of batches through G in one pass. Each
+classifier is fixed to linear -> ReLU -> dropout (``ModelConfig.dropout``)
+-> linear -> 2 logits. A bundle's H classifiers (one, or the 2N of the pair
+strategies) live in one ``ClassifierHead`` that keeps each layer's weights
+and biases as one (H, ...) stack and runs every head as one
+``tensor.head_stack`` node. Checkpoints still store each head's slab as its own
 ``head{j}.linear{1,2}.{weight,bias}`` entry.
 
 ``build_model`` takes the run config's ``model`` section as it is, plus
@@ -41,7 +42,7 @@ _BLOCK_PARAMETERS = ("weight", "bias", "lora_down", "lora_up")
 
 
 class FeatureExtractor:
-    """Ordered linear+ReLU blocks, run as one ``T.mlp`` node.
+    """Ordered linear+ReLU blocks, run as one ``T.mlp`` node per batch.
 
     Each block is the layer tuple ``T.mlp`` takes: ``(weight, bias)``, with
     exactly the trailing ``unfreeze`` blocks trainable, or under LoRA
@@ -53,7 +54,7 @@ class FeatureExtractor:
     def __init__(self, blocks: list[tuple]):
         self.blocks = blocks
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         return T.mlp(x, self.blocks)
 
     def parameters(self):
@@ -116,12 +117,21 @@ class ModelBundle:
         """Logits of every head, H x n x 2."""
         return self.head.forward(self.extract(x), training, rng)
 
-    def extract(self, x: Tensor) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise ShapeError(
-                f"input of shape {x.shape} does not match input_dim={self.config.input_dim}"
-            )
+    def extract(self, x):
+        """The features of a batch of rows, or, for a list or tuple of
+        batches, a list of each batch's features from one extractor pass
+        (``T.mlp`` over all their rows)."""
+        if isinstance(x, (list, tuple)):
+            x = [t if isinstance(t, Tensor) else Tensor(t) for t in x]
+            batches = x
+        else:
+            x = x if isinstance(x, Tensor) else Tensor(x)
+            batches = (x,)
+        for t in batches:
+            if t.ndim != 2 or t.shape[1] != self.config.input_dim:
+                raise ShapeError(
+                    f"input of shape {t.shape} does not match input_dim={self.config.input_dim}"
+                )
         return self.extractor.forward(x)
 
     def parameters(self):

@@ -27,14 +27,21 @@ so the engine records as few nodes as it can and walks only those:
   linear+ReLU blocks, LoRA updates included, and ``head_stack`` runs the
   H heads' ``linear_stack -> relu -> dropout -> linear_stack``. Each is
   bitwise equal in value and gradient to the chain of nodes it replaces.
+  Given a list of batches, ``mlp`` runs their rows through each block's
+  array ops once and still returns one node per batch, each bitwise the
+  node of that batch alone, so a training step pays for one extractor
+  pass however many batches it feeds.
 * ``moment_distance`` is the first- plus second-moment distance between
   feature batches (MD2) as one node, bitwise equal in value and gradient
   to the ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
-  ``mul`` graph that spells it out.
+  ``mul`` graph that spells it out. Its moments, terms, norms and term
+  gradients are whole-array ops over all batches at once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -352,20 +359,45 @@ def l2_norm(t: Tensor) -> Tensor:
     return _result(data, (t,), grad_fn, "l2_norm")
 
 
-def _diff_norm(d: np.ndarray) -> tuple[np.ndarray, float]:
-    return d, float(np.sqrt((d ** 2).sum()))
+# k for moments k = 1 and 2, shaped to scale a (2, batches, d) stack
+_MOMENT_ORDERS = np.array([1.0, 2.0])[:, None, None]
 
 
-def _norm_grad(g, d: np.ndarray, norm: float) -> np.ndarray:
-    # l2_norm's gradient, with the zero subgradient at the origin
-    return np.zeros_like(d) if norm == 0.0 else g * d / norm
+@functools.lru_cache(maxsize=None)
+def _md2_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MD2's terms over batches 0..n-1 (sources) and n (target), as index
+    arrays: term t is ``m[first[t]] - m[second[t]]``, the n source-target
+    terms and then the pairwise ones in lexicographic order. Row i of
+    ``order`` lists, in the order a chain of ``add`` nodes adds them, the
+    terms whose gradients reach batch i's moment: index t for ``+term_t``
+    and T + t for ``-term_t``, with T terms in all."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    first = [*range(n), *(i for i, _ in pairs)]
+    second = [n] * n + [j for _, j in pairs]
+    neg = len(first)
+    order = [[i, *(n + p if i == a else neg + n + p
+                   for p, (a, b) in enumerate(pairs) if i in (a, b))] for i in range(n)]
+    order.append([neg + i for i in range(n)])
+    arrays = (np.array(first), np.array(second), np.array(order))
+    for a in arrays:
+        a.flags.writeable = False  # shared by every call with this n
+    return arrays
 
 
-def _moment_grad(z: Tensor, mg: np.ndarray, k: float) -> np.ndarray:
-    # z ** 0 is all ones (NaN ** 0 too) and x * 1.0 == x, so for k = 1 the row
-    # mg / b * k is only repeated, into an array that a leaf's grad may own
-    row = mg / len(z.data) * k
-    return np.repeat(row[None], len(z.data), axis=0) if k == 1.0 else row * z.data ** (k - 1)
+def _lay_out(arrays: list[np.ndarray]) -> tuple[np.ndarray, list]:
+    """Batches of rows as one array, and each batch's index into it: a
+    (batches, rows, d) stack indexed by batch number when every batch has
+    the same row count, else all rows end to end, indexed by slices. Over
+    the stack, ``np.matmul`` makes one BLAS call per batch and a mean over
+    the rows axis adds each batch's rows in order, so each batch's products
+    and means are those of the batch alone. A BLAS may round a row of a
+    taller matrix differently (OpenBLAS does for some widths and row
+    counts), so one product over all rows end to end would not do."""
+    sizes = [len(a) for a in arrays]
+    if sizes.count(sizes[0]) == len(sizes):
+        return np.stack(arrays), list(range(len(arrays)))
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return np.concatenate(arrays), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
@@ -385,6 +417,11 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
     * it is spread over the b rows as ``g / b`` and multiplied by
       ``k * z ** (k - 1)``.
 
+    The work is whole-array: the moments of both orders for every batch,
+    every term's difference and every norm are a few array ops each, and
+    so are all the terms' gradients, which are then added per batch in the
+    order above. Only the 2 x (N + C(N, 2)) norms are summed in Python.
+
     The parents are the batches twice, the k = 1 block and then the k = 2
     block, each ``[*z_sources, z_t]`` when N == 1 and ``[z_t, *z_sources]``
     when N >= 2. That is the order in which ``backward`` reaches the
@@ -400,48 +437,49 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
     for z in zs:
         if z.ndim != 2 or z_t.ndim != 2 or z.shape[1] != z_t.shape[1]:
             raise ShapeError(f"feature dims disagree: {z.shape} vs {z_t.shape}")
-    if any(len(z.data) == 0 for z in (*zs, z_t)):
+    batches = [*zs, z_t]
+    sizes = [len(z.data) for z in batches]
+    if 0 in sizes:
         raise DegenerateInputError("moment distance over an empty batch")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    first, second, order = _md2_terms(n)
     st_scale = 1.0 / n
-    pair_scale = 1.0 / math.comb(n, 2) if pairs else 0.0
-    terms = {}  # k -> (source-target (d, ||d||), pairwise (d, ||d||))
+    pair_scale = 1.0 / math.comb(n, 2) if n >= 2 else 0.0
+    data, index = _lay_out([z.data for z in batches])
+    # z ** 1.0 is z itself; moment k is slice k - 1 of each stack below
+    powers = np.stack([data, data ** 2.0])
+    moments = (powers.mean(axis=2) if data.ndim == 3
+               else np.stack([powers[:, ix].mean(axis=1) for ix in index], axis=1))
+    diffs = moments[:, first] - moments[:, second]
+    norms = np.sqrt((diffs ** 2).sum(axis=2))
     total = None
-    for k in (1.0, 2.0):
-        moments = [(z.data ** k).mean(axis=0) for z in zs]
-        target_moment = (z_t.data ** k).mean(axis=0)
-        st = [_diff_norm(m - target_moment) for m in moments]
-        pw = [_diff_norm(moments[i] - moments[j]) for i, j in pairs]
-        terms[k] = st, pw
-        part = _sum_in_order([norm for _, norm in st])
-        if pairs:
-            part = part * st_scale + _sum_in_order([norm for _, norm in pw]) * pair_scale
+    for k_norms in norms.tolist():
+        part = _sum_in_order(k_norms[:n])
+        if n >= 2:
+            part = part * st_scale + _sum_in_order(k_norms[n:]) * pair_scale
         total = part if total is None else total + part
     block = [*zs, z_t] if n == 1 else [z_t, *zs]
 
     def grad_fn(g):
-        g_st = g if n == 1 else g * st_scale
-        g_pw = g * pair_scale
-        grads = []
-        for k, (st, pw) in terms.items():
-            st_grads = [_norm_grad(g_st, d, norm) for d, norm in st]
-            pw_grads = [_norm_grad(g_pw, d, norm) for d, norm in pw]
-            moment_grads = []
-            for i in range(n):
-                acc = st_grads[i]
-                for (a, b), pg in zip(pairs, pw_grads):
-                    if a == i:
-                        acc = acc + pg
-                    elif b == i:
-                        acc = acc + -pg
-                moment_grads.append(acc)
-            target_grad = -st_grads[0]
-            for sg in st_grads[1:]:
-                target_grad = target_grad + -sg
-            ordered = [*moment_grads, target_grad] if n == 1 else [target_grad, *moment_grads]
-            grads += [_moment_grad(z, mg, k) if _needs_grad(z) else None
-                      for z, mg in zip(block, ordered)]
-        return grads
+        scales = np.empty(len(first))
+        scales[:n] = g if n == 1 else g * st_scale
+        scales[n:] = g * pair_scale
+        # l2_norm's gradient per term, zero at the origin
+        term_grads = np.divide(scales[:, None] * diffs, norms[..., None],
+                               out=np.zeros_like(diffs), where=norms[..., None] != 0.0)
+        signed = np.concatenate([term_grads, -term_grads], axis=1)[:, order]
+        moment_grads = signed[:, :, 0]
+        for s in range(1, n):
+            moment_grads = moment_grads + signed[:, :, s]
+        # spread over each batch's b rows as g / b * k; for k = 2 times z
+        row_grads = moment_grads / np.array(sizes)[:, None] * _MOMENT_ORDERS
+        spread = (np.repeat(row_grads[:, :, None], sizes[0], axis=2) if data.ndim == 3
+                  else np.repeat(row_grads, sizes, axis=1))
+        spread[1] *= data
+        per_batch = [spread[:, ix] for ix in index]
+        if n >= 2:
+            per_batch.insert(0, per_batch.pop())
+        return [grad[k] if _needs_grad(z) else None
+                for k in (0, 1) for z, grad in zip(block, per_batch)]
 
     return _result(np.asarray(total), block + block, grad_fn, "moment_distance")
 
@@ -520,7 +558,27 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _result(data, parents, grad_fn, "linear")
 
 
-def mlp(x: Tensor, layers: Sequence[tuple]) -> Tensor:
+def _check_rows(t: Tensor) -> None:
+    if t.ndim != 2:
+        raise ShapeError(f"mlp expects rows of a rank-2 tensor, got {t.shape}")
+
+
+def _batch_rows(xs: list[Tensor]):
+    """``_lay_out`` of the batches' rows, each batch's index into it, and
+    the product that multiplies each batch's rows as a matrix of its own."""
+    if not xs:
+        raise ShapeError("mlp needs at least one batch")
+    for t in xs:
+        _check_rows(t)
+    if len({t.shape[1] for t in xs}) > 1:
+        raise ShapeError(f"mlp: batches of {sorted({t.shape[1] for t in xs})} columns")
+    h, index = _lay_out([t.data for t in xs])
+    if h.ndim == 3:
+        return h, index, np.matmul
+    return h, index, lambda rows, w: np.concatenate([rows[ix] @ w for ix in index])
+
+
+def mlp(x, layers: Sequence[tuple]):
     """A chain of linear+ReLU blocks over the rows of ``x``, as one node.
 
     A layer is ``(W, b)``, or ``(W, b, down, up, scale)`` for a block with a
@@ -532,43 +590,64 @@ def mlp(x: Tensor, layers: Sequence[tuple]) -> Tensor:
     and so is every gradient. The backward repeats those ops' products in
     reverse, computes no gradient that no parent needs, and stops below the
     lowest block with a parameter that needs one, unless ``x`` needs one.
+
+    ``x`` may also be a list or tuple of batches. Their rows then go through
+    each block together, one product, bias add and ReLU per array op, and
+    the result is a list with one node per batch, bitwise ``mlp(batch,
+    layers)`` in value and gradient: the products are made per batch (see
+    ``_lay_out``), and each node's backward is that of ``mlp`` on its
+    batch's rows.
     """
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"mlp expects rows of a rank-2 tensor, got {x.shape}")
-    h = x.data
-    parents = [x]
-    saved = []  # per block: (index of its W in parents, layer, input, W^T, pre-activation)
+    if isinstance(x, (list, tuple)):
+        xs = [_as_tensor(t) for t in x]
+        h, index, product = _batch_rows(xs)
+    else:
+        xs = None
+        x = _as_tensor(x)
+        _check_rows(x)
+        h, product = x.data, np.matmul
+    params = []
+    saved = []  # per block: (position of its W in a node's parents, layer, input, W^T, pre-activation)
     for layer in layers:
         weight, bias = layer[0], layer[1]
-        if weight.ndim != 2 or h.shape[1] != weight.shape[1] or bias.shape != weight.shape[:1]:
+        if weight.ndim != 2 or h.shape[-1] != weight.shape[1] or bias.shape != weight.shape[:1]:
             raise ShapeError(f"mlp: cannot apply weight {weight.shape} and bias {bias.shape} "
                              f"to rows of {h.shape}")
         wt = np.ascontiguousarray(weight.data.T)
-        pre = h @ wt
+        pre = product(h, wt)
         pre += bias.data
         lora = None
         if len(layer) == 5:
             down, up, scale = layer[2:]
-            if down.shape[1:] != h.shape[1:] or up.shape != (weight.shape[0], down.shape[0]):
+            if down.shape[1:] != h.shape[-1:] or up.shape != (weight.shape[0], down.shape[0]):
                 raise ShapeError(f"mlp: LoRA factors {down.shape} and {up.shape} do not fit "
                                  f"weight {weight.shape}")
             dt, ut = np.ascontiguousarray(down.data.T), np.ascontiguousarray(up.data.T)
-            mid = h @ dt
-            pre = pre + (mid @ ut) * scale
+            mid = product(h, dt)
+            pre = pre + product(mid, ut) * scale
             lora = (dt, ut, mid)
-        saved.append((len(parents), layer, h, wt, pre, lora))
-        parents.extend(layer[:4])
+        saved.append((1 + len(params), layer, h, wt, pre, lora))
+        params.extend(layer[:4])
         h = np.maximum(pre, 0)
+    if xs is None:
+        return _mlp_node(x, params, saved, h, None)
+    return [_mlp_node(t, params, saved, h, ix) for t, ix in zip(xs, index)]
+
+
+def _mlp_node(x: Tensor, params: list, saved: list, out: np.ndarray, index) -> Tensor:
+    """The ``mlp`` node of batch ``x``, whose rows are ``index`` of the saved
+    block arrays (all of them when ``index`` is None)."""
 
     def grad_fn(g):
-        grads = [None] * len(parents)
+        grads = [None] * (1 + len(params))
         # whether each block's input needs a gradient
         wants, want = [], _needs_grad(x)
         for _, layer, *_ in saved:
             wants.append(want)
             want = want or any(_needs_grad(p) for p in layer[:4])
         for (at, layer, h_in, wt, pre, lora), want in zip(reversed(saved), reversed(wants)):
+            if index is not None:
+                h_in, pre = h_in[index], pre[index]
             g = g * (pre > 0)
             if _needs_grad(layer[0]):
                 grads[at] = np.ascontiguousarray((h_in.T @ g).T)
@@ -578,6 +657,8 @@ def mlp(x: Tensor, layers: Sequence[tuple]) -> Tensor:
             if lora is not None:
                 down, up, scale = layer[2:]
                 dt, ut, mid = lora
+                if index is not None:
+                    mid = mid[index]
                 mid_wanted = want or _needs_grad(down)
                 if mid_wanted or _needs_grad(up):
                     gd = g * scale
@@ -596,7 +677,7 @@ def mlp(x: Tensor, layers: Sequence[tuple]) -> Tensor:
             grads[0] = g
         return grads
 
-    return _result(h, parents, grad_fn, "mlp")
+    return _result(out if index is None else out[index], [x, *params], grad_fn, "mlp")
 
 
 def _stack_inputs(x, weight: Tensor, bias: Tensor, op: str):

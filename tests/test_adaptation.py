@@ -23,7 +23,7 @@ from rumexda.adaptation import (
 )
 from rumexda.errors import ConfigError, DegenerateInputError, ShapeError, TrainingStateError
 from rumexda.evaluation import select_model_epoch
-from rumexda.nn import ModelConfig, build_model
+from rumexda.nn import ModelBundle, ModelConfig, build_model
 from rumexda.tensor import Tensor
 
 from gradcheck import assert_gradients_match
@@ -390,6 +390,65 @@ def _stepper_and_batch(seed=12, pairs=3):
     return bundle, stepper, batches, target.features[:32]
 
 
+class _PerBatchStepper(M3sdaStepper):
+    """Steps 1 and 2 with one ``extract`` call per batch, as they were
+    written before one extractor pass served all of a step's batches."""
+
+    def step_classify(self, batches, x_t):
+        z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
+        loss = self._pair_ce(z_list, batches)
+        ce_value, md2_value = loss.item(), 0.0
+        if self.config.lam > 0:
+            md2 = moment_distance_multi(z_list, self.bundle.extract(Tensor(x_t)))
+            md2_value = md2.item()
+            loss = T.add(loss, T.mul(md2, self.config.lam))
+        self.opt_g.zero_grad()
+        self.opt_heads.zero_grad()
+        loss.backward()
+        self.opt_g.step()
+        self.opt_heads.step()
+        return ce_value, md2_value
+
+    def step_max_discrepancy(self, batches, x_t):
+        with T.no_grad():
+            z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
+            z_t = self.bundle.extract(Tensor(x_t))
+        disc = self._pair_discrepancy(z_t)
+        loss = T.sub(self._pair_ce(z_list, batches), disc)
+        self.opt_g.zero_grad()
+        self.opt_heads.zero_grad()
+        loss.backward()
+        self.opt_heads.step()
+        return disc.item()
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_m3sda_steps_leave_the_bytes_of_per_batch_extraction(lam):
+    # a frozen leading block, and widths and 50-row batches for which
+    # OpenBLAS rounds some rows of one product over all batches differently
+    config = ModelConfig(input_dim=16, hidden_dims=(9, 18), feature_dim=3, unfreeze=2)
+    sources = [_blobs(n=150, d=16, seed=90 + i) for i in range(3)]
+    target = _shifted_target(n=150, d=16, seed=95)
+    cfg = AdaptationConfig(strategy="m3sda_beta", lam=lam, seed=4)
+    runs = []
+    for stepper_class in (M3sdaStepper, _PerBatchStepper):
+        bundle = build_model(config, 3, 4)
+        stepper = stepper_class(bundle, cfg, np.random.default_rng(4))
+        values, states = [], []
+        for i in range(3):
+            rows = slice(50 * i, 50 * i + 50)
+            batches = [(ds.features[rows], ds.labels[rows]) for ds in sources]
+            x_t = target.features[rows]
+            values.append(stepper.step_classify(batches, x_t))
+            states.append([p.data.tobytes() for _, p in bundle.parameters()])
+            values.append(stepper.step_max_discrepancy(batches, x_t))
+            states.append([p.data.tobytes() for _, p in bundle.parameters()])
+            values.append(stepper.step_min_discrepancy(x_t))
+        runs.append((values, states))
+    assert runs[0] == runs[1]
+    assert (runs[0][0][0][1] > 0.0) == (lam > 0)
+
+
 def test_m3sda_steps_fill_only_the_gradients_they_step():
     bundle, stepper, batches, x_t = _stepper_and_batch()
     extractor = [p for _, p in bundle.extractor_trainable_parameters()]
@@ -732,3 +791,48 @@ def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
         "m3sda_beta": lambda: train_m3sda_beta(bundle, sources, target, cfg),
     }[leg]
     assert _nodes_per_backward(monkeypatch, train) == per_iteration * 2
+
+
+@pytest.mark.parametrize("leg,per_iteration", [
+    ("vanilla", ["extract", "backward"]),
+    ("m2s2da", ["extract", "backward"]),  # the source and target batches in one pass
+    ("lora", ["extract", "backward"]),
+    # steps 1 and 2 run the three sources and the target in one pass each
+    ("m3sda_beta", ["step_classify", "extract", "step_max_discrepancy", "extract",
+                    "step_min_discrepancy", "extract"]),
+])
+def test_extract_calls_per_iteration_are_pinned(monkeypatch, leg, per_iteration):
+    # the bench tracer's nn.extract.calls counts these calls
+    calls = []
+
+    def recording(owner, name):
+        method = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+
+    recording(ModelBundle, "extract")
+    if leg == "m3sda_beta":
+        for step in ("step_classify", "step_max_discrepancy", "step_min_discrepancy"):
+            recording(M3sdaStepper, step)
+    else:
+        recording(Tensor, "backward")
+    cfg = AdaptationConfig(strategy="vanilla" if leg == "lora" else leg, epochs=1, warmup=0,
+                           batch_size=64, seed=0)
+    sources = [_blobs(n=128, seed=s) for s in (80, 81, 82)]
+    target = _shifted_target(n=128, seed=83).unlabeled()
+    if leg == "lora":
+        bundle = build_model(ModelConfig(input_dim=2, hidden_dims=(8,), feature_dim=8,
+                                         unfreeze=0, adaptation="lora", lora_rank=4), 0, 7)
+    else:
+        bundle = _model(seed=7, pairs=3 if leg == "m3sda_beta" else 0)
+    {
+        "vanilla": lambda: train_vanilla(bundle, sources[0], cfg),
+        "lora": lambda: train_vanilla(bundle, sources[0], cfg),
+        "m2s2da": lambda: train_m2s2da(bundle, sources[0], target, cfg),
+        "m3sda_beta": lambda: train_m3sda_beta(bundle, sources, target, cfg),
+    }[leg]()
+    assert calls == per_iteration * 2

@@ -1125,6 +1125,19 @@ def test_tile_domain_map_that_repeats_an_image_names_its_line(tmp_path, image_fi
                               f"to {domain!r} after 'siteA'\n", out)
 
 
+@pytest.mark.parametrize("image_id", ["siteB/IMG2.ppm", "ghost.ppm"])
+def test_tile_domain_map_row_of_an_image_not_under_images_dir_names_its_line(
+        tmp_path, image_fixture, capsys, image_id):
+    # a case typo or a stale row would otherwise leave that image's tiles in --domain
+    _, images, _, domains = image_fixture
+    domains.write_text(f"siteA/img0.ppm,siteA\n{image_id},siteB\nsiteA/img1.pgm,siteA\n")
+    out = tmp_path / "tiles.csv"
+    rc = main(_tile_args(image_fixture, out))
+    _assert_single_data_error(rc, capsys, f"{domains}:2: image {image_id!r} is not under "
+                              f"{images}\n", out)
+    assert not Path(f"{out}.config.txt").exists()
+
+
 def test_tile_malformed_domain_map_row_names_its_line(tmp_path, image_fixture, capsys):
     _, _, _, domains = image_fixture
     domains.write_text("siteA/img0.ppm,siteA\nsiteA/img1.pgm,siteA,extra\n")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -658,6 +659,69 @@ def test_mlp_stops_below_the_lowest_block_that_needs_a_gradient():
               [(*layers[0], Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), 1.0)])
 
 
+def _mlp_batches_run(one_pass, xs, x_flag, blocks, upstreams, grad):
+    """Output bytes and every leaf gradient of the summed weighted outputs
+    of ``T.mlp`` over the batches ``xs``, from one call (``one_pass``) or
+    one call per batch; with ``grad`` off the forward runs under no_grad."""
+    inputs = [Tensor(x, requires_grad=x_flag) for x in xs]
+    layers, leaves = [], []
+    for arrays, flags, scale in blocks:
+        tensors = _leaves(arrays, flags)
+        leaves += tensors
+        layers.append(tuple(tensors) if scale is None else (*tensors, scale))
+    with T.no_grad() if not grad else contextlib.nullcontext():
+        outs = T.mlp(inputs, layers) if one_pass else [T.mlp(x, layers) for x in inputs]
+    assert isinstance(outs, list) and len(outs) == len(xs)
+    assert grad or all(o._grad_fn is None for o in outs)
+    loss = None
+    for out, upstream in zip(outs, upstreams):
+        if grad and len(upstream):
+            term = T.mul(out, Tensor(upstream)).sum()
+            loss = term if loss is None else T.add(loss, term)
+    if loss is not None:
+        loss.backward()
+    return [o.data.tobytes() for o in outs] + _grad_bytes(leaves + inputs)
+
+
+# equal row counts take the stacked-product path, unequal ones the per-batch loop
+_BATCH_ROWS = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(0, 70)).map(lambda t: [t[1]] * t[0]),
+    st.lists(st.integers(0, 70), min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dims=st.lists(st.integers(1, 20), min_size=2, max_size=4), rows=_BATCH_ROWS,
+       trains=st.lists(st.booleans(), min_size=3, max_size=3), rank=st.integers(0, 3),
+       x_flag=st.booleans(), grad=st.booleans(), seed=st.integers(0, 2**16))
+def test_mlp_over_batches_is_bitwise_one_mlp_per_batch(dims, rows, trains, rank, x_flag, grad,
+                                                        seed):
+    # rank 0 is a plain extractor whose blocks train or not per ``trains``,
+    # rank R >= 1 LoRA at rank R on a frozen base; widths up to 20 include
+    # some for which OpenBLAS rounds a row of a taller product differently
+    rng = np.random.default_rng(seed)
+    blocks = _random_blocks(rng, dims, trains[:len(dims) - 1], rank)
+    xs = [rng.normal(size=(n, dims[0])) for n in rows]
+    upstreams = [rng.normal(size=(n, dims[-1])) for n in rows]
+    one_pass = _mlp_batches_run(True, xs, x_flag, blocks, upstreams, grad)
+    assert one_pass == _mlp_batches_run(False, xs, x_flag, blocks, upstreams, grad)
+
+
+def test_mlp_over_batches_checks_them():
+    rng = np.random.default_rng(5)
+    layers = [(Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(np.zeros(4)))]
+    outs = T.mlp((Tensor(rng.normal(size=(2, 3))), rng.normal(size=(5, 3))), layers)
+    assert [o.shape for o in outs] == [(2, 4), (5, 4)]
+    assert [len(o._parents) for o in outs] == [3, 3]
+    with pytest.raises(ShapeError):
+        T.mlp([], layers)
+    with pytest.raises(ShapeError):
+        T.mlp([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], layers)
+    with pytest.raises(ShapeError):
+        T.mlp([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))], layers)
+    with pytest.raises(ShapeError):
+        T.mlp([Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4)))], layers)
+
+
 def _head_run(build, form, training, head_flags, x_flag, seed=0):
     """Value and every leaf gradient of a head stack's weighted logits for
     the input ``form``: "shared" (n x f), "stacked" (H x n x f) or "list"
@@ -855,6 +919,22 @@ def test_moment_distance_of_identical_batches_has_zero_gradients():
         assert fused == _md2_loss_and_grads(_unfused_moment_distance, [z] * (n + 1))
         assert np.frombuffer(fused[0]) == 0.0
         assert all(not np.frombuffer(g).any() for g in fused[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("equal", ["two_sources", "source_and_target"])
+def test_moment_distance_with_a_zero_norm_term_is_bitwise_the_unfused_graph(n, equal):
+    # random batches never give a term of norm 0, so its zero subgradient
+    # needs batches made equal on purpose; the other terms stay nonzero
+    rng = np.random.default_rng(30 + n)
+    arrays = [rng.normal(size=(6, 4)) for _ in range(n + 1)]
+    if equal == "two_sources":
+        arrays[1] = arrays[0].copy()  # the pairwise term (0, 1)
+    else:
+        arrays[n - 1] = arrays[n].copy()  # the last source's source-target term
+    fused = _md2_loss_and_grads(T.moment_distance, arrays)
+    assert fused == _md2_loss_and_grads(_unfused_moment_distance, arrays)
+    assert np.frombuffer(fused[0]) > 0.0 and all(np.frombuffer(g).any() for g in fused[1:])
 
 
 def test_moment_distance_records_nothing_under_no_grad():
