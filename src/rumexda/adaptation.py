@@ -17,24 +17,25 @@ classifiers only, to stay correct on the sources while maximizing each
 pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
 
-Each step records graph only where its optimizer consumes a gradient. An
-extraction is one graph node per batch and the 2N heads (one
-``nn.ClassifierHead`` stack) another, however many blocks and pairs there
-are; per-head losses are added in head order. A vanilla or LoRA
-iteration's backward walks 3 nodes; with lambda > 0 an m2s2da one walks 7,
-and the m3sda steps over three sources walk 9, 6 and 4. Every iteration of
-the single-head trainers, and every m3sda step, makes one
-``ModelBundle.extract`` call: the batches a step reads (the sources, plus
-the target where it is used) go through the extractor in one pass, which
-is bitwise one pass per batch. Step 2 extracts features under
-``T.no_grad()``, since G is fixed there, and step 3 turns the four head
-tensors' ``requires_grad`` off around its forward and backward passes, so
-neither fills gradients that nothing steps. Evaluation
-(``predict_labels``, ``discrepancy_eval``) records no graph at all.
-``predict_labels``, which the per-epoch eval and ``rumexda eval`` call once
-per dataset, runs the rows in fixed blocks of ``_PREDICT_BLOCK`` (256), so
-its memory is O(block x H x f) whatever the flight size, and its labels
-are those of the whole array.
+Each step records graph only where its optimizer consumes a gradient. A
+vanilla, LoRA or m2s2da iteration is one ``T.classify_loss`` node (through
+``ModelBundle.classify_loss``): the extractor over the source batch, and
+for m2s2da the target batch in the same pass, the head, the CE and
+lambda * MD2, so its backward walks 1 node. In an m3sda step an extraction
+is one graph node per batch and the 2N heads (one ``nn.ClassifierHead``
+stack) another, however many blocks and pairs there are; per-head losses
+are added in head order, and the steps over three sources walk 9, 6 and 4
+nodes. Every m3sda step makes one ``ModelBundle.extract`` call: the
+batches a step reads (the sources, plus the target where it is used) go
+through the extractor in one pass, which is bitwise one pass per batch.
+Step 2 extracts features under ``T.no_grad()``, since G is fixed there,
+and step 3 turns the four head tensors' ``requires_grad`` off around its
+forward and backward passes, so neither fills gradients that nothing
+steps. Evaluation (``predict_labels``, ``discrepancy_eval``) records no
+graph at all. ``predict_labels``, which the per-epoch eval and ``rumexda
+eval`` call once per dataset, runs the rows in fixed blocks of
+``_PREDICT_BLOCK`` (256), so its memory is O(block x H x f) whatever the
+flight size, and its labels are those of the whole array.
 
 A loss that is not finite stops training with ``TrainingStateError`` before
 any optimizer steps on it, and so does an optimizer step that leaves a
@@ -211,13 +212,29 @@ class TrainingHistory:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _optional_float(value) -> Optional[float]:
-    return None if value is None else float(value)
+def _number(value, field: str, f1: bool = False) -> float:
+    """A number of a history record as a float: finite, and for an F1 in
+    [0, 1]; a ValueError naming ``field`` otherwise."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is too large for a float") from None
+    if f1 and not 0.0 <= number <= 1.0:  # NaN included
+        raise ValueError(f"{field} must lie in [0, 1], got {number}")
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be finite, got {number}")
+    return number
+
+
+def _optional_f1(value, field: str) -> Optional[float]:
+    return None if value is None else _number(value, field, f1=True)
 
 
 def read_history_jsonl(path) -> TrainingHistory:
     """Parse ``to_jsonl`` output; a malformed line raises ``DataError``
-    naming the path and line."""
+    naming the path and line. Each record's ``epoch`` must be its position,
+    its losses finite, its F1 values in [0, 1] (or null where ``to_jsonl``
+    may write null) and ``trainable_parameters`` a non-negative integer."""
     records = []
     strategy, count, warmup = "", 0, 0
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
@@ -227,12 +244,20 @@ def read_history_jsonl(path) -> TrainingHistory:
             d = json.loads(line)
             strategy = d.get("strategy", strategy)
             count = d.get("trainable_parameters", count)
+            if type(count) is not int or count < 0:
+                raise ValueError(f"trainable_parameters must be a non-negative integer, "
+                                 f"got {count!r}")
+            epoch = d["epoch"]
+            if type(epoch) is not int or epoch != len(records) + 1:
+                raise ValueError(f"epoch must be {len(records) + 1}, the record's position, "
+                                 f"got {epoch!r}")
             record = EpochRecord(
-                epoch=int(d["epoch"]),
-                losses={k: float(v) for k, v in d["losses"].items()},
-                source_val_f1=_optional_float(d["source_val_f1"]),
-                target_f1={k: float(v) for k, v in d["target_f1"].items()},
-                median_target_f1=_optional_float(d["median_target_f1"]),
+                epoch=epoch,
+                losses={k: _number(v, f"losses[{k!r}]") for k, v in d["losses"].items()},
+                source_val_f1=_optional_f1(d["source_val_f1"], "source_val_f1"),
+                target_f1={k: _number(v, f"target_f1[{k!r}]", f1=True)
+                           for k, v in d["target_f1"].items()},
+                median_target_f1=_optional_f1(d["median_target_f1"], "median_target_f1"),
             )
             if type(d["warmup"]) is not int or d["warmup"] < 0:
                 raise ValueError(f"warmup must be a non-negative integer, got {d['warmup']!r}")
@@ -329,10 +354,9 @@ class _LossNotFinite(TrainingStateError):
         self.phase = phase
 
 
-def _finite(name: str, loss: Tensor, phase: str) -> float:
-    """The value of a scalar loss computed in the ``phase`` step of an
-    iteration; ``_LossNotFinite`` if it is not finite."""
-    value = loss.item()
+def _finite(name: str, value: float, phase: str) -> float:
+    """The value of a loss computed in the ``phase`` step of an iteration;
+    ``_LossNotFinite`` if it is not finite."""
     if not math.isfinite(value):
         raise _LossNotFinite(name, value, phase)
     return value
@@ -400,17 +424,11 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
 
     def iterate() -> dict[str, float]:
         x, y = src_stream.next()
-        if tgt_stream is None:
-            z_s = bundle.extract(Tensor(x))
-        else:  # independent streams: drawing the target before the loss changes no draw
-            z_s, z_t = bundle.extract([Tensor(x), Tensor(tgt_stream.next()[0])])
-        logits = bundle.head.forward(z_s, training=True, rng=drop_rng)
-        loss = T.softmax_cross_entropy(logits, y[None])
-        losses = {"ce": _finite("ce", loss, "classify")}
-        if tgt_stream is not None:
-            md2 = moment_distance_single(z_s, z_t)
+        x_t = None if tgt_stream is None else tgt_stream.next()[0]
+        loss, ce, md2 = bundle.classify_loss(x, y, drop_rng, x_t, config.lam)
+        losses = {"ce": _finite("ce", ce, "classify")}
+        if md2 is not None:
             losses["md2"] = _finite("md2", md2, "classify")
-            loss = T.add(loss, T.mul(md2, config.lam))
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -503,11 +521,11 @@ class M3sdaStepper:
             inputs.append(Tensor(x_t))
         z_list = self.bundle.extract(inputs)
         loss = self._pair_ce(z_list[:n], batches)
-        ce_value = _finite("ce", loss, "classify")
+        ce_value = _finite("ce", loss.item(), "classify")
         md2_value = 0.0
         if self.config.lam > 0:
             md2 = moment_distance_multi(z_list[:n], z_list[n])
-            md2_value = _finite("md2", md2, "classify")
+            md2_value = _finite("md2", md2.item(), "classify")
             loss = T.add(loss, T.mul(md2, self.config.lam))
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
@@ -522,7 +540,7 @@ class M3sdaStepper:
         with T.no_grad():
             *z_list, z_t = self.bundle.extract([*(Tensor(x) for x, _ in batches), Tensor(x_t)])
         disc = self._pair_discrepancy(z_t)
-        disc_value = _finite("disc_max", disc, "max_discrepancy")
+        disc_value = _finite("disc_max", disc.item(), "max_discrepancy")
         loss = T.sub(self._pair_ce(z_list, batches), disc)
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
@@ -537,7 +555,7 @@ class M3sdaStepper:
         try:
             z_t = self.bundle.extract(Tensor(x_t))
             disc = self._pair_discrepancy(z_t)
-            disc_value = _finite("disc_min", disc, "min_discrepancy")
+            disc_value = _finite("disc_min", disc.item(), "min_discrepancy")
             self.opt_g.zero_grad()
             self.opt_heads.zero_grad()
             disc.backward()

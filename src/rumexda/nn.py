@@ -10,7 +10,9 @@ classifier is fixed to linear -> ReLU -> dropout (``ModelConfig.dropout``)
 -> linear -> 2 logits. A bundle's H classifiers (one, or the 2N of the pair
 strategies) live in one ``ClassifierHead`` that keeps each layer's weights
 and biases as one (H, ...) stack and runs every head as one
-``tensor.head_stack`` node. Checkpoints still store each head's slab as its own
+``tensor.head_stack`` node. A single-head bundle's training step is one
+``tensor.classify_loss`` node (``ModelBundle.classify_loss``). Checkpoints
+still store each head's slab as its own
 ``head{j}.linear{1,2}.{weight,bias}`` entry.
 
 ``build_model`` takes the run config's ``model`` section as it is, plus
@@ -127,12 +129,24 @@ class ModelBundle:
         else:
             x = x if isinstance(x, Tensor) else Tensor(x)
             batches = (x,)
+        self._check_inputs(batches)
+        return self.extractor.forward(x)
+
+    def classify_loss(self, x: np.ndarray, labels: np.ndarray, rng, x_t=None, lam: float = 0.0):
+        """A single-head training step's loss on the labeled rows ``x``,
+        plus ``lam`` times MD2 to the target rows ``x_t`` when given, as one
+        ``T.classify_loss`` node; returns ``(loss, ce, md2)`` as that does."""
+        self._check_inputs([x] if x_t is None else [x, x_t])
+        head = self.head
+        return T.classify_loss(x, labels, self.extractor.blocks, head.weight1, head.bias1,
+                               head.weight2, head.bias2, head.dropout_p, rng, x_t, lam)
+
+    def _check_inputs(self, batches) -> None:
         for t in batches:
             if t.ndim != 2 or t.shape[1] != self.config.input_dim:
                 raise ShapeError(
                     f"input of shape {t.shape} does not match input_dim={self.config.input_dim}"
                 )
-        return self.extractor.forward(x)
 
     def parameters(self):
         return self.extractor.parameters() + self.head.parameters()

@@ -371,7 +371,8 @@ def _read_sidecar(path: Path) -> Optional[list[tuple[str, DomainDataset]]]:
             sha256.update(block)
             rows += block.count(b"\n")
     try:
-        with np.load(sidecar, allow_pickle=False) as npz:
+        # np.load leaves a file it opened itself open when the zip does not parse
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if str(npz["digest"]) != sha256.hexdigest():
                 return None
             arrays = {name: npz[name] for name in npz.files}

@@ -36,6 +36,16 @@ so the engine records as few nodes as it can and walks only those:
   to the ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
   ``mul`` graph that spells it out. Its moments, terms, norms and term
   gradients are whole-array ops over all batches at once.
+* ``classify_loss`` is a whole single-head training step as one node: the
+  extractor, the head, the CE and, given a target batch, lambda * MD2, so
+  a vanilla, LoRA or m2s2da backward walks 1 node where the chain of
+  ``mlp``, ``head_stack``, ``softmax_cross_entropy``, ``moment_distance``,
+  ``mul`` and ``add`` nodes walks 3 or 7.
+
+``mlp``, ``head_stack``, ``softmax_cross_entropy`` and ``moment_distance``
+each run a forward and a backward kernel (``_mlp_forward`` and
+``_mlp_backward`` and so on) on arrays, and ``classify_loss`` chains the
+same kernels, so each op's math is written once.
 """
 
 from __future__ import annotations
@@ -438,13 +448,30 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
         if z.ndim != 2 or z_t.ndim != 2 or z.shape[1] != z_t.shape[1]:
             raise ShapeError(f"feature dims disagree: {z.shape} vs {z_t.shape}")
     batches = [*zs, z_t]
-    sizes = [len(z.data) for z in batches]
+    data, index = _lay_out([z.data for z in batches])
+    total, saved = _md2_forward(data, index, [len(z.data) for z in batches], n)
+    block = [*zs, z_t] if n == 1 else [z_t, *zs]
+
+    def grad_fn(g):
+        spread = _md2_backward(g, saved)
+        per_batch = [spread[:, ix] for ix in index]
+        if n >= 2:
+            per_batch.insert(0, per_batch.pop())
+        return [grad[k] if _needs_grad(z) else None
+                for k in (0, 1) for z, grad in zip(block, per_batch)]
+
+    return _result(total, block + block, grad_fn, "moment_distance")
+
+
+def _md2_forward(data: np.ndarray, index: list, sizes: list[int], n: int):
+    """MD2's value over N source batches and a target batch, laid out by
+    ``_lay_out`` in ``data`` (batch i is ``data[index[i]]``, of ``sizes[i]``
+    rows; the target is last), and what ``_md2_backward`` reads."""
     if 0 in sizes:
         raise DegenerateInputError("moment distance over an empty batch")
-    first, second, order = _md2_terms(n)
+    first, second, _ = _md2_terms(n)
     st_scale = 1.0 / n
     pair_scale = 1.0 / math.comb(n, 2) if n >= 2 else 0.0
-    data, index = _lay_out([z.data for z in batches])
     # z ** 1.0 is z itself; moment k is slice k - 1 of each stack below
     powers = np.stack([data, data ** 2.0])
     moments = (powers.mean(axis=2) if data.ndim == 3
@@ -457,31 +484,31 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
         if n >= 2:
             part = part * st_scale + _sum_in_order(k_norms[n:]) * pair_scale
         total = part if total is None else total + part
-    block = [*zs, z_t] if n == 1 else [z_t, *zs]
+    return np.asarray(total), (data, index, sizes, n, st_scale, pair_scale, diffs, norms)
 
-    def grad_fn(g):
-        scales = np.empty(len(first))
-        scales[:n] = g if n == 1 else g * st_scale
-        scales[n:] = g * pair_scale
-        # l2_norm's gradient per term, zero at the origin
-        term_grads = np.divide(scales[:, None] * diffs, norms[..., None],
-                               out=np.zeros_like(diffs), where=norms[..., None] != 0.0)
-        signed = np.concatenate([term_grads, -term_grads], axis=1)[:, order]
-        moment_grads = signed[:, :, 0]
-        for s in range(1, n):
-            moment_grads = moment_grads + signed[:, :, s]
-        # spread over each batch's b rows as g / b * k; for k = 2 times z
-        row_grads = moment_grads / np.array(sizes)[:, None] * _MOMENT_ORDERS
-        spread = (np.repeat(row_grads[:, :, None], sizes[0], axis=2) if data.ndim == 3
-                  else np.repeat(row_grads, sizes, axis=1))
-        spread[1] *= data
-        per_batch = [spread[:, ix] for ix in index]
-        if n >= 2:
-            per_batch.insert(0, per_batch.pop())
-        return [grad[k] if _needs_grad(z) else None
-                for k in (0, 1) for z, grad in zip(block, per_batch)]
 
-    return _result(np.asarray(total), block + block, grad_fn, "moment_distance")
+def _md2_backward(g, saved) -> np.ndarray:
+    """The batches' gradients for the upstream ``g``, laid out as their
+    rows are, as the stack of the moment-1 and the moment-2 contribution:
+    batch i's part of moment k's is ``[k - 1, index[i]]``."""
+    data, index, sizes, n, st_scale, pair_scale, diffs, norms = saved
+    first, _, order = _md2_terms(n)
+    scales = np.empty(len(first))
+    scales[:n] = g if n == 1 else g * st_scale
+    scales[n:] = g * pair_scale
+    # l2_norm's gradient per term, zero at the origin
+    term_grads = np.divide(scales[:, None] * diffs, norms[..., None],
+                           out=np.zeros_like(diffs), where=norms[..., None] != 0.0)
+    signed = np.concatenate([term_grads, -term_grads], axis=1)[:, order]
+    moment_grads = signed[:, :, 0]
+    for s in range(1, n):
+        moment_grads = moment_grads + signed[:, :, s]
+    # spread over each batch's b rows as g / b * k; for k = 2 times z
+    row_grads = moment_grads / np.array(sizes)[:, None] * _MOMENT_ORDERS
+    spread = (np.repeat(row_grads[:, :, None], sizes[0], axis=2) if data.ndim == 3
+              else np.repeat(row_grads, sizes, axis=1))
+    spread[1] *= data
+    return spread
 
 
 # ----------------------------------------------------------------------
@@ -558,21 +585,21 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _result(data, parents, grad_fn, "linear")
 
 
-def _check_rows(t: Tensor) -> None:
-    if t.ndim != 2:
-        raise ShapeError(f"mlp expects rows of a rank-2 tensor, got {t.shape}")
+def _check_rows(rows: np.ndarray) -> None:
+    if rows.ndim != 2:
+        raise ShapeError(f"mlp expects rows of a rank-2 tensor, got {rows.shape}")
 
 
-def _batch_rows(xs: list[Tensor]):
+def _batch_rows(arrays: list[np.ndarray]):
     """``_lay_out`` of the batches' rows, each batch's index into it, and
     the product that multiplies each batch's rows as a matrix of its own."""
-    if not xs:
+    if not arrays:
         raise ShapeError("mlp needs at least one batch")
-    for t in xs:
-        _check_rows(t)
-    if len({t.shape[1] for t in xs}) > 1:
-        raise ShapeError(f"mlp: batches of {sorted({t.shape[1] for t in xs})} columns")
-    h, index = _lay_out([t.data for t in xs])
+    for rows in arrays:
+        _check_rows(rows)
+    if len({rows.shape[1] for rows in arrays}) > 1:
+        raise ShapeError(f"mlp: batches of {sorted({rows.shape[1] for rows in arrays})} columns")
+    h, index = _lay_out(arrays)
     if h.ndim == 3:
         return h, index, np.matmul
     return h, index, lambda rows, w: np.concatenate([rows[ix] @ w for ix in index])
@@ -600,14 +627,26 @@ def mlp(x, layers: Sequence[tuple]):
     """
     if isinstance(x, (list, tuple)):
         xs = [_as_tensor(t) for t in x]
-        h, index, product = _batch_rows(xs)
+        h, index, product = _batch_rows([t.data for t in xs])
     else:
         xs = None
         x = _as_tensor(x)
-        _check_rows(x)
+        _check_rows(x.data)
         h, product = x.data, np.matmul
-    params = []
-    saved = []  # per block: (position of its W in a node's parents, layer, input, W^T, pre-activation)
+    out, saved = _mlp_forward(h, layers, product)
+    params = [p for layer in layers for p in layer[:4]]
+    if xs is None:
+        return _mlp_node(x, params, saved, out, None)
+    return [_mlp_node(t, params, saved, out, ix) for t, ix in zip(xs, index)]
+
+
+def _mlp_forward(h: np.ndarray, layers: Sequence[tuple], product):
+    """The blocks' output over the rows ``h`` and, per block, what
+    ``_mlp_backward`` reads: the position of its W among the layers'
+    tensors, the layer, its input, W^T, the pre-activation and the LoRA
+    arrays (None without LoRA)."""
+    saved = []
+    at = 0
     for layer in layers:
         weight, bias = layer[0], layer[1]
         if weight.ndim != 2 or h.shape[-1] != weight.shape[1] or bias.shape != weight.shape[:1]:
@@ -626,12 +665,53 @@ def mlp(x, layers: Sequence[tuple]):
             mid = product(h, dt)
             pre = pre + product(mid, ut) * scale
             lora = (dt, ut, mid)
-        saved.append((1 + len(params), layer, h, wt, pre, lora))
-        params.extend(layer[:4])
+        saved.append((at, layer, h, wt, pre, lora))
+        at += len(layer[:4])
         h = np.maximum(pre, 0)
-    if xs is None:
-        return _mlp_node(x, params, saved, h, None)
-    return [_mlp_node(t, params, saved, h, ix) for t, ix in zip(xs, index)]
+    return h, saved
+
+
+def _mlp_backward(g: np.ndarray, saved: list, n_params: int, index, x_wanted: bool):
+    """The gradients of the layers' tensors, in layer order, and of the
+    input rows, for the upstream ``g`` of the rows ``index`` of the saved
+    block arrays (all of them when ``index`` is None); None where nothing
+    needs one. The walk stops below the lowest block with a tensor that
+    needs a gradient, unless ``x_wanted``."""
+    grads = [None] * n_params
+    # whether each block's input needs a gradient
+    wants, want = [], x_wanted
+    for _, layer, *_ in saved:
+        wants.append(want)
+        want = want or any(_needs_grad(p) for p in layer[:4])
+    for (at, layer, h_in, wt, pre, lora), want in zip(reversed(saved), reversed(wants)):
+        if index is not None:
+            h_in, pre = h_in[index], pre[index]
+        g = g * (pre > 0)
+        if _needs_grad(layer[0]):
+            grads[at] = np.ascontiguousarray((h_in.T @ g).T)
+        if _needs_grad(layer[1]):
+            grads[at + 1] = g.sum(axis=0)
+        gx = g @ wt.T if want else None
+        if lora is not None:
+            down, up, scale = layer[2:]
+            dt, ut, mid = lora
+            if index is not None:
+                mid = mid[index]
+            mid_wanted = want or _needs_grad(down)
+            if mid_wanted or _needs_grad(up):
+                gd = g * scale
+                if _needs_grad(up):
+                    grads[at + 3] = np.ascontiguousarray((mid.T @ gd).T)
+                if mid_wanted:
+                    gmid = gd @ ut.T
+                    if _needs_grad(down):
+                        grads[at + 2] = np.ascontiguousarray((h_in.T @ gmid).T)
+                    if want:
+                        gx = gx + gmid @ dt.T
+        if not want:
+            return grads, None
+        g = gx
+    return grads, g
 
 
 def _mlp_node(x: Tensor, params: list, saved: list, out: np.ndarray, index) -> Tensor:
@@ -639,43 +719,8 @@ def _mlp_node(x: Tensor, params: list, saved: list, out: np.ndarray, index) -> T
     block arrays (all of them when ``index`` is None)."""
 
     def grad_fn(g):
-        grads = [None] * (1 + len(params))
-        # whether each block's input needs a gradient
-        wants, want = [], _needs_grad(x)
-        for _, layer, *_ in saved:
-            wants.append(want)
-            want = want or any(_needs_grad(p) for p in layer[:4])
-        for (at, layer, h_in, wt, pre, lora), want in zip(reversed(saved), reversed(wants)):
-            if index is not None:
-                h_in, pre = h_in[index], pre[index]
-            g = g * (pre > 0)
-            if _needs_grad(layer[0]):
-                grads[at] = np.ascontiguousarray((h_in.T @ g).T)
-            if _needs_grad(layer[1]):
-                grads[at + 1] = g.sum(axis=0)
-            gx = g @ wt.T if want else None
-            if lora is not None:
-                down, up, scale = layer[2:]
-                dt, ut, mid = lora
-                if index is not None:
-                    mid = mid[index]
-                mid_wanted = want or _needs_grad(down)
-                if mid_wanted or _needs_grad(up):
-                    gd = g * scale
-                    if _needs_grad(up):
-                        grads[at + 3] = np.ascontiguousarray((mid.T @ gd).T)
-                    if mid_wanted:
-                        gmid = gd @ ut.T
-                        if _needs_grad(down):
-                            grads[at + 2] = np.ascontiguousarray((h_in.T @ gmid).T)
-                        if want:
-                            gx = gx + gmid @ dt.T
-            if not want:
-                break
-            g = gx
-        else:
-            grads[0] = g
-        return grads
+        grads, gx = _mlp_backward(g, saved, len(params), index, _needs_grad(x))
+        return [gx, *grads]
 
     return _result(out if index is None else out[index], [x, *params], grad_fn, "mlp")
 
@@ -710,19 +755,20 @@ def _stack_forward(xdata: np.ndarray, weight: Tensor, bias: Tensor):
     return wt, data
 
 
-def _stack_input_grads(g: np.ndarray, wt: np.ndarray, single: bool, xs, xdata: np.ndarray):
+def _stack_input_grads(g: np.ndarray, wt: np.ndarray, single: bool, needs: list[bool],
+                       xdata: np.ndarray):
     # a shared input adds its per-head gradients up in head order
-    if not any(_needs_grad(t) for t in xs):
-        return [None] * len(xs)
+    if not any(needs):
+        return [None] * len(needs)
     gx = np.matmul(g, wt.swapaxes(1, 2))
     if single:
         return [_sum_in_order(gx) if xdata.ndim == 2 else gx]
-    return [gx[h] if _needs_grad(t) else None for h, t in enumerate(xs)]
+    return [gx[h] if need else None for h, need in enumerate(needs)]
 
 
-def _stack_param_grads(g: np.ndarray, xdata: np.ndarray, weight: Tensor, bias: Tensor):
-    return (np.matmul(xdata.swapaxes(-1, -2), g).swapaxes(1, 2) if _needs_grad(weight) else None,
-            g.sum(axis=1) if _needs_grad(bias) else None)
+def _stack_param_grads(g: np.ndarray, xdata: np.ndarray, need_weight: bool, need_bias: bool):
+    return (np.matmul(xdata.swapaxes(-1, -2), g).swapaxes(1, 2) if need_weight else None,
+            g.sum(axis=1) if need_bias else None)
 
 
 def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
@@ -740,8 +786,8 @@ def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
     wt, data = _stack_forward(xdata, weight, bias)
 
     def grad_fn(g):
-        return (*_stack_input_grads(g, wt, single, xs, xdata),
-                *_stack_param_grads(g, xdata, weight, bias))
+        return (*_stack_input_grads(g, wt, single, [_needs_grad(t) for t in xs], xdata),
+                *_stack_param_grads(g, xdata, _needs_grad(weight), _needs_grad(bias)))
 
     return _result(data, [*xs, weight, bias], grad_fn, "linear_stack")
 
@@ -760,6 +806,19 @@ def head_stack(x, weight1: Tensor, bias1: Tensor, weight2: Tensor, bias2: Tensor
     weight1, bias1 = _as_tensor(weight1), _as_tensor(bias1)
     weight2, bias2 = _as_tensor(weight2), _as_tensor(bias2)
     single, xs, xdata = _stack_inputs(x, weight1, bias1, "head_stack")
+    params = [weight1, bias1, weight2, bias2]
+    data, saved = _head_forward(xdata, *params, p, training, rng)
+
+    def grad_fn(g):
+        return _head_backward(g, saved, xdata, single, [_needs_grad(t) for t in xs + params])
+
+    return _result(data, xs + params, grad_fn, "head_stack")
+
+
+def _head_forward(xdata: np.ndarray, weight1: Tensor, bias1: Tensor, weight2: Tensor,
+                  bias2: Tensor, p: float, training: bool, rng):
+    """The heads' logits over the checked input array ``xdata`` and what
+    ``_head_backward`` reads."""
     wt1, pre = _stack_forward(xdata, weight1, bias1)
     hidden = np.maximum(pre, 0)
     keep = _dropout_keep(hidden, p, training, rng)
@@ -767,19 +826,25 @@ def head_stack(x, weight1: Tensor, bias1: Tensor, weight2: Tensor, bias2: Tensor
         hidden = hidden * keep
     _check_stack(hidden, weight2, bias2, "head_stack")
     wt2, data = _stack_forward(hidden, weight2, bias2)
+    return data, (wt1, pre, keep, hidden, wt2)
 
-    def grad_fn(g):
-        gw2, gb2 = _stack_param_grads(g, hidden, weight2, bias2)
-        if not (_needs_grad(weight1) or _needs_grad(bias1) or any(_needs_grad(t) for t in xs)):
-            return (*[None] * len(xs), None, None, gw2, gb2)
-        g = np.matmul(g, wt2.swapaxes(1, 2))
-        if keep is not None:
-            g = g * keep
-        g = g * (pre > 0)
-        return (*_stack_input_grads(g, wt1, single, xs, xdata),
-                *_stack_param_grads(g, xdata, weight1, bias1), gw2, gb2)
 
-    return _result(data, [*xs, weight1, bias1, weight2, bias2], grad_fn, "head_stack")
+def _head_backward(g: np.ndarray, saved: tuple, xdata: np.ndarray, single: bool,
+                   needs: list[bool]):
+    """The gradients of the inputs, then of weight1, bias1, weight2 and
+    bias2, for the upstream ``g``; ``needs`` says which of them, in that
+    order, need one."""
+    wt1, pre, keep, hidden, wt2 = saved
+    *x_needs, need_w1, need_b1, need_w2, need_b2 = needs
+    gw2, gb2 = _stack_param_grads(g, hidden, need_w2, need_b2)
+    if not (need_w1 or need_b1 or any(x_needs)):
+        return (*[None] * len(x_needs), None, None, gw2, gb2)
+    g = np.matmul(g, wt2.swapaxes(1, 2))
+    if keep is not None:
+        g = g * keep
+    g = g * (pre > 0)
+    return (*_stack_input_grads(g, wt1, single, x_needs, xdata),
+            *_stack_param_grads(g, xdata, need_w1, need_b1), gw2, gb2)
 
 
 # ----------------------------------------------------------------------
@@ -821,13 +886,25 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     added in head order, as one node.
     """
     logits = _as_tensor(logits)
-    if logits.ndim not in (2, 3) or logits.shape[-1] != 2:
-        raise ShapeError(f"expected b x 2 logits or a stack of them, got {logits.shape}")
+    y, w = _ce_labels(logits.data, labels, class_weights)
+    loss, saved = _ce_forward(logits.data, y, w)
+
+    def grad_fn(g):
+        return (_ce_backward(g, saved),)
+
+    return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
+
+
+def _ce_labels(z: np.ndarray, labels, class_weights):
+    """The checked integer labels for the logits ``z``, and the per-sample
+    weights, or None for the unweighted loss."""
+    shape = z.shape
+    if len(shape) not in (2, 3) or shape[-1] != 2:
+        raise ShapeError(f"expected b x 2 logits or a stack of them, got {shape}")
     y = np.asarray(labels)
-    if y.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels of shape {y.shape} do not match logits {logits.shape}")
-    b = logits.shape[-2]
-    if b == 0:
+    if y.shape != shape[:-1]:
+        raise ShapeError(f"labels of shape {y.shape} do not match logits {shape}")
+    if shape[-2] == 0:
         raise DegenerateInputError("cross entropy over an empty batch")
     if not np.issubdtype(y.dtype, np.integer):
         yi = y.astype(np.int64)
@@ -836,26 +913,30 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
         y = yi
     if y.size and (y.min() < 0 or y.max() > 1):
         raise LabelError(f"labels outside {{0, 1}}: {sorted(set(y.ravel().tolist()) - {0, 1})}")
-    # per-sample weights, or None for the unweighted loss
-    w = None
-    if class_weights is not None:
-        w0, w1 = float(class_weights[0]), float(class_weights[1])
-        w = np.where(y == 1, w1, w0).astype(logits.dtype)
+    if class_weights is None:
+        return y, None
+    w0, w1 = float(class_weights[0]), float(class_weights[1])
+    return y, np.where(y == 1, w1, w0).astype(z.dtype)
 
-    z = logits.data
+
+def _ce_forward(z: np.ndarray, y: np.ndarray, w):
+    """The loss of the logits ``z`` and what ``_ce_backward`` reads."""
+    b = z.shape[-2]
     m = np.maximum(z[..., 0], z[..., 1])  # bitwise the max over the last axis
     e = np.exp(z - m[..., None])
     total = e[..., 0] + e[..., 1]
     nll = m + np.log(total) - np.where(y == 1, z[..., 1], z[..., 0])
     loss = _sum_in_order(np.atleast_1d((nll if w is None else w * nll).sum(axis=-1) / b))
+    return loss, (y, w, e, total)
 
-    def grad_fn(g):
-        p = e / total[..., None]
-        p[..., 0] -= y == 0
-        p[..., 1] -= y == 1
-        return (g * p * (1.0 / b if w is None else (w / b)[..., None]),)
 
-    return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
+def _ce_backward(g, saved) -> np.ndarray:
+    y, w, e, total = saved
+    b = e.shape[-2]
+    p = e / total[..., None]
+    p[..., 0] -= y == 0
+    p[..., 1] -= y == 1
+    return g * p * (1.0 / b if w is None else (w / b)[..., None])
 
 
 def pair_discrepancy(p: Tensor) -> Tensor:
@@ -910,10 +991,82 @@ def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
     return _result(data, (t,), grad_fn, "dropout")
 
 
+# ----------------------------------------------------------------------
+# one training step
+
+
+def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,
+                  weight2: Tensor, bias2: Tensor, p: float, rng, x_t=None, lam: float = 0.0):
+    """A single-head training step's loss as one node.
+
+    The rows ``x`` go through the extractor ``layers`` (as ``mlp`` takes
+    them) and one classifier head (``weight1`` 1 x f x f and so on, as
+    ``head_stack`` takes them, with training-mode dropout drawn from
+    ``rng``), and the loss is the cross entropy against the 0/1 ``labels``.
+    Given a target batch ``x_t`` of as many rows, the loss adds ``lam``
+    times the MD2 between the two batches' features, and the two batches
+    go through the extractor as one (2, rows, d) stack.
+
+    Returns ``(loss, ce, md2)``: the node, and the CE and MD2 values as
+    floats (``md2`` is None without ``x_t``). The loss and every gradient
+    are bitwise those of ``add(softmax_cross_entropy(head_stack(mlp(x)),
+    labels[None]), mul(moment_distance([z_s], z_t), lam))``: the same
+    kernels run, the source features add up the head's gradient, then
+    MD2's moment-1 and then its moment-2 term, as ``backward`` adds them
+    there, and an extractor tensor's gradient is the source batch's plus
+    the target batch's.
+    """
+    x = _as_tensor(x).data
+    if x_t is None:
+        _check_rows(x)
+        rows = x
+    else:
+        x_t = _as_tensor(x_t).data
+        if len(x_t) != len(x):
+            raise ShapeError(f"classify_loss: a source batch of {len(x)} rows and a target "
+                             f"batch of {len(x_t)}")
+        rows, _, _ = _batch_rows([x, x_t])
+    feats, saved = _mlp_forward(rows, layers, np.matmul)
+    z_s = feats if x_t is None else feats[0]
+    _check_stack(z_s, weight1, bias1, "classify_loss")
+    head = [weight1, bias1, weight2, bias2]
+    logits, head_saved = _head_forward(z_s, *head, p, True, rng)
+    y, w = _ce_labels(logits, np.asarray(labels)[None], None)
+    ce, ce_saved = _ce_forward(logits, y, w)
+    loss, md2 = ce, None
+    if x_t is not None:
+        md2, md2_saved = _md2_forward(feats, [0, 1], [len(x)] * 2, 1)
+        lam = float(lam)
+        loss = ce + md2 * lam
+    extractor = [t for layer in layers for t in layer[:4]]
+
+    def grad_fn(g):
+        needs = [_needs_grad(t) for t in extractor + head]
+        want = any(needs[:len(extractor)])
+        g_z, *head_grads = _head_backward(_ce_backward(g, ce_saved), head_saved, z_s, True,
+                                          [want, *needs[len(extractor):]])
+        if not want:
+            return [None] * len(extractor) + head_grads
+        if md2 is None:
+            grads, _ = _mlp_backward(g_z, saved, len(extractor), None, False)
+            return grads + head_grads
+        # (2 moments, 2 batches, rows, f); the source adds the head's
+        # gradient, then moment 1's and then moment 2's
+        spread = _md2_backward(g * lam, md2_saved)
+        grads, _ = _mlp_backward(g_z + spread[0, 0] + spread[1, 0], saved, len(extractor), 0,
+                                 False)
+        grads_t, _ = _mlp_backward(spread[0, 1] + spread[1, 1], saved, len(extractor), 1, False)
+        return [a if a is None else a + b for a, b in zip(grads, grads_t)] + head_grads
+
+    return (_result(np.asarray(loss), extractor + head, grad_fn, "classify_loss"), float(ce),
+            None if md2 is None else float(md2))
+
+
 __all__ = [
     "Tensor",
     "add",
     "add_bias",
+    "classify_loss",
     "dropout",
     "exp",
     "head_stack",

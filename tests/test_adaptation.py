@@ -767,9 +767,9 @@ def _nodes_per_backward(monkeypatch, train) -> list[int]:
 
 
 @pytest.mark.parametrize("leg,per_iteration", [
-    ("vanilla", [3]),  # extractor, head, CE
-    ("m2s2da", [7]),  # two extractors, head, CE, MD2, its weight, the sum
-    ("lora", [3]),  # as vanilla: the adapters fold into the extractor node
+    ("vanilla", [1]),  # the step node: extractor, head and CE
+    ("m2s2da", [1]),  # the step node, MD2 and its weight included
+    ("lora", [1]),  # as vanilla: the adapters fold into the step node
     ("m3sda_beta", [9, 6, 4]),  # steps 1, 2 and 3
 ])
 def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
@@ -794,9 +794,11 @@ def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
 
 
 @pytest.mark.parametrize("leg,per_iteration", [
-    ("vanilla", ["extract", "backward"]),
-    ("m2s2da", ["extract", "backward"]),  # the source and target batches in one pass
-    ("lora", ["extract", "backward"]),
+    # the step node runs the extractor itself, the source and target
+    # batches in one pass
+    ("vanilla", ["backward"]),
+    ("m2s2da", ["backward"]),
+    ("lora", ["backward"]),
     # steps 1 and 2 run the three sources and the target in one pass each
     ("m3sda_beta", ["step_classify", "extract", "step_max_discrepancy", "extract",
                     "step_min_discrepancy", "extract"]),

@@ -1098,6 +1098,44 @@ def test_report_of_malformed_history_is_a_data_error(tmp_path, capsys, line, whe
     _assert_single_data_error(rc, capsys, f"{history}{where}", out)
 
 
+@pytest.mark.parametrize("fields,where", [
+    # a 400-digit integer literal, as the loss that made report end in a traceback
+    ({"losses": {"ce": int("1" + "0" * 400)}}, "losses['ce'] is too large for a float"),
+    ({"losses": {"ce": 1e400}}, "losses['ce'] must be finite, got inf"),
+    ({"losses": {"md2": float("nan")}}, "losses['md2'] must be finite, got nan"),
+    ({"source_val_f1": float("nan")}, "source_val_f1 must lie in [0, 1], got nan"),
+    ({"source_val_f1": 1.5}, "source_val_f1 must lie in [0, 1], got 1.5"),
+    ({"target_f1": {"t": 7.5}}, "target_f1['t'] must lie in [0, 1], got 7.5"),
+    ({"target_f1": {"t": int("9" * 400)}}, "target_f1['t'] is too large for a float"),
+    ({"median_target_f1": -3}, "median_target_f1 must lie in [0, 1], got -3.0"),
+    ({"trainable_parameters": -5}, "trainable_parameters must be a non-negative integer"),
+    ({"trainable_parameters": 2.0}, "trainable_parameters must be a non-negative integer"),
+    ({"epoch": "2"}, "epoch must be 2, the record's position, got '2'"),
+    ({"epoch": 3}, "epoch must be 2, the record's position, got 3"),
+    ({"epoch": 1}, "epoch must be 2, the record's position, got 1"),
+])
+def test_report_of_a_history_field_out_of_range_is_a_data_error(tmp_path, capsys, fields,
+                                                                  where):
+    good = {"epoch": 1, "losses": {"ce": 0.5, "md2": 0.1}, "source_val_f1": 0.5,
+            "target_f1": {"t": 0.5}, "median_target_f1": 0.5, "strategy": "m2s2da",
+            "trainable_parameters": 10, "warmup": 0}
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(good) + "\n" + json.dumps({**good, "epoch": 2, **fields})
+                       + "\n")
+    out = tmp_path / "rep"
+    rc = main(["report", "--history", str(history), "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{history}:2: malformed history record: {where}", out)
+
+
+def test_report_reads_null_f1_values_where_train_writes_them(tmp_path):
+    record = {"epoch": 1, "losses": {"ce": 0.5}, "source_val_f1": None, "target_f1": {},
+              "median_target_f1": None, "strategy": "vanilla", "trainable_parameters": 0,
+              "warmup": 0}
+    history = tmp_path / "history.jsonl"
+    history.write_text(json.dumps(record) + "\n" + json.dumps({**record, "epoch": 2}) + "\n")
+    assert main(["report", "--history", str(history), "--out", str(tmp_path / "rep")]) == 0
+
+
 @pytest.mark.parametrize("which", ["annotations", "domain_map"])
 def test_tile_with_a_field_over_the_csv_limit_is_a_data_error(tmp_path, image_fixture, capsys,
                                                                which):

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import os
 import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +450,16 @@ def test_damaged_archive_gives_the_csv_result(tmp_path, damage):
     corpus_dir = _small_corpus_dir(tmp_path)
     damage(corpus_dir)
     assert _outcome(corpus_dir) == _csv_outcome(corpus_dir)
+
+
+def test_damaged_archive_leaves_no_file_open(tmp_path):
+    corpus_dir = _small_corpus_dir(tmp_path)
+    _truncate(corpus_dir)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_corpus_domains(corpus_dir)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def _small_archive() -> tuple[bytes, list]:

@@ -971,6 +971,98 @@ def test_moment_distance_input_errors():
 
 
 # ----------------------------------------------------------------------
+# one node per single-head training step
+
+
+def _classify_step(fused, x, y, x_t, lam, blocks, heads, p, seed):
+    """Loss bytes, CE and MD2 values, every gradient and the next dropout
+    draw of a single-head step, from ``T.classify_loss`` or from the per-op
+    graph it replaces."""
+    layers, leaves = [], []
+    for arrays, flags, scale in blocks:
+        tensors = _leaves(arrays, flags)
+        leaves += tensors
+        layers.append(tuple(tensors) if scale is None else (*tensors, scale))
+    head = _leaves(heads, [True] * 4)
+    rng = np.random.default_rng(seed)
+    if fused:
+        loss, ce, md2 = T.classify_loss(x, y, layers, *head, p, rng, x_t, lam)
+        assert loss._op == "classify_loss" and len(loss._parents) == len(leaves) + 4
+    else:
+        if x_t is None:
+            z_s = T.mlp(Tensor(x), layers)
+        else:
+            z_s, z_t = T.mlp([Tensor(x), Tensor(x_t)], layers)
+        loss = T.softmax_cross_entropy(T.head_stack(z_s, *head, p, True, rng), y[None])
+        ce, md2 = loss.item(), None
+        if x_t is not None:
+            distance = T.moment_distance([z_s], z_t)
+            md2 = distance.item()
+            loss = T.add(loss, T.mul(distance, lam))
+    loss.backward()
+    return [loss.data.tobytes(), ce, md2, rng.random()] + _grad_bytes(leaves + head)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=4), rows=st.integers(1, 70),
+       target=st.sampled_from(["none", "target", "identical"]),
+       unfreeze=st.integers(0, 3), rank=st.integers(0, 3),
+       lam=st.floats(0.0, 2.0), p=st.sampled_from([0.0, 0.3]),
+       labels=st.sampled_from(["mixed", "zeros", "ones"]), seed=st.integers(0, 2**16))
+def test_classify_loss_is_bitwise_the_per_op_graph(dims, rows, target, unfreeze, rank, lam, p,
+                                                   labels, seed):
+    # 1 or 2 hidden layers; rank 0 is a plain extractor with its trailing
+    # ``unfreeze`` blocks trainable, rank R >= 1 LoRA at rank R on a frozen
+    # base; "identical" makes the target batch the source batch, so every
+    # MD2 norm is 0
+    rng = np.random.default_rng(seed)
+    n_blocks = len(dims) - 1
+    blocks = _random_blocks(rng, dims, [i >= n_blocks - unfreeze for i in range(n_blocks)],
+                            rank)
+    f = dims[-1]
+    heads = [rng.normal(size=s) for s in ((1, f, f), (1, f), (1, 2, f), (1, 2))]
+    x = rng.normal(size=(rows, dims[0]))
+    y = {"mixed": rng.integers(0, 2, rows), "zeros": np.zeros(rows, dtype=np.int64),
+         "ones": np.ones(rows, dtype=np.int64)}[labels]
+    x_t = {"none": None, "target": rng.normal(size=(rows, dims[0])) * 2.0 + 0.5,
+           "identical": x.copy()}[target]
+    args = (x, y, x_t, lam, blocks, heads, p, seed)
+    fused = _classify_step(True, *args)
+    assert fused == _classify_step(False, *args)
+    assert (fused[2] is None) == (x_t is None)
+    if target == "identical":
+        assert fused[2] == 0.0
+
+
+def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
+    rng = np.random.default_rng(8)
+    layers = [(Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(np.zeros(4)))]
+    head = [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in ((1, 4, 4), (1, 4), (1, 2, 4), (1, 2))]
+    x, y = rng.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1])
+    with T.no_grad():
+        loss, ce, md2 = T.classify_loss(x, y, layers, *head, 0.0, None, x, 0.5)
+    assert loss._grad_fn is None and loss._parents == () and md2 == 0.0
+    assert ce == loss.item()
+    with pytest.raises(ShapeError):
+        T.classify_loss(rng.normal(size=(5, 2)), y, layers, *head, 0.0, None)
+    with pytest.raises(ShapeError):
+        T.classify_loss(x, y[:4], layers, *head, 0.0, None)
+    with pytest.raises(ShapeError):
+        T.classify_loss(x, y, layers, *head[:2], Tensor(np.zeros((1, 2, 3))), head[3], 0.0, None)
+    with pytest.raises(LabelError):
+        T.classify_loss(x, y * 2, layers, *head, 0.0, None)
+    with pytest.raises(ConfigError):
+        T.classify_loss(x, y, layers, *head, 0.3, None)
+    with pytest.raises(ShapeError):
+        T.classify_loss(x, y, layers, *head, 0.0, None, x[:4], 0.5)
+    with pytest.raises(ShapeError):
+        T.classify_loss(x, y, layers, *head, 0.0, None, x[:, :2], 0.5)
+    with pytest.raises(DegenerateInputError):
+        T.classify_loss(x[:0], y[:0], layers, *head, 0.0, None, x[:0], 0.5)
+
+
+# ----------------------------------------------------------------------
 # no_grad
 
 
