@@ -18,24 +18,23 @@ pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
 
 Each step records graph only where its optimizer consumes a gradient. A
-vanilla, LoRA or m2s2da iteration is one ``T.classify_loss`` node (through
-``ModelBundle.classify_loss``): the extractor over the source batch, and
-for m2s2da the target batch in the same pass, the head, the CE and
-lambda * MD2, so its backward walks 1 node. In an m3sda step an extraction
-is one graph node per batch and the 2N heads (one ``nn.ClassifierHead``
-stack) another, however many blocks and pairs there are; per-head losses
-are added in head order, and the steps over three sources walk 9, 6 and 4
-nodes. Every m3sda step makes one ``ModelBundle.extract`` call: the
-batches a step reads (the sources, plus the target where it is used) go
-through the extractor in one pass, which is bitwise one pass per batch.
-Step 2 extracts features under ``T.no_grad()``, since G is fixed there,
-and step 3 turns the four head tensors' ``requires_grad`` off around its
-forward and backward passes, so neither fills gradients that nothing
-steps. Evaluation (``predict_labels``, ``discrepancy_eval``) records no
-graph at all. ``predict_labels``, which the per-epoch eval and ``rumexda
-eval`` call once per dataset, runs the rows in fixed blocks of
-``_PREDICT_BLOCK`` (256), so its memory is O(block x H x f) whatever the
-flight size, and its labels are those of the whole array.
+vanilla, LoRA or m2s2da iteration, and step 1 of an m3sda iteration, is
+one ``T.classify_loss`` node (through ``ModelBundle.classify_loss``): the
+extractor over the source batches, and the target batch in the same pass
+where MD2 uses it, the 1 or 2N heads, the CE and lambda * MD2, so its
+backward walks 1 node. Steps 2 and 3 each make one ``ModelBundle.extract``
+call, one graph node over the batches they read (the sources and the
+target, or the target alone), and the 2N heads (one ``nn.ClassifierHead``
+stack) are another; per-head losses are added in head order, and the
+three steps walk 1, 6 and 4 nodes. Step 2 extracts features under
+``T.no_grad()``, since G is fixed there, and step 3 turns the four head
+tensors' ``requires_grad`` off around its forward and backward passes, so
+neither fills gradients that nothing steps. Evaluation
+(``predict_labels``, ``discrepancy_eval``) records no graph at all.
+``predict_labels``, which the per-epoch eval and ``rumexda eval`` call
+once per dataset, runs the rows in fixed blocks of ``_PREDICT_BLOCK``
+(256), so its memory is O(block x H x f) whatever the flight size, and its
+labels are those of the whole array.
 
 A loss that is not finite stops training with ``TrainingStateError`` before
 any optimizer steps on it, and so does an optimizer step that leaves a
@@ -55,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import AdaptationConfig
+from .config import STRATEGIES, AdaptationConfig
 from .errors import ConfigError, DataError, DegenerateInputError, ShapeError, TrainingStateError
 from .evaluation import confusion_from_predictions, report_from_counts, select_model_epoch
 from .files import read_text, write_atomic
@@ -213,8 +212,11 @@ class TrainingHistory:
 
 
 def _number(value, field: str, f1: bool = False) -> float:
-    """A number of a history record as a float: finite, and for an F1 in
-    [0, 1]; a ValueError naming ``field`` otherwise."""
+    """A number of a history record as a float: a JSON number (not a string,
+    boolean or null), finite, and for an F1 in [0, 1]; a ValueError naming
+    ``field`` otherwise."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
@@ -233,8 +235,10 @@ def _optional_f1(value, field: str) -> Optional[float]:
 def read_history_jsonl(path) -> TrainingHistory:
     """Parse ``to_jsonl`` output; a malformed line raises ``DataError``
     naming the path and line. Each record's ``epoch`` must be its position,
-    its losses finite, its F1 values in [0, 1] (or null where ``to_jsonl``
-    may write null) and ``trainable_parameters`` a non-negative integer."""
+    its losses finite numbers, its F1 values numbers in [0, 1] (or null
+    where ``to_jsonl`` may write null), ``trainable_parameters`` a
+    non-negative integer, and its ``warmup`` and ``strategy`` (one of
+    ``config.STRATEGIES``) those of the records before it."""
     records = []
     strategy, count, warmup = "", 0, 0
     for line_no, line in enumerate(read_text(path).splitlines(), start=1):
@@ -242,7 +246,6 @@ def read_history_jsonl(path) -> TrainingHistory:
             continue
         try:
             d = json.loads(line)
-            strategy = d.get("strategy", strategy)
             count = d.get("trainable_parameters", count)
             if type(count) is not int or count < 0:
                 raise ValueError(f"trainable_parameters must be a non-negative integer, "
@@ -264,7 +267,12 @@ def read_history_jsonl(path) -> TrainingHistory:
             if records and d["warmup"] != warmup:
                 raise ValueError(f"warmup {d['warmup']} differs from the {warmup} of the "
                                  "records before it")
-            warmup = d["warmup"]
+            if d["strategy"] not in STRATEGIES:
+                raise ValueError(f"strategy must be one of {STRATEGIES}, got {d['strategy']!r}")
+            if records and d["strategy"] != strategy:
+                raise ValueError(f"strategy {d['strategy']!r} differs from the {strategy!r} of "
+                                 "the records before it")
+            warmup, strategy = d["warmup"], d["strategy"]
             records.append(record)
         except KeyError as exc:
             raise DataError(f"{path}:{line_no}: history record has no {exc} field") from exc
@@ -425,7 +433,7 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
     def iterate() -> dict[str, float]:
         x, y = src_stream.next()
         x_t = None if tgt_stream is None else tgt_stream.next()[0]
-        loss, ce, md2 = bundle.classify_loss(x, y, drop_rng, x_t, config.lam)
+        loss, ce, md2 = bundle.classify_loss((x,), y[None], drop_rng, x_t, config.lam)
         losses = {"ce": _finite("ce", ce, "classify")}
         if md2 is not None:
             losses["md2"] = _finite("md2", md2, "classify")
@@ -475,6 +483,12 @@ def train_m2s2da(bundle: ModelBundle, source: DomainDataset, target: DomainDatas
 # multi-source moment matching with classifier discrepancy
 
 
+def _head_labels(batches) -> np.ndarray:
+    """The labels of the N source batches as the 2N heads read them: head h
+    reads batch h // 2."""
+    return np.repeat(np.stack([y for _, y in batches]), 2, axis=0)
+
+
 class M3sdaStepper:
     """One iteration of the three-step alternation, exposed step by step.
 
@@ -501,13 +515,6 @@ class M3sdaStepper:
             config.optimizer, [p for _, p in bundle.head_trainable_parameters()], config.lr
         )
 
-    def _pair_ce(self, z_list: list[Tensor], batches: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-        """Summed CE of every head on its pair's source batch."""
-        logits = self.bundle.head.forward([z for z in z_list for _ in range(2)],
-                                          training=True, rng=self.drop_rng)
-        labels = np.stack([y for _, y in batches for _ in range(2)])
-        return T.softmax_cross_entropy(logits, labels)
-
     def _pair_discrepancy(self, z_t: Tensor, training: bool = True) -> Tensor:
         """Summed discrepancy of every pair on the target batch."""
         logits = self.bundle.head.forward(z_t, training=training, rng=self.drop_rng)
@@ -515,18 +522,11 @@ class M3sdaStepper:
 
     def step_classify(self, batches, x_t: np.ndarray) -> tuple[float, float]:
         """Step 1: update G and all heads on source CE + lambda * MD2."""
-        n = len(batches)
-        inputs = [Tensor(x) for x, _ in batches]
-        if self.config.lam > 0:
-            inputs.append(Tensor(x_t))
-        z_list = self.bundle.extract(inputs)
-        loss = self._pair_ce(z_list[:n], batches)
-        ce_value = _finite("ce", loss.item(), "classify")
-        md2_value = 0.0
-        if self.config.lam > 0:
-            md2 = moment_distance_multi(z_list[:n], z_list[n])
-            md2_value = _finite("md2", md2.item(), "classify")
-            loss = T.add(loss, T.mul(md2, self.config.lam))
+        lam = self.config.lam
+        loss, ce, md2 = self.bundle.classify_loss([x for x, _ in batches], _head_labels(batches),
+                                                  self.drop_rng, x_t if lam > 0 else None, lam)
+        ce_value = _finite("ce", ce, "classify")
+        md2_value = 0.0 if md2 is None else _finite("md2", md2, "classify")
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
         loss.backward()
@@ -538,10 +538,13 @@ class M3sdaStepper:
         """Step 2: with G fixed, push classifier pairs apart on the target
         while keeping them correct on the sources."""
         with T.no_grad():
-            *z_list, z_t = self.bundle.extract([*(Tensor(x) for x, _ in batches), Tensor(x_t)])
-        disc = self._pair_discrepancy(z_t)
+            feats = self.bundle.extract(np.stack([*(x for x, _ in batches), x_t])).data
+        disc = self._pair_discrepancy(Tensor(feats[-1]))
         disc_value = _finite("disc_max", disc.item(), "max_discrepancy")
-        loss = T.sub(self._pair_ce(z_list, batches), disc)
+        # head h reads source batch h // 2
+        logits = self.bundle.head.forward(Tensor(np.repeat(feats[:-1], 2, axis=0)),
+                                          training=True, rng=self.drop_rng)
+        loss = T.sub(T.softmax_cross_entropy(logits, _head_labels(batches)), disc)
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
         loss.backward()

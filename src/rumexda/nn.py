@@ -4,16 +4,15 @@ G is a stack of linear+ReLU blocks standing in for an arbitrary backbone;
 the adaptation math only ever touches its output embedding, so the block
 internals are irrelevant to the training strategies. Its blocks are the
 layer tuples ``tensor.mlp`` takes, built once by ``build_model``, so an
-extraction is one graph node per batch, LoRA adapters included, and
-``ModelBundle.extract`` runs a list of batches through G in one pass. Each
-classifier is fixed to linear -> ReLU -> dropout (``ModelConfig.dropout``)
--> linear -> 2 logits. A bundle's H classifiers (one, or the 2N of the pair
-strategies) live in one ``ClassifierHead`` that keeps each layer's weights
-and biases as one (H, ...) stack and runs every head as one
-``tensor.head_stack`` node. A single-head bundle's training step is one
-``tensor.classify_loss`` node (``ModelBundle.classify_loss``). Checkpoints
-still store each head's slab as its own
-``head{j}.linear{1,2}.{weight,bias}`` entry.
+extraction of one batch, or of a (B, rows, d) stack of equal batches, is
+one graph node, LoRA adapters included. Each classifier is fixed to linear
+-> ReLU -> dropout (``ModelConfig.dropout``) -> linear -> 2 logits. A
+bundle's H classifiers (one, or the 2N of the pair strategies) live in one
+``ClassifierHead`` that keeps each layer's weights and biases as one
+(H, ...) stack and runs every head as one ``tensor.head_stack`` node. A
+classify step, on one head or on 2N, is one ``tensor.classify_loss`` node
+(``ModelBundle.classify_loss``). Checkpoints still store each head's slab
+as its own ``head{j}.linear{1,2}.{weight,bias}`` entry.
 
 ``build_model`` takes the run config's ``model`` section as it is, plus
 the pair count and seed that callers derive from the training settings.
@@ -44,7 +43,7 @@ _BLOCK_PARAMETERS = ("weight", "bias", "lora_down", "lora_up")
 
 
 class FeatureExtractor:
-    """Ordered linear+ReLU blocks, run as one ``T.mlp`` node per batch.
+    """Ordered linear+ReLU blocks, run as one ``T.mlp`` node.
 
     Each block is the layer tuple ``T.mlp`` takes: ``(weight, bias)``, with
     exactly the trailing ``unfreeze`` blocks trainable, or under LoRA
@@ -120,30 +119,25 @@ class ModelBundle:
         return self.head.forward(self.extract(x), training, rng)
 
     def extract(self, x):
-        """The features of a batch of rows, or, for a list or tuple of
-        batches, a list of each batch's features from one extractor pass
-        (``T.mlp`` over all their rows)."""
-        if isinstance(x, (list, tuple)):
-            x = [t if isinstance(t, Tensor) else Tensor(t) for t in x]
-            batches = x
-        else:
-            x = x if isinstance(x, Tensor) else Tensor(x)
-            batches = (x,)
-        self._check_inputs(batches)
+        """The features of a batch of rows, or of a (B, rows, d) stack of
+        equal batches, from one ``T.mlp`` node."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        self._check_inputs(x)
         return self.extractor.forward(x)
 
-    def classify_loss(self, x: np.ndarray, labels: np.ndarray, rng, x_t=None, lam: float = 0.0):
-        """A single-head training step's loss on the labeled rows ``x``,
-        plus ``lam`` times MD2 to the target rows ``x_t`` when given, as one
-        ``T.classify_loss`` node; returns ``(loss, ce, md2)`` as that does."""
-        self._check_inputs([x] if x_t is None else [x, x_t])
+    def classify_loss(self, x, labels: np.ndarray, rng, x_t=None, lam: float = 0.0):
+        """A classify step's loss on the N labeled source batches ``x``, with
+        ``labels`` arranged per head (H x rows), plus ``lam`` times MD2 to
+        the target rows ``x_t`` when given, as one ``T.classify_loss`` node;
+        returns ``(loss, ce, md2)`` as that does."""
+        self._check_inputs(*x, x_t)
         head = self.head
         return T.classify_loss(x, labels, self.extractor.blocks, head.weight1, head.bias1,
                                head.weight2, head.bias2, head.dropout_p, rng, x_t, lam)
 
-    def _check_inputs(self, batches) -> None:
-        for t in batches:
-            if t.ndim != 2 or t.shape[1] != self.config.input_dim:
+    def _check_inputs(self, *inputs) -> None:
+        for t in inputs:
+            if t is not None and (t.ndim not in (2, 3) or t.shape[-1] != self.config.input_dim):
                 raise ShapeError(
                     f"input of shape {t.shape} does not match input_dim={self.config.input_dim}"
                 )

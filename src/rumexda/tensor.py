@@ -27,20 +27,20 @@ so the engine records as few nodes as it can and walks only those:
   linear+ReLU blocks, LoRA updates included, and ``head_stack`` runs the
   H heads' ``linear_stack -> relu -> dropout -> linear_stack``. Each is
   bitwise equal in value and gradient to the chain of nodes it replaces.
-  Given a list of batches, ``mlp`` runs their rows through each block's
-  array ops once and still returns one node per batch, each bitwise the
-  node of that batch alone, so a training step pays for one extractor
-  pass however many batches it feeds.
+  Given a (B, rows, d) stack of equal batches, ``mlp`` runs them through
+  each block's array ops at once, as one node whose value is bitwise the
+  stack of each batch's own ``mlp``.
 * ``moment_distance`` is the first- plus second-moment distance between
   feature batches (MD2) as one node, bitwise equal in value and gradient
   to the ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
   ``mul`` graph that spells it out. Its moments, terms, norms and term
   gradients are whole-array ops over all batches at once.
-* ``classify_loss`` is a whole single-head training step as one node: the
-  extractor, the head, the CE and, given a target batch, lambda * MD2, so
-  a vanilla, LoRA or m2s2da backward walks 1 node where the chain of
-  ``mlp``, ``head_stack``, ``softmax_cross_entropy``, ``moment_distance``,
-  ``mul`` and ``add`` nodes walks 3 or 7.
+* ``classify_loss`` is a whole classify step as one node: the extractor
+  over N source batches and, given one, a target batch, the 1 or 2N
+  heads, the CE and lambda * MD2. A vanilla, LoRA, m2s2da or m3sda step 1
+  backward walks 1 node where the chain of ``mlp``, ``head_stack``,
+  ``softmax_cross_entropy``, ``moment_distance``, ``mul`` and ``add``
+  nodes walks 3, 7 or 9.
 
 ``mlp``, ``head_stack``, ``softmax_cross_entropy`` and ``moment_distance``
 each run a forward and a backward kernel (``_mlp_forward`` and
@@ -375,19 +375,20 @@ _MOMENT_ORDERS = np.array([1.0, 2.0])[:, None, None]
 
 @functools.lru_cache(maxsize=None)
 def _md2_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MD2's terms over batches 0..n-1 (sources) and n (target), as index
+    """MD2's terms over batches 0 (target) and 1..n (sources), as index
     arrays: term t is ``m[first[t]] - m[second[t]]``, the n source-target
     terms and then the pairwise ones in lexicographic order. Row i of
     ``order`` lists, in the order a chain of ``add`` nodes adds them, the
     terms whose gradients reach batch i's moment: index t for ``+term_t``
     and T + t for ``-term_t``, with T terms in all."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    first = [*range(n), *(i for i, _ in pairs)]
-    second = [n] * n + [j for _, j in pairs]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    first = [*range(1, n + 1), *(i for i, _ in pairs)]
+    second = [0] * n + [j for _, j in pairs]
     neg = len(first)
-    order = [[i, *(n + p if i == a else neg + n + p
-                   for p, (a, b) in enumerate(pairs) if i in (a, b))] for i in range(n)]
-    order.append([neg + i for i in range(n)])
+    order = [[neg + i for i in range(n)]]
+    order += [[i - 1, *(n + p if i == a else neg + n + p
+                        for p, (a, b) in enumerate(pairs) if i in (a, b))]
+              for i in range(1, n + 1)]
     arrays = (np.array(first), np.array(second), np.array(order))
     for a in arrays:
         a.flags.writeable = False  # shared by every call with this n
@@ -447,16 +448,16 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
     for z in zs:
         if z.ndim != 2 or z_t.ndim != 2 or z.shape[1] != z_t.shape[1]:
             raise ShapeError(f"feature dims disagree: {z.shape} vs {z_t.shape}")
-    batches = [*zs, z_t]
+    batches = [z_t, *zs]
     data, index = _lay_out([z.data for z in batches])
     total, saved = _md2_forward(data, index, [len(z.data) for z in batches], n)
-    block = [*zs, z_t] if n == 1 else [z_t, *zs]
+    block = batches[::-1] if n == 1 else batches
 
     def grad_fn(g):
         spread = _md2_backward(g, saved)
         per_batch = [spread[:, ix] for ix in index]
-        if n >= 2:
-            per_batch.insert(0, per_batch.pop())
+        if n == 1:
+            per_batch.reverse()
         return [grad[k] if _needs_grad(z) else None
                 for k in (0, 1) for z, grad in zip(block, per_batch)]
 
@@ -464,9 +465,9 @@ def moment_distance(z_sources: Sequence[Tensor], z_t: Tensor) -> Tensor:
 
 
 def _md2_forward(data: np.ndarray, index: list, sizes: list[int], n: int):
-    """MD2's value over N source batches and a target batch, laid out by
+    """MD2's value over a target batch and N source batches, laid out by
     ``_lay_out`` in ``data`` (batch i is ``data[index[i]]``, of ``sizes[i]``
-    rows; the target is last), and what ``_md2_backward`` reads."""
+    rows; the target is first), and what ``_md2_backward`` reads."""
     if 0 in sizes:
         raise DegenerateInputError("moment distance over an empty batch")
     first, second, _ = _md2_terms(n)
@@ -585,27 +586,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return _result(data, parents, grad_fn, "linear")
 
 
-def _check_rows(rows: np.ndarray) -> None:
-    if rows.ndim != 2:
-        raise ShapeError(f"mlp expects rows of a rank-2 tensor, got {rows.shape}")
-
-
-def _batch_rows(arrays: list[np.ndarray]):
-    """``_lay_out`` of the batches' rows, each batch's index into it, and
-    the product that multiplies each batch's rows as a matrix of its own."""
-    if not arrays:
-        raise ShapeError("mlp needs at least one batch")
-    for rows in arrays:
-        _check_rows(rows)
-    if len({rows.shape[1] for rows in arrays}) > 1:
-        raise ShapeError(f"mlp: batches of {sorted({rows.shape[1] for rows in arrays})} columns")
-    h, index = _lay_out(arrays)
-    if h.ndim == 3:
-        return h, index, np.matmul
-    return h, index, lambda rows, w: np.concatenate([rows[ix] @ w for ix in index])
-
-
-def mlp(x, layers: Sequence[tuple]):
+def mlp(x, layers: Sequence[tuple]) -> Tensor:
     """A chain of linear+ReLU blocks over the rows of ``x``, as one node.
 
     A layer is ``(W, b)``, or ``(W, b, down, up, scale)`` for a block with a
@@ -618,33 +599,32 @@ def mlp(x, layers: Sequence[tuple]):
     reverse, computes no gradient that no parent needs, and stops below the
     lowest block with a parameter that needs one, unless ``x`` needs one.
 
-    ``x`` may also be a list or tuple of batches. Their rows then go through
-    each block together, one product, bias add and ReLU per array op, and
-    the result is a list with one node per batch, bitwise ``mlp(batch,
-    layers)`` in value and gradient: the products are made per batch (see
-    ``_lay_out``), and each node's backward is that of ``mlp`` on its
-    batch's rows.
+    ``x`` may also be a (B, rows, d) stack of equal batches. Their rows then
+    go through each block together, one product, bias add and ReLU per
+    array op, and the products are made per batch (see ``_lay_out``), so
+    slice b of the value is bitwise ``mlp(x[b], layers)``. So is slice b of
+    the input's gradient, and a layer tensor's gradient adds the batches'
+    gradients up in batch order.
     """
-    if isinstance(x, (list, tuple)):
-        xs = [_as_tensor(t) for t in x]
-        h, index, product = _batch_rows([t.data for t in xs])
-    else:
-        xs = None
-        x = _as_tensor(x)
-        _check_rows(x.data)
-        h, product = x.data, np.matmul
-    out, saved = _mlp_forward(h, layers, product)
+    x = _as_tensor(x)
+    if x.ndim not in (2, 3) or x.ndim == 3 and not len(x.data):
+        raise ShapeError(f"mlp expects rows of a rank-2 tensor or a non-empty stack of them, "
+                         f"got {x.shape}")
+    out, saved = _mlp_forward(x.data, layers)
     params = [p for layer in layers for p in layer[:4]]
-    if xs is None:
-        return _mlp_node(x, params, saved, out, None)
-    return [_mlp_node(t, params, saved, out, ix) for t, ix in zip(xs, index)]
+
+    def grad_fn(g):
+        grads, gx = _mlp_backward(g, saved, len(params), _needs_grad(x))
+        return [gx, *grads]
+
+    return _result(out, [x, *params], grad_fn, "mlp")
 
 
-def _mlp_forward(h: np.ndarray, layers: Sequence[tuple], product):
-    """The blocks' output over the rows ``h`` and, per block, what
-    ``_mlp_backward`` reads: the position of its W among the layers'
-    tensors, the layer, its input, W^T, the pre-activation and the LoRA
-    arrays (None without LoRA)."""
+def _mlp_forward(h: np.ndarray, layers: Sequence[tuple]):
+    """The blocks' output over the rows ``h``, or a stack of them, and, per
+    block, what ``_mlp_backward`` reads: the position of its W among the
+    layers' tensors, the layer, its input, W^T, the pre-activation and the
+    LoRA arrays (None without LoRA)."""
     saved = []
     at = 0
     for layer in layers:
@@ -653,7 +633,7 @@ def _mlp_forward(h: np.ndarray, layers: Sequence[tuple], product):
             raise ShapeError(f"mlp: cannot apply weight {weight.shape} and bias {bias.shape} "
                              f"to rows of {h.shape}")
         wt = np.ascontiguousarray(weight.data.T)
-        pre = product(h, wt)
+        pre = np.matmul(h, wt)
         pre += bias.data
         lora = None
         if len(layer) == 5:
@@ -662,8 +642,8 @@ def _mlp_forward(h: np.ndarray, layers: Sequence[tuple], product):
                 raise ShapeError(f"mlp: LoRA factors {down.shape} and {up.shape} do not fit "
                                  f"weight {weight.shape}")
             dt, ut = np.ascontiguousarray(down.data.T), np.ascontiguousarray(up.data.T)
-            mid = product(h, dt)
-            pre = pre + product(mid, ut) * scale
+            mid = np.matmul(h, dt)
+            pre = pre + np.matmul(mid, ut) * scale
             lora = (dt, ut, mid)
         saved.append((at, layer, h, wt, pre, lora))
         at += len(layer[:4])
@@ -671,12 +651,20 @@ def _mlp_forward(h: np.ndarray, layers: Sequence[tuple], product):
     return h, saved
 
 
-def _mlp_backward(g: np.ndarray, saved: list, n_params: int, index, x_wanted: bool):
+def _mlp_backward(g: np.ndarray, saved: list, n_params: int, x_wanted: bool, index=None):
     """The gradients of the layers' tensors, in layer order, and of the
-    input rows, for the upstream ``g`` of the rows ``index`` of the saved
-    block arrays (all of them when ``index`` is None); None where nothing
-    needs one. The walk stops below the lowest block with a tensor that
-    needs a gradient, unless ``x_wanted``."""
+    input rows, for the upstream ``g`` of the saved rows, or of batch
+    ``index`` of the saved stack; None where nothing needs one. The walk
+    stops below the lowest block with a tensor that needs a gradient,
+    unless ``x_wanted``. For a whole stack's 3-D ``g``, each batch walks its
+    own rows, a layer tensor adds the batches' gradients up in batch order,
+    and the input's gradient is the stack of theirs."""
+    if g.ndim == 3:
+        walks = [_mlp_backward(g[b], saved, n_params, x_wanted, b) for b in range(len(g))]
+        grads = walks[0][0]
+        for more, _ in walks[1:]:
+            grads = [a if a is None else a + c for a, c in zip(grads, more)]
+        return grads, np.stack([gx for _, gx in walks]) if x_wanted else None
     grads = [None] * n_params
     # whether each block's input needs a gradient
     wants, want = [], x_wanted
@@ -712,17 +700,6 @@ def _mlp_backward(g: np.ndarray, saved: list, n_params: int, index, x_wanted: bo
             return grads, None
         g = gx
     return grads, g
-
-
-def _mlp_node(x: Tensor, params: list, saved: list, out: np.ndarray, index) -> Tensor:
-    """The ``mlp`` node of batch ``x``, whose rows are ``index`` of the saved
-    block arrays (all of them when ``index`` is None)."""
-
-    def grad_fn(g):
-        grads, gx = _mlp_backward(g, saved, len(params), index, _needs_grad(x))
-        return [gx, *grads]
-
-    return _result(out if index is None else out[index], [x, *params], grad_fn, "mlp")
 
 
 def _stack_inputs(x, weight: Tensor, bias: Tensor, op: str):
@@ -997,45 +974,51 @@ def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
 
 def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,
                   weight2: Tensor, bias2: Tensor, p: float, rng, x_t=None, lam: float = 0.0):
-    """A single-head training step's loss as one node.
+    """A classify step's loss over N source batches as one node.
 
-    The rows ``x`` go through the extractor ``layers`` (as ``mlp`` takes
-    them) and one classifier head (``weight1`` 1 x f x f and so on, as
-    ``head_stack`` takes them, with training-mode dropout drawn from
-    ``rng``), and the loss is the cross entropy against the 0/1 ``labels``.
-    Given a target batch ``x_t`` of as many rows, the loss adds ``lam``
-    times the MD2 between the two batches' features, and the two batches
-    go through the extractor as one (2, rows, d) stack.
+    ``x`` holds the N batches, of equal shape (rows, d). They go through the
+    extractor ``layers`` (as ``mlp`` takes them) and H = 1 or 2N classifier
+    heads (``weight1`` H x f x f and so on, as ``head_stack`` takes them,
+    with training-mode dropout drawn from ``rng``); head h reads source
+    batch ``h * N // H``. The loss is the heads' cross entropy against the
+    H x rows 0/1 ``labels``, added in head order. Given a target batch
+    ``x_t``, it adds ``lam`` times the MD2 between the sources' features and
+    the target's, and the target goes through the extractor with the
+    sources, first in one (N + 1, rows, d) stack.
 
     Returns ``(loss, ce, md2)``: the node, and the CE and MD2 values as
     floats (``md2`` is None without ``x_t``). The loss and every gradient
-    are bitwise those of ``add(softmax_cross_entropy(head_stack(mlp(x)),
-    labels[None]), mul(moment_distance([z_s], z_t), lam))``: the same
-    kernels run, the source features add up the head's gradient, then
-    MD2's moment-1 and then its moment-2 term, as ``backward`` adds them
-    there, and an extractor tensor's gradient is the source batch's plus
-    the target batch's.
+    are bitwise those of the per-op graph (``mlp`` per batch, ``head_stack``,
+    ``softmax_cross_entropy``, ``moment_distance``, ``mul`` and ``add``): the
+    same kernels run, and gradients add up in the order ``backward`` adds
+    them there. A source batch's features take the gradients of the heads
+    that read it, in head order, then MD2's moment-1 and then its moment-2
+    term, and an extractor tensor adds the batches' gradients up in the
+    order target, source 0, ..., source N - 1.
     """
-    x = _as_tensor(x).data
-    if x_t is None:
-        _check_rows(x)
-        rows = x
-    else:
-        x_t = _as_tensor(x_t).data
-        if len(x_t) != len(x):
-            raise ShapeError(f"classify_loss: a source batch of {len(x)} rows and a target "
-                             f"batch of {len(x_t)}")
-        rows, _, _ = _batch_rows([x, x_t])
-    feats, saved = _mlp_forward(rows, layers, np.matmul)
-    z_s = feats if x_t is None else feats[0]
-    _check_stack(z_s, weight1, bias1, "classify_loss")
+    n, heads = len(x), weight1.shape[0]
+    if not n or heads not in (1, 2 * n):
+        raise ShapeError(f"classify_loss: {heads} heads over {n} source batches")
+    # the batches the extractor runs: the target first, and with one head
+    # and no target, only the source batch that the head reads
+    one = x_t is None and heads == 1
+    try:
+        rows = np.asarray(x[0] if one else np.stack(x if x_t is None else [x_t, *x]), np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"classify_loss: {exc}") from None
+    if rows.ndim != (2 if one else 3):
+        raise ShapeError(f"classify_loss expects (rows, d) batches, got {np.shape(x[0])}")
+    feats, saved = _mlp_forward(rows, layers)
+    z_s = feats if x_t is None else feats[1:]
+    head_in = z_s if one else z_s[0] if heads == 1 else np.repeat(z_s, 2, axis=0)
+    _check_stack(head_in, weight1, bias1, "classify_loss")
     head = [weight1, bias1, weight2, bias2]
-    logits, head_saved = _head_forward(z_s, *head, p, True, rng)
-    y, w = _ce_labels(logits, np.asarray(labels)[None], None)
+    logits, head_saved = _head_forward(head_in, *head, p, True, rng)
+    y, w = _ce_labels(logits, labels, None)
     ce, ce_saved = _ce_forward(logits, y, w)
     loss, md2 = ce, None
     if x_t is not None:
-        md2, md2_saved = _md2_forward(feats, [0, 1], [len(x)] * 2, 1)
+        md2, md2_saved = _md2_forward(feats, range(n + 1), [len(feats[0])] * (n + 1), n)
         lam = float(lam)
         loss = ce + md2 * lam
     extractor = [t for layer in layers for t in layer[:4]]
@@ -1043,20 +1026,21 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
     def grad_fn(g):
         needs = [_needs_grad(t) for t in extractor + head]
         want = any(needs[:len(extractor)])
-        g_z, *head_grads = _head_backward(_ce_backward(g, ce_saved), head_saved, z_s, True,
-                                          [want, *needs[len(extractor):]])
+        g_in, *head_grads = _head_backward(_ce_backward(g, ce_saved), head_saved, head_in, True,
+                                           [want, *needs[len(extractor):]])
         if not want:
             return [None] * len(extractor) + head_grads
-        if md2 is None:
-            grads, _ = _mlp_backward(g_z, saved, len(extractor), None, False)
-            return grads + head_grads
-        # (2 moments, 2 batches, rows, f); the source adds the head's
-        # gradient, then moment 1's and then moment 2's
-        spread = _md2_backward(g * lam, md2_saved)
-        grads, _ = _mlp_backward(g_z + spread[0, 0] + spread[1, 0], saved, len(extractor), 0,
-                                 False)
-        grads_t, _ = _mlp_backward(spread[0, 1] + spread[1, 1], saved, len(extractor), 1, False)
-        return [a if a is None else a + b for a, b in zip(grads, grads_t)] + head_grads
+        # per source batch, the gradients of the heads that read it, in head order
+        g_feats = g_in if heads == 1 else g_in[0::2] + g_in[1::2]
+        if md2 is not None:
+            # (2 moments, target and sources, rows, f); a source adds the
+            # heads' gradient (with one head, source 0 alone has one), then
+            # moment 1's and then moment 2's
+            spread = _md2_backward(g * lam, md2_saved)
+            spread[0, 1 if heads == 1 else slice(1, None)] += g_feats
+            g_feats = spread[0] + spread[1]
+        grads, _ = _mlp_backward(g_feats, saved, len(extractor), False)
+        return grads + head_grads
 
     return (_result(np.asarray(loss), extractor + head, grad_fn, "classify_loss"), float(ce),
             None if md2 is None else float(md2))

@@ -394,6 +394,13 @@ class _PerBatchStepper(M3sdaStepper):
     """Steps 1 and 2 with one ``extract`` call per batch, as they were
     written before one extractor pass served all of a step's batches."""
 
+    def _pair_ce(self, z_list, batches):
+        """Summed CE of every head on its pair's source batch."""
+        logits = self.bundle.head.forward([z for z in z_list for _ in range(2)],
+                                          training=True, rng=self.drop_rng)
+        labels = np.stack([y for _, y in batches for _ in range(2)])
+        return T.softmax_cross_entropy(logits, labels)
+
     def step_classify(self, batches, x_t):
         z_list = [self.bundle.extract(Tensor(x)) for x, _ in batches]
         loss = self._pair_ce(z_list, batches)
@@ -770,7 +777,7 @@ def _nodes_per_backward(monkeypatch, train) -> list[int]:
     ("vanilla", [1]),  # the step node: extractor, head and CE
     ("m2s2da", [1]),  # the step node, MD2 and its weight included
     ("lora", [1]),  # as vanilla: the adapters fold into the step node
-    ("m3sda_beta", [9, 6, 4]),  # steps 1, 2 and 3
+    ("m3sda_beta", [1, 6, 4]),  # steps 1 (the step node), 2 and 3
 ])
 def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
     # two iterations of one epoch; a test failure here, not a slower
@@ -799,8 +806,9 @@ def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
     ("vanilla", ["backward"]),
     ("m2s2da", ["backward"]),
     ("lora", ["backward"]),
-    # steps 1 and 2 run the three sources and the target in one pass each
-    ("m3sda_beta", ["step_classify", "extract", "step_max_discrepancy", "extract",
+    # step 1 is the step node too; step 2 runs the three sources and the
+    # target in one pass, step 3 the target
+    ("m3sda_beta", ["step_classify", "step_max_discrepancy", "extract",
                     "step_min_discrepancy", "extract"]),
 ])
 def test_extract_calls_per_iteration_are_pinned(monkeypatch, leg, per_iteration):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import string
 import subprocess
@@ -770,7 +771,7 @@ def test_report_csv_fields_with_a_carriage_return_read_back_as_written(tmp_path)
     # a bare "\r" in a field reads back as a line end unless the field is quoted
     record = {"epoch": 1, "losses": {"ce": 0.5}, "source_val_f1": 0.5,
               "target_f1": {"t\rx": 0.5, "u": 0.25}, "median_target_f1": 0.375,
-              "strategy": "van\rilla", "trainable_parameters": 10, "warmup": 0}
+              "strategy": "vanilla", "trainable_parameters": 10, "warmup": 0}
     history = tmp_path / "history.jsonl"
     history.write_text(json.dumps(record) + "\n")
     rep = tmp_path / "rep"
@@ -781,7 +782,7 @@ def test_report_csv_fields_with_a_carriage_return_read_back_as_written(tmp_path)
     with open(rep / "f1_vs_params.csv", newline="") as fh:
         assert list(csv.reader(fh)) == [
             ["trainable_parameters", "strategy", "median_f1", "sigma_epochs"],
-            ["10", "van\rilla", "0.375", "0.0"]]
+            ["10", "vanilla", "0.375", "0.0"]]
 
 
 _CSV_FIELD = st.text(st.sampled_from('ab,"\r\n é'), max_size=4)
@@ -1113,6 +1114,17 @@ def test_report_of_malformed_history_is_a_data_error(tmp_path, capsys, line, whe
     ({"epoch": "2"}, "epoch must be 2, the record's position, got '2'"),
     ({"epoch": 3}, "epoch must be 2, the record's position, got 3"),
     ({"epoch": 1}, "epoch must be 2, the record's position, got 1"),
+    # a number must be a JSON number: not a string, a boolean or null
+    ({"losses": {"ce": "0.25"}}, "losses['ce'] must be a number, got '0.25'"),
+    ({"source_val_f1": True}, "source_val_f1 must be a number, got True"),
+    ({"target_f1": {"t": None}}, "target_f1['t'] must be a number, got None"),
+    ({"median_target_f1": False}, "median_target_f1 must be a number, got False"),
+    # the strategy is one of the three, and the same on every record
+    ({"strategy": 5}, "strategy must be one of ('vanilla', 'm2s2da', 'm3sda_beta'), got 5"),
+    ({"strategy": "m3sda"}, "strategy must be one of ('vanilla', 'm2s2da', 'm3sda_beta'), "
+                            "got 'm3sda'"),
+    ({"strategy": "vanilla"}, "strategy 'vanilla' differs from the 'm2s2da' of the records "
+                              "before it"),
 ])
 def test_report_of_a_history_field_out_of_range_is_a_data_error(tmp_path, capsys, fields,
                                                                   where):
@@ -1134,6 +1146,62 @@ def test_report_reads_null_f1_values_where_train_writes_them(tmp_path):
     history = tmp_path / "history.jsonl"
     history.write_text(json.dumps(record) + "\n" + json.dumps({**record, "epoch": 2}) + "\n")
     assert main(["report", "--history", str(history), "--out", str(tmp_path / "rep")]) == 0
+
+
+# what a fuzzed report input swaps in for one of the file's own tokens
+_FUZZ_TOKENS = ["nan", "1e309", "1" * 400, '"0.25"', "true", "null", "\r", "\x00"]
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """``data`` with one mutation: a flipped bit, a deleted span, a
+    truncation, a repeated line, or a token swapped for a ``_FUZZ_TOKENS`` one."""
+    if not data:
+        return data
+    kind, at = rng.randrange(5), rng.randrange(len(data))
+    if kind == 0:
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == 1:
+        return data[:at] + data[at + rng.randint(1, 8):]
+    if kind == 2:
+        return data[:at]
+    if kind == 3:
+        lines = data.splitlines(keepends=True)
+        i = rng.randrange(len(lines))
+        return b"".join(lines[:i + 1] + lines[i:])
+    tokens = list(re.finditer(rb'"[^"\n]*"|[-+.\w]+', data))
+    if not tokens:
+        return data
+    token = rng.choice(tokens)
+    return data[:token.start()] + rng.choice(_FUZZ_TOKENS).encode() + data[token.end():]
+
+
+def test_report_of_fuzzed_inputs_exits_0_or_1_with_one_error_line(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(_make_corpus(tmp_path, samples=60)), "--out", str(run),
+                 "--strategy", "m2s2da", "--epochs", "3", "--warmup", "1", "--seed", "1"]) == 0
+    originals = {name: (run / name).read_bytes() for name in ("history.jsonl", "config.txt")}
+    rng, codes = random.Random(28), []
+    for i in range(400):
+        mutant = dict(originals)
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(sorted(mutant))
+            mutant[name] = _mutate(mutant[name], rng)
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        for name, data in mutant.items():
+            (case / name).write_bytes(data)
+        capsys.readouterr()
+        try:
+            rc = main(["report", "--history", str(case / "history.jsonl"),
+                       "--config", str(case / "config.txt"), "--out", str(case / "rep")])
+        except SystemExit as exc:
+            rc = exc.code
+        lines = [line for line in capsys.readouterr().err.split("\n") if line]
+        assert rc in (0, 1), mutant
+        assert [line.startswith("error:") for line in lines].count(True) == rc, (mutant, lines)
+        assert all(line.startswith(("error:", "warning:")) for line in lines), (mutant, lines)
+        codes.append(rc)
+    assert codes.count(0) and codes.count(1)
 
 
 @pytest.mark.parametrize("which", ["annotations", "domain_map"])

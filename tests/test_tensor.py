@@ -659,67 +659,64 @@ def test_mlp_stops_below_the_lowest_block_that_needs_a_gradient():
               [(*layers[0], Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), 1.0)])
 
 
-def _mlp_batches_run(one_pass, xs, x_flag, blocks, upstreams, grad):
-    """Output bytes and every leaf gradient of the summed weighted outputs
-    of ``T.mlp`` over the batches ``xs``, from one call (``one_pass``) or
-    one call per batch; with ``grad`` off the forward runs under no_grad."""
-    inputs = [Tensor(x, requires_grad=x_flag) for x in xs]
+def _mlp_stack_run(one_pass, xs, x_flag, blocks, upstream, grad):
+    """Output bytes and every leaf gradient of the weighted outputs of
+    ``T.mlp`` over the (B, rows, d) stack ``xs``: from one call over the
+    stack (``one_pass``), or from one call and one backward per batch, so
+    that a layer tensor adds the batches' gradients up in batch order. With
+    ``grad`` off the forward runs under no_grad."""
     layers, leaves = [], []
     for arrays, flags, scale in blocks:
         tensors = _leaves(arrays, flags)
         leaves += tensors
         layers.append(tuple(tensors) if scale is None else (*tensors, scale))
+    inputs = [Tensor(xs, requires_grad=x_flag)] if one_pass else [
+        Tensor(x, requires_grad=x_flag) for x in xs]
     with T.no_grad() if not grad else contextlib.nullcontext():
-        outs = T.mlp(inputs, layers) if one_pass else [T.mlp(x, layers) for x in inputs]
-    assert isinstance(outs, list) and len(outs) == len(xs)
+        outs = [T.mlp(x, layers) for x in inputs]
     assert grad or all(o._grad_fn is None for o in outs)
-    loss = None
-    for out, upstream in zip(outs, upstreams):
-        if grad and len(upstream):
-            term = T.mul(out, Tensor(upstream)).sum()
-            loss = term if loss is None else T.add(loss, term)
-    if loss is not None:
-        loss.backward()
-    return [o.data.tobytes() for o in outs] + _grad_bytes(leaves + inputs)
-
-
-# equal row counts take the stacked-product path, unequal ones the per-batch loop
-_BATCH_ROWS = st.one_of(
-    st.tuples(st.integers(1, 4), st.integers(0, 70)).map(lambda t: [t[1]] * t[0]),
-    st.lists(st.integers(0, 70), min_size=1, max_size=4))
+    if grad and upstream.shape[1]:
+        ups = [upstream] if one_pass else upstream
+        for out, up in zip(outs, ups):
+            T.mul(out, Tensor(up)).sum().backward()
+    x_grads = [t.grad for t in inputs]
+    if one_pass:
+        x_grads = [None] * len(xs) if x_grads[0] is None else list(x_grads[0])
+    return ([np.stack([o.data for o in outs]).reshape(upstream.shape).tobytes()]
+            + _grad_bytes(leaves) + [None if g is None else g.tobytes() for g in x_grads])
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(dims=st.lists(st.integers(1, 20), min_size=2, max_size=4), rows=_BATCH_ROWS,
-       trains=st.lists(st.booleans(), min_size=3, max_size=3), rank=st.integers(0, 3),
-       x_flag=st.booleans(), grad=st.booleans(), seed=st.integers(0, 2**16))
-def test_mlp_over_batches_is_bitwise_one_mlp_per_batch(dims, rows, trains, rank, x_flag, grad,
-                                                        seed):
+@given(dims=st.lists(st.integers(1, 20), min_size=2, max_size=4), batches=st.integers(1, 4),
+       rows=st.integers(0, 70), trains=st.lists(st.booleans(), min_size=3, max_size=3),
+       rank=st.integers(0, 3), x_flag=st.booleans(), grad=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_mlp_over_batches_is_bitwise_one_mlp_per_batch(dims, batches, rows, trains, rank, x_flag,
+                                                        grad, seed):
     # rank 0 is a plain extractor whose blocks train or not per ``trains``,
     # rank R >= 1 LoRA at rank R on a frozen base; widths up to 20 include
     # some for which OpenBLAS rounds a row of a taller product differently
     rng = np.random.default_rng(seed)
     blocks = _random_blocks(rng, dims, trains[:len(dims) - 1], rank)
-    xs = [rng.normal(size=(n, dims[0])) for n in rows]
-    upstreams = [rng.normal(size=(n, dims[-1])) for n in rows]
-    one_pass = _mlp_batches_run(True, xs, x_flag, blocks, upstreams, grad)
-    assert one_pass == _mlp_batches_run(False, xs, x_flag, blocks, upstreams, grad)
+    xs = rng.normal(size=(batches, rows, dims[0]))
+    upstream = rng.normal(size=(batches, rows, dims[-1]))
+    one_pass = _mlp_stack_run(True, xs, x_flag, blocks, upstream, grad)
+    assert one_pass == _mlp_stack_run(False, xs, x_flag, blocks, upstream, grad)
 
 
 def test_mlp_over_batches_checks_them():
     rng = np.random.default_rng(5)
     layers = [(Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(np.zeros(4)))]
-    outs = T.mlp((Tensor(rng.normal(size=(2, 3))), rng.normal(size=(5, 3))), layers)
-    assert [o.shape for o in outs] == [(2, 4), (5, 4)]
-    assert [len(o._parents) for o in outs] == [3, 3]
+    out = T.mlp(rng.normal(size=(2, 5, 3)), layers)
+    assert out.shape == (2, 5, 4) and len(out._parents) == 3
     with pytest.raises(ShapeError):
-        T.mlp([], layers)
+        T.mlp(np.zeros((0, 5, 3)), layers)
     with pytest.raises(ShapeError):
-        T.mlp([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], layers)
+        T.mlp(np.zeros((2, 5, 4)), layers)
     with pytest.raises(ShapeError):
-        T.mlp([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))], layers)
+        T.mlp(np.zeros(3), layers)
     with pytest.raises(ShapeError):
-        T.mlp([Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4)))], layers)
+        T.mlp(np.zeros((1, 2, 5, 3)), layers)
 
 
 def _head_run(build, form, training, head_flags, x_flag, seed=0):
@@ -971,13 +968,14 @@ def test_moment_distance_input_errors():
 
 
 # ----------------------------------------------------------------------
-# one node per single-head training step
+# one node per classify step
 
 
-def _classify_step(fused, x, y, x_t, lam, blocks, heads, p, seed):
+def _classify_step(fused, xs, labels, x_t, lam, blocks, heads, p, seed):
     """Loss bytes, CE and MD2 values, every gradient and the next dropout
-    draw of a single-head step, from ``T.classify_loss`` or from the per-op
-    graph it replaces."""
+    draw of a classify step over the source batches ``xs``, from
+    ``T.classify_loss`` or from the per-op graph it replaces: one ``mlp``
+    node per batch, and head h of H reading source batch h * N // H."""
     layers, leaves = [], []
     for arrays, flags, scale in blocks:
         tensors = _leaves(arrays, flags)
@@ -985,18 +983,18 @@ def _classify_step(fused, x, y, x_t, lam, blocks, heads, p, seed):
         layers.append(tuple(tensors) if scale is None else (*tensors, scale))
     head = _leaves(heads, [True] * 4)
     rng = np.random.default_rng(seed)
+    n, h = len(xs), len(heads[0])
     if fused:
-        loss, ce, md2 = T.classify_loss(x, y, layers, *head, p, rng, x_t, lam)
+        loss, ce, md2 = T.classify_loss(xs, labels, layers, *head, p, rng, x_t, lam)
         assert loss._op == "classify_loss" and len(loss._parents) == len(leaves) + 4
     else:
-        if x_t is None:
-            z_s = T.mlp(Tensor(x), layers)
-        else:
-            z_s, z_t = T.mlp([Tensor(x), Tensor(x_t)], layers)
-        loss = T.softmax_cross_entropy(T.head_stack(z_s, *head, p, True, rng), y[None])
+        z_s = [T.mlp(Tensor(x), layers) for x in xs]
+        read = [z_s[i * n // h] for i in range(h)]
+        logits = T.head_stack(read[0] if h == 1 else read, *head, p, True, rng)
+        loss = T.softmax_cross_entropy(logits, labels)
         ce, md2 = loss.item(), None
         if x_t is not None:
-            distance = T.moment_distance([z_s], z_t)
+            distance = T.moment_distance(z_s, T.mlp(Tensor(x_t), layers))
             md2 = distance.item()
             loss = T.add(loss, T.mul(distance, lam))
     loss.backward()
@@ -1005,32 +1003,33 @@ def _classify_step(fused, x, y, x_t, lam, blocks, heads, p, seed):
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(dims=st.lists(st.integers(1, 9), min_size=3, max_size=4), rows=st.integers(1, 70),
+       n=st.integers(1, 3), pairs=st.booleans(),
        target=st.sampled_from(["none", "target", "identical"]),
        unfreeze=st.integers(0, 3), rank=st.integers(0, 3),
-       lam=st.floats(0.0, 2.0), p=st.sampled_from([0.0, 0.3]),
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), p=st.sampled_from([0.0, 0.3]),
        labels=st.sampled_from(["mixed", "zeros", "ones"]), seed=st.integers(0, 2**16))
-def test_classify_loss_is_bitwise_the_per_op_graph(dims, rows, target, unfreeze, rank, lam, p,
-                                                   labels, seed):
-    # 1 or 2 hidden layers; rank 0 is a plain extractor with its trailing
-    # ``unfreeze`` blocks trainable, rank R >= 1 LoRA at rank R on a frozen
-    # base; "identical" makes the target batch the source batch, so every
-    # MD2 norm is 0
+def test_classify_loss_is_bitwise_the_per_op_graph(dims, rows, n, pairs, target, unfreeze, rank,
+                                                   lam, p, labels, seed):
+    # N source batches read by one head or by 2N; 1 or 2 hidden layers;
+    # rank 0 is a plain extractor with its trailing ``unfreeze`` blocks
+    # trainable, rank R >= 1 LoRA at rank R on a frozen base; "identical"
+    # makes the target batch source batch 0, so its MD2 norms are 0
     rng = np.random.default_rng(seed)
     n_blocks = len(dims) - 1
     blocks = _random_blocks(rng, dims, [i >= n_blocks - unfreeze for i in range(n_blocks)],
                             rank)
-    f = dims[-1]
-    heads = [rng.normal(size=s) for s in ((1, f, f), (1, f), (1, 2, f), (1, 2))]
-    x = rng.normal(size=(rows, dims[0]))
-    y = {"mixed": rng.integers(0, 2, rows), "zeros": np.zeros(rows, dtype=np.int64),
-         "ones": np.ones(rows, dtype=np.int64)}[labels]
+    f, h = dims[-1], 2 * n if pairs else 1
+    heads = [rng.normal(size=s) for s in ((h, f, f), (h, f), (h, 2, f), (h, 2))]
+    xs = rng.normal(size=(n, rows, dims[0]))
+    y = {"mixed": rng.integers(0, 2, (n, rows)), "zeros": np.zeros((n, rows), dtype=np.int64),
+         "ones": np.ones((n, rows), dtype=np.int64)}[labels]
     x_t = {"none": None, "target": rng.normal(size=(rows, dims[0])) * 2.0 + 0.5,
-           "identical": x.copy()}[target]
-    args = (x, y, x_t, lam, blocks, heads, p, seed)
+           "identical": xs[0].copy()}[target]
+    args = (list(xs), y[np.arange(h) * n // h], x_t, lam, blocks, heads, p, seed)
     fused = _classify_step(True, *args)
     assert fused == _classify_step(False, *args)
     assert (fused[2] is None) == (x_t is None)
-    if target == "identical":
+    if target == "identical" and n == 1:
         assert fused[2] == 0.0
 
 
@@ -1039,27 +1038,41 @@ def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
     layers = [(Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(np.zeros(4)))]
     head = [Tensor(rng.normal(size=s), requires_grad=True)
             for s in ((1, 4, 4), (1, 4), (1, 2, 4), (1, 2))]
-    x, y = rng.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1])
+    x, y = rng.normal(size=(5, 3)), np.array([[0, 1, 1, 0, 1]])
     with T.no_grad():
-        loss, ce, md2 = T.classify_loss(x, y, layers, *head, 0.0, None, x, 0.5)
+        loss, ce, md2 = T.classify_loss([x], y, layers, *head, 0.0, None, x, 0.5)
     assert loss._grad_fn is None and loss._parents == () and md2 == 0.0
     assert ce == loss.item()
     with pytest.raises(ShapeError):
-        T.classify_loss(rng.normal(size=(5, 2)), y, layers, *head, 0.0, None)
+        T.classify_loss([rng.normal(size=(5, 2))], y, layers, *head, 0.0, None)
     with pytest.raises(ShapeError):
-        T.classify_loss(x, y[:4], layers, *head, 0.0, None)
+        T.classify_loss([x], y[:, :4], layers, *head, 0.0, None)
     with pytest.raises(ShapeError):
-        T.classify_loss(x, y, layers, *head[:2], Tensor(np.zeros((1, 2, 3))), head[3], 0.0, None)
+        T.classify_loss([x], y[0], layers, *head, 0.0, None)
+    with pytest.raises(ShapeError):
+        T.classify_loss([x], y, layers, *head[:2], Tensor(np.zeros((1, 2, 3))), head[3], 0.0,
+                        None)
     with pytest.raises(LabelError):
-        T.classify_loss(x, y * 2, layers, *head, 0.0, None)
+        T.classify_loss([x], y * 2, layers, *head, 0.0, None)
     with pytest.raises(ConfigError):
-        T.classify_loss(x, y, layers, *head, 0.3, None)
+        T.classify_loss([x], y, layers, *head, 0.3, None)
     with pytest.raises(ShapeError):
-        T.classify_loss(x, y, layers, *head, 0.0, None, x[:4], 0.5)
+        T.classify_loss([x], y, layers, *head, 0.0, None, x[:4], 0.5)
     with pytest.raises(ShapeError):
-        T.classify_loss(x, y, layers, *head, 0.0, None, x[:, :2], 0.5)
+        T.classify_loss([x], y, layers, *head, 0.0, None, x[:, :2], 0.5)
     with pytest.raises(DegenerateInputError):
-        T.classify_loss(x[:0], y[:0], layers, *head, 0.0, None, x[:0], 0.5)
+        T.classify_loss([x[:0]], y[:, :0], layers, *head, 0.0, None, x[:0], 0.5)
+    # no source batch, unequal ones, one that is not (rows, d), and a head
+    # count that is neither 1 nor 2N
+    with pytest.raises(ShapeError):
+        T.classify_loss([], y, layers, *head, 0.0, None)
+    with pytest.raises(ShapeError):
+        T.classify_loss([x, x[:4]], y, layers, *head, 0.0, None, x, 0.5)
+    with pytest.raises(ShapeError):
+        T.classify_loss([x[None]], y, layers, *head, 0.0, None)
+    pair = [Tensor(np.repeat(t.data, 2, axis=0)) for t in head]
+    with pytest.raises(ShapeError):
+        T.classify_loss([x, x], np.repeat(y, 2, axis=0), layers, *pair, 0.0, None)
 
 
 # ----------------------------------------------------------------------
