@@ -17,19 +17,18 @@ classifiers only, to stay correct on the sources while maximizing each
 pair's disagreement on unlabeled target samples, and (3) the extractor
 only, to minimize that disagreement.
 
-Each step records graph only where its optimizer consumes a gradient. A
-vanilla, LoRA or m2s2da iteration, and step 1 of an m3sda iteration, is
-one ``T.classify_loss`` node (through ``ModelBundle.classify_loss``): the
+Each step records graph only where its optimizer consumes a gradient, and
+each is one graph node, so its backward walks 1 node. A vanilla, LoRA or
+m2s2da iteration, and step 1 of an m3sda iteration, is one
+``T.classify_loss`` node (through ``ModelBundle.classify_loss``): the
 extractor over the source batches, and the target batch in the same pass
-where MD2 uses it, the 1 or 2N heads, the CE and lambda * MD2, so its
-backward walks 1 node. Steps 2 and 3 each make one ``ModelBundle.extract``
-call, one graph node over the batches they read (the sources and the
-target, or the target alone), and the 2N heads (one ``nn.ClassifierHead``
-stack) are another; per-head losses are added in head order, and the
-three steps walk 1, 6 and 4 nodes. Step 2 extracts features under
-``T.no_grad()``, since G is fixed there, and step 3 turns the four head
-tensors' ``requires_grad`` off around its forward and backward passes, so
-neither fills gradients that nothing steps. Evaluation
+where MD2 uses it, the 1 or 2N heads, the CE and lambda * MD2. Step 2 is
+one ``T.max_discrepancy_loss`` node, whose parents are the head tensors:
+G runs inside it with no gradient, since it is fixed there, and the 2N
+heads (one ``nn.ClassifierHead`` stack) run once over the target and the
+sources together. Step 3 is one ``T.min_discrepancy_loss`` node, whose
+parents are G's tensors, so no head fills a gradient that nothing steps.
+Per-head and per-pair losses are added in head order. Evaluation
 (``predict_labels``, ``discrepancy_eval``) records no graph at all.
 ``predict_labels``, which the per-epoch eval and ``rumexda eval`` call
 once per dataset, runs the rows in fixed blocks of ``_PREDICT_BLOCK``
@@ -232,11 +231,19 @@ def _optional_f1(value, field: str) -> Optional[float]:
     return None if value is None else _number(value, field, f1=True)
 
 
+def _object(value, field: str) -> dict:
+    """A JSON object of a history line; a ValueError naming ``field`` otherwise."""
+    if type(value) is not dict:
+        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
 def read_history_jsonl(path) -> TrainingHistory:
     """Parse ``to_jsonl`` output; a malformed line raises ``DataError``
-    naming the path and line. Each record's ``epoch`` must be its position,
-    its losses finite numbers, its F1 values numbers in [0, 1] (or null
-    where ``to_jsonl`` may write null), ``trainable_parameters`` a
+    naming the path and line. Each line must be a JSON object: its
+    ``epoch`` its position, its ``losses`` an object of finite numbers, its
+    ``target_f1`` an object of F1 values, its F1 values numbers in [0, 1]
+    (or null where ``to_jsonl`` may write null), ``trainable_parameters`` a
     non-negative integer, and its ``warmup`` and ``strategy`` (one of
     ``config.STRATEGIES``) those of the records before it."""
     records = []
@@ -245,7 +252,7 @@ def read_history_jsonl(path) -> TrainingHistory:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
+            d = _object(json.loads(line), "a record")
             count = d.get("trainable_parameters", count)
             if type(count) is not int or count < 0:
                 raise ValueError(f"trainable_parameters must be a non-negative integer, "
@@ -256,10 +263,11 @@ def read_history_jsonl(path) -> TrainingHistory:
                                  f"got {epoch!r}")
             record = EpochRecord(
                 epoch=epoch,
-                losses={k: _number(v, f"losses[{k!r}]") for k, v in d["losses"].items()},
+                losses={k: _number(v, f"losses[{k!r}]")
+                        for k, v in _object(d["losses"], "losses").items()},
                 source_val_f1=_optional_f1(d["source_val_f1"], "source_val_f1"),
                 target_f1={k: _number(v, f"target_f1[{k!r}]", f1=True)
-                           for k, v in d["target_f1"].items()},
+                           for k, v in _object(d["target_f1"], "target_f1").items()},
                 median_target_f1=_optional_f1(d["median_target_f1"], "median_target_f1"),
             )
             if type(d["warmup"]) is not int or d["warmup"] < 0:
@@ -495,9 +503,8 @@ class M3sdaStepper:
     Separate optimizers over the extractor and the classifier parameters
     make the freeze contracts structural: step 2 never steps the extractor
     optimizer and step 3 never steps the classifier one. Neither step
-    records graph for the frozen side either: step 2 extracts under
-    ``T.no_grad()``, and step 3 sets the head tensors' ``requires_grad`` off
-    until its backward is done. A loss that is not finite raises
+    records graph for the frozen side either: the frozen side's tensors are
+    not parents of the step's node. A loss that is not finite raises
     ``TrainingStateError`` before its step updates anything.
     """
 
@@ -514,11 +521,6 @@ class M3sdaStepper:
         self.opt_heads = make_optimizer(
             config.optimizer, [p for _, p in bundle.head_trainable_parameters()], config.lr
         )
-
-    def _pair_discrepancy(self, z_t: Tensor, training: bool = True) -> Tensor:
-        """Summed discrepancy of every pair on the target batch."""
-        logits = self.bundle.head.forward(z_t, training=training, rng=self.drop_rng)
-        return T.pair_discrepancy(T.softmax(logits))
 
     def step_classify(self, batches, x_t: np.ndarray) -> tuple[float, float]:
         """Step 1: update G and all heads on source CE + lambda * MD2."""
@@ -537,14 +539,9 @@ class M3sdaStepper:
     def step_max_discrepancy(self, batches, x_t: np.ndarray) -> float:
         """Step 2: with G fixed, push classifier pairs apart on the target
         while keeping them correct on the sources."""
-        with T.no_grad():
-            feats = self.bundle.extract(np.stack([*(x for x, _ in batches), x_t])).data
-        disc = self._pair_discrepancy(Tensor(feats[-1]))
-        disc_value = _finite("disc_max", disc.item(), "max_discrepancy")
-        # head h reads source batch h // 2
-        logits = self.bundle.head.forward(Tensor(np.repeat(feats[:-1], 2, axis=0)),
-                                          training=True, rng=self.drop_rng)
-        loss = T.sub(T.softmax_cross_entropy(logits, _head_labels(batches)), disc)
+        loss, disc = self.bundle.max_discrepancy_loss([x for x, _ in batches],
+                                                      _head_labels(batches), x_t, self.drop_rng)
+        disc_value = _finite("disc_max", disc, "max_discrepancy")
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
         loss.backward()
@@ -553,26 +550,18 @@ class M3sdaStepper:
 
     def step_min_discrepancy(self, x_t: np.ndarray) -> float:
         """Step 3: with the heads fixed, pull the pairs together through G."""
-        for p in self.opt_heads.params:
-            p.requires_grad = False
-        try:
-            z_t = self.bundle.extract(Tensor(x_t))
-            disc = self._pair_discrepancy(z_t)
-            disc_value = _finite("disc_min", disc.item(), "min_discrepancy")
-            self.opt_g.zero_grad()
-            self.opt_heads.zero_grad()
-            disc.backward()
-        finally:
-            for p in self.opt_heads.params:
-                p.requires_grad = True
+        disc = self.bundle.min_discrepancy_loss(x_t, self.drop_rng)
+        disc_value = _finite("disc_min", disc.item(), "min_discrepancy")
+        self.opt_g.zero_grad()
+        self.opt_heads.zero_grad()
+        disc.backward()
         self.opt_g.step()
         return disc_value
 
     def discrepancy_eval(self, x_t: np.ndarray) -> float:
         """Summed pair discrepancy on a batch with dropout off; no update."""
         with T.no_grad():
-            z_t = self.bundle.extract(Tensor(np.asarray(x_t, dtype=np.float64)))
-            return self._pair_discrepancy(z_t, training=False).item()
+            return T.pair_discrepancy(T.softmax(self.bundle.forward(x_t))).item()
 
 
 def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],

@@ -11,8 +11,11 @@ bundle's H classifiers (one, or the 2N of the pair strategies) live in one
 ``ClassifierHead`` that keeps each layer's weights and biases as one
 (H, ...) stack and runs every head as one ``tensor.head_stack`` node. A
 classify step, on one head or on 2N, is one ``tensor.classify_loss`` node
-(``ModelBundle.classify_loss``). Checkpoints still store each head's slab
-as its own ``head{j}.linear{1,2}.{weight,bias}`` entry.
+(``ModelBundle.classify_loss``), and m3sda steps 2 and 3 are one
+``tensor.max_discrepancy_loss`` and one ``tensor.min_discrepancy_loss``
+node; each runs the extractor and the heads inside it. Checkpoints still
+store each head's slab as its own ``head{j}.linear{1,2}.{weight,bias}``
+entry.
 
 ``build_model`` takes the run config's ``model`` section as it is, plus
 the pair count and seed that callers derive from the training settings.
@@ -131,9 +134,23 @@ class ModelBundle:
         the target rows ``x_t`` when given, as one ``T.classify_loss`` node;
         returns ``(loss, ce, md2)`` as that does."""
         self._check_inputs(*x, x_t)
+        return T.classify_loss(x, labels, self.extractor.blocks, *self._head_args(), rng, x_t,
+                               lam)
+
+    def max_discrepancy_loss(self, x, labels: np.ndarray, x_t, rng):
+        """m3sda step 2's ``T.max_discrepancy_loss`` node and discrepancy."""
+        self._check_inputs(*x, x_t)
+        return T.max_discrepancy_loss(x, labels, x_t, self.extractor.blocks, *self._head_args(),
+                                      rng)
+
+    def min_discrepancy_loss(self, x_t, rng):
+        """m3sda step 3's ``T.min_discrepancy_loss`` node."""
+        self._check_inputs(x_t)
+        return T.min_discrepancy_loss(x_t, self.extractor.blocks, *self._head_args(), rng)
+
+    def _head_args(self) -> tuple:
         head = self.head
-        return T.classify_loss(x, labels, self.extractor.blocks, head.weight1, head.bias1,
-                               head.weight2, head.bias2, head.dropout_p, rng, x_t, lam)
+        return head.weight1, head.bias1, head.weight2, head.bias2, head.dropout_p
 
     def _check_inputs(self, *inputs) -> None:
         for t in inputs:

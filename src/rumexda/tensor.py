@@ -28,24 +28,29 @@ so the engine records as few nodes as it can and walks only those:
   H heads' ``linear_stack -> relu -> dropout -> linear_stack``. Each is
   bitwise equal in value and gradient to the chain of nodes it replaces.
   Given a (B, rows, d) stack of equal batches, ``mlp`` runs them through
-  each block's array ops at once, as one node whose value is bitwise the
-  stack of each batch's own ``mlp``.
+  each block's array ops at once, forward and backward, as one node whose
+  value and gradients are bitwise those of one ``mlp`` per batch.
 * ``moment_distance`` is the first- plus second-moment distance between
   feature batches (MD2) as one node, bitwise equal in value and gradient
   to the ``pow_k``, ``reduce_mean``, ``sub``, ``l2_norm``, ``add`` and
   ``mul`` graph that spells it out. Its moments, terms, norms and term
   gradients are whole-array ops over all batches at once.
-* ``classify_loss`` is a whole classify step as one node: the extractor
-  over N source batches and, given one, a target batch, the 1 or 2N
-  heads, the CE and lambda * MD2. A vanilla, LoRA, m2s2da or m3sda step 1
-  backward walks 1 node where the chain of ``mlp``, ``head_stack``,
-  ``softmax_cross_entropy``, ``moment_distance``, ``mul`` and ``add``
-  nodes walks 3, 7 or 9.
+* Each training step is one node. ``classify_loss`` is a classify step:
+  the extractor over N source batches and, given one, a target batch, the
+  1 or 2N heads, the CE and lambda * MD2. ``max_discrepancy_loss`` is m3sda
+  step 2: the extractor with no gradient, one pass of the 2N heads over
+  the target and the sources, the sources' CE minus the target's pair
+  discrepancy. ``min_discrepancy_loss`` is m3sda step 3: the extractor,
+  the fixed heads, softmax and pair discrepancy on the target. A
+  vanilla, LoRA, m2s2da or m3sda backward walks 1 node in every step,
+  where the chains of per-op nodes they replace walk 3, 7 or 9 (a
+  classify step), 6 (step 2) or 4 (step 3).
 
-``mlp``, ``head_stack``, ``softmax_cross_entropy`` and ``moment_distance``
-each run a forward and a backward kernel (``_mlp_forward`` and
-``_mlp_backward`` and so on) on arrays, and ``classify_loss`` chains the
-same kernels, so each op's math is written once.
+``mlp``, ``head_stack``, ``softmax``, ``softmax_cross_entropy``,
+``pair_discrepancy`` and ``moment_distance`` each run a forward and a
+backward kernel (``_mlp_forward`` and ``_mlp_backward`` and so on) on
+arrays, and the step nodes chain the same kernels, so each op's math is
+written once.
 """
 
 from __future__ import annotations
@@ -651,55 +656,57 @@ def _mlp_forward(h: np.ndarray, layers: Sequence[tuple]):
     return h, saved
 
 
-def _mlp_backward(g: np.ndarray, saved: list, n_params: int, x_wanted: bool, index=None):
+def _mlp_backward(g: np.ndarray, saved: list, n_params: int, x_wanted: bool):
     """The gradients of the layers' tensors, in layer order, and of the
-    input rows, for the upstream ``g`` of the saved rows, or of batch
-    ``index`` of the saved stack; None where nothing needs one. The walk
-    stops below the lowest block with a tensor that needs a gradient,
-    unless ``x_wanted``. For a whole stack's 3-D ``g``, each batch walks its
-    own rows, a layer tensor adds the batches' gradients up in batch order,
-    and the input's gradient is the stack of theirs."""
-    if g.ndim == 3:
-        walks = [_mlp_backward(g[b], saved, n_params, x_wanted, b) for b in range(len(g))]
-        grads = walks[0][0]
-        for more, _ in walks[1:]:
-            grads = [a if a is None else a + c for a, c in zip(grads, more)]
-        return grads, np.stack([gx for _, gx in walks]) if x_wanted else None
+    input rows, for the upstream ``g`` of the saved rows or stack; None
+    where nothing needs one. The walk stops below the lowest block with a
+    tensor that needs a gradient, unless ``x_wanted``. Over a (B, rows, d)
+    stack each array op runs on all batches at once, its products made per
+    batch, and a layer tensor adds the batches' gradients up in batch order,
+    so every gradient is bitwise what one walk per batch adds up."""
     grads = [None] * n_params
+    stacked = g.ndim == 3
     # whether each block's input needs a gradient
     wants, want = [], x_wanted
     for _, layer, *_ in saved:
         wants.append(want)
         want = want or any(_needs_grad(p) for p in layer[:4])
     for (at, layer, h_in, wt, pre, lora), want in zip(reversed(saved), reversed(wants)):
-        if index is not None:
-            h_in, pre = h_in[index], pre[index]
         g = g * (pre > 0)
         if _needs_grad(layer[0]):
-            grads[at] = np.ascontiguousarray((h_in.T @ g).T)
+            grads[at] = _weight_grad(h_in, g, stacked)
         if _needs_grad(layer[1]):
-            grads[at + 1] = g.sum(axis=0)
+            grads[at + 1] = _batch_total(g.sum(axis=-2), stacked)
         gx = g @ wt.T if want else None
         if lora is not None:
             down, up, scale = layer[2:]
             dt, ut, mid = lora
-            if index is not None:
-                mid = mid[index]
             mid_wanted = want or _needs_grad(down)
             if mid_wanted or _needs_grad(up):
                 gd = g * scale
                 if _needs_grad(up):
-                    grads[at + 3] = np.ascontiguousarray((mid.T @ gd).T)
+                    grads[at + 3] = _weight_grad(mid, gd, stacked)
                 if mid_wanted:
                     gmid = gd @ ut.T
                     if _needs_grad(down):
-                        grads[at + 2] = np.ascontiguousarray((h_in.T @ gmid).T)
+                        grads[at + 2] = _weight_grad(h_in, gmid, stacked)
                     if want:
                         gx = gx + gmid @ dt.T
         if not want:
             return grads, None
         g = gx
     return grads, g
+
+
+def _weight_grad(h: np.ndarray, g: np.ndarray, stacked: bool) -> np.ndarray:
+    """A weight's gradient ``(h^T g)^T`` as a contiguous array; over a
+    stack, one product per batch, added up in batch order."""
+    return np.ascontiguousarray(_batch_total(np.matmul(h.swapaxes(-1, -2), g), stacked).T)
+
+
+def _batch_total(per_batch: np.ndarray, stacked: bool) -> np.ndarray:
+    # a stack's per-batch gradients of one tensor, added up in batch order
+    return _sum_in_order(per_batch) if stacked else per_batch
 
 
 def _stack_inputs(x, weight: Tensor, bias: Tensor, op: str):
@@ -716,9 +723,12 @@ def _stack_inputs(x, weight: Tensor, bias: Tensor, op: str):
     return single, xs, xdata
 
 
-def _check_stack(xdata: np.ndarray, weight: Tensor, bias: Tensor, op: str) -> None:
-    if xdata.ndim not in (2, 3) or weight.ndim != 3 or bias.shape != weight.shape[:2] or not (
-            (xdata.ndim == 2 or xdata.shape[0] == weight.shape[0])
+def _check_stack(xdata: np.ndarray, weight: Tensor, bias: Tensor, op: str,
+                 blocks: bool = False) -> None:
+    # with ``blocks``, a leading axis may stack several H x n x d_in inputs
+    if xdata.ndim not in ((2, 3, 4) if blocks else (2, 3)) or weight.ndim != 3 \
+            or bias.shape != weight.shape[:2] or not (
+            (xdata.ndim == 2 or xdata.shape[-3] == weight.shape[0])
             and xdata.shape[-1] == weight.shape[2]):
         raise ShapeError(f"{op}: cannot apply weights {weight.shape} and biases "
                          f"{bias.shape} to inputs of shape {xdata.shape}")
@@ -744,8 +754,11 @@ def _stack_input_grads(g: np.ndarray, wt: np.ndarray, single: bool, needs: list[
 
 
 def _stack_param_grads(g: np.ndarray, xdata: np.ndarray, need_weight: bool, need_bias: bool):
-    return (np.matmul(xdata.swapaxes(-1, -2), g).swapaxes(1, 2) if need_weight else None,
-            g.sum(axis=1) if need_bias else None)
+    # over a stack of H-head blocks, the blocks' gradients added up in block order
+    blocks = g.ndim == 4
+    return (_batch_total(np.matmul(xdata.swapaxes(-1, -2), g), blocks).swapaxes(-1, -2)
+            if need_weight else None,
+            _batch_total(g.sum(axis=-2), blocks) if need_bias else None)
 
 
 def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
@@ -794,14 +807,14 @@ def head_stack(x, weight1: Tensor, bias1: Tensor, weight2: Tensor, bias2: Tensor
 
 def _head_forward(xdata: np.ndarray, weight1: Tensor, bias1: Tensor, weight2: Tensor,
                   bias2: Tensor, p: float, training: bool, rng):
-    """The heads' logits over the checked input array ``xdata`` and what
-    ``_head_backward`` reads."""
+    """The heads' logits over the checked input array ``xdata``, or over a
+    (blocks, H, n, f) stack of inputs, and what ``_head_backward`` reads."""
     wt1, pre = _stack_forward(xdata, weight1, bias1)
     hidden = np.maximum(pre, 0)
     keep = _dropout_keep(hidden, p, training, rng)
     if keep is not None:
         hidden = hidden * keep
-    _check_stack(hidden, weight2, bias2, "head_stack")
+    _check_stack(hidden, weight2, bias2, "head_stack", blocks=True)
     wt2, data = _stack_forward(hidden, weight2, bias2)
     return data, (wt1, pre, keep, hidden, wt2)
 
@@ -834,15 +847,22 @@ def softmax(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     if t.ndim < 2 or t.shape[-1] != 2:
         raise ShapeError(f"softmax expects b x 2 logits or a stack of them, got {t.shape}")
-    z = t.data
-    e = np.exp(z - np.maximum(z[..., 0], z[..., 1])[..., None])
-    p = e / (e[..., 0] + e[..., 1])[..., None]
+    p = _softmax_forward(t.data)
 
     def grad_fn(g):
-        gp = g * p
-        return (p * (g - (gp[..., 0] + gp[..., 1])[..., None]),)
+        return (_softmax_backward(g, p),)
 
     return _result(p, (t,), grad_fn, "softmax")
+
+
+def _softmax_forward(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - np.maximum(z[..., 0], z[..., 1])[..., None])
+    return e / (e[..., 0] + e[..., 1])[..., None]
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    gp = g * p
+    return p * (g - (gp[..., 0] + gp[..., 1])[..., None])
 
 
 def _sum_in_order(values: np.ndarray) -> np.ndarray:
@@ -921,24 +941,35 @@ def pair_discrepancy(p: Tensor) -> Tensor:
     2N x b x c stack, as one node; |x| is relu(x) + relu(-x), so the
     subgradient at zero disagreement is zero."""
     p = _as_tensor(p)
+    total, saved = _pair_forward(p.data)
+
+    def grad_fn(g):
+        return (_pair_backward(g, saved),)
+
+    return _result(total, (p,), grad_fn, "pair_discrepancy")
+
+
+def _pair_forward(p: np.ndarray):
+    """The summed pair discrepancy of the 2N x b x c stack ``p`` and what
+    ``_pair_backward`` reads."""
     if p.ndim != 3 or p.shape[0] == 0 or p.shape[0] % 2:
         raise ShapeError(f"pair_discrepancy expects a 2N x b x c stack, got {p.shape}")
     if p.size == 0:
         raise DegenerateInputError("pair discrepancy over an empty batch")
-    diff = p.data[0::2] - p.data[1::2]
+    diff = p[0::2] - p[1::2]
     neg = diff * -1.0
     per_pair = (np.maximum(diff, 0) + np.maximum(neg, 0)).reshape(len(diff), -1).mean(axis=1)
-    count = diff[0].size
+    return _sum_in_order(per_pair), (diff, neg)
 
-    def grad_fn(g):
-        scaled = np.broadcast_to(g / count, diff.shape)
-        gdiff = scaled * (diff > 0) + scaled * (neg > 0) * -1.0
-        grad = np.empty_like(p.data)
-        grad[0::2] = gdiff
-        grad[1::2] = -gdiff
-        return (grad,)
 
-    return _result(_sum_in_order(per_pair), (p,), grad_fn, "pair_discrepancy")
+def _pair_backward(g, saved) -> np.ndarray:
+    diff, neg = saved
+    scaled = np.broadcast_to(g / diff[0].size, diff.shape)
+    gdiff = scaled * (diff > 0) + scaled * (neg > 0) * -1.0
+    grad = np.empty((2 * len(diff), *diff.shape[1:]))
+    grad[0::2] = gdiff
+    grad[1::2] = -gdiff
+    return grad
 
 
 def _dropout_keep(data: np.ndarray, p: float, training: bool, rng):
@@ -972,6 +1003,18 @@ def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
 # one training step
 
 
+def _step_rows(x, op: str, stacked: bool = True) -> np.ndarray:
+    """The (rows, d) batch ``x``, or the equal batches ``x`` as one
+    (B, rows, d) stack, as a checked float array."""
+    try:
+        rows = np.asarray(np.stack(x) if stacked else x, np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: {exc}") from None
+    if rows.ndim != (3 if stacked else 2):
+        raise ShapeError(f"{op} expects (rows, d) batches, got {rows.shape[stacked:]}")
+    return rows
+
+
 def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,
                   weight2: Tensor, bias2: Tensor, p: float, rng, x_t=None, lam: float = 0.0):
     """A classify step's loss over N source batches as one node.
@@ -1002,13 +1045,8 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
     # the batches the extractor runs: the target first, and with one head
     # and no target, only the source batch that the head reads
     one = x_t is None and heads == 1
-    try:
-        rows = np.asarray(x[0] if one else np.stack(x if x_t is None else [x_t, *x]), np.float64)
-    except ValueError as exc:
-        raise ShapeError(f"classify_loss: {exc}") from None
-    if rows.ndim != (2 if one else 3):
-        raise ShapeError(f"classify_loss expects (rows, d) batches, got {np.shape(x[0])}")
-    feats, saved = _mlp_forward(rows, layers)
+    rows = x[0] if one else x if x_t is None else [x_t, *x]
+    feats, saved = _mlp_forward(_step_rows(rows, "classify_loss", not one), layers)
     z_s = feats if x_t is None else feats[1:]
     head_in = z_s if one else z_s[0] if heads == 1 else np.repeat(z_s, 2, axis=0)
     _check_stack(head_in, weight1, bias1, "classify_loss")
@@ -1046,6 +1084,74 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
             None if md2 is None else float(md2))
 
 
+def max_discrepancy_loss(x, labels, x_t, layers: Sequence[tuple], weight1: Tensor,
+                         bias1: Tensor, weight2: Tensor, bias2: Tensor, p: float, rng):
+    """m3sda step 2's loss as one node: with the extractor fixed, the 2N
+    heads' CE on N source batches minus their pair discrepancy on a target
+    batch. Returns ``(loss, disc)``: the node, whose parents are the four
+    head tensors (as ``head_stack`` takes them), and the discrepancy.
+
+    ``x_t`` and the N batches ``x``, all (rows, d), run through the
+    extractor ``layers`` with no gradient as one stack, and the heads then
+    run once over a (2, 2N, rows, f) stack: block 0 is the target's
+    features, which every head reads, and block 1 gives head h source batch
+    h // 2, labelled by the 2N x rows ``labels``. One dropout draw from
+    ``rng`` masks both blocks, block 0 first. The loss, every gradient and
+    the next draw are bitwise those of the per-op graph: ``mlp`` under
+    ``no_grad``, ``head_stack``, ``softmax`` and ``pair_discrepancy`` over
+    the target, ``head_stack`` and ``softmax_cross_entropy`` over the
+    sources, and ``sub``.
+    """
+    n, heads = len(x), weight1.shape[0]
+    if not n or heads != 2 * n:
+        raise ShapeError(f"max_discrepancy_loss: {heads} heads over {n} source batches")
+    feats, _ = _mlp_forward(_step_rows([x_t, *x], "max_discrepancy_loss"), layers)
+    head_in = np.empty((2, heads, *feats.shape[1:]))
+    head_in[0] = feats[0]
+    head_in[1, 0::2] = head_in[1, 1::2] = feats[1:]
+    _check_stack(head_in, weight1, bias1, "max_discrepancy_loss", blocks=True)
+    head = [weight1, bias1, weight2, bias2]
+    logits, head_saved = _head_forward(head_in, *head, p, True, rng)
+    probs = _softmax_forward(logits[0])
+    disc, disc_saved = _pair_forward(probs)
+    y, w = _ce_labels(logits[1], labels, None)
+    ce, ce_saved = _ce_forward(logits[1], y, w)
+
+    def grad_fn(g):
+        g_logits = np.empty_like(logits)
+        g_logits[0] = _softmax_backward(_pair_backward(-g, disc_saved), probs)
+        g_logits[1] = _ce_backward(g, ce_saved)
+        return _head_backward(g_logits, head_saved, head_in, True,
+                              [False, *map(_needs_grad, head)])[1:]
+
+    return _result(np.asarray(ce - disc), head, grad_fn, "max_discrepancy_loss"), float(disc)
+
+
+def min_discrepancy_loss(x_t, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,
+                         weight2: Tensor, bias2: Tensor, p: float, rng) -> Tensor:
+    """m3sda step 3's loss as one node: the pair discrepancy of the 2N heads
+    (as ``head_stack`` takes them, dropout drawn from ``rng``) on the
+    target rows ``x_t`` through the extractor ``layers``. The parents are
+    the extractor's tensors only, so no head gets a gradient. The value,
+    every gradient and the next draw are bitwise those of the per-op graph
+    (``mlp``, ``head_stack`` with the heads' ``requires_grad`` off,
+    ``softmax`` and ``pair_discrepancy``).
+    """
+    feats, saved = _mlp_forward(_step_rows(x_t, "min_discrepancy_loss", False), layers)
+    _check_stack(feats, weight1, bias1, "min_discrepancy_loss")
+    logits, head_saved = _head_forward(feats, weight1, bias1, weight2, bias2, p, True, rng)
+    probs = _softmax_forward(logits)
+    disc, disc_saved = _pair_forward(probs)
+    extractor = [t for layer in layers for t in layer[:4]]
+
+    def grad_fn(g):
+        g_logits = _softmax_backward(_pair_backward(g, disc_saved), probs)
+        g_feats = _head_backward(g_logits, head_saved, feats, True, [True] + [False] * 4)[0]
+        return _mlp_backward(g_feats, saved, len(extractor), False)[0]
+
+    return _result(disc, extractor, grad_fn, "min_discrepancy_loss")
+
+
 __all__ = [
     "Tensor",
     "add",
@@ -1059,6 +1165,8 @@ __all__ = [
     "linear_stack",
     "log",
     "matmul",
+    "max_discrepancy_loss",
+    "min_discrepancy_loss",
     "mlp",
     "moment_distance",
     "mul",

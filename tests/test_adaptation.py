@@ -391,8 +391,16 @@ def _stepper_and_batch(seed=12, pairs=3):
 
 
 class _PerBatchStepper(M3sdaStepper):
-    """Steps 1 and 2 with one ``extract`` call per batch, as they were
-    written before one extractor pass served all of a step's batches."""
+    """The three steps as the multi-node graphs the step nodes replace:
+    steps 1 and 2 with one ``extract`` call per batch, as they were written
+    before one extractor pass served all of a step's batches, and step 3 as
+    ``extract``, the heads, ``softmax`` and ``pair_discrepancy`` with the
+    head tensors' ``requires_grad`` off."""
+
+    def _pair_discrepancy(self, z_t):
+        """Summed discrepancy of every pair on the target batch."""
+        logits = self.bundle.head.forward(z_t, training=True, rng=self.drop_rng)
+        return T.pair_discrepancy(T.softmax(logits))
 
     def _pair_ce(self, z_list, batches):
         """Summed CE of every head on its pair's source batch."""
@@ -426,6 +434,20 @@ class _PerBatchStepper(M3sdaStepper):
         self.opt_heads.zero_grad()
         loss.backward()
         self.opt_heads.step()
+        return disc.item()
+
+    def step_min_discrepancy(self, x_t):
+        for p in self.opt_heads.params:
+            p.requires_grad = False
+        try:
+            disc = self._pair_discrepancy(self.bundle.extract(Tensor(x_t)))
+            self.opt_g.zero_grad()
+            self.opt_heads.zero_grad()
+            disc.backward()
+        finally:
+            for p in self.opt_heads.params:
+                p.requires_grad = True
+        self.opt_g.step()
         return disc.item()
 
 
@@ -483,14 +505,20 @@ def test_m3sda_step_on_a_loss_that_is_not_finite_moves_nothing():
 
 
 def test_m3sda_step3_restores_head_flags_when_it_raises():
+    # a bad width raises before anything moves: every parameter's bytes,
+    # its requires_grad flag and the dropout stream stay as they were
     bundle, stepper, _, x_t = _stepper_and_batch()
+    before = [(p.data.tobytes(), p.requires_grad) for _, p in bundle.parameters()]
+    state = stepper.drop_rng.bit_generator.state
     with pytest.raises(ShapeError):
         stepper.step_min_discrepancy(x_t[:, :1])
+    assert [(p.data.tobytes(), p.requires_grad) for _, p in bundle.parameters()] == before
+    assert stepper.drop_rng.bit_generator.state == state
     assert len(bundle.head_trainable_parameters()) == 4
 
 
 def test_m3sda_step3_freeze_audit_sees_every_head_tensor():
-    # the step-3 head toggle must not empty the list the freeze audit reads
+    # step 3 leaves every head tensor trainable, so the list the freeze audit reads is whole
     pairs = 3
     sources = _three_sources(seed0=80)
     target = _shifted_target(n=300, seed=85)
@@ -777,7 +805,7 @@ def _nodes_per_backward(monkeypatch, train) -> list[int]:
     ("vanilla", [1]),  # the step node: extractor, head and CE
     ("m2s2da", [1]),  # the step node, MD2 and its weight included
     ("lora", [1]),  # as vanilla: the adapters fold into the step node
-    ("m3sda_beta", [1, 6, 4]),  # steps 1 (the step node), 2 and 3
+    ("m3sda_beta", [1, 1, 1]),  # one step node for each of steps 1, 2 and 3
 ])
 def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
     # two iterations of one epoch; a test failure here, not a slower
@@ -806,10 +834,8 @@ def test_nodes_per_backward_are_pinned(monkeypatch, leg, per_iteration):
     ("vanilla", ["backward"]),
     ("m2s2da", ["backward"]),
     ("lora", ["backward"]),
-    # step 1 is the step node too; step 2 runs the three sources and the
-    # target in one pass, step 3 the target
-    ("m3sda_beta", ["step_classify", "step_max_discrepancy", "extract",
-                    "step_min_discrepancy", "extract"]),
+    # each m3sda step is a step node too, which runs the extractor itself
+    ("m3sda_beta", ["step_classify", "step_max_discrepancy", "step_min_discrepancy"]),
 ])
 def test_extract_calls_per_iteration_are_pinned(monkeypatch, leg, per_iteration):
     # the bench tracer's nn.extract.calls counts these calls

@@ -1125,6 +1125,13 @@ def test_report_of_malformed_history_is_a_data_error(tmp_path, capsys, line, whe
                             "got 'm3sda'"),
     ({"strategy": "vanilla"}, "strategy 'vanilla' differs from the 'm2s2da' of the records "
                               "before it"),
+    # the record and its losses and target_f1 are JSON objects
+    ({"losses": [1]}, "losses must be a JSON object, got [1]"),
+    ({"losses": None}, "losses must be a JSON object, got None"),
+    ({"target_f1": [0.5]}, "target_f1 must be a JSON object, got [0.5]"),
+    ({"target_f1": "t"}, "target_f1 must be a JSON object, got 't'"),
+    ([1, 2], "a record must be a JSON object, got [1, 2]"),
+    (None, "a record must be a JSON object, got None"),
 ])
 def test_report_of_a_history_field_out_of_range_is_a_data_error(tmp_path, capsys, fields,
                                                                   where):
@@ -1132,8 +1139,9 @@ def test_report_of_a_history_field_out_of_range_is_a_data_error(tmp_path, capsys
             "target_f1": {"t": 0.5}, "median_target_f1": 0.5, "strategy": "m2s2da",
             "trainable_parameters": 10, "warmup": 0}
     history = tmp_path / "history.jsonl"
-    history.write_text(json.dumps(good) + "\n" + json.dumps({**good, "epoch": 2, **fields})
-                       + "\n")
+    # a record that is not a JSON object stands for the whole second line
+    second = {**good, "epoch": 2, **fields} if isinstance(fields, dict) else fields
+    history.write_text(json.dumps(good) + "\n" + json.dumps(second) + "\n")
     out = tmp_path / "rep"
     rc = main(["report", "--history", str(history), "--out", str(out)])
     _assert_single_data_error(rc, capsys, f"{history}:2: malformed history record: {where}", out)

@@ -1076,6 +1076,121 @@ def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
 
 
 # ----------------------------------------------------------------------
+# one node per discrepancy step
+
+
+def _discrepancy_step(fused, step, xs, labels, x_t, blocks, heads, p, seed):
+    """Loss bytes, discrepancy, every gradient and the next dropout draw of
+    m3sda step 2 or 3, from ``T.max_discrepancy_loss`` or
+    ``T.min_discrepancy_loss``, or from the per-op graph each replaces."""
+    layers, leaves = [], []
+    for arrays, flags, scale in blocks:
+        tensors = _leaves(arrays, flags)
+        leaves += tensors
+        layers.append(tuple(tensors) if scale is None else (*tensors, scale))
+    # the per-op step 3 turns the heads' requires_grad off; the step node
+    # leaves them on and takes none of them as a parent
+    head = _leaves(heads, [fused or step == 2] * 4)
+    rng = np.random.default_rng(seed)
+    if fused and step == 2:
+        loss, disc = T.max_discrepancy_loss(xs, labels, x_t, layers, *head, p, rng)
+        assert loss._op == "max_discrepancy_loss" and list(loss._parents) == head
+    elif fused:
+        loss = T.min_discrepancy_loss(x_t, layers, *head, p, rng)
+        disc = loss.item()
+        trainable = [t for t in leaves if t.requires_grad]
+        assert list(loss._parents) == (leaves if trainable else [])
+    elif step == 2:
+        with T.no_grad():
+            feats = T.mlp(Tensor(np.stack([*xs, x_t])), layers).data
+        disc_node = T.pair_discrepancy(T.softmax(T.head_stack(Tensor(feats[-1]), *head, p, True,
+                                                              rng)))
+        logits = T.head_stack(Tensor(np.repeat(feats[:-1], 2, axis=0)), *head, p, True, rng)
+        loss = T.sub(T.softmax_cross_entropy(logits, labels), disc_node)
+        disc = disc_node.item()
+    else:
+        loss = T.pair_discrepancy(T.softmax(T.head_stack(T.mlp(Tensor(x_t), layers), *head, p,
+                                                         True, rng)))
+        disc = loss.item()
+    loss.backward()
+    return [loss.data.tobytes(), disc, rng.random()] + _grad_bytes(leaves + head)
+
+
+@pytest.mark.parametrize("step", [2, 3])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+       rows=st.one_of(st.sampled_from([1, 50]), st.integers(1, 70)), n=st.integers(1, 3),
+       unfreeze=st.integers(0, 3), rank=st.integers(0, 3), p=st.sampled_from([0.0, 0.3]),
+       twins=st.booleans(), seed=st.integers(0, 2**16))
+def test_discrepancy_steps_are_bitwise_the_per_op_graph(step, dims, rows, n, unfreeze, rank, p,
+                                                        twins, seed):
+    # 1 to 3 extractor blocks; rank 0 is a plain extractor with its
+    # trailing ``unfreeze`` blocks trainable, rank R >= 1 LoRA at rank R on
+    # a frozen base; ``twins`` makes each pair's heads equal, so without
+    # dropout the pairs agree exactly and |x| takes its zero subgradient
+    rng = np.random.default_rng(seed)
+    n_blocks = len(dims) - 1
+    blocks = _random_blocks(rng, dims, [i >= n_blocks - unfreeze for i in range(n_blocks)],
+                            rank)
+    f, h = dims[-1], 2 * n
+    heads = [rng.normal(size=s) for s in ((h, f, f), (h, f), (h, 2, f), (h, 2))]
+    if twins:
+        for a in heads:
+            a[1::2] = a[0::2]
+    xs = list(rng.normal(size=(n, rows, dims[0])))
+    labels = np.repeat(rng.integers(0, 2, (n, rows)), 2, axis=0)
+    x_t = rng.normal(size=(rows, dims[0])) * 2.0 + 0.5
+    args = (step, xs, labels, x_t, blocks, heads, p, seed)
+    fused = _discrepancy_step(True, *args)
+    assert fused == _discrepancy_step(False, *args)
+    if twins and p == 0.0:
+        assert fused[1] == 0.0
+
+
+def test_discrepancy_steps_record_nothing_under_no_grad_and_check_their_inputs():
+    rng = np.random.default_rng(9)
+    layers = [(Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(np.zeros(4)))]
+    head = [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in ((2, 4, 4), (2, 4), (2, 2, 4), (2, 2))]
+    x, y = rng.normal(size=(5, 3)), np.array([[0, 1, 1, 0, 1]] * 2)
+    with T.no_grad():
+        loss, disc = T.max_discrepancy_loss([x], y, x, layers, *head, 0.0, None)
+        step3 = T.min_discrepancy_loss(x, layers, *head, 0.0, None)
+    for node in (loss, step3):
+        assert node._grad_fn is None and node._parents == () and not node.requires_grad
+    # without dropout both steps compare the pairs on the same features
+    assert step3.item() == disc > 0.0
+    for bad in ([x[:, :2]], [x[:4]], [x[None]], [], [x, x]):
+        with pytest.raises(ShapeError):
+            T.max_discrepancy_loss(bad, y, x, layers, *head, 0.0, None)
+    with pytest.raises(ShapeError):
+        T.max_discrepancy_loss([x], y, x[:, :2], layers, *head, 0.0, None)
+    for labels in (y[:, :4], y[0], y[:1]):
+        with pytest.raises(ShapeError):
+            T.max_discrepancy_loss([x], labels, x, layers, *head, 0.0, None)
+    with pytest.raises(LabelError):
+        T.max_discrepancy_loss([x], y * 2, x, layers, *head, 0.0, None)
+    narrow = [*head[:2], Tensor(np.zeros((2, 2, 3))), head[3]]
+    odd = [Tensor(t.data[:1]) for t in head]
+    for step_head in (narrow, odd):
+        with pytest.raises(ShapeError):
+            T.max_discrepancy_loss([x], y, x, layers, *step_head, 0.0, None)
+        with pytest.raises(ShapeError):
+            T.min_discrepancy_loss(x, layers, *step_head, 0.0, None)
+    for bad in (x[:, :2], x[None], x[0]):
+        with pytest.raises(ShapeError):
+            T.min_discrepancy_loss(bad, layers, *head, 0.0, None)
+    with pytest.raises(ConfigError):
+        T.max_discrepancy_loss([x], y, x, layers, *head, 0.3, None)
+    with pytest.raises(ConfigError):
+        T.min_discrepancy_loss(x, layers, *head, 0.3, None)
+    with pytest.raises(DegenerateInputError):
+        T.max_discrepancy_loss([x[:0]], y[:, :0], x[:0], layers, *head, 0.0, None)
+    with pytest.raises(DegenerateInputError):
+        T.min_discrepancy_loss(x[:0], layers, *head, 0.0, None)
+
+
+# ----------------------------------------------------------------------
 # no_grad
 
 
