@@ -28,7 +28,10 @@ G runs inside it with no gradient, since it is fixed there, and the 2N
 heads (one ``nn.ClassifierHead`` stack) run once over the target and the
 sources together. Step 3 is one ``T.min_discrepancy_loss`` node, whose
 parents are G's tensors, so no head fills a gradient that nothing steps.
-Per-head and per-pair losses are added in head order. Evaluation
+Per-head and per-pair losses are added in head order. The minibatch
+streams gather an iteration's batches, the target's first, straight into
+one (batches, rows, d) array, which every step of the iteration reads, and
+the 2N heads' labels are built once per m3sda iteration. Evaluation
 (``predict_labels``, ``discrepancy_eval``) records no graph at all.
 ``predict_labels``, which the per-epoch eval and ``rumexda eval`` call
 once per dataset, runs the rows in fixed blocks of ``_PREDICT_BLOCK``
@@ -48,7 +51,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -150,13 +153,34 @@ class _MinibatchStream:
         self.rng = rng
         self._queue = np.empty(0, dtype=np.int64)
 
-    def next(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def next(self, out: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The next batch's rows and labels; the rows are gathered into
+        ``out``, a (batch_size, d) array, when it is given."""
         while len(self._queue) < self.batch_size:
             self._queue = np.concatenate([self._queue, self.rng.permutation(len(self.features))])
         idx, self._queue = self._queue[: self.batch_size], self._queue[self.batch_size:]
-        x = self.features[idx]
+        x = self.features.take(idx, axis=0, out=out)
         y = None if self.labels is None else self.labels[idx]
         return x, y
+
+
+def _streams(bundle: ModelBundle, domains: Sequence[DomainDataset], seeds,
+             batch_size: int) -> list[_MinibatchStream]:
+    """One stream per domain, drawing from its seed sequence; a domain's
+    rows must have the model's input width, as ``_next_batches`` gathers."""
+    for ds in domains:
+        if ds.dim != bundle.config.input_dim:
+            raise ShapeError(f"domain {ds.domain_id!r} has {ds.dim} features, the model's "
+                             f"input_dim={bundle.config.input_dim}")
+    return [_MinibatchStream(ds.features, ds.labels, batch_size, np.random.default_rng(seed))
+            for ds, seed in zip(domains, seeds)]
+
+
+def _next_batches(bundle: ModelBundle, streams: Sequence[_MinibatchStream]):
+    """The next batch of each stream, gathered into one (streams, rows, d)
+    array, and their labels."""
+    rows = np.empty((len(streams), streams[0].batch_size, bundle.config.input_dim))
+    return rows, [stream.next(out)[1] for stream, out in zip(streams, rows)]
 
 
 # ----------------------------------------------------------------------
@@ -429,19 +453,17 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
     """Cross entropy on labeled source batches, plus lambda times the
     moment distance to an unlabeled target batch when ``target`` is given."""
     drop_rng, source_ss, target_ss = _spawn_rngs(config.seed)
-    src_stream = _MinibatchStream(source.features, source.labels, config.batch_size,
-                                  np.random.default_rng(source_ss))
-    tgt_stream = None
-    if target is not None:
-        tgt_stream = _MinibatchStream(target.features, None, config.batch_size,
-                                      np.random.default_rng(target_ss))
+    # the target batch first, as classify_loss takes it
+    domains, seeds = (([source], [source_ss]) if target is None
+                      else ([target.unlabeled(), source], [target_ss, source_ss]))
+    streams = _streams(bundle, domains, seeds, config.batch_size)
+    lam = None if target is None else config.lam
     opt = make_optimizer(config.optimizer, [p for _, p in bundle.trainable_parameters()],
                          config.lr)
 
     def iterate() -> dict[str, float]:
-        x, y = src_stream.next()
-        x_t = None if tgt_stream is None else tgt_stream.next()[0]
-        loss, ce, md2 = bundle.classify_loss((x,), y[None], drop_rng, x_t, config.lam)
+        rows, labels = _next_batches(bundle, streams)
+        loss, ce, md2 = bundle.classify_loss(rows, labels[-1][None], drop_rng, lam)
         losses = {"ce": _finite("ce", ce, "classify")}
         if md2 is not None:
             losses["md2"] = _finite("md2", md2, "classify")
@@ -491,10 +513,25 @@ def train_m2s2da(bundle: ModelBundle, source: DomainDataset, target: DomainDatas
 # multi-source moment matching with classifier discrepancy
 
 
-def _head_labels(batches) -> np.ndarray:
-    """The labels of the N source batches as the 2N heads read them: head h
-    reads batch h // 2."""
-    return np.repeat(np.stack([y for _, y in batches]), 2, axis=0)
+class IterationBatches(NamedTuple):
+    """An m3sda iteration's batches as steps 1 and 2 read them: the target
+    batch and then the N source batches, as a sequence or one (N + 1, rows,
+    d) array, and the 2N heads' labels (head h reads source batch h // 2)."""
+
+    rows: Sequence[np.ndarray]
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, batches, x_t=None) -> "IterationBatches":
+        # an IterationBatches, or the N (x, y) source batches and the target rows
+        if isinstance(batches, cls):
+            return batches
+        return cls([x_t, *(x for x, _ in batches)], _head_labels([y for _, y in batches]))
+
+
+def _head_labels(labels) -> np.ndarray:
+    """The N source batches' labels as the 2N heads read them."""
+    return np.stack(labels).repeat(2, axis=0)
 
 
 class M3sdaStepper:
@@ -522,11 +559,14 @@ class M3sdaStepper:
             config.optimizer, [p for _, p in bundle.head_trainable_parameters()], config.lr
         )
 
-    def step_classify(self, batches, x_t: np.ndarray) -> tuple[float, float]:
-        """Step 1: update G and all heads on source CE + lambda * MD2."""
+    def step_classify(self, batches, x_t: Optional[np.ndarray] = None) -> tuple[float, float]:
+        """Step 1: update G and all heads on source CE + lambda * MD2, over
+        the N (x, y) source ``batches`` and the target rows ``x_t``, or over
+        an ``IterationBatches``."""
+        rows, labels = IterationBatches.of(batches, x_t)
         lam = self.config.lam
-        loss, ce, md2 = self.bundle.classify_loss([x for x, _ in batches], _head_labels(batches),
-                                                  self.drop_rng, x_t if lam > 0 else None, lam)
+        loss, ce, md2 = self.bundle.classify_loss(rows if lam > 0 else rows[1:], labels,
+                                                  self.drop_rng, lam if lam > 0 else None)
         ce_value = _finite("ce", ce, "classify")
         md2_value = 0.0 if md2 is None else _finite("md2", md2, "classify")
         self.opt_g.zero_grad()
@@ -536,12 +576,14 @@ class M3sdaStepper:
         self.opt_heads.step()
         return ce_value, md2_value
 
-    def step_max_discrepancy(self, batches, x_t: np.ndarray) -> float:
+    def step_max_discrepancy(self, batches, x_t: Optional[np.ndarray] = None) -> float:
         """Step 2: with G fixed, push classifier pairs apart on the target
-        while keeping them correct on the sources."""
-        loss, disc = self.bundle.max_discrepancy_loss([x for x, _ in batches],
-                                                      _head_labels(batches), x_t, self.drop_rng)
+        while keeping them correct on the sources; takes its batches as
+        ``step_classify`` does."""
+        loss, ce, disc = self.bundle.max_discrepancy_loss(*IterationBatches.of(batches, x_t),
+                                                          self.drop_rng)
         disc_value = _finite("disc_max", disc, "max_discrepancy")
+        _finite("ce", ce, "max_discrepancy")
         self.opt_g.zero_grad()
         self.opt_heads.zero_grad()
         loss.backward()
@@ -593,27 +635,23 @@ def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],
         _warn_if_one_class(ds)
 
     drop_rng, source_ss, target_ss = _spawn_rngs(config.seed)
-    src_children = source_ss.spawn(n)
-    src_streams = [
-        _MinibatchStream(ds.features, ds.labels, config.batch_size, np.random.default_rng(child))
-        for ds, child in zip(sources, src_children)
-    ]
-    tgt_stream = _MinibatchStream(target.features, None, config.batch_size,
-                                  np.random.default_rng(target_ss))
+    # the target batch first, as the steps take their batches
+    streams = _streams(bundle, [target.unlabeled(), *sources], [target_ss, *source_ss.spawn(n)],
+                       config.batch_size)
     stepper = M3sdaStepper(bundle, config, drop_rng)
     iterations = itertools.count(1)
     observe = step_observer or (lambda *_: None)
 
     def iterate() -> dict[str, float]:
         iteration = next(iterations)
-        batches = [stream.next() for stream in src_streams]
-        x_t, _ = tgt_stream.next()
-        ce, md2 = stepper.step_classify(batches, x_t)
+        rows, labels = _next_batches(bundle, streams)
+        batches = IterationBatches(rows, _head_labels(labels[1:]))
+        ce, md2 = stepper.step_classify(batches)
         observe("step2_pre", iteration, bundle)
-        disc_max = stepper.step_max_discrepancy(batches, x_t)
+        disc_max = stepper.step_max_discrepancy(batches)
         observe("step2_post", iteration, bundle)
         observe("step3_pre", iteration, bundle)
-        disc_min = stepper.step_min_discrepancy(x_t)
+        disc_min = stepper.step_min_discrepancy(rows[0])
         observe("step3_post", iteration, bundle)
         return {"ce": ce, "md2": md2, "disc_max": disc_max, "disc_min": disc_min}
 

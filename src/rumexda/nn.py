@@ -128,20 +128,20 @@ class ModelBundle:
         self._check_inputs(x)
         return self.extractor.forward(x)
 
-    def classify_loss(self, x, labels: np.ndarray, rng, x_t=None, lam: float = 0.0):
-        """A classify step's loss on the N labeled source batches ``x``, with
-        ``labels`` arranged per head (H x rows), plus ``lam`` times MD2 to
-        the target rows ``x_t`` when given, as one ``T.classify_loss`` node;
-        returns ``(loss, ce, md2)`` as that does."""
-        self._check_inputs(*x, x_t)
-        return T.classify_loss(x, labels, self.extractor.blocks, *self._head_args(), rng, x_t,
-                               lam)
+    def classify_loss(self, x, labels: np.ndarray, rng, lam=None):
+        """A classify step's loss on the N labeled source batches in ``x``,
+        with ``labels`` arranged per head (H x rows), plus, given ``lam``,
+        ``lam`` times MD2 to the target batch that ``x`` then starts with, as
+        one ``T.classify_loss`` node; returns ``(loss, ce, md2)`` as that
+        does."""
+        self._check_inputs(*x)
+        return T.classify_loss(x, labels, self.extractor.blocks, *self._head_args(), rng, lam)
 
-    def max_discrepancy_loss(self, x, labels: np.ndarray, x_t, rng):
-        """m3sda step 2's ``T.max_discrepancy_loss`` node and discrepancy."""
-        self._check_inputs(*x, x_t)
-        return T.max_discrepancy_loss(x, labels, x_t, self.extractor.blocks, *self._head_args(),
-                                      rng)
+    def max_discrepancy_loss(self, x, labels: np.ndarray, rng):
+        """m3sda step 2's ``T.max_discrepancy_loss`` node, CE and
+        discrepancy, over the target batch and then the source batches ``x``."""
+        self._check_inputs(*x)
+        return T.max_discrepancy_loss(x, labels, self.extractor.blocks, *self._head_args(), rng)
 
     def min_discrepancy_loss(self, x_t, rng):
         """m3sda step 3's ``T.min_discrepancy_loss`` node."""
@@ -154,7 +154,7 @@ class ModelBundle:
 
     def _check_inputs(self, *inputs) -> None:
         for t in inputs:
-            if t is not None and (t.ndim not in (2, 3) or t.shape[-1] != self.config.input_dim):
+            if t.ndim not in (2, 3) or t.shape[-1] != self.config.input_dim:
                 raise ShapeError(
                     f"input of shape {t.shape} does not match input_dim={self.config.input_dim}"
                 )
@@ -269,8 +269,9 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Rebuild a bundle from ``save_checkpoint`` output. Malformed JSON or a
-    missing or ill-typed entry raises ``DataError`` naming the path."""
+    """Rebuild a bundle from ``save_checkpoint`` output. Malformed JSON, a
+    missing or ill-typed entry, or a parameter that is not finite raises
+    ``DataError`` naming the path."""
     try:
         payload = json.loads(read_text(path))
         if payload.get("format_version") != CHECKPOINT_VERSION:
@@ -287,6 +288,8 @@ def load_checkpoint(path) -> ModelBundle:
             if arr.shape != target.shape:
                 raise DataError(f"{path}: parameter {name!r} has shape {arr.shape}, "
                                 f"the model needs {target.shape}")
+            if not np.logical_and.reduce(np.isfinite(arr), None):
+                raise DataError(f"{path}: parameter {name!r} holds a value that is not finite")
             target[...] = arr
     except RumexdaError:
         raise

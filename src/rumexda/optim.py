@@ -7,7 +7,9 @@ tensors. Every operation is elementwise, so each parameter ends up bitwise
 equal to what a per-tensor update gives. A second optimizer built over the
 same tensors starts a new buffer from their current values; the earlier
 one then no longer moves them. After each step one pass over the buffer
-checks that every parameter is still finite.
+checks that every parameter is still finite. Adam runs the ufuncs of its
+update formula in the formula's order into two scratch buffers allocated
+with the group, so a step allocates no temporaries.
 
 Both update in place and are deterministic given their state; the choice
 between them is a config field because the training recipe leaves the
@@ -50,7 +52,7 @@ class _Optimizer:
     def step(self) -> None:
         """Update every parameter; ``TrainingStateError`` if one ends up not finite."""
         self._update(self._gathered_grad())
-        if not np.isfinite(self._buf).all():
+        if not np.logical_and.reduce(np.isfinite(self._buf)):
             raise TrainingStateError("training diverged: a parameter is not finite after "
                                      f"the {type(self).__name__} step")
 
@@ -69,19 +71,22 @@ class Adam(_Optimizer):
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.t = 0
-        self._m = np.zeros_like(self._buf)
-        self._v = np.zeros_like(self._buf)
+        # the moments, and scratch for the update's intermediates
+        self._m, self._v, self._s1, self._s2 = (np.zeros(self._buf.shape) for _ in range(4))
 
     def _update(self, g: np.ndarray) -> None:
+        # op for op ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        # ``buf -= lr m_hat / (sqrt(v_hat) + eps)``, into the scratch buffers
         self.t += 1
-        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+        b1, b2, m, v, s1, s2 = self.beta1, self.beta2, self._m, self._v, self._s1, self._s2
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(1 - b1, g, out=s1)
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** self.t)
-        v_hat = v / (1 - b2 ** self.t)
-        self._buf -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        v += np.multiply(np.multiply(1 - b2, g, out=s1), g, out=s1)
+        np.divide(m, 1 - b1 ** self.t, out=s1)
+        np.sqrt(np.divide(v, 1 - b2 ** self.t, out=s2), out=s2)
+        s2 += self.eps
+        self._buf -= np.divide(np.multiply(self.lr, s1, out=s1), s2, out=s1)
 
 
 def make_optimizer(name: str, params: list[Tensor], lr: float) -> _Optimizer:

@@ -13,8 +13,10 @@ so the engine records as few nodes as it can and walks only those:
   constant to any later ``backward``; evaluation and frozen parts of a
   training step run there. A grad_fn returns ``None`` for a parent that
   needs no gradient, so frozen weights cost no gradient products either.
-* ``backward`` orders the interior nodes only. A leaf's contributions add
-  up as its consumers run, and its ``grad`` is updated once at the end.
+* ``backward`` orders the interior nodes only, and a node whose parents
+  are all leaves, as every training step's is, needs no ordering: its
+  grad_fn runs once. A leaf's contributions add up as its consumers run,
+  and its ``grad`` is updated once at the end.
 * ``linear(x, W, b)`` is one node for ``x W^T + b``, bitwise equal to
   ``add_bias(matmul(x, transpose(W)), b)``.
 * ``linear_stack`` runs H such maps (one per classifier head) as one node
@@ -50,7 +52,13 @@ so the engine records as few nodes as it can and walks only those:
 ``pair_discrepancy`` and ``moment_distance`` each run a forward and a
 backward kernel (``_mlp_forward`` and ``_mlp_backward`` and so on) on
 arrays, and the step nodes chain the same kernels, so each op's math is
-written once.
+written once. At a training step's 64-row shapes a call of one of numpy's
+Python-level helpers (``np.stack``, ``.mean``, ``.sum``, ``np.zeros_like``,
+``np.broadcast_to``, ``np.repeat``) costs about as much as the arithmetic
+it wraps, so the kernels call the ufuncs and their methods directly
+(``np.add.reduce(a, axis) / n`` for a mean, ``out=`` for a stack, in-place
+ops on a kernel's own temporaries), with the same operands in the same
+order, so every byte is the helper's.
 """
 
 from __future__ import annotations
@@ -127,25 +135,28 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
-        # interior nodes only: a leaf has nothing to expand, and it is
-        # visited when a gradient reaches it, not in topological order
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen or node._grad_fn is None:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent._grad_fn is not None and id(parent) not in seen:
-                    stack.append((parent, False))
-
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        # a node whose parents are all leaves, as every training step's is,
+        # is its own topological order
+        topo: list[Tensor] = [self] if self._grad_fn is not None else []
+        if not all(parent._grad_fn is None for parent in self._parents):
+            # interior nodes only: a leaf has nothing to expand, and it is
+            # visited when a gradient reaches it, not in topological order
+            topo = []
+            seen: set[int] = set()
+            stack: list[tuple[Tensor, bool]] = [(self, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if expanded:
+                    topo.append(node)
+                    continue
+                if id(node) in seen or node._grad_fn is None:
+                    continue
+                seen.add(id(node))
+                stack.append((node, True))
+                for parent in node._parents:
+                    if parent._grad_fn is not None and id(parent) not in seen:
+                        stack.append((parent, False))
+        grads: dict[int, np.ndarray] = {id(self): np.array(1.0, self.dtype).reshape(self.shape)}
         # a leaf's contributions add up in grads in the order its consumers
         # run, and land in its grad once, after the walk
         leaves: list[Tensor] = [] if topo else [self]
@@ -277,7 +288,7 @@ def pow_k(t: Tensor, k) -> Tensor:
 
     def grad_fn(g):
         if k == 0:
-            return (np.zeros_like(t.data),)
+            return (np.zeros(t.shape),)
         return (g * k * t.data ** (k - 1),)
 
     return _result(data, (t,), grad_fn, "pow_k")
@@ -368,7 +379,7 @@ def l2_norm(t: Tensor) -> Tensor:
 
     def grad_fn(g):
         if norm == 0.0:
-            return (np.zeros_like(t.data),)
+            return (np.zeros(t.shape),)
         return (g * t.data / norm,)
 
     return _result(data, (t,), grad_fn, "l2_norm")
@@ -478,12 +489,16 @@ def _md2_forward(data: np.ndarray, index: list, sizes: list[int], n: int):
     first, second, _ = _md2_terms(n)
     st_scale = 1.0 / n
     pair_scale = 1.0 / math.comb(n, 2) if n >= 2 else 0.0
-    # z ** 1.0 is z itself; moment k is slice k - 1 of each stack below
-    powers = np.stack([data, data ** 2.0])
-    moments = (powers.mean(axis=2) if data.ndim == 3
-               else np.stack([powers[:, ix].mean(axis=1) for ix in index], axis=1))
+    # z ** 1.0 is z itself and z ** 2.0 is z * z; moment k is slice k - 1 of
+    # each stack below, and a mean is the row sum over the row count
+    powers = np.empty((2, *data.shape))
+    powers[0] = data
+    np.multiply(data, data, out=powers[1])
+    moments = (np.add.reduce(powers, 2) / sizes[0] if data.ndim == 3 else
+               np.stack([np.add.reduce(powers[:, ix], 1) / size
+                         for ix, size in zip(index, sizes)], axis=1))
     diffs = moments[:, first] - moments[:, second]
-    norms = np.sqrt((diffs ** 2).sum(axis=2))
+    norms = np.sqrt(np.add.reduce(diffs * diffs, 2))
     total = None
     for k_norms in norms.tolist():
         part = _sum_in_order(k_norms[:n])
@@ -504,15 +519,15 @@ def _md2_backward(g, saved) -> np.ndarray:
     scales[n:] = g * pair_scale
     # l2_norm's gradient per term, zero at the origin
     term_grads = np.divide(scales[:, None] * diffs, norms[..., None],
-                           out=np.zeros_like(diffs), where=norms[..., None] != 0.0)
+                           out=np.zeros(diffs.shape), where=norms[..., None] != 0.0)
     signed = np.concatenate([term_grads, -term_grads], axis=1)[:, order]
     moment_grads = signed[:, :, 0]
     for s in range(1, n):
         moment_grads = moment_grads + signed[:, :, s]
     # spread over each batch's b rows as g / b * k; for k = 2 times z
     row_grads = moment_grads / np.array(sizes)[:, None] * _MOMENT_ORDERS
-    spread = (np.repeat(row_grads[:, :, None], sizes[0], axis=2) if data.ndim == 3
-              else np.repeat(row_grads, sizes, axis=1))
+    spread = (row_grads[:, :, None].repeat(sizes[0], axis=2) if data.ndim == 3
+              else row_grads.repeat(sizes, axis=1))
     spread[1] *= data
     return spread
 
@@ -556,7 +571,7 @@ def add_bias(t: Tensor, bias: Tensor) -> Tensor:
     data = t.data + bias.data[None, :]
 
     def grad_fn(g):
-        return g if _needs_grad(t) else None, g.sum(axis=0) if _needs_grad(bias) else None
+        return g if _needs_grad(t) else None, np.add.reduce(g, 0) if _needs_grad(bias) else None
 
     return _result(data, (t, bias), grad_fn, "add_bias")
 
@@ -586,7 +601,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                  np.ascontiguousarray((x.data.T @ g).T) if _needs_grad(weight) else None)
         if bias is None:
             return grads
-        return grads + (g.sum(axis=0) if _needs_grad(bias) else None,)
+        return grads + (np.add.reduce(g, 0) if _needs_grad(bias) else None,)
 
     return _result(data, parents, grad_fn, "linear")
 
@@ -676,7 +691,7 @@ def _mlp_backward(g: np.ndarray, saved: list, n_params: int, x_wanted: bool):
         if _needs_grad(layer[0]):
             grads[at] = _weight_grad(h_in, g, stacked)
         if _needs_grad(layer[1]):
-            grads[at + 1] = _batch_total(g.sum(axis=-2), stacked)
+            grads[at + 1] = _batch_total(np.add.reduce(g, -2), stacked)
         gx = g @ wt.T if want else None
         if lora is not None:
             down, up, scale = layer[2:]
@@ -758,7 +773,7 @@ def _stack_param_grads(g: np.ndarray, xdata: np.ndarray, need_weight: bool, need
     blocks = g.ndim == 4
     return (_batch_total(np.matmul(xdata.swapaxes(-1, -2), g), blocks).swapaxes(-1, -2)
             if need_weight else None,
-            _batch_total(g.sum(axis=-2), blocks) if need_bias else None)
+            _batch_total(np.add.reduce(g, -2), blocks) if need_bias else None)
 
 
 def linear_stack(x, weight: Tensor, bias: Tensor) -> Tensor:
@@ -813,7 +828,7 @@ def _head_forward(xdata: np.ndarray, weight1: Tensor, bias1: Tensor, weight2: Te
     hidden = np.maximum(pre, 0)
     keep = _dropout_keep(hidden, p, training, rng)
     if keep is not None:
-        hidden = hidden * keep
+        hidden *= keep
     _check_stack(hidden, weight2, bias2, "head_stack", blocks=True)
     wt2, data = _stack_forward(hidden, weight2, bias2)
     return data, (wt1, pre, keep, hidden, wt2)
@@ -831,8 +846,8 @@ def _head_backward(g: np.ndarray, saved: tuple, xdata: np.ndarray, single: bool,
         return (*[None] * len(x_needs), None, None, gw2, gb2)
     g = np.matmul(g, wt2.swapaxes(1, 2))
     if keep is not None:
-        g = g * keep
-    g = g * (pre > 0)
+        g *= keep
+    g *= pre > 0
     return (*_stack_input_grads(g, wt1, single, x_needs, xdata),
             *_stack_param_grads(g, xdata, need_w1, need_b1), gw2, gb2)
 
@@ -857,7 +872,8 @@ def softmax(t: Tensor) -> Tensor:
 
 def _softmax_forward(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - np.maximum(z[..., 0], z[..., 1])[..., None])
-    return e / (e[..., 0] + e[..., 1])[..., None]
+    e /= (e[..., 0] + e[..., 1])[..., None]
+    return e
 
 
 def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -883,7 +899,9 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     added in head order, as one node.
     """
     logits = _as_tensor(logits)
-    y, w = _ce_labels(logits.data, labels, class_weights)
+    y = _ce_labels(logits.data, labels)
+    w = None if class_weights is None else np.where(
+        y == 1, float(class_weights[1]), float(class_weights[0])).astype(logits.dtype)
     loss, saved = _ce_forward(logits.data, y, w)
 
     def grad_fn(g):
@@ -892,9 +910,8 @@ def softmax_cross_entropy(logits: Tensor, labels, class_weights=None) -> Tensor:
     return _result(loss, (logits,), grad_fn, "softmax_cross_entropy")
 
 
-def _ce_labels(z: np.ndarray, labels, class_weights):
-    """The checked integer labels for the logits ``z``, and the per-sample
-    weights, or None for the unweighted loss."""
+def _ce_labels(z: np.ndarray, labels) -> np.ndarray:
+    """The checked integer labels for the logits ``z``."""
     shape = z.shape
     if len(shape) not in (2, 3) or shape[-1] != 2:
         raise ShapeError(f"expected b x 2 logits or a stack of them, got {shape}")
@@ -903,28 +920,26 @@ def _ce_labels(z: np.ndarray, labels, class_weights):
         raise ShapeError(f"labels of shape {y.shape} do not match logits {shape}")
     if shape[-2] == 0:
         raise DegenerateInputError("cross entropy over an empty batch")
-    if not np.issubdtype(y.dtype, np.integer):
+    if y.dtype.kind not in "iu":
         yi = y.astype(np.int64)
         if np.any(yi != y):
             raise LabelError("labels must be integers in {0, 1}")
         y = yi
-    if y.size and (y.min() < 0 or y.max() > 1):
+    if y.size and (np.minimum.reduce(y, None) < 0 or np.maximum.reduce(y, None) > 1):
         raise LabelError(f"labels outside {{0, 1}}: {sorted(set(y.ravel().tolist()) - {0, 1})}")
-    if class_weights is None:
-        return y, None
-    w0, w1 = float(class_weights[0]), float(class_weights[1])
-    return y, np.where(y == 1, w1, w0).astype(z.dtype)
+    return y
 
 
-def _ce_forward(z: np.ndarray, y: np.ndarray, w):
-    """The loss of the logits ``z`` and what ``_ce_backward`` reads."""
-    b = z.shape[-2]
+def _ce_forward(z: np.ndarray, y: np.ndarray, w=None):
+    """The loss of the logits ``z`` against the labels ``y``, each sample
+    weighted by ``w`` when given, and what ``_ce_backward`` reads."""
     m = np.maximum(z[..., 0], z[..., 1])  # bitwise the max over the last axis
     e = np.exp(z - m[..., None])
     total = e[..., 0] + e[..., 1]
     nll = m + np.log(total) - np.where(y == 1, z[..., 1], z[..., 0])
-    loss = _sum_in_order(np.atleast_1d((nll if w is None else w * nll).sum(axis=-1) / b))
-    return loss, (y, w, e, total)
+    # per head, the row sum over the row count
+    per_head = np.add.reduce(nll if w is None else w * nll, -1) / z.shape[-2]
+    return _sum_in_order(per_head.reshape(-1)), (y, w, e, total)
 
 
 def _ce_backward(g, saved) -> np.ndarray:
@@ -958,13 +973,14 @@ def _pair_forward(p: np.ndarray):
         raise DegenerateInputError("pair discrepancy over an empty batch")
     diff = p[0::2] - p[1::2]
     neg = diff * -1.0
-    per_pair = (np.maximum(diff, 0) + np.maximum(neg, 0)).reshape(len(diff), -1).mean(axis=1)
+    per_pair = np.add.reduce((np.maximum(diff, 0) + np.maximum(neg, 0)).reshape(len(diff), -1),
+                             1) / diff[0].size
     return _sum_in_order(per_pair), (diff, neg)
 
 
 def _pair_backward(g, saved) -> np.ndarray:
     diff, neg = saved
-    scaled = np.broadcast_to(g / diff[0].size, diff.shape)
+    scaled = g / diff[0].size
     gdiff = scaled * (diff > 0) + scaled * (neg > 0) * -1.0
     grad = np.empty((2 * len(diff), *diff.shape[1:]))
     grad[0::2] = gdiff
@@ -981,7 +997,8 @@ def _dropout_keep(data: np.ndarray, p: float, training: bool, rng):
         return None
     if rng is None:
         raise ConfigError("training-mode dropout needs an explicit rng")
-    return (rng.random(data.shape) >= p) * (1.0 / (1.0 - p))
+    draw = rng.random(data.shape)
+    return np.multiply(draw >= p, 1.0 / (1.0 - p), out=draw)
 
 
 def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
@@ -1004,10 +1021,11 @@ def dropout(t: Tensor, p: float, training: bool, rng=None) -> Tensor:
 
 
 def _step_rows(x, op: str, stacked: bool = True) -> np.ndarray:
-    """The (rows, d) batch ``x``, or the equal batches ``x`` as one
-    (B, rows, d) stack, as a checked float array."""
+    """The (rows, d) batch ``x``, or the equal batches ``x``, a sequence of
+    them or one (B, rows, d) array, as one checked float stack."""
     try:
-        rows = np.asarray(np.stack(x) if stacked else x, np.float64)
+        rows = np.asarray(np.stack(x) if stacked and not isinstance(x, np.ndarray) else x,
+                          np.float64)
     except ValueError as exc:
         raise ShapeError(f"{op}: {exc}") from None
     if rows.ndim != (3 if stacked else 2):
@@ -1016,21 +1034,22 @@ def _step_rows(x, op: str, stacked: bool = True) -> np.ndarray:
 
 
 def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,
-                  weight2: Tensor, bias2: Tensor, p: float, rng, x_t=None, lam: float = 0.0):
+                  weight2: Tensor, bias2: Tensor, p: float, rng, lam: Optional[float] = None):
     """A classify step's loss over N source batches as one node.
 
-    ``x`` holds the N batches, of equal shape (rows, d). They go through the
-    extractor ``layers`` (as ``mlp`` takes them) and H = 1 or 2N classifier
-    heads (``weight1`` H x f x f and so on, as ``head_stack`` takes them,
-    with training-mode dropout drawn from ``rng``); head h reads source
-    batch ``h * N // H``. The loss is the heads' cross entropy against the
-    H x rows 0/1 ``labels``, added in head order. Given a target batch
-    ``x_t``, it adds ``lam`` times the MD2 between the sources' features and
-    the target's, and the target goes through the extractor with the
-    sources, first in one (N + 1, rows, d) stack.
+    ``x`` holds batches of equal shape (rows, d), as a sequence or as one
+    (B, rows, d) array: the N source batches, or, given ``lam``, a target
+    batch and then the N sources. They go through the extractor ``layers``
+    (as ``mlp`` takes them) as one stack, and H = 1 or 2N classifier heads
+    (``weight1`` H x f x f and so on, as ``head_stack`` takes them, with
+    training-mode dropout drawn from ``rng``) read the sources' features;
+    head h reads source batch ``h * N // H``. The loss is the heads' cross
+    entropy against the H x rows 0/1 ``labels``, added in head order, and,
+    given ``lam``, ``lam`` times the MD2 between the sources' features and
+    the target's.
 
     Returns ``(loss, ce, md2)``: the node, and the CE and MD2 values as
-    floats (``md2`` is None without ``x_t``). The loss and every gradient
+    floats (``md2`` is None without ``lam``). The loss and every gradient
     are bitwise those of the per-op graph (``mlp`` per batch, ``head_stack``,
     ``softmax_cross_entropy``, ``moment_distance``, ``mul`` and ``add``): the
     same kernels run, and gradients add up in the order ``backward`` adds
@@ -1039,23 +1058,21 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
     term, and an extractor tensor adds the batches' gradients up in the
     order target, source 0, ..., source N - 1.
     """
-    n, heads = len(x), weight1.shape[0]
-    if not n or heads not in (1, 2 * n):
+    target = lam is not None
+    n, heads = len(x) - target, weight1.shape[0]
+    if n < 1 or heads not in (1, 2 * n):
         raise ShapeError(f"classify_loss: {heads} heads over {n} source batches")
-    # the batches the extractor runs: the target first, and with one head
-    # and no target, only the source batch that the head reads
-    one = x_t is None and heads == 1
-    rows = x[0] if one else x if x_t is None else [x_t, *x]
-    feats, saved = _mlp_forward(_step_rows(rows, "classify_loss", not one), layers)
-    z_s = feats if x_t is None else feats[1:]
-    head_in = z_s if one else z_s[0] if heads == 1 else np.repeat(z_s, 2, axis=0)
+    # with one head and no target, the extractor runs only the batch the head reads
+    one = not target and heads == 1
+    feats, saved = _mlp_forward(_step_rows(x[0] if one else x, "classify_loss", not one), layers)
+    z_s = feats[1:] if target else feats
+    head_in = z_s if one else z_s[0] if heads == 1 else z_s.repeat(2, axis=0)
     _check_stack(head_in, weight1, bias1, "classify_loss")
     head = [weight1, bias1, weight2, bias2]
     logits, head_saved = _head_forward(head_in, *head, p, True, rng)
-    y, w = _ce_labels(logits, labels, None)
-    ce, ce_saved = _ce_forward(logits, y, w)
+    ce, ce_saved = _ce_forward(logits, _ce_labels(logits, labels))
     loss, md2 = ce, None
-    if x_t is not None:
+    if target:
         md2, md2_saved = _md2_forward(feats, range(n + 1), [len(feats[0])] * (n + 1), n)
         lam = float(lam)
         loss = ce + md2 * lam
@@ -1084,14 +1101,16 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
             None if md2 is None else float(md2))
 
 
-def max_discrepancy_loss(x, labels, x_t, layers: Sequence[tuple], weight1: Tensor,
-                         bias1: Tensor, weight2: Tensor, bias2: Tensor, p: float, rng):
+def max_discrepancy_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,
+                         weight2: Tensor, bias2: Tensor, p: float, rng):
     """m3sda step 2's loss as one node: with the extractor fixed, the 2N
     heads' CE on N source batches minus their pair discrepancy on a target
-    batch. Returns ``(loss, disc)``: the node, whose parents are the four
-    head tensors (as ``head_stack`` takes them), and the discrepancy.
+    batch. Returns ``(loss, ce, disc)``: the node, whose parents are the
+    four head tensors (as ``head_stack`` takes them), the CE and the
+    discrepancy.
 
-    ``x_t`` and the N batches ``x``, all (rows, d), run through the
+    ``x`` holds the target batch and then the N source batches, all (rows,
+    d), as a sequence or as one (N + 1, rows, d) array. They run through the
     extractor ``layers`` with no gradient as one stack, and the heads then
     run once over a (2, 2N, rows, f) stack: block 0 is the target's
     features, which every head reads, and block 1 gives head h source batch
@@ -1102,10 +1121,10 @@ def max_discrepancy_loss(x, labels, x_t, layers: Sequence[tuple], weight1: Tenso
     the target, ``head_stack`` and ``softmax_cross_entropy`` over the
     sources, and ``sub``.
     """
-    n, heads = len(x), weight1.shape[0]
-    if not n or heads != 2 * n:
+    n, heads = len(x) - 1, weight1.shape[0]
+    if n < 1 or heads != 2 * n:
         raise ShapeError(f"max_discrepancy_loss: {heads} heads over {n} source batches")
-    feats, _ = _mlp_forward(_step_rows([x_t, *x], "max_discrepancy_loss"), layers)
+    feats, _ = _mlp_forward(_step_rows(x, "max_discrepancy_loss"), layers)
     head_in = np.empty((2, heads, *feats.shape[1:]))
     head_in[0] = feats[0]
     head_in[1, 0::2] = head_in[1, 1::2] = feats[1:]
@@ -1114,8 +1133,7 @@ def max_discrepancy_loss(x, labels, x_t, layers: Sequence[tuple], weight1: Tenso
     logits, head_saved = _head_forward(head_in, *head, p, True, rng)
     probs = _softmax_forward(logits[0])
     disc, disc_saved = _pair_forward(probs)
-    y, w = _ce_labels(logits[1], labels, None)
-    ce, ce_saved = _ce_forward(logits[1], y, w)
+    ce, ce_saved = _ce_forward(logits[1], _ce_labels(logits[1], labels))
 
     def grad_fn(g):
         g_logits = np.empty_like(logits)
@@ -1124,7 +1142,8 @@ def max_discrepancy_loss(x, labels, x_t, layers: Sequence[tuple], weight1: Tenso
         return _head_backward(g_logits, head_saved, head_in, True,
                               [False, *map(_needs_grad, head)])[1:]
 
-    return _result(np.asarray(ce - disc), head, grad_fn, "max_discrepancy_loss"), float(disc)
+    return (_result(np.asarray(ce - disc), head, grad_fn, "max_discrepancy_loss"), float(ce),
+            float(disc))
 
 
 def min_discrepancy_loss(x_t, layers: Sequence[tuple], weight1: Tensor, bias1: Tensor,

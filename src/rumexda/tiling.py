@@ -474,13 +474,23 @@ PLANT_ID_SEP = ";"
 
 def write_manifest(entries: Sequence[ManifestEntry], path) -> None:
     """Write the manifest CSV atomically, rows sorted by image and origin:
-    the entries' natural tuple order, as a manifest's (image_id, x, y) are unique."""
+    the entries' natural tuple order, as a manifest's (image_id, x, y) are unique.
+
+    Each row is formatted once, fields joined by commas. Text in which a
+    field holds a quote, a carriage return, a comma or a line end, which
+    CSV quotes, is written by ``csv_text`` instead."""
     join = PLANT_ID_SEP.join
-    write_atomic(path, csv_text([MANIFEST_HEADER] + [
+    rows = [MANIFEST_HEADER] + [
         (image_id, x, y, side, label, f"{overlap:.6f}", split, domain_id, corner, join(plants))
         for (image_id, x, y, side, label, overlap, corner, plants), split, domain_id
         in sorted(entries)
-    ]))
+    ]
+    text = "".join([f"{a},{b},{c},{d},{e},{f},{g},{h},{i},{j}\n"
+                    for a, b, c, d, e, f, g, h, i, j in rows])
+    if ('"' in text or "\r" in text or text.count(",") != 9 * len(rows)
+            or text.count("\n") != len(rows)):
+        text = csv_text(rows)
+    write_atomic(path, text)
 
 
 def read_manifest(path) -> list[ManifestEntry]:

@@ -8,6 +8,7 @@ from rumexda import tensor as T
 from rumexda.adaptation import (
     AdaptationConfig,
     DomainDataset,
+    IterationBatches,
     M3sdaStepper,
     _MinibatchStream,
     _PREDICT_BLOCK,
@@ -504,6 +505,39 @@ def test_m3sda_step_on_a_loss_that_is_not_finite_moves_nothing():
         assert p.data.tobytes() == before[name].tobytes(), name
 
 
+def test_m3sda_step2_on_a_ce_that_is_not_finite_moves_nothing():
+    # the target batch is clean, so step 2's discrepancy is finite and its CE is not
+    bundle, stepper, batches, x_t = _stepper_and_batch()
+    before = bundle.snapshot()
+    adam = [(opt.t, opt._m.tobytes(), opt._v.tobytes()) for opt in (stepper.opt_g,
+                                                                    stepper.opt_heads)]
+    bad = [(x.copy(), y) for x, y in batches]
+    bad[1][0][3, 1] = np.nan
+    with pytest.raises(TrainingStateError, match="ce loss is nan") as exc:
+        stepper.step_max_discrepancy(bad, x_t)
+    assert exc.value.phase == "max_discrepancy"
+    for name, p in bundle.parameters():
+        assert p.data.tobytes() == before[name].tobytes(), name
+    assert [(opt.t, opt._m.tobytes(), opt._v.tobytes())
+            for opt in (stepper.opt_g, stepper.opt_heads)] == adam
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+def test_m3sda_steps_on_gathered_batches_are_the_steps_on_batch_pairs(lam):
+    runs = []
+    for gathered in (False, True):
+        bundle, stepper, batches, x_t = _stepper_and_batch()
+        stepper.config = AdaptationConfig(strategy="m3sda_beta", lam=lam, seed=12)
+        if gathered:
+            rows = np.stack([x_t, *(x for x, _ in batches)])
+            args = (IterationBatches(rows, np.repeat([y for _, y in batches], 2, axis=0)),)
+        else:
+            args = (batches, x_t)
+        values = [stepper.step_classify(*args), stepper.step_max_discrepancy(*args)]
+        runs.append((values, [p.data.tobytes() for _, p in bundle.parameters()]))
+    assert runs[0] == runs[1]
+
+
 def test_m3sda_step3_restores_head_flags_when_it_raises():
     # a bad width raises before anything moves: every parameter's bytes,
     # its requires_grad flag and the dropout stream stay as they were
@@ -764,6 +798,9 @@ def test_minibatch_stream_matches_a_list_queue(n, batch_size):
     features = np.arange(n * 2, dtype=np.float64).reshape(n, 2)
     labels = np.arange(n) % 2
     stream = _MinibatchStream(features, labels, batch_size, np.random.default_rng(n))
+    # a second stream gathers its rows into a given array
+    gathering = _MinibatchStream(features, labels, batch_size, np.random.default_rng(n))
+    out = np.full((2, batch_size, 2), np.nan)
     rng, queue = np.random.default_rng(n), []
     for _ in range(25):
         while len(queue) < batch_size:
@@ -771,6 +808,10 @@ def test_minibatch_stream_matches_a_list_queue(n, batch_size):
         idx, queue = queue[:batch_size], queue[batch_size:]
         x, y = stream.next()
         assert x.tobytes() == features[idx].tobytes()
+        assert y.tolist() == labels[idx].tolist()
+        x, y = gathering.next(out[1])
+        assert x is out[1] or x.base is out
+        assert out[1].tobytes() == features[idx].tobytes() and np.isnan(out[0]).all()
         assert y.tolist() == labels[idx].tolist()
     unlabeled = _MinibatchStream(features, None, batch_size, np.random.default_rng(0))
     assert unlabeled.next()[1] is None

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import csv
 import io
 import json
@@ -1079,6 +1080,29 @@ def test_eval_of_malformed_checkpoint_is_a_data_error(tmp_path, capsys, text, wh
     rc = main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
                "--out", str(out)])
     _assert_single_data_error(rc, capsys, f"{checkpoint}{where}", out)
+
+
+@pytest.mark.parametrize("name,value", [("extractor.block0.bias", np.nan),
+                                        ("head0.linear2.weight", -np.inf)])
+def test_eval_of_a_checkpoint_with_a_non_finite_parameter_is_a_data_error(tmp_path, capsys,
+                                                                          name, value):
+    corpus = _make_corpus(tmp_path, samples=40)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy", "vanilla",
+                 "--epochs", "6", "--seed", "0"]) == 0
+    checkpoint = run / "checkpoint.json"
+    payload = json.loads(checkpoint.read_text())
+    entry = payload["parameters"][name]
+    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype=entry["dtype"]).copy()
+    arr[-1] = value
+    entry["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    checkpoint.write_text(json.dumps(payload))
+    capsys.readouterr()
+    out = tmp_path / "e"
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+               "--out", str(out)])
+    _assert_single_data_error(
+        rc, capsys, f"{checkpoint}: parameter {name!r} holds a value that is not finite", out)
 
 
 @pytest.mark.parametrize("line,where", [

@@ -985,7 +985,8 @@ def _classify_step(fused, xs, labels, x_t, lam, blocks, heads, p, seed):
     rng = np.random.default_rng(seed)
     n, h = len(xs), len(heads[0])
     if fused:
-        loss, ce, md2 = T.classify_loss(xs, labels, layers, *head, p, rng, x_t, lam)
+        rows, target = (xs, None) if x_t is None else ([x_t, *xs], lam)
+        loss, ce, md2 = T.classify_loss(rows, labels, layers, *head, p, rng, target)
         assert loss._op == "classify_loss" and len(loss._parents) == len(leaves) + 4
     else:
         z_s = [T.mlp(Tensor(x), layers) for x in xs]
@@ -1040,7 +1041,7 @@ def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
             for s in ((1, 4, 4), (1, 4), (1, 2, 4), (1, 2))]
     x, y = rng.normal(size=(5, 3)), np.array([[0, 1, 1, 0, 1]])
     with T.no_grad():
-        loss, ce, md2 = T.classify_loss([x], y, layers, *head, 0.0, None, x, 0.5)
+        loss, ce, md2 = T.classify_loss([x, x], y, layers, *head, 0.0, None, 0.5)
     assert loss._grad_fn is None and loss._parents == () and md2 == 0.0
     assert ce == loss.item()
     with pytest.raises(ShapeError):
@@ -1057,17 +1058,17 @@ def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
     with pytest.raises(ConfigError):
         T.classify_loss([x], y, layers, *head, 0.3, None)
     with pytest.raises(ShapeError):
-        T.classify_loss([x], y, layers, *head, 0.0, None, x[:4], 0.5)
+        T.classify_loss([x[:4], x], y, layers, *head, 0.0, None, 0.5)
     with pytest.raises(ShapeError):
-        T.classify_loss([x], y, layers, *head, 0.0, None, x[:, :2], 0.5)
+        T.classify_loss([x[:, :2], x], y, layers, *head, 0.0, None, 0.5)
     with pytest.raises(DegenerateInputError):
-        T.classify_loss([x[:0]], y[:, :0], layers, *head, 0.0, None, x[:0], 0.5)
+        T.classify_loss([x[:0], x[:0]], y[:, :0], layers, *head, 0.0, None, 0.5)
     # no source batch, unequal ones, one that is not (rows, d), and a head
     # count that is neither 1 nor 2N
     with pytest.raises(ShapeError):
         T.classify_loss([], y, layers, *head, 0.0, None)
     with pytest.raises(ShapeError):
-        T.classify_loss([x, x[:4]], y, layers, *head, 0.0, None, x, 0.5)
+        T.classify_loss([x, x, x[:4]], y, layers, *head, 0.0, None, 0.5)
     with pytest.raises(ShapeError):
         T.classify_loss([x[None]], y, layers, *head, 0.0, None)
     pair = [Tensor(np.repeat(t.data, 2, axis=0)) for t in head]
@@ -1080,8 +1081,8 @@ def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
 
 
 def _discrepancy_step(fused, step, xs, labels, x_t, blocks, heads, p, seed):
-    """Loss bytes, discrepancy, every gradient and the next dropout draw of
-    m3sda step 2 or 3, from ``T.max_discrepancy_loss`` or
+    """Loss bytes, discrepancy, step 2's CE, every gradient and the next
+    dropout draw of m3sda step 2 or 3, from ``T.max_discrepancy_loss`` or
     ``T.min_discrepancy_loss``, or from the per-op graph each replaces."""
     layers, leaves = [], []
     for arrays, flags, scale in blocks:
@@ -1092,8 +1093,9 @@ def _discrepancy_step(fused, step, xs, labels, x_t, blocks, heads, p, seed):
     # leaves them on and takes none of them as a parent
     head = _leaves(heads, [fused or step == 2] * 4)
     rng = np.random.default_rng(seed)
+    ce = None
     if fused and step == 2:
-        loss, disc = T.max_discrepancy_loss(xs, labels, x_t, layers, *head, p, rng)
+        loss, ce, disc = T.max_discrepancy_loss([x_t, *xs], labels, layers, *head, p, rng)
         assert loss._op == "max_discrepancy_loss" and list(loss._parents) == head
     elif fused:
         loss = T.min_discrepancy_loss(x_t, layers, *head, p, rng)
@@ -1106,14 +1108,15 @@ def _discrepancy_step(fused, step, xs, labels, x_t, blocks, heads, p, seed):
         disc_node = T.pair_discrepancy(T.softmax(T.head_stack(Tensor(feats[-1]), *head, p, True,
                                                               rng)))
         logits = T.head_stack(Tensor(np.repeat(feats[:-1], 2, axis=0)), *head, p, True, rng)
-        loss = T.sub(T.softmax_cross_entropy(logits, labels), disc_node)
-        disc = disc_node.item()
+        ce_node = T.softmax_cross_entropy(logits, labels)
+        loss = T.sub(ce_node, disc_node)
+        ce, disc = ce_node.item(), disc_node.item()
     else:
         loss = T.pair_discrepancy(T.softmax(T.head_stack(T.mlp(Tensor(x_t), layers), *head, p,
                                                          True, rng)))
         disc = loss.item()
     loss.backward()
-    return [loss.data.tobytes(), disc, rng.random()] + _grad_bytes(leaves + head)
+    return [loss.data.tobytes(), disc, ce, rng.random()] + _grad_bytes(leaves + head)
 
 
 @pytest.mark.parametrize("step", [2, 3])
@@ -1154,7 +1157,7 @@ def test_discrepancy_steps_record_nothing_under_no_grad_and_check_their_inputs()
             for s in ((2, 4, 4), (2, 4), (2, 2, 4), (2, 2))]
     x, y = rng.normal(size=(5, 3)), np.array([[0, 1, 1, 0, 1]] * 2)
     with T.no_grad():
-        loss, disc = T.max_discrepancy_loss([x], y, x, layers, *head, 0.0, None)
+        loss, _, disc = T.max_discrepancy_loss([x, x], y, layers, *head, 0.0, None)
         step3 = T.min_discrepancy_loss(x, layers, *head, 0.0, None)
     for node in (loss, step3):
         assert node._grad_fn is None and node._parents == () and not node.requires_grad
@@ -1162,30 +1165,30 @@ def test_discrepancy_steps_record_nothing_under_no_grad_and_check_their_inputs()
     assert step3.item() == disc > 0.0
     for bad in ([x[:, :2]], [x[:4]], [x[None]], [], [x, x]):
         with pytest.raises(ShapeError):
-            T.max_discrepancy_loss(bad, y, x, layers, *head, 0.0, None)
+            T.max_discrepancy_loss([x, *bad], y, layers, *head, 0.0, None)
     with pytest.raises(ShapeError):
-        T.max_discrepancy_loss([x], y, x[:, :2], layers, *head, 0.0, None)
+        T.max_discrepancy_loss([x[:, :2], x], y, layers, *head, 0.0, None)
     for labels in (y[:, :4], y[0], y[:1]):
         with pytest.raises(ShapeError):
-            T.max_discrepancy_loss([x], labels, x, layers, *head, 0.0, None)
+            T.max_discrepancy_loss([x, x], labels, layers, *head, 0.0, None)
     with pytest.raises(LabelError):
-        T.max_discrepancy_loss([x], y * 2, x, layers, *head, 0.0, None)
+        T.max_discrepancy_loss([x, x], y * 2, layers, *head, 0.0, None)
     narrow = [*head[:2], Tensor(np.zeros((2, 2, 3))), head[3]]
     odd = [Tensor(t.data[:1]) for t in head]
     for step_head in (narrow, odd):
         with pytest.raises(ShapeError):
-            T.max_discrepancy_loss([x], y, x, layers, *step_head, 0.0, None)
+            T.max_discrepancy_loss([x, x], y, layers, *step_head, 0.0, None)
         with pytest.raises(ShapeError):
             T.min_discrepancy_loss(x, layers, *step_head, 0.0, None)
     for bad in (x[:, :2], x[None], x[0]):
         with pytest.raises(ShapeError):
             T.min_discrepancy_loss(bad, layers, *head, 0.0, None)
     with pytest.raises(ConfigError):
-        T.max_discrepancy_loss([x], y, x, layers, *head, 0.3, None)
+        T.max_discrepancy_loss([x, x], y, layers, *head, 0.3, None)
     with pytest.raises(ConfigError):
         T.min_discrepancy_loss(x, layers, *head, 0.3, None)
     with pytest.raises(DegenerateInputError):
-        T.max_discrepancy_loss([x[:0]], y[:, :0], x[:0], layers, *head, 0.0, None)
+        T.max_discrepancy_loss([x[:0], x[:0]], y[:, :0], layers, *head, 0.0, None)
     with pytest.raises(DegenerateInputError):
         T.min_discrepancy_loss(x[:0], layers, *head, 0.0, None)
 
@@ -1418,3 +1421,122 @@ def test_cross_entropy_is_bitwise_the_take_put_formula(stacked, label_dtype, cla
         ref_loss, ref_grad = _reference_cross_entropy(z, y, class_weights)
         assert loss.data.tobytes() == ref_loss.tobytes()
         assert logits.grad.tobytes() == ref_grad.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the step kernels against the numpy expressions their ufunc calls replace
+
+
+def _md2_reference(data, index, sizes, n):
+    """MD2's term differences and norms, and the batches' spread
+    gradient for an upstream of 1, written with ``np.stack``, ``.mean``,
+    ``.sum``, ``np.zeros_like`` and ``np.repeat``."""
+    first, second, order = T._md2_terms(n)
+    powers = np.stack([data, data ** 2.0])
+    moments = (powers.mean(axis=2) if data.ndim == 3
+               else np.stack([powers[:, ix].mean(axis=1) for ix in index], axis=1))
+    diffs = moments[:, first] - moments[:, second]
+    norms = np.sqrt((diffs ** 2).sum(axis=2))
+    scales = np.empty(len(first))
+    scales[:n] = 1.0 if n == 1 else 1.0 * (1.0 / n)
+    scales[n:] = 1.0 * (1.0 / math.comb(n, 2) if n >= 2 else 0.0)
+    term_grads = np.divide(scales[:, None] * diffs, norms[..., None],
+                           out=np.zeros_like(diffs), where=norms[..., None] != 0.0)
+    signed = np.concatenate([term_grads, -term_grads], axis=1)[:, order]
+    moment_grads = signed[:, :, 0]
+    for s in range(1, n):
+        moment_grads = moment_grads + signed[:, :, s]
+    row_grads = moment_grads / np.array(sizes)[:, None] * np.array([1.0, 2.0])[:, None, None]
+    spread = (np.repeat(row_grads[:, :, None], sizes[0], axis=2) if data.ndim == 3
+              else np.repeat(row_grads, sizes, axis=1))
+    spread[1] *= data
+    return diffs, norms, spread
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), d=st.integers(1, 40), rows=st.lists(st.integers(1, 70), min_size=5,
+                                                                 max_size=5),
+       equal=st.booleans(), seed=st.integers(0, 2**16))
+def test_md2_kernels_are_bitwise_the_numpy_helper_formulas(n, d, rows, equal, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [rows[0]] * (n + 1) if equal else rows[:n + 1]
+    data, index = T._lay_out([rng.normal(size=(b, d)) * 3.0 + 1.0 for b in sizes])
+    total, saved = T._md2_forward(data, index, sizes, n)
+    diffs, norms, spread = _md2_reference(data, index, sizes, n)
+    assert saved[6].tobytes() == diffs.tobytes() and saved[7].tobytes() == norms.tobytes()
+    assert T._md2_backward(np.array(1.0), saved).tobytes() == spread.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.integers(1, 4), b=st.integers(1, 70), c=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_pair_means_and_bias_sums_are_bitwise_the_numpy_helper_formulas(pairs, b, c, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.random((2 * pairs, b, c))
+    total, saved = T._pair_forward(p)
+    diff = p[0::2] - p[1::2]
+    per_pair = (np.maximum(diff, 0) + np.maximum(diff * -1.0, 0)).reshape(pairs, -1).mean(axis=1)
+    assert total.tobytes() == T._sum_in_order(per_pair).tobytes()
+    g = np.asarray(rng.normal())
+    scaled = np.broadcast_to(g / diff[0].size, diff.shape)
+    gdiff = scaled * (diff > 0) + scaled * (diff * -1.0 > 0) * -1.0
+    assert T._pair_backward(g, saved).tobytes() == \
+        np.stack([gdiff, -gdiff], 1).reshape(p.shape).tobytes()
+    # a bias gradient is the row sum, over the axis before the last
+    upstream = rng.normal(size=p.shape)
+    assert T._stack_param_grads(upstream, p, False, True)[1].tobytes() == \
+        upstream.sum(axis=-2).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 7, 1000])
+def test_adam_update_is_bitwise_the_temporaries_formula(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        w = Tensor(rng.normal(size=size), requires_grad=True)
+        opt = Adam([w], lr=float(rng.uniform(1e-4, 1e-1)))
+        opt.t = int(rng.integers(0, 50))
+        opt._m[...] = rng.normal(size=size)
+        opt._v[...] = rng.random(size)
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-3, 3)
+        w.grad = g
+        b1, b2, t = opt.beta1, opt.beta2, opt.t + 1
+        m = opt._m * b1 + (1 - b1) * g
+        v = opt._v * b2 + (1 - b2) * g * g
+        buf = w.data - opt.lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + opt.eps)
+        opt.step()
+        assert (w.data.tobytes(), opt._m.tobytes(), opt._v.tobytes(), opt.t) == \
+            (buf.tobytes(), m.tobytes(), v.tobytes(), t)
+
+
+def _walked_backward(loss):
+    """The leaves' gradients of ``loss`` by the general walk: ``loss`` under
+    a ``mul`` by 1.0, an interior node whose gradient is its upstream."""
+    T.mul(loss, 1.0).backward()
+
+
+@pytest.mark.parametrize("build", ["moment_distance", "add", "classify_loss"])
+def test_one_node_backward_is_bitwise_the_general_walk(build):
+    runs = []
+    for backward in (Tensor.backward, _walked_backward):
+        rng = np.random.default_rng(5)
+        z = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        z.grad = np.full((6, 3), 0.1)  # earlier gradients add up with the new ones
+        leaves = [z]
+        if build == "moment_distance":
+            loss = T.moment_distance([z, z], z)  # one leaf, six parents
+        elif build == "add":
+            a = Tensor(rng.normal(), requires_grad=True)
+            a.grad = np.array(0.25)
+            leaves, loss = [a], T.add(a, a)
+        else:
+            layer = (Tensor(rng.normal(size=(3, 3)), requires_grad=True),
+                     Tensor(rng.normal(size=3), requires_grad=True))
+            head = [Tensor(rng.normal(size=s), requires_grad=True)
+                    for s in ((2, 3, 3), (2, 3), (2, 2, 3), (2, 2))]
+            leaves = [*layer, *head]
+            loss = T.classify_loss([z.data, z.data * 0.5], np.ones((2, 6), int), [layer],
+                                   *head, 0.0, None, 0.5)[0]
+        assert backward is _walked_backward or all(p._grad_fn is None for p in loss._parents)
+        backward(loss)
+        runs.append([t.grad.tobytes() for t in leaves])
+    assert runs[0] == runs[1]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rumexda import tiling
 from rumexda.errors import ConfigError, DataError, DegenerateInputError
+from rumexda.files import csv_text
 from rumexda.tiling import (
     BBoxAnnotation,
     ManifestEntry,
@@ -576,6 +577,23 @@ def _key_order_bytes(entries) -> bytes:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("extra", ["", ",", '"', "\r", "\n", "\r\n", " "],
+                         ids=["none", "comma", "quote", "cr", "lf", "crlf", "space"])
+@settings(max_examples=25, deadline=None)
+@given(manifest=_manifests().filter(bool))
+def test_manifest_bytes_are_csv_text_on_both_branches(extra, manifest):
+    # the ids and plant ids of _manifests may hold commas, quotes and line
+    # ends; ``extra`` puts one more into every domain id
+    manifest = [ManifestEntry(e.record, e.split, f"d{extra}") for e in manifest]
+    rows = [tiling.MANIFEST_HEADER] + [
+        (r.image_id, r.x, r.y, r.side, r.label, f"{r.overlap:.6f}", e.split, e.domain_id,
+         r.pass_corner, ";".join(r.plant_ids)) for e in sorted(manifest) for r in [e.record]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        write_manifest(manifest, path)
+        assert path.read_bytes() == csv_text(rows).encode()
 
 
 @st.composite
