@@ -20,18 +20,17 @@ only, to minimize that disagreement.
 Each step records graph only where its optimizer consumes a gradient, and
 each is one graph node, so its backward walks 1 node. A vanilla, LoRA or
 m2s2da iteration, and step 1 of an m3sda iteration, is one
-``T.classify_loss`` node (through ``ModelBundle.classify_loss``): the
-extractor over the source batches, and the target batch in the same pass
-where MD2 uses it, the 1 or 2N heads, the CE and lambda * MD2. Step 2 is
-one ``T.max_discrepancy_loss`` node, whose parents are the head tensors:
-G runs inside it with no gradient, since it is fixed there, and the 2N
-heads (one ``nn.ClassifierHead`` stack) run once over the target and the
-sources together. Step 3 is one ``T.min_discrepancy_loss`` node, whose
-parents are G's tensors, so no head fills a gradient that nothing steps.
-Per-head and per-pair losses are added in head order. The minibatch
-streams gather an iteration's batches, the target's first, straight into
-one (batches, rows, d) array, which every step of the iteration reads, and
-the 2N heads' labels are built once per m3sda iteration. Evaluation
+``T.classify_loss`` node: the extractor over the source batches, and the
+target batch in the same pass where MD2 uses it, the 1 or 2N heads, the CE
+and lambda * MD2. Step 2 is one ``T.max_discrepancy_loss`` node, whose
+parents are the head tensors: G runs inside it with no gradient, since it
+is fixed there, and the 2N heads run once over the target and the sources
+together. Step 3 is one ``T.min_discrepancy_loss`` node, whose parents are
+G's tensors, so no head fills a gradient that nothing steps. The trainers
+call these nodes with ``ModelBundle.step_args`` and the N source batches'
+labels; the nodes give each head its batch. The minibatch streams gather
+an iteration's batches, the target's first, straight into one (batches,
+rows, d) array, which every step of the iteration reads. Evaluation
 (``predict_labels``, ``discrepancy_eval``) records no graph at all.
 ``predict_labels``, which the per-epoch eval and ``rumexda eval`` call
 once per dataset, runs the rows in fixed blocks of ``_PREDICT_BLOCK``
@@ -108,6 +107,12 @@ class DomainDataset:
 
     def unlabeled(self) -> "DomainDataset":
         return DomainDataset(self.domain_id, self.features, None, self.split)
+
+    def labels_to_score(self) -> np.ndarray:
+        """The labels that predictions on these rows are scored against."""
+        if self.labels is None:
+            raise DegenerateInputError(f"domain {self.domain_id!r} has no labels to score")
+        return self.labels
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +382,8 @@ def _epoch_eval(bundle: ModelBundle, val: Optional[DomainDataset],
     median = None
     if eval_targets:
         counts_by_domain = {
-            ds.domain_id: confusion_from_predictions(ds.labels, predict_labels(bundle, ds.features))
+            ds.domain_id: confusion_from_predictions(ds.labels_to_score(),
+                                                     predict_labels(bundle, ds.features))
             for ds in eval_targets
         }
         report = report_from_counts(counts_by_domain)
@@ -400,6 +406,16 @@ def _finite(name: str, value: float, phase: str) -> float:
     if not math.isfinite(value):
         raise _LossNotFinite(name, value, phase)
     return value
+
+
+def _descend(loss: Tensor, cleared: Sequence, stepped: Sequence) -> None:
+    """One update: clear the gradients of the ``cleared`` optimizers,
+    backpropagate ``loss`` and step the ``stepped`` ones."""
+    for opt in cleared:
+        opt.zero_grad()
+    loss.backward()
+    for opt in stepped:
+        opt.step()
 
 
 def _run_epochs(strategy: str, loss_names: tuple[str, ...], bundle: ModelBundle,
@@ -463,13 +479,12 @@ def _train_single_head(strategy: str, loss_names: tuple[str, ...], bundle: Model
 
     def iterate() -> dict[str, float]:
         rows, labels = _next_batches(bundle, streams)
-        loss, ce, md2 = bundle.classify_loss(rows, labels[-1][None], drop_rng, lam)
+        loss, ce, md2 = T.classify_loss(rows, labels[-1][None], *bundle.step_args(), drop_rng,
+                                        lam)
         losses = {"ce": _finite("ce", ce, "classify")}
         if md2 is not None:
             losses["md2"] = _finite("md2", md2, "classify")
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        _descend(loss, [opt], [opt])
         return losses
 
     steps = max(1, math.ceil(source.n / config.batch_size))
@@ -516,7 +531,7 @@ def train_m2s2da(bundle: ModelBundle, source: DomainDataset, target: DomainDatas
 class IterationBatches(NamedTuple):
     """An m3sda iteration's batches as steps 1 and 2 read them: the target
     batch and then the N source batches, as a sequence or one (N + 1, rows,
-    d) array, and the 2N heads' labels (head h reads source batch h // 2)."""
+    d) array, and the N source batches' labels, N x rows."""
 
     rows: Sequence[np.ndarray]
     labels: np.ndarray
@@ -526,12 +541,7 @@ class IterationBatches(NamedTuple):
         # an IterationBatches, or the N (x, y) source batches and the target rows
         if isinstance(batches, cls):
             return batches
-        return cls([x_t, *(x for x, _ in batches)], _head_labels([y for _, y in batches]))
-
-
-def _head_labels(labels) -> np.ndarray:
-    """The N source batches' labels as the 2N heads read them."""
-    return np.stack(labels).repeat(2, axis=0)
+        return cls([x_t, *(x for x, _ in batches)], np.stack([y for _, y in batches]))
 
 
 class M3sdaStepper:
@@ -558,6 +568,7 @@ class M3sdaStepper:
         self.opt_heads = make_optimizer(
             config.optimizer, [p for _, p in bundle.head_trainable_parameters()], config.lr
         )
+        self.optimizers = (self.opt_g, self.opt_heads)
 
     def step_classify(self, batches, x_t: Optional[np.ndarray] = None) -> tuple[float, float]:
         """Step 1: update G and all heads on source CE + lambda * MD2, over
@@ -565,39 +576,30 @@ class M3sdaStepper:
         an ``IterationBatches``."""
         rows, labels = IterationBatches.of(batches, x_t)
         lam = self.config.lam
-        loss, ce, md2 = self.bundle.classify_loss(rows if lam > 0 else rows[1:], labels,
-                                                  self.drop_rng, lam if lam > 0 else None)
+        loss, ce, md2 = T.classify_loss(rows if lam > 0 else rows[1:], labels,
+                                        *self.bundle.step_args(), self.drop_rng,
+                                        lam if lam > 0 else None)
         ce_value = _finite("ce", ce, "classify")
         md2_value = 0.0 if md2 is None else _finite("md2", md2, "classify")
-        self.opt_g.zero_grad()
-        self.opt_heads.zero_grad()
-        loss.backward()
-        self.opt_g.step()
-        self.opt_heads.step()
+        _descend(loss, self.optimizers, self.optimizers)
         return ce_value, md2_value
 
     def step_max_discrepancy(self, batches, x_t: Optional[np.ndarray] = None) -> float:
         """Step 2: with G fixed, push classifier pairs apart on the target
         while keeping them correct on the sources; takes its batches as
         ``step_classify`` does."""
-        loss, ce, disc = self.bundle.max_discrepancy_loss(*IterationBatches.of(batches, x_t),
-                                                          self.drop_rng)
+        loss, ce, disc = T.max_discrepancy_loss(*IterationBatches.of(batches, x_t),
+                                                *self.bundle.step_args(), self.drop_rng)
         disc_value = _finite("disc_max", disc, "max_discrepancy")
         _finite("ce", ce, "max_discrepancy")
-        self.opt_g.zero_grad()
-        self.opt_heads.zero_grad()
-        loss.backward()
-        self.opt_heads.step()
+        _descend(loss, self.optimizers, [self.opt_heads])
         return disc_value
 
     def step_min_discrepancy(self, x_t: np.ndarray) -> float:
         """Step 3: with the heads fixed, pull the pairs together through G."""
-        disc = self.bundle.min_discrepancy_loss(x_t, self.drop_rng)
+        disc = T.min_discrepancy_loss(x_t, *self.bundle.step_args(), self.drop_rng)
         disc_value = _finite("disc_min", disc.item(), "min_discrepancy")
-        self.opt_g.zero_grad()
-        self.opt_heads.zero_grad()
-        disc.backward()
-        self.opt_g.step()
+        _descend(disc, self.optimizers, [self.opt_g])
         return disc_value
 
     def discrepancy_eval(self, x_t: np.ndarray) -> float:
@@ -645,7 +647,7 @@ def train_m3sda_beta(bundle: ModelBundle, sources: Sequence[DomainDataset],
     def iterate() -> dict[str, float]:
         iteration = next(iterations)
         rows, labels = _next_batches(bundle, streams)
-        batches = IterationBatches(rows, _head_labels(labels[1:]))
+        batches = IterationBatches(rows, np.stack(labels[1:]))
         ce, md2 = stepper.step_classify(batches)
         observe("step2_pre", iteration, bundle)
         disc_max = stepper.step_max_discrepancy(batches)

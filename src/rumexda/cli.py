@@ -221,7 +221,9 @@ def cmd_train(args) -> int:
         )
     config.model.input_dim = target.dim  # resolved config records the actual dim
 
-    bundle, history = run_strategy(sources, target, config.model, train_cfg, eval_targets=[target])
+    # an unlabelled target is trained on but not scored
+    bundle, history = run_strategy(sources, target, config.model, train_cfg,
+                                   eval_targets=[target] if target.labels is not None else [])
     selected = select_model_epoch(history.val_f1_series(), train_cfg.warmup)
     bundle.restore(history.selected_snapshot)
 
@@ -259,7 +261,8 @@ def cmd_eval(args) -> int:
     from .adaptation import predict_labels
 
     counts = {
-        ds.domain_id: confusion_from_predictions(ds.labels, predict_labels(bundle, ds.features))
+        ds.domain_id: confusion_from_predictions(ds.labels_to_score(),
+                                                 predict_labels(bundle, ds.features))
         for ds in flights
     }
     report = report_from_counts(counts)

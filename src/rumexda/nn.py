@@ -9,13 +9,12 @@ one graph node, LoRA adapters included. Each classifier is fixed to linear
 -> ReLU -> dropout (``ModelConfig.dropout``) -> linear -> 2 logits. A
 bundle's H classifiers (one, or the 2N of the pair strategies) live in one
 ``ClassifierHead`` that keeps each layer's weights and biases as one
-(H, ...) stack and runs every head as one ``tensor.head_stack`` node. A
-classify step, on one head or on 2N, is one ``tensor.classify_loss`` node
-(``ModelBundle.classify_loss``), and m3sda steps 2 and 3 are one
-``tensor.max_discrepancy_loss`` and one ``tensor.min_discrepancy_loss``
-node; each runs the extractor and the heads inside it. Checkpoints still
-store each head's slab as its own ``head{j}.linear{1,2}.{weight,bias}``
-entry.
+(H, ...) stack and runs every head as one ``tensor.head_stack`` node.
+``ModelBundle.step_args`` hands the extractor blocks and the head stacks to
+the training step nodes (``tensor.classify_loss``,
+``tensor.max_discrepancy_loss`` and ``tensor.min_discrepancy_loss``),
+which run the extractor and the heads inside them. Checkpoints store each
+head's slab as its own ``head{j}.linear{1,2}.{weight,bias}`` entry.
 
 ``build_model`` takes the run config's ``model`` section as it is, plus
 the pair count and seed that callers derive from the training settings.
@@ -125,39 +124,19 @@ class ModelBundle:
         """The features of a batch of rows, or of a (B, rows, d) stack of
         equal batches, from one ``T.mlp`` node."""
         x = x if isinstance(x, Tensor) else Tensor(x)
-        self._check_inputs(x)
+        if x.ndim not in (2, 3) or x.shape[-1] != self.config.input_dim:
+            raise ShapeError(
+                f"input of shape {x.shape} does not match input_dim={self.config.input_dim}"
+            )
         return self.extractor.forward(x)
 
-    def classify_loss(self, x, labels: np.ndarray, rng, lam=None):
-        """A classify step's loss on the N labeled source batches in ``x``,
-        with ``labels`` arranged per head (H x rows), plus, given ``lam``,
-        ``lam`` times MD2 to the target batch that ``x`` then starts with, as
-        one ``T.classify_loss`` node; returns ``(loss, ce, md2)`` as that
-        does."""
-        self._check_inputs(*x)
-        return T.classify_loss(x, labels, self.extractor.blocks, *self._head_args(), rng, lam)
-
-    def max_discrepancy_loss(self, x, labels: np.ndarray, rng):
-        """m3sda step 2's ``T.max_discrepancy_loss`` node, CE and
-        discrepancy, over the target batch and then the source batches ``x``."""
-        self._check_inputs(*x)
-        return T.max_discrepancy_loss(x, labels, self.extractor.blocks, *self._head_args(), rng)
-
-    def min_discrepancy_loss(self, x_t, rng):
-        """m3sda step 3's ``T.min_discrepancy_loss`` node."""
-        self._check_inputs(x_t)
-        return T.min_discrepancy_loss(x_t, self.extractor.blocks, *self._head_args(), rng)
-
-    def _head_args(self) -> tuple:
+    def step_args(self) -> tuple:
+        """``(blocks, weight1, bias1, weight2, bias2, dropout_p)``: the
+        extractor and head tensors in the order the ``T`` step nodes take
+        them after their batches (and labels)."""
         head = self.head
-        return head.weight1, head.bias1, head.weight2, head.bias2, head.dropout_p
-
-    def _check_inputs(self, *inputs) -> None:
-        for t in inputs:
-            if t.ndim not in (2, 3) or t.shape[-1] != self.config.input_dim:
-                raise ShapeError(
-                    f"input of shape {t.shape} does not match input_dim={self.config.input_dim}"
-                )
+        return (self.extractor.blocks, head.weight1, head.bias1, head.weight2, head.bias2,
+                head.dropout_p)
 
     def parameters(self):
         return self.extractor.parameters() + self.head.parameters()
@@ -297,6 +276,6 @@ def load_checkpoint(path) -> ModelBundle:
         raise DataError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from exc
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no {exc} entry") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return bundle

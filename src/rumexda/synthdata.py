@@ -15,6 +15,7 @@ ceiling reported by ``bayes_reference``.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from array import array
 from dataclasses import dataclass
@@ -315,14 +316,24 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> None:
 def _parses_back(domains, dim: int) -> bool:
     """Whether the records of ``domains`` parse back to exactly these
     arrays: distinct domain ids, no field separator, line break or NUL (which
-    numpy strings drop at the end) in an id or split tag, and finite
-    features of the header's width in at least one row per domain."""
+    numpy strings drop at the end) in an id or split tag, and features of
+    the header's width in at least one row per domain that, with the
+    labels, keep ``_valid_columns``."""
     ids = [domain_id for _, domain_id, _, _, _ in domains]
     texts = ids + [s for _, _, _, _, splits in domains for s in set(splits)]
     return (len(set(ids)) == len(ids)
             and not any(c in text for text in texts for c in ",\r\n\0")
-            and all(len(x) > 0 and x.shape[1] == dim and np.isfinite(x).all()
-                    for _, _, x, _, _ in domains))
+            and all(len(x) > 0 and x.shape[1] == dim and _valid_columns(x, np.asarray(labels))
+                    for _, _, x, labels, _ in domains))
+
+
+def _valid_columns(x: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether a domain's rows keep the rules that ``_parse_corpus`` checks
+    line by line: every feature finite, and the labels all -1 or all 0, 1
+    or 2."""
+    lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
+    return bool(np.logical_and.reduce(np.isfinite(x), None)) and (
+        lo == hi == -1 or 0 <= lo and hi <= 2)
 
 
 # every entry's timestamp, fixed so that reruns write the same archive bytes
@@ -346,8 +357,8 @@ def _write_sidecar(fh, domains, digest: str) -> None:
 
 
 def _dataset(domain_id: str, features: np.ndarray, labels, splits: list) -> DomainDataset:
-    """One domain from its columns as stored: any negative label means the
-    domain has no labels, a first split tag of "none" that it has no tags."""
+    """One domain from its columns as stored: labels of -1 mean the domain
+    has no labels, a first split tag of "none" that it has no tags."""
     labels = np.asarray(labels, dtype=np.int64)
     return DomainDataset(domain_id, features, labels if np.all(labels >= 0) else None,
                          np.asarray(splits) if splits[0] != "none" else None)
@@ -357,7 +368,7 @@ def _read_sidecar(path: Path) -> Optional[list[tuple[str, DomainDataset]]]:
     """(role, dataset) per domain from the ``corpus.npz`` beside the CSV
     at ``path``, or None unless it exists, loads without pickles, carries
     the SHA-256 of the CSV's bytes and holds arrays of the dtypes and
-    shapes the parse would give."""
+    shapes the parse would give, whose values keep ``_valid_columns``."""
     sidecar = path.with_name(SIDECAR_FILE)
     if not sidecar.exists():
         return None
@@ -395,7 +406,8 @@ def _read_sidecar(path: Path) -> Optional[list[tuple[str, DomainDataset]]]:
         n = len(x) if x.ndim == 2 else 0
         if n < 1 or x.shape != (n, dim) or x.dtype != np.float64 or not x.flags.c_contiguous \
                 or labels.dtype != np.int64 or labels.shape != (n,) \
-                or splits.dtype.kind != "U" or splits.shape != (n,):
+                or splits.dtype.kind != "U" or splits.shape != (n,) \
+                or not _valid_columns(x, labels):
             return None
         out.append((role, _dataset(domain_id, x, labels, splits.tolist())))
         rows -= n
@@ -426,8 +438,11 @@ def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
     """(role, dataset) per domain of ``corpus.csv``, in file order.
 
     A plain line-by-line parse: each feature field goes through ``float()``
-    into its domain's ``array("d")``, 8 bytes a value as in float64, and a
-    field that does not parse raises a DataError naming its own line.
+    into its domain's ``array("d")``, 8 bytes a value as in float64. A
+    field that does not parse, a feature that is not finite, a label other
+    than -1, 0, 1 or 2, and a label of -1 in a domain whose earlier rows
+    are labelled, or the reverse, raise a DataError naming the line, and
+    for a feature its column.
     """
     buckets: dict[str, dict] = {}
     lead = len(CORPUS_COLUMNS)
@@ -453,10 +468,21 @@ def _parse_corpus(path: Path) -> list[tuple[str, DomainDataset]]:
             if bucket["role"] != role:
                 raise DataError(f"{path}:{line_no}: domain {domain_id} has mixed roles")
             try:
-                bucket["label"].append(int(label))
-                bucket["x"].extend(map(float, parts[lead:]))
+                y = int(label)
+                x = list(map(float, parts[lead:]))
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from exc
+            if not all(map(math.isfinite, x)):
+                j = next(j for j, v in enumerate(x) if not math.isfinite(v))
+                raise DataError(f"{path}:{line_no}: {header[lead + j]} is not finite: "
+                                f"{parts[lead + j]!r}")
+            if not -1 <= y <= 2:  # -1 for none; 2 is an unclear tile, never scored
+                raise DataError(f"{path}:{line_no}: label {y} is not -1, 0, 1 or 2")
+            if bucket["label"] and (y < 0) != (bucket["label"][0] < 0):
+                raise DataError(f"{path}:{line_no}: domain {domain_id} mixes label -1 (none) "
+                                "with labelled rows")
+            bucket["label"].append(y)
+            bucket["x"].extend(x)
             bucket["split"].append(split)
     return [(bucket["role"], _dataset(
         domain_id, np.frombuffer(bucket["x"]).reshape(len(bucket["label"]), dim),

@@ -43,22 +43,20 @@ so the engine records as few nodes as it can and walks only those:
   step 2: the extractor with no gradient, one pass of the 2N heads over
   the target and the sources, the sources' CE minus the target's pair
   discrepancy. ``min_discrepancy_loss`` is m3sda step 3: the extractor,
-  the fixed heads, softmax and pair discrepancy on the target. A
-  vanilla, LoRA, m2s2da or m3sda backward walks 1 node in every step,
-  where the chains of per-op nodes they replace walk 3, 7 or 9 (a
-  classify step), 6 (step 2) or 4 (step 3).
+  the fixed heads, softmax and pair discrepancy on the target. The first
+  two take the N source batches' labels and give head h of H the features
+  and the labels of source batch h * N // H. A training backward walks
+  1 node.
 
 ``mlp``, ``head_stack``, ``softmax``, ``softmax_cross_entropy``,
 ``pair_discrepancy`` and ``moment_distance`` each run a forward and a
 backward kernel (``_mlp_forward`` and ``_mlp_backward`` and so on) on
 arrays, and the step nodes chain the same kernels, so each op's math is
-written once. At a training step's 64-row shapes a call of one of numpy's
-Python-level helpers (``np.stack``, ``.mean``, ``.sum``, ``np.zeros_like``,
-``np.broadcast_to``, ``np.repeat``) costs about as much as the arithmetic
-it wraps, so the kernels call the ufuncs and their methods directly
+written once. The kernels call the ufuncs and their methods directly
 (``np.add.reduce(a, axis) / n`` for a mean, ``out=`` for a stack, in-place
-ops on a kernel's own temporaries), with the same operands in the same
-order, so every byte is the helper's.
+ops on a kernel's own temporaries) rather than numpy's Python-level
+helpers, which cost as much as the arithmetic at a step's 64-row shapes;
+the operands and their order are the helpers', so every byte is too.
 """
 
 from __future__ import annotations
@@ -1043,10 +1041,10 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
     (as ``mlp`` takes them) as one stack, and H = 1 or 2N classifier heads
     (``weight1`` H x f x f and so on, as ``head_stack`` takes them, with
     training-mode dropout drawn from ``rng``) read the sources' features;
-    head h reads source batch ``h * N // H``. The loss is the heads' cross
-    entropy against the H x rows 0/1 ``labels``, added in head order, and,
-    given ``lam``, ``lam`` times the MD2 between the sources' features and
-    the target's.
+    head h reads source batch ``h * N // H`` and its row of the N x rows 0/1
+    ``labels``. The loss is the heads' cross entropy, added in head order,
+    and, given ``lam``, ``lam`` times the MD2 between the sources' features
+    and the target's.
 
     Returns ``(loss, ce, md2)``: the node, and the CE and MD2 values as
     floats (``md2`` is None without ``lam``). The loss and every gradient
@@ -1059,18 +1057,20 @@ def classify_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bias1: Te
     order target, source 0, ..., source N - 1.
     """
     target = lam is not None
-    n, heads = len(x) - target, weight1.shape[0]
-    if n < 1 or heads not in (1, 2 * n):
-        raise ShapeError(f"classify_loss: {heads} heads over {n} source batches")
+    n, heads, labels = len(x) - target, weight1.shape[0], np.asarray(labels)
+    if n < 1 or heads not in (1, 2 * n) or labels.shape[:1] != (n,):
+        raise ShapeError(f"classify_loss: {heads} heads and labels of shape {labels.shape} "
+                         f"over {n} source batches")
     # with one head and no target, the extractor runs only the batch the head reads
     one = not target and heads == 1
     feats, saved = _mlp_forward(_step_rows(x[0] if one else x, "classify_loss", not one), layers)
     z_s = feats[1:] if target else feats
     head_in = z_s if one else z_s[0] if heads == 1 else z_s.repeat(2, axis=0)
+    y = labels[:1] if heads == 1 else labels.repeat(2, axis=0)
     _check_stack(head_in, weight1, bias1, "classify_loss")
     head = [weight1, bias1, weight2, bias2]
     logits, head_saved = _head_forward(head_in, *head, p, True, rng)
-    ce, ce_saved = _ce_forward(logits, _ce_labels(logits, labels))
+    ce, ce_saved = _ce_forward(logits, _ce_labels(logits, y))
     loss, md2 = ce, None
     if target:
         md2, md2_saved = _md2_forward(feats, range(n + 1), [len(feats[0])] * (n + 1), n)
@@ -1114,26 +1114,28 @@ def max_discrepancy_loss(x, labels, layers: Sequence[tuple], weight1: Tensor, bi
     extractor ``layers`` with no gradient as one stack, and the heads then
     run once over a (2, 2N, rows, f) stack: block 0 is the target's
     features, which every head reads, and block 1 gives head h source batch
-    h // 2, labelled by the 2N x rows ``labels``. One dropout draw from
+    h // 2 and its row of the N x rows ``labels``. One dropout draw from
     ``rng`` masks both blocks, block 0 first. The loss, every gradient and
     the next draw are bitwise those of the per-op graph: ``mlp`` under
     ``no_grad``, ``head_stack``, ``softmax`` and ``pair_discrepancy`` over
     the target, ``head_stack`` and ``softmax_cross_entropy`` over the
     sources, and ``sub``.
     """
-    n, heads = len(x) - 1, weight1.shape[0]
-    if n < 1 or heads != 2 * n:
-        raise ShapeError(f"max_discrepancy_loss: {heads} heads over {n} source batches")
+    n, heads, labels = len(x) - 1, weight1.shape[0], np.asarray(labels)
+    if n < 1 or heads != 2 * n or labels.shape[:1] != (n,):
+        raise ShapeError(f"max_discrepancy_loss: {heads} heads and labels of shape "
+                         f"{labels.shape} over {n} source batches")
     feats, _ = _mlp_forward(_step_rows(x, "max_discrepancy_loss"), layers)
     head_in = np.empty((2, heads, *feats.shape[1:]))
     head_in[0] = feats[0]
     head_in[1, 0::2] = head_in[1, 1::2] = feats[1:]
+    y = labels.repeat(2, axis=0)
     _check_stack(head_in, weight1, bias1, "max_discrepancy_loss", blocks=True)
     head = [weight1, bias1, weight2, bias2]
     logits, head_saved = _head_forward(head_in, *head, p, True, rng)
     probs = _softmax_forward(logits[0])
     disc, disc_saved = _pair_forward(probs)
-    ce, ce_saved = _ce_forward(logits[1], _ce_labels(logits[1], labels))
+    ce, ce_saved = _ce_forward(logits[1], _ce_labels(logits[1], y))
 
     def grad_fn(g):
         g_logits = np.empty_like(logits)

@@ -275,6 +275,13 @@ def test_history_jsonl_roundtrip(tmp_path):
     assert loaded.records[-1].losses == history.records[-1].losses
 
 
+def test_per_epoch_eval_of_an_unlabelled_target_names_the_domain():
+    cfg = AdaptationConfig(strategy="vanilla", epochs=1, warmup=0, seed=1)
+    target = _shifted_target(seed=9).unlabeled()
+    with pytest.raises(DegenerateInputError, match="^domain 'target' has no labels to score$"):
+        train_vanilla(_model(seed=5), _blobs(seed=6), cfg, eval_targets=[target])
+
+
 # ----------------------------------------------------------------------
 # m2s2da
 
@@ -530,7 +537,7 @@ def test_m3sda_steps_on_gathered_batches_are_the_steps_on_batch_pairs(lam):
         stepper.config = AdaptationConfig(strategy="m3sda_beta", lam=lam, seed=12)
         if gathered:
             rows = np.stack([x_t, *(x for x, _ in batches)])
-            args = (IterationBatches(rows, np.repeat([y for _, y in batches], 2, axis=0)),)
+            args = (IterationBatches(rows, np.stack([y for _, y in batches])),)
         else:
             args = (batches, x_t)
         values = [stepper.step_classify(*args), stepper.step_max_discrepancy(*args)]

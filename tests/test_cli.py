@@ -751,6 +751,83 @@ def test_eval_of_corpus_without_a_target_is_a_data_error(tmp_path, capsys):
         assert [row[0] for row in csv.reader(fh)][1:] == ["source0", "source1", "source2"]
 
 
+def _edit_corpus(corpus: Path, edit) -> tuple[Path, int]:
+    """Apply ``edit(line)`` to the second target row of ``corpus.csv``;
+    that path and the row's line number."""
+    path = corpus / "corpus.csv"
+    lines = path.read_text().split("\n")
+    i = [j for j, line in enumerate(lines) if ",target," in line][1]
+    lines[i] = edit(lines[i])
+    path.write_text("\n".join(lines))
+    return path, i + 1
+
+
+def _with_field(column: int, value: str):
+    return lambda line: ",".join(value if j == column else f
+                                 for j, f in enumerate(line.split(",")))
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("edit, message", [
+    # a feature that is not finite as float() reads it
+    (_with_field(6, "nan"), "f2 is not finite: 'nan'"),
+    (_with_field(4, "-inf"), "f0 is not finite: '-inf'"),
+    (_with_field(19, "1e309"), "f15 is not finite: '1e309'"),
+    # a label outside {-1, 0, 1, 2}: eval would drop the row from every count
+    (_with_field(3, "3"), "label 3 is not -1, 0, 1 or 2"),
+    (_with_field(3, "-2"), "label -2 is not -1, 0, 1 or 2"),
+    # a row without a label in a labelled domain: every label of it would go
+    (_with_field(3, "-1"), "domain target mixes label -1 (none) with labelled rows"),
+], ids=["nan", "-inf", "1e309", "label-3", "label-minus-2", "mixed-labels"])
+def test_corpus_row_that_train_or_eval_would_misuse_names_its_line(tmp_path, capsys, command,
+                                                                   edit, message):
+    corpus = _make_corpus(tmp_path, samples=40)
+    run = tmp_path / "run"
+    if command == "eval":
+        assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy",
+                     "vanilla", "--epochs", "2", "--warmup", "0"]) == 0
+    path, line = _edit_corpus(corpus, edit)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = (["eval", "--checkpoint", str(run / "checkpoint.json")] if command == "eval"
+            else ["train", "--strategy", "m2s2da", "--epochs", "2", "--warmup", "0"])
+    rc = main([*args, "--corpus", str(corpus), "--out", str(out)])
+    _assert_single_data_error(rc, capsys, f"{path}:{line}: {message}", out)
+
+
+def _unlabel_target(corpus: Path) -> None:
+    path = corpus / "corpus.csv"
+    path.write_text(re.sub(r",target,none,[012],", ",target,none,-1,", path.read_text()))
+
+
+def test_train_on_an_unlabelled_target_scores_no_target(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path, samples=60)
+    _unlabel_target(corpus)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy", "m2s2da",
+                 "--epochs", "2", "--warmup", "0"]) == 0
+    assert "median target F1=none" in capsys.readouterr().out
+    records = [json.loads(line) for line in (run / "history.jsonl").read_text().splitlines()]
+    assert [(r["target_f1"], r["median_target_f1"]) for r in records] == [({}, None)] * 2
+    assert main(["report", "--history", str(run / "history.jsonl"),
+                 "--out", str(tmp_path / "rep")]) == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--include-sources"]])
+def test_eval_of_an_unlabelled_target_names_the_domain(tmp_path, capsys, flags):
+    corpus = _make_corpus(tmp_path, samples=40)
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy", "vanilla",
+                 "--epochs", "2", "--warmup", "0"]) == 0
+    _unlabel_target(corpus)
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--corpus", str(corpus),
+                 "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == "error: domain 'target' has no labels to score\n"
+    assert not out.exists()
+
+
 def test_report_outputs(tmp_path):
     corpus = _make_corpus(tmp_path)
     run = tmp_path / "run"
@@ -1071,6 +1148,8 @@ def _assert_single_data_error(rc, capsys, path, out):
     ("{not json", ":1: not JSON"),
     ('{"format_version": 1}', ": checkpoint has no 'config' entry"),
     ('[1, 2]', ": malformed checkpoint"),
+    # a JSON number past the float range, read as an int
+    ('{"format_version": 1, "config": {"input_dim": 1e309}}', ": malformed checkpoint"),
 ])
 def test_eval_of_malformed_checkpoint_is_a_data_error(tmp_path, capsys, text, where):
     corpus = _make_corpus(tmp_path, samples=40)
@@ -1184,9 +1263,9 @@ def test_report_reads_null_f1_values_where_train_writes_them(tmp_path):
 _FUZZ_TOKENS = ["nan", "1e309", "1" * 400, '"0.25"', "true", "null", "\r", "\x00"]
 
 
-def _mutate(data: bytes, rng: random.Random) -> bytes:
+def _mutate(data: bytes, rng: random.Random, swaps=_FUZZ_TOKENS) -> bytes:
     """``data`` with one mutation: a flipped bit, a deleted span, a
-    truncation, a repeated line, or a token swapped for a ``_FUZZ_TOKENS`` one."""
+    truncation, a repeated line, or a token swapped for one of ``swaps``."""
     if not data:
         return data
     kind, at = rng.randrange(5), rng.randrange(len(data))
@@ -1204,7 +1283,7 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
     if not tokens:
         return data
     token = rng.choice(tokens)
-    return data[:token.start()] + rng.choice(_FUZZ_TOKENS).encode() + data[token.end():]
+    return data[:token.start()] + rng.choice(swaps).encode() + data[token.end():]
 
 
 def test_report_of_fuzzed_inputs_exits_0_or_1_with_one_error_line(tmp_path, capsys):
@@ -1234,6 +1313,102 @@ def test_report_of_fuzzed_inputs_exits_0_or_1_with_one_error_line(tmp_path, caps
         assert all(line.startswith(("error:", "warning:")) for line in lines), (mutant, lines)
         codes.append(rc)
     assert codes.count(0) and codes.count(1)
+
+
+# what a fuzzed corpus or checkpoint swaps in for one of the file's own tokens
+_EVAL_FUZZ_TOKENS = ["nan", "inf", "1e309", "1" * 400, "-1", "3", "1.0", "", "\r", "\x00"]
+_EVAL_FUZZ_CASES = 300
+
+
+def _poison_parameter(data: bytes, rng: random.Random) -> bytes:
+    """A checkpoint with one value of one parameter swapped for NaN or an infinity."""
+    payload = json.loads(data)
+    entry = payload["parameters"][rng.choice(sorted(payload["parameters"]))]
+    values = np.frombuffer(base64.b64decode(entry["data"]), entry["dtype"]).copy()
+    values[rng.randrange(values.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return json.dumps(payload).encode()
+
+
+def _corpus_breaks_a_value_rule(data: bytes) -> bool:
+    """Whether a row of ``corpus.csv`` of the header's width holds a feature
+    that is not finite, a label outside {-1, 0, 1, 2}, or a label of -1 in
+    a domain labelled elsewhere, or the reverse: rows that eval must reject."""
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None).read().split("\n")
+    except UnicodeDecodeError:
+        return False
+    width, labelled = len(lines[0].split(",")), {}
+    for parts in (line.split(",") for line in lines[1:]):
+        if len(parts) != width or width < 4:
+            continue
+        if re.fullmatch(r"\s*[-+]?\d+\s*", parts[3]):
+            label = int(parts[3])
+            if label not in (-1, 0, 1, 2) \
+                    or labelled.setdefault(parts[0], label >= 0) != (label >= 0):
+                return True
+        for field in parts[4:]:
+            try:
+                if not math.isfinite(float(field)):
+                    return True
+            except ValueError:
+                pass
+    return False
+
+
+def _checkpoint_holds_a_non_finite_value(data: bytes) -> bool:
+    try:
+        entries = json.loads(data)["parameters"].values()
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return False
+    for entry in entries:
+        try:
+            if not np.isfinite(np.frombuffer(base64.b64decode(entry["data"]), "<f8")).all():
+                return True
+        except (ValueError, KeyError, TypeError):
+            pass
+    return False
+
+
+def test_eval_of_fuzzed_inputs_exits_0_or_1_with_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--sources", "2", "--dim", "4",
+                 "--samples", "30", "--seed", "5"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--out", str(run), "--strategy",
+                 "m3sda_beta", "--epochs", "2", "--warmup", "0", "--seed", "1"]) == 0
+    originals = {"corpus.csv": (corpus / "corpus.csv").read_bytes(),
+                 "corpus.npz": (corpus / "corpus.npz").read_bytes(),
+                 "checkpoint.json": (run / "checkpoint.json").read_bytes()}
+    rng, codes, broken = random.Random(32), [], {"corpus.csv": 0, "checkpoint.json": 0}
+    for i in range(_EVAL_FUZZ_CASES):
+        mutant = dict(originals)
+        if rng.random() < 0.1:
+            mutant["checkpoint.json"] = _poison_parameter(mutant["checkpoint.json"], rng)
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(["corpus.csv", "checkpoint.json"])
+            mutant[name] = _mutate(mutant[name], rng, _EVAL_FUZZ_TOKENS)
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        for name, data in mutant.items():
+            (case / name).write_bytes(data)
+        capsys.readouterr()
+        try:
+            rc = main(["eval", "--checkpoint", str(case / "checkpoint.json"), "--corpus",
+                       str(case), "--out", str(case / "e")])
+        except SystemExit as exc:
+            rc = exc.code
+        lines = [line for line in capsys.readouterr().err.split("\n") if line]
+        assert rc in (0, 1), mutant
+        assert [line.startswith("error:") for line in lines].count(True) == rc, (mutant, lines)
+        assert all(line.startswith(("error:", "warning:")) for line in lines), (mutant, lines)
+        for name, breaks in (("corpus.csv", _corpus_breaks_a_value_rule),
+                             ("checkpoint.json", _checkpoint_holds_a_non_finite_value)):
+            if breaks(mutant[name]):
+                broken[name] += 1
+                assert rc == 1, (name, mutant[name], lines)
+        codes.append(rc)
+    assert codes.count(0) and codes.count(1) and all(broken.values()), (codes, broken)
 
 
 @pytest.mark.parametrize("which", ["annotations", "domain_map"])

@@ -313,6 +313,12 @@ def test_corpus_with_a_non_utf8_byte_is_a_data_error(tmp_path):
      3, "domain a has mixed roles"),
     (["a,source,train,1,1.0,x", "b,source,train,zero,1.0,2.0"],
      2, "could not convert string to float: 'x'"),
+    # values that parse but that train and eval would misuse
+    (["a,source,train,1,1.0,nan", "b,source,train,zero,1.0,2.0"], 2, "f1 is not finite: 'nan'"),
+    (["a,source,train,1,1e999,2.0"], 2, "f0 is not finite: '1e999'"),
+    (["a,source,train,1,1.0,2.0", "a,source,train,7,1.0,2.0"], 3, "label 7 is not -1, 0, 1 or 2"),
+    (["a,target,none,-1,1.0,2.0", "a,target,none,2,1.0,2.0"],
+     3, "domain a mixes label -1 (none) with labelled rows"),
 ])
 @pytest.mark.parametrize("lead", [2, 4, 1 << 12])  # valid rows of another domain before them
 def test_corpus_reader_reports_the_first_bad_line(tmp_path, rows, line, message, lead):
@@ -443,9 +449,18 @@ def _with_entry(name, make):
                                    for name in ("features0", "labels0", "splits0")}),
     _with_entry("digest", lambda h: np.array(str(h).upper())),
     _with_entry("roles", lambda r: np.array(["source", "source", "flight"])),
+    # values that the CSV parse rejects: a feature that is not finite, a
+    # label outside {-1, 0, 1, 2}, and -1 among a domain's labels
+    _with_entry("features0", lambda x: np.where(np.arange(x.size).reshape(x.shape) == 4,
+                                                np.nan, x)),
+    _with_entry("features2", lambda x: np.where(np.arange(x.size).reshape(x.shape) == 0,
+                                                np.inf, x)),
+    _with_entry("labels1", lambda y: np.where(np.arange(len(y)) == 1, 3, y)),
+    _with_entry("labels2", lambda y: np.where(np.arange(len(y)) == 2, -1, y)),
 ], ids=["edited-csv", "edited-csv-invalid", "deleted", "truncated", "empty", "float32",
         "fortran-order", "int32-labels", "pickled-splits", "int-splits", "short-features",
-        "scalar-features", "short-domain", "wrong-digest", "unknown-role"])
+        "scalar-features", "short-domain", "wrong-digest", "unknown-role", "nan-feature",
+        "inf-feature", "label-3", "mixed-labels"])
 def test_damaged_archive_gives_the_csv_result(tmp_path, damage):
     corpus_dir = _small_corpus_dir(tmp_path)
     damage(corpus_dir)

@@ -973,9 +973,10 @@ def test_moment_distance_input_errors():
 
 def _classify_step(fused, xs, labels, x_t, lam, blocks, heads, p, seed):
     """Loss bytes, CE and MD2 values, every gradient and the next dropout
-    draw of a classify step over the source batches ``xs``, from
-    ``T.classify_loss`` or from the per-op graph it replaces: one ``mlp``
-    node per batch, and head h of H reading source batch h * N // H."""
+    draw of a classify step over the source batches ``xs`` and their N x
+    rows ``labels``, from ``T.classify_loss`` or from the per-op graph it
+    replaces: one ``mlp`` node per batch, and head h of H reading source
+    batch h * N // H and its labels."""
     layers, leaves = [], []
     for arrays, flags, scale in blocks:
         tensors = _leaves(arrays, flags)
@@ -992,7 +993,7 @@ def _classify_step(fused, xs, labels, x_t, lam, blocks, heads, p, seed):
         z_s = [T.mlp(Tensor(x), layers) for x in xs]
         read = [z_s[i * n // h] for i in range(h)]
         logits = T.head_stack(read[0] if h == 1 else read, *head, p, True, rng)
-        loss = T.softmax_cross_entropy(logits, labels)
+        loss = T.softmax_cross_entropy(logits, labels[np.arange(h) * n // h])
         ce, md2 = loss.item(), None
         if x_t is not None:
             distance = T.moment_distance(z_s, T.mlp(Tensor(x_t), layers))
@@ -1026,7 +1027,7 @@ def test_classify_loss_is_bitwise_the_per_op_graph(dims, rows, n, pairs, target,
          "ones": np.ones((n, rows), dtype=np.int64)}[labels]
     x_t = {"none": None, "target": rng.normal(size=(rows, dims[0])) * 2.0 + 0.5,
            "identical": xs[0].copy()}[target]
-    args = (list(xs), y[np.arange(h) * n // h], x_t, lam, blocks, heads, p, seed)
+    args = (list(xs), y, x_t, lam, blocks, heads, p, seed)
     fused = _classify_step(True, *args)
     assert fused == _classify_step(False, *args)
     assert (fused[2] is None) == (x_t is None)
@@ -1083,7 +1084,8 @@ def test_classify_loss_records_nothing_under_no_grad_and_checks_its_inputs():
 def _discrepancy_step(fused, step, xs, labels, x_t, blocks, heads, p, seed):
     """Loss bytes, discrepancy, step 2's CE, every gradient and the next
     dropout draw of m3sda step 2 or 3, from ``T.max_discrepancy_loss`` or
-    ``T.min_discrepancy_loss``, or from the per-op graph each replaces."""
+    ``T.min_discrepancy_loss``, or from the per-op graph each replaces;
+    ``labels`` are the N source batches', N x rows."""
     layers, leaves = [], []
     for arrays, flags, scale in blocks:
         tensors = _leaves(arrays, flags)
@@ -1108,7 +1110,7 @@ def _discrepancy_step(fused, step, xs, labels, x_t, blocks, heads, p, seed):
         disc_node = T.pair_discrepancy(T.softmax(T.head_stack(Tensor(feats[-1]), *head, p, True,
                                                               rng)))
         logits = T.head_stack(Tensor(np.repeat(feats[:-1], 2, axis=0)), *head, p, True, rng)
-        ce_node = T.softmax_cross_entropy(logits, labels)
+        ce_node = T.softmax_cross_entropy(logits, np.repeat(labels, 2, axis=0))
         loss = T.sub(ce_node, disc_node)
         ce, disc = ce_node.item(), disc_node.item()
     else:
@@ -1141,7 +1143,7 @@ def test_discrepancy_steps_are_bitwise_the_per_op_graph(step, dims, rows, n, unf
         for a in heads:
             a[1::2] = a[0::2]
     xs = list(rng.normal(size=(n, rows, dims[0])))
-    labels = np.repeat(rng.integers(0, 2, (n, rows)), 2, axis=0)
+    labels = rng.integers(0, 2, (n, rows))
     x_t = rng.normal(size=(rows, dims[0])) * 2.0 + 0.5
     args = (step, xs, labels, x_t, blocks, heads, p, seed)
     fused = _discrepancy_step(True, *args)
@@ -1155,7 +1157,7 @@ def test_discrepancy_steps_record_nothing_under_no_grad_and_check_their_inputs()
     layers = [(Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(np.zeros(4)))]
     head = [Tensor(rng.normal(size=s), requires_grad=True)
             for s in ((2, 4, 4), (2, 4), (2, 2, 4), (2, 2))]
-    x, y = rng.normal(size=(5, 3)), np.array([[0, 1, 1, 0, 1]] * 2)
+    x, y = rng.normal(size=(5, 3)), np.array([[0, 1, 1, 0, 1]])
     with T.no_grad():
         loss, _, disc = T.max_discrepancy_loss([x, x], y, layers, *head, 0.0, None)
         step3 = T.min_discrepancy_loss(x, layers, *head, 0.0, None)
@@ -1168,7 +1170,8 @@ def test_discrepancy_steps_record_nothing_under_no_grad_and_check_their_inputs()
             T.max_discrepancy_loss([x, *bad], y, layers, *head, 0.0, None)
     with pytest.raises(ShapeError):
         T.max_discrepancy_loss([x[:, :2], x], y, layers, *head, 0.0, None)
-    for labels in (y[:, :4], y[0], y[:1]):
+    # one source batch's labels: not 2N rows, as the heads read them
+    for labels in (y[:, :4], y[0], np.repeat(y, 2, axis=0)):
         with pytest.raises(ShapeError):
             T.max_discrepancy_loss([x, x], labels, layers, *head, 0.0, None)
     with pytest.raises(LabelError):
@@ -1534,7 +1537,7 @@ def test_one_node_backward_is_bitwise_the_general_walk(build):
             head = [Tensor(rng.normal(size=s), requires_grad=True)
                     for s in ((2, 3, 3), (2, 3), (2, 2, 3), (2, 2))]
             leaves = [*layer, *head]
-            loss = T.classify_loss([z.data, z.data * 0.5], np.ones((2, 6), int), [layer],
+            loss = T.classify_loss([z.data, z.data * 0.5], np.ones((1, 6), int), [layer],
                                    *head, 0.0, None, 0.5)[0]
         assert backward is _walked_backward or all(p._grad_fn is None for p in loss._parents)
         backward(loss)
